@@ -5,10 +5,10 @@ hot paths of a running service at the paper's parameters (64-bit
 plaintexts, theta = 8): client enrollment, server query handling, and
 client-side verification — plus the head-to-head pairs of the performance
 layer (docs/PERFORMANCE.md): OPE encryption with the node cache on vs off,
-``enroll_population`` across execution backends (serial vs GIL-bound
-threads vs a warmed process pool), churn-then-query with the incremental
-matcher vs a forced full resort, and the sharded server tier (upload +
-bulk query across process shards) vs the legacy single store.
+``enroll_population`` on the serial backend vs a warmed process pool,
+churn-then-query with the incremental matcher vs a forced full resort, and
+the sharded server tier (upload + bulk query across process shards) vs the
+legacy single store.
 
 The suite runs under an active :mod:`repro.obs` metrics registry and ends
 by writing ``benchmarks/results/BENCH_throughput.json`` — measured per-op
@@ -16,16 +16,14 @@ latencies, the comparison ratios under ``speedups``, a machine-speed
 calibration sample, and the metrics snapshot — which
 ``tools/check_perf_trend.py`` compares against the committed baseline in
 CI (and, on a >= 4-core runner, enforces the
-``process_enroll_speedup >= 2.0``, ``shm_enroll_speedup >= 1.3``, and
-``sharded_upload_query_speedup >= 1.5`` floors; the measured values are
-recorded unconditionally).
+``process_enroll_speedup >= 2.0`` and ``sharded_upload_query_speedup >= 1.5``
+floors; the measured values are recorded unconditionally).
 """
 
 import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import time
 
 import pytest
@@ -35,14 +33,7 @@ from repro.datasets import INFOCOM06
 from repro.experiments.common import build_population, build_scheme
 from repro.net.messages import QueryRequest, UploadMessage
 from repro.obs.metrics import disable_metrics, enable_metrics
-from repro.parallel import (
-    ArenaWriter,
-    BulkMatchContext,
-    ContextSegment,
-    ProcessBackend,
-    ResultArena,
-    ThreadBackend,
-)
+from repro.parallel import ProcessBackend
 from repro.server.matcher import ServerMatcher
 from repro.server.service import SMatchServer
 from repro.server.sharding import ShardedTier
@@ -282,22 +273,14 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
         cache_off.encrypt, ope_profile, ope_key, ope_mapped, iterations=20
     )
 
-    # -- batch enrollment: serial vs thread vs process backends, same seed --
-    # Op names enroll_population_w1/w4 predate the backend API and are kept
+    # -- batch enrollment: serial vs process backend, same seed ------------
+    # The op name enroll_population_w1 predates the backend API and is kept
     # for baseline continuity (check_perf_trend compares shared op names).
     profiles = [u.profile for u in users]
     enroll_w1 = _timed_us(
         lambda: scheme.enroll_population(profiles, backend="serial", seed=77),
         iterations=1,
     )
-    thread_backend = ThreadBackend(BENCH_WORKERS)
-    enroll_w4 = _timed_us(
-        lambda: scheme.enroll_population(
-            profiles, backend=thread_backend, seed=77
-        ),
-        iterations=1,
-    )
-    thread_backend.close()
     with ProcessBackend(BENCH_WORKERS) as process_backend:
         # Warm the pool first so the measurement captures steady-state
         # fan-out, not one-time worker spawn + key-material transfer.
@@ -334,112 +317,6 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
 
     churn_inc = _timed_us(churn_incremental, iterations=30)
     churn_res = _timed_us(churn_resort, iterations=30)
-
-    # -- zero-copy result transport: pickle vs shared-memory arena ----------
-    # PR-5 worst case: chunk_size = 1, every future carries one
-    # (uid, payload, key) tuple.  Worker-side products (full pickles /
-    # sealed arena slots) are staged up front — on a multicore runner the
-    # workers produce them concurrently — so the head-to-head times the
-    # parent's serial intake: chunk unpickle (plus arena resolve) and one
-    # downstream wire encode per profile (the store-and-forward path,
-    # where a lazy arena view splices its bytes instead of re-encoding).
-    transport_items = [(u, uploads[u], keys[u]) for u in sorted(uploads)]
-    full_blobs = [
-        pickle.dumps([item], protocol=pickle.HIGHEST_PROTOCOL)
-        for item in transport_items
-    ]
-    arena = ResultArena(slots=len(transport_items))
-    tiny_blobs = []
-    slot_descs = []
-    for index, (user_id, payload, key) in enumerate(transport_items):
-        desc = arena.slot_descriptor(index)
-        writer = ArenaWriter(desc)
-        ref = writer.put_record(payload)
-        writer.seal()
-        tiny_blobs.append(
-            pickle.dumps([(user_id, ref, key)], protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        slot_descs.append(desc)
-
-    def pickle_intake():
-        out = []
-        for blob in full_blobs:
-            ((_, payload, _),) = pickle.loads(blob)
-            out.append(UploadMessage(payload=payload).encode())
-        return out
-
-    def arena_intake():
-        out = []
-        for blob, desc in zip(tiny_blobs, slot_descs):
-            ((_, view, _),) = arena.resolve(pickle.loads(blob), desc, "bench")
-            out.append(UploadMessage(payload=view).encode())
-        return out
-
-    assert pickle_intake() == arena_intake()  # byte-identical forwarding
-    shm_pickle = shm_arena = None
-    for _ in range(3):  # interleaved best-of-3: the ratio gates CI
-        sample_pickle = _timed_us(pickle_intake, iterations=10)
-        sample_arena = _timed_us(arena_intake, iterations=10)
-        if shm_pickle is None or sample_pickle["per_op_us"] < shm_pickle["per_op_us"]:
-            shm_pickle = sample_pickle
-        if shm_arena is None or sample_arena["per_op_us"] < shm_arena["per_op_us"]:
-            shm_arena = sample_arena
-    arena.close()
-
-    # -- warm-start context shipping: per-worker pickle vs one segment ------
-    # The bulk-match context (frozen score orders + memberships) either
-    # gets pickled into every worker pipe, or written once to a shared
-    # segment that each worker decodes at pool warm-start.
-    bulk_users = [u.profile.user_id for u in users]
-    orders = {}
-    score_tables = {}
-    memberships = {}
-    handles = {}
-    for user_id in bulk_users:
-        key_index = server.store.get(user_id).key_index
-        handle = handles.get(key_index)
-        if handle is None:
-            ordered, scores = server.matcher._group_index(key_index).snapshot()
-            handle = handles[key_index] = len(handles)
-            orders[handle] = tuple(ordered)
-            score_tables[handle] = scores
-        memberships[user_id] = (handle, score_tables[handle][user_id])
-    # Tile the 40-user world's settled orders up to ~4096 entries: the
-    # proximity-matching populations the transport layer targets (see
-    # docs/PERFORMANCE.md) — at the raw world size the comparison only
-    # measures the segment-create syscall floor, not the shipping cost.
-    base_entries = max(1, sum(len(order) for order in orders.values()))
-    tile = max(1, 4096 // base_entries)
-    bulk_context = BulkMatchContext(
-        orders={
-            handle: tuple(
-                (score, user_id + 1_000_000 * copy)
-                for copy in range(tile)
-                for score, user_id in order
-            )
-            for handle, order in orders.items()
-        },
-        memberships=memberships,
-        k=server.query_k,
-    )
-
-    def ship_context_pickle():
-        for _ in range(BENCH_WORKERS):
-            pickle.loads(
-                pickle.dumps(bulk_context, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-
-    def ship_context_shm():
-        segment = ContextSegment.create(bulk_context)
-        worker_handle = segment.handle()
-        try:
-            for _ in range(BENCH_WORKERS):
-                worker_handle.load()
-        finally:
-            segment.close()
-
-    ship_pickle = _timed_us(ship_context_pickle, iterations=10)
-    ship_shm = _timed_us(ship_context_shm, iterations=10)
 
     # -- sharded server tier: one store vs BENCH_SHARDS process shards ------
     # A churn-then-bulk-query round against (a) the legacy single
@@ -516,14 +393,9 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
         "enroll_encrypt_cache_on": encrypt_on,
         "enroll_encrypt_cache_off": encrypt_off,
         "enroll_population_w1": enroll_w1,
-        "enroll_population_w4": enroll_w4,
         "enroll_population_process": enroll_proc,
         "churn_query_incremental": churn_inc,
         "churn_query_resort": churn_res,
-        "shm_enroll_intake_pickle": shm_pickle,
-        "shm_enroll_intake_arena": shm_arena,
-        "bulk_context_ship_pickle": ship_pickle,
-        "bulk_context_ship_shm": ship_shm,
         "sharded_upload_query_legacy": shard_legacy,
         "sharded_upload_query_tier": shard_tier_timing,
     }
@@ -536,21 +408,10 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
         # OPRF-modexp-bound; see docs/PERFORMANCE.md for the breakdown)
         "ope_cache_encrypt": ratio(encrypt_off, encrypt_on),
         "incremental_churn_query": ratio(churn_res, churn_inc),
-        # informational: thread workers are GIL-bound in pure Python, the
-        # ThreadBackend contract is determinism, not wall-clock
-        "parallel_enroll_w4": ratio(enroll_w1, enroll_w4),
         # the real multicore win: a warmed process pool sidesteps the GIL
         # for the OPRF modexps.  CI enforces >= 2.0 on >= 4-core runners
         # via --min-speedup; recorded unconditionally for trend visibility.
         "process_enroll_speedup": ratio(enroll_w1, enroll_proc),
-        # zero-copy result transport (parent-side intake + forward, PR-5
-        # worst-case chunk_size=1).  CI enforces >= 1.3 on >= 4-core
-        # runners via --min-speedup; recorded unconditionally.
-        "shm_enroll_speedup": ratio(shm_pickle, shm_arena),
-        # one shared context segment vs BENCH_WORKERS pickled pipe copies;
-        # informational — the win scales with the worker count, so a
-        # small runner (BENCH_WORKERS == 1) can legitimately report < 1.
-        "shm_bulk_match_speedup": ratio(ship_pickle, ship_shm),
         # the sharded server tier: upload + bulk-query against
         # BENCH_SHARDS process shards vs the legacy single store.  CI
         # enforces >= 1.5 on >= 4-core runners via --min-speedup; on a

@@ -202,7 +202,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        choices=["serial", "thread", "process"],
+        choices=["serial", "process"],
         help="execution backend for bulk enrollment/matching work "
         "(default: $SMATCH_BACKEND, else serial)",
     )
@@ -210,7 +210,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         "--backend-workers",
         type=int,
         default=None,
-        help="worker count for thread/process backends (default: cpu count)",
+        help="worker count for the process backend (default: cpu count)",
     )
 
 

@@ -16,7 +16,6 @@ message's payload.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -52,8 +51,8 @@ def profile_enroll_seed(seed: int, user_id: int) -> int:
 
     A pure function of ``(seed, user_id)`` so the enrollment of one profile
     is independent of batch composition, chunking, and worker scheduling —
-    the invariant that makes ``enroll_population(workers=N, seed=s)``
-    byte-identical for every ``N``.
+    the invariant that makes ``enroll_population(backend=..., seed=s)``
+    byte-identical for every backend and worker count.
     """
     digest = sha256(
         b"smatch-enroll-seed",
@@ -152,10 +151,8 @@ class EncryptedProfile:
     # -- wire codec ------------------------------------------------------------
     #
     # The single source of truth for the profile's length-prefixed field
-    # layout.  `repro.net.messages.UploadMessage` delegates here (so bytes
-    # on the wire are unchanged), and the shared-memory result arena
-    # (`repro.parallel.arena`) uses the same layout to move enrollment
-    # results across the process boundary without pickling them.
+    # layout.  `repro.net.messages.UploadMessage` delegates here, so bytes
+    # on the wire are unchanged.
 
     def encode_fields(self, writer: FieldWriter) -> None:
         """Append the profile's length-prefixed fields to ``writer``."""
@@ -178,13 +175,13 @@ class EncryptedProfile:
         )
 
     def to_wire_bytes(self) -> bytes:
-        """The profile as one standalone wire blob (arena record payload).
+        """The profile's fields as one standalone wire blob.
 
-        The shared-memory result arena wire-encodes every enrollment
-        result exactly once through this method, so the fields are packed
-        by hand instead of through :class:`FieldWriter` method dispatch.
-        The layout is :meth:`decode_fields` in reverse; byte-identity with
-        the generic writer path is pinned by the codec tests.
+        Every upload is encoded through this method, so the fields are
+        packed by hand instead of through :class:`FieldWriter` method
+        dispatch.  The layout is :meth:`decode_fields` in reverse;
+        byte-identity with the generic writer path is pinned by the
+        upload-message tests.
         """
         pack = LENGTH_PREFIX.pack
         value = self.user_id
@@ -205,14 +202,6 @@ class EncryptedProfile:
         sealed = self.auth.sealed.encode()
         append(pack(len(sealed)) + sealed)
         return b"".join(parts)
-
-    @classmethod
-    def from_wire_bytes(cls, raw: bytes) -> "EncryptedProfile":
-        """Decode a blob produced by :meth:`to_wire_bytes`."""
-        reader = FieldReader(raw)
-        payload = cls.decode_fields(reader)
-        reader.expect_end()
-        return payload
 
 
 class SMatch:
@@ -389,19 +378,17 @@ class SMatch:
         backend: Any = None,
         seed: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> Tuple[Dict[int, EncryptedProfile], Dict[int, ProfileKey]]:
         """Enroll many users; returns (uploads by id, keys by id).
 
         ``backend`` selects the execution substrate (:mod:`repro.parallel`):
-        a backend name (``"serial"``/``"thread"``/``"process"``) or instance.
+        a backend name (``"serial"``/``"process"``) or instance.
         ``backend=None`` falls back to the process default
         (:func:`repro.parallel.default_backend`, i.e. the ``SMATCH_BACKEND``
         env / CLI ``--backend`` flag), else the legacy sequential path.
-        Enrollment is OPRF-modexp-bound pure-Python compute, so only the
-        **process** backend buys wall-clock speedup — thread workers stay
-        GIL-serialized and exist for determinism testing and API symmetry
-        (see docs/PERFORMANCE.md, "Execution backends").
+        Enrollment is OPRF-modexp-bound pure-Python compute, so the
+        **process** backend is the one that buys wall-clock speedup (see
+        docs/PERFORMANCE.md, "Execution backends").
 
         Each profile is enrolled under its own randomness source whose seed
         is a pure function of ``(seed, user_id)`` (:func:`profile_enroll_seed`),
@@ -413,18 +400,14 @@ class SMatch:
         keeps the parallel path deterministic under a seeded ``SMatch`` and
         keeps workers off the shared (non-thread-safe) source.
 
-        No ``backend``/``workers``/``seed`` is the legacy fully-sequential
-        path using the instance RNG directly, preserved bit-for-bit for
-        existing seeded callers.
-
-        ``workers=N`` is deprecated: it maps to ``backend="thread"`` sized
-        ``N`` (``N=1`` → serial semantics) and warns.
+        No ``backend``/``seed`` is the legacy fully-sequential path using the
+        instance RNG directly, preserved bit-for-bit for existing seeded
+        callers.
         """
         from repro.parallel import (
             EnrollSpec,
             SerialBackend,
             TaskEnvelope,
-            ThreadBackend,
             balanced_chunk_size,
             default_backend,
             enroll_chunk,
@@ -432,23 +415,6 @@ class SMatch:
             resolve_backend,
         )
 
-        if workers is not None:
-            if workers < 1:
-                raise ParameterError("workers must be >= 1")
-            warnings.warn(
-                "enroll_population(workers=...) is deprecated; pass "
-                "backend='thread'/'process' (or an ExecutionBackend) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if backend is not None:
-                raise ParameterError(
-                    "pass either backend= or the deprecated workers=, not both"
-                )
-            if workers > 1:
-                backend = ThreadBackend(workers)
-            elif seed is not None:
-                backend = SerialBackend()
         if chunk_size is not None and chunk_size < 1:
             raise ParameterError("chunk_size must be >= 1")
         profiles = list(profiles)
@@ -492,10 +458,6 @@ class SMatch:
             fn=enroll_chunk,
             context=self._enroll_spec,
             label="scheme.enroll_population",
-            # process backends move the EncryptedProfile payloads through
-            # the shared-memory result arena (wire codec, lazy views)
-            # instead of the future-result pickle; other backends ignore it
-            shm_results=True,
         )
         for chunk_result in exec_backend.map_chunks(envelope, chunks):
             for user_id, payload, key in chunk_result:

@@ -75,9 +75,8 @@ class UploadMessage(Message):
         """Serialize to tagged, length-prefixed wire bytes.
 
         The body is the profile's own field layout
-        (:meth:`EncryptedProfile.encode_fields` — the codec the shared-memory
-        result arena reuses), so the tagged message is byte-identical to the
-        historical inline encoding.
+        (:meth:`EncryptedProfile.encode_fields`), so the tagged message is
+        byte-identical to the historical inline encoding.
         """
         w = FieldWriter()
         w.write_int(self.TAG)

@@ -149,28 +149,11 @@ M_PARALLEL_WORKER_RESTARTS = _metric(
 M_PARALLEL_QUEUE_DEPTH = _metric(
     "smatch_parallel_queue_depth", "in-flight chunks on the pool"
 )
-# shared-memory result transport (repro.parallel.arena).  These measure the
-# *transport mechanism*, not the work: they are non-zero only when the
-# process backend moves results through the shm arena, so — like
-# smatch_obs_worker_spans_total — they are exempt from the cross-backend
-# counter-equality contract.
-M_PARALLEL_SHM_BYTES = _metric(
-    "smatch_parallel_shm_bytes_total",
-    "wire-codec bytes written into shared-memory result arenas",
-)
-M_PARALLEL_SHM_FALLBACKS = _metric(
-    "smatch_parallel_shm_fallbacks_total",
-    "arena records that fell back to pickle (no codec or slot full)",
-)
-M_PARALLEL_SHM_OCCUPANCY = _metric(
-    "smatch_parallel_shm_occupancy_bytes",
-    "high-water bytes used in any one arena slot (sizing signal)",
-)
 # sharded server tier (repro.server.sharding).  Counters emitted inside
 # shard worker processes reach the coordinator via the same registry-merge
 # path as other worker metrics; the durability counters (wal/snapshot/
 # recovery) measure the persistence *mechanism*, not the matching work, so
-# like the shm-transport counters they are exempt from cross-backend
+# like smatch_obs_worker_spans_total they are exempt from cross-backend
 # counter-equality comparisons.
 M_SHARD_OPS = _metric(
     "smatch_shard_ops_total", "mutation ops (put/remove) applied by shards"

@@ -391,8 +391,8 @@ def clear_inherited_tracer() -> None:
     A worker process forked while the submitting thread was inside
     :func:`tracing` carries a copy of the parent's thread-local tracer —
     an orphan whose spans can never reach the parent.  Worker bootstrap
-    (``repro.parallel.backend._run_traced``) clears it before opening the
-    worker-local trace; anywhere else this is a no-op.
+    (``repro.parallel.backend._run_chunk_traced``) clears it before opening
+    the worker-local trace; anywhere else this is a no-op.
     """
     _local.tracer = None
 

@@ -1,32 +1,23 @@
 """Pluggable execution backends for CPU-bound bulk work.
 
-See :mod:`repro.parallel.backend` for the backend protocol and the three
-implementations, :mod:`repro.parallel.tasks` for the picklable task
-envelopes wired into the enrollment / OPRF / matching hot paths, and
-:mod:`repro.parallel.arena` for the shared-memory result transport the
-process backend uses to move wire-encodable results without pickling them.
+See :mod:`repro.parallel.backend` for the backend protocol and its two
+implementations (serial and process), and :mod:`repro.parallel.tasks` for
+the picklable task envelopes wired into the enrollment / OPRF / matching
+hot paths.
 """
 
-from repro.parallel.arena import (
-    ArenaWriter,
-    ContextHandle,
-    ContextSegment,
-    LazyWireRecord,
-    ResultArena,
-    ShmContext,
-    register_wire_codec,
-)
 from repro.parallel.backend import (
     BACKEND_NAMES,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
     TaskEnvelope,
-    ThreadBackend,
+    absorb_telemetry,
     balanced_chunk_size,
     default_backend,
     partition_chunks,
     resolve_backend,
+    run_captured,
     set_default_backend,
 )
 from repro.parallel.tasks import (
@@ -38,21 +29,14 @@ from repro.parallel.tasks import (
 )
 
 __all__ = [
-    "ArenaWriter",
     "BACKEND_NAMES",
     "BulkMatchContext",
-    "ContextHandle",
-    "ContextSegment",
     "EnrollSpec",
-    "LazyWireRecord",
-    "ResultArena",
-    "ShmContext",
-    "register_wire_codec",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
     "TaskEnvelope",
-    "ThreadBackend",
+    "absorb_telemetry",
     "balanced_chunk_size",
     "bulk_match_chunk",
     "default_backend",
@@ -60,5 +44,6 @@ __all__ = [
     "evaluate_blinded_chunk",
     "partition_chunks",
     "resolve_backend",
+    "run_captured",
     "set_default_backend",
 ]

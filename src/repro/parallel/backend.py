@@ -1,22 +1,19 @@
 """Pluggable execution backends for CPU-bound bulk work.
 
 The OPRF/modexp-bound hot paths (full enrollment, server-side batched blind
-evaluation, bulk matching) are pure-Python compute: thread pools buy
-determinism and overlap with IO, but the GIL serializes the arithmetic.  A
-:class:`ProcessBackend` breaks out of the interpreter entirely, at the cost
-of a pickling boundary.  All three backends implement one protocol so call
-sites choose a *policy*, not a mechanism:
+evaluation, bulk matching) are pure-Python compute, so the GIL serializes
+the arithmetic of any thread pool.  A :class:`ProcessBackend` breaks out of
+the interpreter entirely, at the cost of a pickling boundary.  Both
+backends implement one protocol so call sites choose a *policy*, not a
+mechanism:
 
 * :class:`SerialBackend` — run chunks inline, in order (the reference
-  semantics every other backend must reproduce);
-* :class:`ThreadBackend` — a ``ThreadPoolExecutor``; useful for IO-bound
-  task functions and as a GIL-bound stand-in with identical scheduling
-  structure;
+  semantics the process backend must reproduce);
 * :class:`ProcessBackend` — a ``ProcessPoolExecutor`` with a per-worker
   **warm-start initializer**: the task envelope's context (RSA key
   material, scheme parameters, OPE params) is shipped to each worker once
   at pool construction and cached in the worker process, not re-pickled
-  per task.
+  per task.  Chunk results come back through the future-result pickle.
 
 Work arrives as a :class:`TaskEnvelope` — a module-level function plus a
 picklable context — applied to deterministic, contiguous chunks of an item
@@ -37,14 +34,16 @@ and the broken pool is discarded so the *next* call restarts fresh workers
 *inside* a task function propagate unchanged.
 
 Telemetry crosses the fan-out boundary truthfully (docs/OBSERVABILITY.md):
-when the submitting thread is tracing, each pooled chunk runs under a
-worker-local :class:`~repro.obs.trace.Tracer` whose records ship back with
-the result and are spliced into the parent trace under the open
-``parallel.map`` span, tagged with the worker identity; process workers
-additionally run a local :class:`~repro.obs.metrics.MetricsRegistry` whose
+when the submitting thread is tracing, each chunk runs under a worker-local
+:class:`~repro.obs.trace.Tracer` whose records ship back with the result
+and are spliced into the parent trace under the open ``parallel.map`` span,
+tagged with the worker identity; when a metrics registry is enabled,
+workers also run a local :class:`~repro.obs.metrics.MetricsRegistry` whose
 mergeable snapshot is folded into the parent registry (counters add,
 gauges max), so ``smatch_parallel_*`` and OPE-cache counters agree across
-serial, thread, and process backends.
+the serial and process backends.  The same capture/absorb pair
+(:func:`run_captured` / :func:`absorb_telemetry`) serves any pool thread
+that has no tracer of its own, such as the shard tier's fan-out threads.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import os
 import pickle
 import threading
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
@@ -77,15 +76,6 @@ except ImportError:  # pragma: no cover - Python < 3.8 is unsupported anyway
         return cls
 
 from repro.errors import ParallelError, ParameterError, WorkerCrashError
-from repro.parallel.arena import (
-    DEFAULT_SLOT_BYTES,
-    ArenaWriter,
-    ContextHandle,
-    ContextSegment,
-    ResultArena,
-    ShmContext,
-    SlotDescriptor,
-)
 from repro.obs.metrics import (
     M_OBS_WORKER_SPANS,
     M_PARALLEL_CHUNKS,
@@ -107,16 +97,17 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "TaskEnvelope",
-    "ThreadBackend",
+    "absorb_telemetry",
     "balanced_chunk_size",
     "default_backend",
     "partition_chunks",
     "resolve_backend",
+    "run_captured",
     "set_default_backend",
 ]
 
 #: Names accepted by :func:`resolve_backend` and the ``SMATCH_BACKEND`` env.
-BACKEND_NAMES: Tuple[str, ...] = ("serial", "thread", "process")
+BACKEND_NAMES: Tuple[str, ...] = ("serial", "process")
 
 _ENV_VAR = "SMATCH_BACKEND"
 
@@ -134,28 +125,11 @@ class TaskEnvelope:
     the batch shares; process backends deliver it to each worker exactly
     once via the pool initializer.  ``label`` names the work in spans and
     error messages (never interpolate task *data* into it).
-
-    ``obs`` controls worker-side telemetry capture.  ``None`` (the default)
-    derives it from the parent: workers record spans exactly when a tracer
-    is active on the submitting thread, and (process backends only) run a
-    local metrics registry exactly when one is enabled in the parent.
-    ``False`` disables capture even then — for batches so fine-grained the
-    per-chunk tracer would dominate; ``True`` forces worker-side capture
-    regardless, for harnesses that collect the payloads themselves (the
-    parent still splices/merges only what its own activation can absorb).
-
-    ``shm_results`` declares that ``fn`` accepts a third argument — an
-    :class:`~repro.parallel.arena.ArenaWriter` (or ``None``) — and will
-    route wire-encodable results through the shared-memory result arena
-    when a :class:`ProcessBackend` offers one.  Serial and thread backends
-    (same address space, nothing to transport) always pass no writer.
     """
 
     fn: TaskFn
     context: Any = None
     label: str = "task"
-    obs: Optional[bool] = None
-    shm_results: bool = False
 
 
 def partition_chunks(
@@ -184,37 +158,9 @@ def balanced_chunk_size(num_items: int, workers: int) -> int:
     return max(1, (num_items + workers - 1) // workers)
 
 
-def _default_workers(workers: Optional[int]) -> int:
-    """``workers`` validated, with ``None`` meaning one per CPU core."""
-    if workers is None:
-        return os.cpu_count() or 1
-    if workers < 1:
-        raise ParameterError("workers must be >= 1")
-    return workers
-
-
 def _note_batch(num_chunks: int, num_tasks: int) -> None:
     metric_inc(M_PARALLEL_CHUNKS, num_chunks)
     metric_inc(M_PARALLEL_TASKS, num_tasks)
-
-
-def _apply(
-    fn: TaskFn,
-    context: Any,
-    chunk: Sequence[Any],
-    writer: Optional[ArenaWriter],
-) -> Any:
-    """Run one chunk, sealing its arena slot after the task returns.
-
-    The seal is the slot's commit point: it runs only on success, so a
-    crashed or raising worker leaves the slot's previous generation visible
-    and the parent surfaces the failure instead of decoding a torn slot.
-    """
-    if writer is None:
-        return fn(context, chunk)
-    result = fn(context, chunk, writer)
-    writer.seal()
-    return result
 
 
 # -- worker-side telemetry capture ---------------------------------------------
@@ -222,7 +168,7 @@ def _apply(
 
 @dataclass(frozen=True)
 class _WorkerTelemetry:
-    """A chunk result wrapped with the worker's captured telemetry.
+    """A result wrapped with the telemetry its worker captured.
 
     ``spans`` is the worker tracer's depth-first record list (the
     :meth:`~repro.obs.trace.Tracer.span_records` shape) or ``None`` when
@@ -237,44 +183,36 @@ class _WorkerTelemetry:
     worker: str
 
 
-def _run_traced(
-    fn: TaskFn,
-    context: Any,
-    chunk: Sequence[Any],
-    label: str,
-    index: int,
-    capture_spans: bool,
-    capture_metrics: bool,
-    kind: str,
-    writer: Optional[ArenaWriter] = None,
+def run_captured(
+    fn: Callable[..., Any],
+    args: Sequence[Any],
+    name: str,
+    attrs: Dict[str, Any],
+    capture_spans: bool = True,
+    capture_metrics: bool = False,
+    worker: Optional[str] = None,
 ) -> _WorkerTelemetry:
-    """Run one chunk under worker-local telemetry and wrap the result.
+    """Run ``fn(*args)`` under worker-local telemetry and wrap the result.
 
     Pool threads have no thread-local tracer (spans opened inside them
-    no-op'd before this existed — the thread-backend span-loss bug), and
-    worker processes additionally have a private metrics registry, so both
-    capture locally here and ship the records back for parent-side
-    splicing/merging.  Exceptions from ``fn`` propagate unchanged; the
-    local registry swap is always restored.
+    no-op), and worker processes additionally have a private metrics
+    registry, so both capture locally here — spans under a root named
+    ``name`` with ``attrs`` — and ship the records back for
+    :func:`absorb_telemetry` on the submitting thread.  ``worker`` defaults
+    to the current thread's name.  Exceptions from ``fn`` propagate
+    unchanged; the local registry swap is always restored.
     """
-    if kind == "thread":
-        worker = threading.current_thread().name
-    else:
-        worker = f"pid-{os.getpid()}"
-        # a fork-started worker inherits the submitting thread's tracer;
-        # it is an orphan copy here — clear it so the worker trace opens
-        clear_inherited_tracer()
     prior_registry = active_metrics()
     local_registry: Optional[MetricsRegistry] = None
     if capture_metrics:
         local_registry = enable_metrics(MetricsRegistry())
     try:
         if capture_spans:
-            with tracing("parallel.chunk", label=label, chunk=index) as tracer:
-                result = _apply(fn, context, chunk, writer)
+            with tracing(name, **attrs) as tracer:
+                result = fn(*args)
             spans: Optional[List[Dict[str, Any]]] = tracer.span_records()
         else:
-            result = _apply(fn, context, chunk, writer)
+            result = fn(*args)
             spans = None
     finally:
         if capture_metrics:
@@ -288,17 +226,18 @@ def _run_traced(
         metrics=(
             local_registry.to_mergeable() if local_registry is not None else None
         ),
-        worker=worker,
+        worker=worker if worker is not None else threading.current_thread().name,
     )
 
 
-def _absorb_result(payload: Any) -> Any:
+def absorb_telemetry(payload: Any) -> Any:
     """Unwrap a collected result, splicing/merging any worker telemetry.
 
-    Runs on the submitting thread inside the open ``parallel.map`` span, so
-    spliced worker roots land under it (and their op counts / byte tallies
-    fold up through the enclosing pipeline spans).  Gracefully drops
-    telemetry the parent cannot absorb (no tracer / no registry active).
+    Runs on the submitting thread inside the span that fanned the work out
+    (``parallel.map``, or a shard-tier span), so spliced worker roots land
+    under it (and their op counts / byte tallies fold up through the
+    enclosing pipeline spans).  Gracefully drops telemetry the parent
+    cannot absorb (no tracer / no registry active).
     """
     if not isinstance(payload, _WorkerTelemetry):
         return payload
@@ -362,17 +301,77 @@ class SerialBackend:
         self.close()
 
 
-class _PooledBackend:
-    """Shared submission/collection machinery of the pooled backends.
+# -- process backend -----------------------------------------------------------
+
+#: Per-worker-process warm state, installed once by the pool initializer.
+_WORKER_CONTEXT: Any = None
+
+
+def _initialize_worker(context: Any) -> None:
+    """Pool initializer: cache the envelope context in this worker process."""
+    global _WORKER_CONTEXT
+    # written exactly once per worker process by the pool initializer,
+    # strictly before any chunk runs, and workers are single-threaded
+    _WORKER_CONTEXT = context  # smatch-lint: disable=SML013 — initializer runs before any task
+
+
+def _started() -> None:
+    """No-op first task: submitting it forks the whole pool."""
+
+
+def _run_chunk(fn: TaskFn, chunk: Sequence[Any]) -> Any:
+    """Worker-side trampoline: apply the task to the warm-started context."""
+    return fn(_WORKER_CONTEXT, chunk)
+
+
+def _run_chunk_traced(
+    fn: TaskFn,
+    chunk: Sequence[Any],
+    label: str,
+    index: int,
+    capture_spans: bool,
+    capture_metrics: bool,
+) -> _WorkerTelemetry:
+    """Trampoline for traced chunks: warm context + worker-local telemetry."""
+    # a fork-started worker inherits the submitting thread's tracer; it is
+    # an orphan copy here — clear it so the worker trace opens
+    clear_inherited_tracer()
+    return run_captured(
+        fn,
+        (_WORKER_CONTEXT, chunk),
+        "parallel.chunk",
+        {"label": label, "chunk": index},
+        capture_spans,
+        capture_metrics,
+        worker=f"pid-{os.getpid()}",
+    )
+
+
+class ProcessBackend:
+    """A ``ProcessPoolExecutor`` backend for modexp-bound work.
+
+    The envelope context crosses the pickling boundary exactly once per
+    worker (pool initializer); per-chunk submissions carry only the task
+    function reference and the chunk items, and results come back through
+    the future-result pickle.  The pool is kept warm across ``map_chunks``
+    calls that reuse the *same* context object, so repeated batches against
+    one key/scheme pay pool start-up once.
 
     Bounded in-flight window: submit up to ``max_inflight`` chunks, then
     alternate collect-oldest / submit-next so results arrive in submission
     order with O(max_inflight) outstanding futures.
     """
 
-    name = "pooled"
+    name = "process"
 
-    def __init__(self, workers: int, max_inflight: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        workers: Optional[int] = None,
+        max_inflight: Optional[int] = None,
+        mp_context: Optional[str] = None,
+    ) -> None:
+        if workers is None:
+            workers = os.cpu_count() or 1
         if workers < 1:
             raise ParameterError("workers must be >= 1")
         self.workers = workers
@@ -381,65 +380,15 @@ class _PooledBackend:
         )
         if self._max_inflight < 1:
             raise ParameterError("max_inflight must be >= 1")
+        self._mp_context = mp_context
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_context: Any = None
 
-    # hooks the concrete backends provide -------------------------------------
-
-    def _pool_for(self, envelope: TaskEnvelope) -> Any:
-        raise NotImplementedError
-
-    def _submit(
-        self,
-        pool: Any,
-        envelope: TaskEnvelope,
-        chunk: Sequence[Any],
-        index: int,
-        capture_spans: bool,
-        capture_metrics: bool,
-        arena: Optional[ResultArena],
-    ) -> "Future[Any]":
-        raise NotImplementedError
-
-    def _discard_pool(self) -> None:
-        raise NotImplementedError
-
-    def _begin_batch(
-        self, envelope: TaskEnvelope, num_chunks: int
-    ) -> Optional[ResultArena]:
-        """Per-batch transport state; only :class:`ProcessBackend` has any."""
-        return None
-
-    def _absorb(
-        self,
-        payload: Any,
-        envelope: TaskEnvelope,
-        arena: Optional[ResultArena],
-        index: int,
-    ) -> Any:
-        """Unwrap one collected result (telemetry splice + arena resolve)."""
-        return _absorb_result(payload)
-
-    def _captures_metrics(self) -> bool:
-        """Whether this backend's workers need a local metrics registry.
-
-        Pool *threads* share the process-wide registry, so their metric
-        emissions are already truthful; worker *processes* have a private
-        copy and must capture + ship (:class:`ProcessBackend` overrides).
-        """
+    @property
+    def shm_enabled(self) -> bool:
+        """Always ``False``: results move by pickle.  Read-only, and kept
+        only because ``perfbench/bulk_enroll.py`` records it."""
         return False
-
-    def _telemetry_plan(self, envelope: TaskEnvelope) -> Tuple[bool, bool]:
-        """``(capture_spans, capture_metrics)`` for this batch (see
-        :class:`TaskEnvelope` on the ``obs`` flag semantics)."""
-        if envelope.obs is False:
-            return (False, False)
-        if envelope.obs is True:
-            return (True, self._captures_metrics())
-        return (
-            current_tracer() is not None,
-            self._captures_metrics() and active_metrics() is not None,
-        )
-
-    # the shared engine --------------------------------------------------------
 
     def map_chunks(
         self, envelope: TaskEnvelope, chunks: Sequence[Sequence[Any]]
@@ -462,27 +411,10 @@ class _PooledBackend:
         self, envelope: TaskEnvelope, chunks: List[Sequence[Any]]
     ) -> List[Any]:
         pool = self._pool_for(envelope)
-        capture_spans, capture_metrics = self._telemetry_plan(envelope)
-        arena = self._begin_batch(envelope, len(chunks))
-        try:
-            return self._collect_into(
-                pool, envelope, chunks, capture_spans, capture_metrics, arena
-            )
-        finally:
-            # always unlink the batch segment — also on the WorkerCrashError
-            # path, so a dead worker can never leak shared memory
-            if arena is not None:
-                arena.close()
-
-    def _collect_into(
-        self,
-        pool: Any,
-        envelope: TaskEnvelope,
-        chunks: List[Sequence[Any]],
-        capture_spans: bool,
-        capture_metrics: bool,
-        arena: Optional[ResultArena],
-    ) -> List[Any]:
+        # workers record spans exactly when the submitting thread traces,
+        # and run a local registry exactly when one is enabled here
+        capture_spans = current_tracer() is not None
+        capture_metrics = active_metrics() is not None
         results: List[Any] = [None] * len(chunks)
         pending: Deque[Tuple[int, "Future[Any]"]] = deque()
         next_index = 0
@@ -491,243 +423,86 @@ class _PooledBackend:
             nonlocal next_index
             index = next_index
             next_index += 1
-            pending.append(
-                (
+            if capture_spans or capture_metrics:
+                future = pool.submit(
+                    _run_chunk_traced,
+                    envelope.fn,
+                    chunks[index],
+                    envelope.label,
                     index,
-                    self._submit(
-                        pool,
-                        envelope,
-                        chunks[index],
-                        index,
-                        capture_spans,
-                        capture_metrics,
-                        arena,
-                    ),
+                    capture_spans,
+                    capture_metrics,
                 )
-            )
+            else:
+                future = pool.submit(_run_chunk, envelope.fn, chunks[index])
+            pending.append((index, future))
 
-        while next_index < len(chunks) and len(pending) < self._max_inflight:
-            submit_one()
-        metric_set(M_PARALLEL_QUEUE_DEPTH, len(pending))
-        while pending:
-            index, future = pending.popleft()
-            try:
-                results[index] = self._absorb(
-                    future.result(), envelope, arena, index
-                )
-            except BrokenProcessPool as exc:
-                # the pool is unusable: drop it (the next map_chunks call
-                # restarts fresh workers) and surface a typed error instead
-                # of hanging on futures a dead worker will never complete
-                for _, leftover in pending:
-                    leftover.cancel()
-                pending.clear()
-                self._discard_pool()
-                metric_inc(M_PARALLEL_WORKER_RESTARTS)
-                raise WorkerCrashError(
-                    f"worker process died while running {envelope.label!r} "
-                    f"chunk {index} of {len(chunks)}"
-                ) from exc
-            if next_index < len(chunks):
+        try:
+            while (
+                next_index < len(chunks) and len(pending) < self._max_inflight
+            ):
                 submit_one()
             metric_set(M_PARALLEL_QUEUE_DEPTH, len(pending))
+            while pending:
+                index, future = pending[0]
+                results[index] = absorb_telemetry(future.result())
+                pending.popleft()
+                if next_index < len(chunks):
+                    submit_one()
+                metric_set(M_PARALLEL_QUEUE_DEPTH, len(pending))
+        except BrokenProcessPool as exc:
+            # the pool is unusable — a worker died before its result came
+            # back, or before a later chunk could even be submitted: drop it
+            # (the next map_chunks call restarts fresh workers) and surface
+            # a typed error instead of hanging on futures a dead worker will
+            # never complete
+            failed = pending[0][0] if pending else next_index
+            for _, leftover in pending:
+                leftover.cancel()
+            pending.clear()
+            self._discard_pool()
+            metric_inc(M_PARALLEL_WORKER_RESTARTS)
+            raise WorkerCrashError(
+                f"worker process died while running {envelope.label!r} "
+                f"chunk {failed} of {len(chunks)}"
+            ) from exc
         return results
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); a later call re-creates it."""
-        self._discard_pool()
-
-    def __enter__(self) -> "_PooledBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class ThreadBackend(_PooledBackend):
-    """A ``ThreadPoolExecutor`` backend.
-
-    Shares the caller's address space, so contexts need not be picklable
-    and warm state is simply the shared object.  Pure-Python compute stays
-    GIL-serialized — use :class:`ProcessBackend` for wall-clock speedups on
-    modexp-bound work.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self, workers: Optional[int] = None, max_inflight: Optional[int] = None
-    ) -> None:
-        super().__init__(_default_workers(workers), max_inflight)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _pool_for(self, envelope: TaskEnvelope) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="smatch-parallel",
-            )
-        return self._pool
-
-    def _submit(
-        self,
-        pool: ThreadPoolExecutor,
-        envelope: TaskEnvelope,
-        chunk: Sequence[Any],
-        index: int,
-        capture_spans: bool,
-        capture_metrics: bool,
-        arena: Optional[ResultArena],
-    ) -> "Future[Any]":
-        if capture_spans or capture_metrics:
-            return pool.submit(
-                _run_traced,
-                envelope.fn,
-                envelope.context,
-                chunk,
-                envelope.label,
-                index,
-                capture_spans,
-                capture_metrics,
-                "thread",
-            )
-        return pool.submit(envelope.fn, envelope.context, chunk)
-
-    def _discard_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-
-# -- process backend -----------------------------------------------------------
-
-#: Per-worker-process warm state, installed once by the pool initializer.
-_WORKER_CONTEXT: Any = None
-
-
-def _initialize_worker(context: Any) -> None:
-    """Pool initializer: cache the envelope context in this worker process.
-
-    A :class:`~repro.parallel.arena.ContextHandle` is resolved here — once,
-    at warm start — so a shared-segment context (e.g. the matcher's frozen
-    ``BulkMatchContext``) is decoded exactly once per worker and every
-    chunk then reuses the decoded object.
-    """
-    global _WORKER_CONTEXT
-    if isinstance(context, ContextHandle):
-        context = context.load()
-    # written exactly once per worker process by the pool initializer,
-    # strictly before any chunk runs, and workers are single-threaded
-    _WORKER_CONTEXT = context  # smatch-lint: disable=SML013 — initializer runs before any task
-
-
-def _run_chunk(
-    fn: TaskFn, chunk: Sequence[Any], desc: Optional[SlotDescriptor] = None
-) -> Any:
-    """Worker-side trampoline: apply the task to the warm-started context."""
-    writer = ArenaWriter(desc) if desc is not None else None
-    return _apply(fn, _WORKER_CONTEXT, chunk, writer)
-
-
-def _run_chunk_traced(
-    fn: TaskFn,
-    chunk: Sequence[Any],
-    label: str,
-    index: int,
-    capture_spans: bool,
-    capture_metrics: bool,
-    desc: Optional[SlotDescriptor] = None,
-) -> _WorkerTelemetry:
-    """Trampoline for traced chunks: warm context + worker-local telemetry."""
-    return _run_traced(
-        fn,
-        _WORKER_CONTEXT,
-        chunk,
-        label,
-        index,
-        capture_spans,
-        capture_metrics,
-        "process",
-        ArenaWriter(desc) if desc is not None else None,
-    )
-
-
-class ProcessBackend(_PooledBackend):
-    """A ``ProcessPoolExecutor`` backend for modexp-bound work.
-
-    The envelope context crosses the pickling boundary exactly once per
-    worker (pool initializer); per-chunk submissions carry only the task
-    function reference and the chunk items.  The pool is kept warm across
-    ``map_chunks`` calls that reuse the *same* context object, so repeated
-    batches against one key/scheme pay pool start-up once.
-
-    Results of envelopes marked ``shm_results`` move through a per-batch
-    shared-memory :class:`~repro.parallel.arena.ResultArena` instead of the
-    future-result pickle: workers wire-encode each record once, the parent
-    returns lazy decode-on-access views.  ``shm=False`` (or the
-    ``SMATCH_SHM=0`` environment variable) forces the plain pickle
-    transport; ``shm_slot_bytes`` sizes each arena slot (records that
-    overflow fall back to pickle per record).
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        max_inflight: Optional[int] = None,
-        mp_context: Optional[str] = None,
-        shm: Optional[bool] = None,
-        shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
-    ) -> None:
-        super().__init__(_default_workers(workers), max_inflight)
-        self._mp_context = mp_context
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_context: Any = None
-        self._context_segment: Optional[ContextSegment] = None
-        if shm is None:
-            shm = os.environ.get("SMATCH_SHM", "").strip() != "0"
-        if shm_slot_bytes < 64:
-            raise ParameterError("shm_slot_bytes must be >= 64")
-        self._shm = bool(shm)
-        self._shm_slot_bytes = shm_slot_bytes
-
-    @property
-    def shm_enabled(self) -> bool:
-        """Whether this backend moves eligible work through shared memory."""
-        return self._shm
 
     def _pool_for(self, envelope: TaskEnvelope) -> ProcessPoolExecutor:
         if self._pool is not None and self._pool_context is envelope.context:
             return self._pool
         self._discard_pool()
         self._check_picklable(envelope)
-        init_context = envelope.context
-        if isinstance(init_context, ShmContext):
-            if self._shm:
-                # the backend owns the segment so its lifetime matches the
-                # pool's: ProcessPoolExecutor spawns workers lazily, and a
-                # late-starting worker must still find the segment to attach
-                self._context_segment = ContextSegment.create(
-                    init_context.value
-                )
-                init_context = self._context_segment.handle()
-            else:
-                init_context = init_context.value
         mp_ctx = None
         if self._mp_context is not None:
             import multiprocessing
 
             mp_ctx = multiprocessing.get_context(self._mp_context)
-        self._pool = ProcessPoolExecutor(
+        pool = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_initialize_worker,
-            initargs=(init_context,),
+            initargs=(envelope.context,),
             mp_context=mp_ctx,
         )
+        # fork the workers now, on this thread (see start)
+        pool.submit(_started)
+        self._pool = pool
         # hold a strong reference so `is` identity can't be recycled
         self._pool_context = envelope.context
-        return self._pool
+        return pool
+
+    def start(self, envelope: TaskEnvelope) -> None:
+        """Fork the pool for ``envelope`` now, on the calling thread.
+
+        A no-op when that pool is already running.  Callers that drive
+        several backends from several threads start them from one thread
+        first: a fork on one thread can otherwise copy the pipe another
+        thread has just made for its own new worker's exit sentinel, and
+        that worker's death then goes unnoticed until the copy's holder
+        exits — a pool that hangs instead of raising
+        :class:`~repro.errors.WorkerCrashError`.
+        """
+        self._pool_for(envelope)
 
     @staticmethod
     def _check_picklable(envelope: TaskEnvelope) -> None:
@@ -742,67 +517,21 @@ class ProcessBackend(_PooledBackend):
                 f"picklable ({type(exc).__name__})"
             ) from exc
 
-    def _captures_metrics(self) -> bool:
-        return True
-
-    def _begin_batch(
-        self, envelope: TaskEnvelope, num_chunks: int
-    ) -> Optional[ResultArena]:
-        if not (self._shm and envelope.shm_results and num_chunks):
-            return None
-        # one ring slot per possible in-flight chunk: ordered collection
-        # frees a ring position before any writer can revisit it
-        return ResultArena(
-            slots=min(self._max_inflight, num_chunks),
-            slot_bytes=self._shm_slot_bytes,
-        )
-
-    def _absorb(
-        self,
-        payload: Any,
-        envelope: TaskEnvelope,
-        arena: Optional[ResultArena],
-        index: int,
-    ) -> Any:
-        value = _absorb_result(payload)
-        if arena is not None:
-            value = arena.resolve(
-                value, arena.slot_descriptor(index), envelope.label
-            )
-        return value
-
-    def _submit(
-        self,
-        pool: ProcessPoolExecutor,
-        envelope: TaskEnvelope,
-        chunk: Sequence[Any],
-        index: int,
-        capture_spans: bool,
-        capture_metrics: bool,
-        arena: Optional[ResultArena],
-    ) -> "Future[Any]":
-        desc = arena.slot_descriptor(index) if arena is not None else None
-        if capture_spans or capture_metrics:
-            return pool.submit(
-                _run_chunk_traced,
-                envelope.fn,
-                chunk,
-                envelope.label,
-                index,
-                capture_spans,
-                capture_metrics,
-                desc,
-            )
-        return pool.submit(_run_chunk, envelope.fn, chunk, desc)
-
     def _discard_pool(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
             self._pool_context = None
-        if self._context_segment is not None:
-            self._context_segment.close()
-            self._context_segment = None
+
+    def close(self) -> None:
+        """Shut the pool down (idempotent); a later call re-creates it."""
+        self._discard_pool()
+
+    def __enter__(self) -> "ProcessBackend":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 # -- name resolution and the process-wide default ------------------------------
@@ -815,16 +544,14 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """An :class:`ExecutionBackend` from a name or a ready instance.
 
-    Accepts ``"serial"``, ``"thread"``, ``"process"`` (optionally sized by
-    ``workers``; pool backends default to ``os.cpu_count()``), or any object
-    already implementing the protocol (returned as-is).
+    Accepts ``"serial"``, ``"process"`` (optionally sized by ``workers``;
+    defaults to ``os.cpu_count()``), or any object already implementing
+    the protocol (returned as-is).
     """
     if isinstance(spec, str):
         name = spec.strip().lower()
         if name == "serial":
             return SerialBackend()
-        if name == "thread":
-            return ThreadBackend(workers)
         if name == "process":
             return ProcessBackend(workers)
         raise ParameterError(

@@ -34,7 +34,6 @@ from repro.core.profile import Profile
 from repro.core.scheme import EncryptedProfile, SMatch, SMatchParams
 from repro.crypto.oprf import RsaOprfServer
 from repro.ntheory.groups import SchnorrGroup
-from repro.parallel.arena import ArenaWriter, register_wire_codec
 from repro.utils.rand import SystemRandomSource
 
 __all__ = [
@@ -44,21 +43,6 @@ __all__ = [
     "enroll_chunk",
     "evaluate_blinded_chunk",
 ]
-
-#: Arena codec tag for :class:`EncryptedProfile` records.  Registered at
-#: import time in both the parent and every worker (workers import this
-#: module when the task function is unpickled by reference), so the two
-#: sides always agree on the tag table.  The byte layout is the same
-#: length-prefixed field sequence the wire protocol uses
-#: (:meth:`EncryptedProfile.encode_fields`).
-_TAG_ENCRYPTED_PROFILE = 1
-
-register_wire_codec(
-    EncryptedProfile,
-    _TAG_ENCRYPTED_PROFILE,
-    EncryptedProfile.to_wire_bytes,
-    EncryptedProfile.from_wire_bytes,
-)
 
 
 @dataclass
@@ -80,8 +64,8 @@ class EnrollSpec:
 
     @classmethod
     def of(cls, scheme: SMatch) -> "EnrollSpec":
-        """A spec capturing ``scheme``, memoized so the in-process backends
-        (serial/thread) reuse the live instance and its warm OPE cache."""
+        """A spec capturing ``scheme``, memoized so the in-process serial
+        backend reuses the live instance and its warm OPE cache."""
         spec = cls(
             params=scheme.params,
             oprf_server=scheme.oprf_server,
@@ -113,28 +97,18 @@ class EnrollSpec:
 
 
 def enroll_chunk(
-    spec: EnrollSpec,
-    chunk: Sequence[Tuple[Profile, int]],
-    arena: Optional[ArenaWriter] = None,
-) -> List[Tuple[int, Any, ProfileKey]]:
+    spec: EnrollSpec, chunk: Sequence[Tuple[Profile, int]]
+) -> List[Tuple[int, EncryptedProfile, ProfileKey]]:
     """Enroll ``(profile, seed)`` pairs against the warm per-process scheme.
 
     Each profile is enrolled under its own seeded randomness source, so the
     result bytes depend only on the ``(profile, seed)`` pair — not on
     chunking, worker count, or which process runs the chunk.
-
-    With an ``arena`` writer (process backend, shm transport on), each
-    payload is wire-encoded once into shared memory and only its record
-    reference rides the pickle path; the parent rebuilds lazy views that
-    decode to byte-identical profiles.  Without one (serial/thread), the
-    payload objects are returned directly.
     """
     scheme = spec.materialize()
-    out: List[Tuple[int, Any, ProfileKey]] = []
+    out: List[Tuple[int, EncryptedProfile, ProfileKey]] = []
     for profile, seed in chunk:
         payload, key = scheme.enroll(profile, rng=SystemRandomSource(seed))
-        if arena is not None:
-            payload = arena.put_record(payload)
         out.append((profile.user_id, payload, key))
     if scheme.ope_cache is not None:
         # flush cache counter deltas to whichever registry is active here —

@@ -324,7 +324,6 @@ class ServerMatcher:
         from repro.parallel import (
             BulkMatchContext,
             SerialBackend,
-            ShmContext,
             TaskEnvelope,
             balanced_chunk_size,
             bulk_match_chunk,
@@ -375,19 +374,9 @@ class ServerMatcher:
                     len(query_users), exec_backend.workers
                 )
             chunks = partition_chunks(query_users, chunk_size)
-            # Shared-memory process backends receive the frozen context as
-            # one shared segment each worker decodes once at pool
-            # warm-start, instead of the parent pickling the whole
-            # score-order table into every worker pipe.  The backend owns
-            # the segment (created with the pool, unlinked when the pool is
-            # discarded), because its workers spawn lazily and must find
-            # the segment however late they start.
-            envelope_context: object = context
-            if getattr(exec_backend, "shm_enabled", False):
-                envelope_context = ShmContext(context)
             envelope = TaskEnvelope(
                 fn=bulk_match_chunk,
-                context=envelope_context,
+                context=context,
                 label="server.query_bulk",
             )
             results = exec_backend.map_chunks(envelope, chunks)

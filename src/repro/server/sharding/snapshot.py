@@ -15,7 +15,7 @@ On-disk layout per shard directory::
 
 Recovery = load the chain (base full snapshot, then deltas in sequence
 order, replacing or deleting whole groups) + replay the live WAL tail.
-The invariants (docs/PERFORMANCE.md §6):
+The invariants (docs/PERFORMANCE.md §5):
 
 * a group's membership after recovery equals the last snapshotted
   membership with the WAL tail's put/remove records applied in order;

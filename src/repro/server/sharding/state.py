@@ -40,7 +40,9 @@ it is applied, and the whole batch is made durable by one fsync'd
 :meth:`~repro.server.sharding.wal.ShardWal.commit` after the last op.  A
 crash anywhere before the commit loses the entire batch (the process dies
 with it), so the coordinator's retry-once-on-crash policy plus tolerant
-replay gives exactly the convergence the equivalence tests pin.
+replay gives exactly the convergence the equivalence tests pin.  A batch
+that *raises* instead is undone in memory as well as in the WAL buffer, so
+the live store always equals what a reopen would recover.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ __all__ = ["ShardDurability", "ShardState"]
 
 #: Shard op: a plain tuple, first element the op name (see module docs).
 ShardOp = Tuple[object, ...]
+
+#: One undo entry: a mutated user and their record before the mutation
+#: (``None`` when the user was absent).
+_Undo = Tuple[int, Optional[EncryptedProfile]]
 
 #: Snapshot cadence defaults: snapshot after this many WAL records, and
 #: compact the delta chain into a full snapshot once it grows this long.
@@ -240,25 +246,35 @@ class ShardState:
 
     # -- mutations -------------------------------------------------------------
 
-    def _put(self, payload: EncryptedProfile) -> None:
-        previous: Optional[bytes] = None
+    def _put(self, payload: EncryptedProfile, undo: List[_Undo]) -> None:
+        previous: Optional[EncryptedProfile] = None
         if self.store.contains(payload.user_id):
-            previous = self.store.get(payload.user_id).key_index
+            previous = self.store.get(payload.user_id)
         if self._durability is not None:
             self._durability.log_put(payload)
         self.store.put(payload)
+        undo.append((payload.user_id, previous))
         if previous is not None:
-            self._dirty.add(previous)
+            self._dirty.add(previous.key_index)
         self._dirty.add(payload.key_index)
 
-    def _remove(self, user_id: int) -> None:
+    def _remove(self, user_id: int, undo: List[_Undo]) -> None:
         if not self.store.contains(user_id):
             return  # tolerant: replay/redelivery idempotence
-        key_index = self.store.get(user_id).key_index
+        previous = self.store.get(user_id)
         if self._durability is not None:
             self._durability.log_remove(user_id)
         self.store.remove(user_id)
-        self._dirty.add(key_index)
+        undo.append((user_id, previous))
+        self._dirty.add(previous.key_index)
+
+    def _undo(self, undo: List[_Undo]) -> None:
+        """Restore every undo entry's prior record, newest first."""
+        for user_id, previous in reversed(undo):
+            if previous is None:
+                self.store.remove(user_id)
+            else:
+                self.store.put(previous)
 
     # -- queries ---------------------------------------------------------------
 
@@ -290,22 +306,25 @@ class ShardState:
         """Apply one op batch in order; one result slot per op.
 
         Mutations are WAL-buffered as they apply and committed once at the
-        end of the batch; a failed op rolls the uncommitted buffer back
-        before the error propagates, so the log never holds records from a
-        batch the coordinator saw fail.
+        end of the batch.  A failed op undoes the batch's in-memory
+        mutations and rolls the uncommitted buffer back before the error
+        propagates, so neither the store nor the log holds anything from a
+        batch the coordinator saw fail.  Mutations a mid-batch
+        ``("snapshot",)`` already made durable stay applied.
         """
         results: List[object] = []
+        undo: List[_Undo] = []
         mutations = 0
         queries = 0
         try:
             for op in ops:
                 kind = op[0]
                 if kind == "put":
-                    self._put(cast(EncryptedProfile, op[1]))
+                    self._put(cast(EncryptedProfile, op[1]), undo)
                     mutations += 1
                     results.append(None)
                 elif kind == "remove":
-                    self._remove(int(op[1]))  # type: ignore[arg-type]
+                    self._remove(int(op[1]), undo)  # type: ignore[arg-type]
                     mutations += 1
                     results.append(None)
                 elif kind == "query":
@@ -341,12 +360,15 @@ class ShardState:
                     results.append(tuple(self.store.group_sizes()))
                 elif kind == "snapshot":
                     self.snapshot_now()
+                    if self._durability is not None:
+                        undo.clear()  # the snapshot made them durable
                     results.append(None)
                 elif kind == "crash":
                     os._exit(21)  # recovery-drill hook: die mid-batch
                 else:
                     raise ParameterError(f"unknown shard op {kind!r}")
         except BaseException:
+            self._undo(undo)
             if self._durability is not None:
                 self._durability.rollback()
             raise

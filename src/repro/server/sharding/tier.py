@@ -34,7 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.scheme import EncryptedProfile
 from repro.errors import MatchingError, ParameterError
 from repro.net.messages import ResultEntry
-from repro.obs.trace import span
+from repro.obs.trace import current_tracer, span
+from repro.parallel import absorb_telemetry, run_captured
 from repro.server.sharding.placement import DEFAULT_VNODES, PlacementMap
 from repro.server.sharding.state import (
     DEFAULT_FULL_EVERY,
@@ -151,7 +152,13 @@ class ShardedTier:
     def _fanout(
         self, ops_by_shard: Dict[int, List[ShardOp]]
     ) -> Dict[int, List[object]]:
-        """Apply per-shard op batches, shard-parallel in process mode."""
+        """Apply per-shard op batches, shard-parallel in process mode.
+
+        Pool threads have no tracer of their own, so when the caller is
+        tracing each thread captures its spans (the shard worker's spliced
+        subtree included) and they are spliced back under the caller's
+        open tier span, the same way the execution backends splice theirs.
+        """
         live = {sid: ops for sid, ops in ops_by_shard.items() if ops}
         if not live:
             return {}
@@ -160,16 +167,31 @@ class ShardedTier:
                 sid: self._shards[sid].apply(ops)
                 for sid, ops in live.items()
             }
+        for sid in live:
+            # fork any missing shard worker here, one at a time, before the
+            # fan-out threads run (ProcessBackend.start says why)
+            self._shards[sid].start()
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=len(self._shards),
                 thread_name_prefix="smatch-shard",
             )
+        capture_spans = current_tracer() is not None
         futures = {
-            sid: self._pool.submit(self._shards[sid].apply, ops)
+            sid: self._pool.submit(
+                run_captured,
+                self._shards[sid].apply,
+                (ops,),
+                "server.shard_tier.shard",
+                {"shard": sid},
+                capture_spans,
+            )
             for sid, ops in live.items()
         }
-        return {sid: future.result() for sid, future in futures.items()}
+        return {
+            sid: absorb_telemetry(future.result())
+            for sid, future in futures.items()
+        }
 
     def _shard_of(self, key_index: bytes) -> int:
         return self._placement.shard_of(key_index)

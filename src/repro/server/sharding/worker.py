@@ -106,6 +106,9 @@ class InlineShard:
         self.spec = spec
         self._state = spec.build_state()
 
+    def start(self) -> None:
+        """Nothing to start; provided for protocol symmetry."""
+
     def apply(self, ops: Sequence[ShardOp]) -> List[object]:
         """Apply one op batch synchronously."""
         return self._state.apply_ops(list(ops))
@@ -120,14 +123,16 @@ class ProcessShard:
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        # shm off: op batches are heterogeneous tuples, not wire records —
-        # the pickle transport is the right one here
-        self._backend = ProcessBackend(workers=1, shm=False)
+        self._backend = ProcessBackend(workers=1)
         # one envelope for the life of the shard: context identity is what
         # keeps the pool (and the worker's recovered state) warm
         self._envelope = TaskEnvelope(
             fn=shard_ops_chunk, context=spec, label="server.shard_ops"
         )
+
+    def start(self) -> None:
+        """Fork the shard worker now, if it is not running."""
+        self._backend.start(self._envelope)
 
     def apply(self, ops: Sequence[ShardOp]) -> List[object]:
         """Apply one op batch in the shard worker, retrying once on crash.

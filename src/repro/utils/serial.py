@@ -19,20 +19,18 @@ _LEN = struct.Struct(">I")
 
 #: The length-prefix layout every field shares.  Exported for codecs that
 #: hand-pack a hot-path layout (e.g. ``EncryptedProfile.to_wire_bytes``,
-#: which the shared-memory result arena encodes once per record); such
-#: codecs stay byte-identical to the :class:`FieldWriter` path by pinning
-#: equality in tests.
+#: which every upload encodes through); such codecs stay byte-identical to
+#: the :class:`FieldWriter` path by pinning equality in tests.
 LENGTH_PREFIX = _LEN
 
 
 class FieldWriter:
     """Accumulates length-prefixed fields into a byte string.
 
-    This codec sits on the hot path of the shared-memory result arena
-    (every record is wire-encoded exactly once, in the worker), so the
-    write methods fuse the prefix and payload into a single list append
-    and track the accumulated size incrementally instead of re-summing.
-    The byte layout is unchanged.
+    This codec sits on the hot path of every wire message, so the write
+    methods fuse the prefix and payload into a single list append and
+    track the accumulated size incrementally instead of re-summing.  The
+    byte layout is unchanged.
     """
 
     def __init__(self) -> None:
@@ -69,7 +67,8 @@ class FieldWriter:
         ``data`` must itself be a field sequence produced by another
         writer — it is appended without a length prefix of its own.  This
         is the serialize-once path for values whose wire encoding is
-        already in hand (e.g. an undecoded shared-memory arena record).
+        already in hand (e.g. :meth:`EncryptedProfile.encode_fields`
+        splicing its hand-packed fields into an upload).
         """
         if type(data) is not bytes:
             data = bytes(data)

@@ -1,13 +1,13 @@
 """Cross-backend equivalence and failure-surfacing tests (repro.parallel).
 
-The contract under test: for seeded work, every backend — serial, thread,
-process — produces **byte-identical** results for any worker count and any
-chunking, because chunk boundaries are a pure function of (batch size,
-chunk_size) and results are collected in submission order.  On top of that:
-the batched OPRF path returns identical evaluations across backends, a
+The contract under test: for seeded work, the serial and process backends
+produce **byte-identical** results for any worker count and any chunking,
+because chunk boundaries are a pure function of (batch size, chunk_size)
+and results are collected in submission order.  On top of that: the
+batched OPRF path returns identical evaluations across backends, a
 crashing worker surfaces a typed :class:`~repro.errors.WorkerCrashError`
-without deadlocking (and the pool recovers), and the resolution /
-deprecation plumbing behaves.
+without deadlocking (and the pool recovers), and the name resolution
+plumbing behaves.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.parallel import (
     ProcessBackend,
     SerialBackend,
     TaskEnvelope,
-    ThreadBackend,
     balanced_chunk_size,
     default_backend,
     partition_chunks,
@@ -97,38 +96,16 @@ class TestEnrollmentEquivalence:
     def serial_result(self, profiles):
         return _scheme().enroll_population(profiles, backend="serial", seed=77)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
-    def test_thread_backend_matches_serial(
-        self, profiles, serial_result, workers, chunk_size
-    ):
-        result = _scheme().enroll_population(
-            profiles,
-            backend=ThreadBackend(workers),
-            seed=77,
-            chunk_size=chunk_size,
-        )
-        _assert_same(serial_result, result)
-
-    @pytest.mark.parametrize("workers,chunk_size", [(2, None), (2, 2), (3, 1)])
+    @pytest.mark.parametrize(
+        "workers,chunk_size",
+        [(w, c) for w in (1, 2, 4) for c in (None, 1, 3)] + [(2, 2), (3, 1)],
+    )
     def test_process_backend_matches_serial(
         self, profiles, serial_result, workers, chunk_size
     ):
         with ProcessBackend(workers, mp_context="fork") as backend:
-            assert backend.shm_enabled  # arena transport is the default
             result = _scheme().enroll_population(
                 profiles, backend=backend, seed=77, chunk_size=chunk_size
-            )
-        _assert_same(serial_result, result)
-
-    def test_process_backend_matches_serial_without_shm(
-        self, profiles, serial_result
-    ):
-        # same batch with the arena transport forced off: byte-identical
-        # either way, so the transport is pure mechanism
-        with ProcessBackend(2, mp_context="fork", shm=False) as backend:
-            result = _scheme().enroll_population(
-                profiles, backend=backend, seed=77, chunk_size=2
             )
         _assert_same(serial_result, result)
 
@@ -143,8 +120,10 @@ class TestEnrollmentEquivalence:
     def test_unseeded_backend_run_deterministic_under_seeded_scheme(
         self, profiles
     ):
-        a = _scheme().enroll_population(profiles, backend=ThreadBackend(2))
-        b = _scheme().enroll_population(profiles, backend=ThreadBackend(3))
+        with ProcessBackend(2, mp_context="fork") as backend:
+            a = _scheme().enroll_population(profiles, backend=backend)
+        with ProcessBackend(3, mp_context="fork") as backend:
+            b = _scheme().enroll_population(profiles, backend=backend)
         _assert_same(a, b)
 
 
@@ -164,22 +143,27 @@ class TestBatchedOprfEquivalence:
         [
             lambda: None,  # serial inline path
             lambda: SerialBackend(),
-            lambda: ThreadBackend(3),
+            lambda: ProcessBackend(3, mp_context="fork"),
             lambda: ProcessBackend(2, mp_context="fork"),
         ],
     )
     def test_batched_eval_identical(self, oprf_and_batch, backend_factory):
         oprf, blinded = oprf_and_batch
         reference = tuple(oprf.evaluate_blinded(b) for b in blinded)
+        backend = backend_factory()
         service = KeyGenService(
             oprf_server=oprf,
             max_requests_per_window=100,
-            backend=backend_factory(),
+            backend=backend,
             parallel_threshold=4,
         )
-        response = service.handle_message(
-            "c", BatchedBlindEvalRequest(request_id=1, blinded=blinded)
-        )
+        try:
+            response = service.handle_message(
+                "c", BatchedBlindEvalRequest(request_id=1, blinded=blinded)
+            )
+        finally:
+            if backend is not None:
+                backend.close()
         assert response.evaluated == reference
         assert service.evaluations_served == len(blinded)
 
@@ -241,24 +225,12 @@ class TestQueryBulk:
         serial = server.matcher.query_bulk(
             users, 3, backend="serial", chunk_size=chunk_size
         )
-        threaded = server.matcher.query_bulk(
-            users, 3, backend=ThreadBackend(3), chunk_size=chunk_size
-        )
-        with ProcessBackend(2, mp_context="fork") as backend:
-            processed = server.matcher.query_bulk(
-                users, 3, backend=backend, chunk_size=chunk_size
-            )
-        assert serial == threaded == processed
-
-    def test_bulk_identical_without_shm_context(self, server_and_users):
-        # the shared-segment context shipping is mechanism only: forcing
-        # the per-worker pickle path changes nothing about the results
-        server, users = server_and_users
-        serial = server.matcher.query_bulk(users, 3, backend="serial")
-        with ProcessBackend(2, mp_context="fork", shm=False) as backend:
-            assert (
-                server.matcher.query_bulk(users, 3, backend=backend) == serial
-            )
+        for workers in (2, 3):
+            with ProcessBackend(workers, mp_context="fork") as backend:
+                processed = server.matcher.query_bulk(
+                    users, 3, backend=backend, chunk_size=chunk_size
+                )
+            assert processed == serial
 
     def test_unknown_user_rejected_up_front(self, server_and_users):
         from repro.errors import MatchingError
@@ -277,6 +249,10 @@ def _crash_task(context, chunk):
 
 def _double_task(context, chunk):
     return [value * 2 for value in chunk]
+
+
+def _boom_task(context, chunk):
+    raise ParameterError("inner failure")
 
 
 class TestFailureSurfacing:
@@ -298,13 +274,11 @@ class TestFailureSurfacing:
                 )
 
     def test_task_exceptions_propagate_unchanged(self):
-        def boom(context, chunk):
-            raise ParameterError("inner failure")
-
-        backend = ThreadBackend(2)
-        with pytest.raises(ParameterError):
-            backend.map_chunks(TaskEnvelope(fn=boom, label="boom"), [[1], [2]])
-        backend.close()
+        with ProcessBackend(2, mp_context="fork") as backend:
+            with pytest.raises(ParameterError, match="inner failure"):
+                backend.map_chunks(
+                    TaskEnvelope(fn=_boom_task, label="boom"), [[1], [2]]
+                )
 
 
 # -- resolution and defaults ---------------------------------------------------
@@ -313,7 +287,6 @@ class TestFailureSurfacing:
 class TestResolution:
     def test_names_resolve(self):
         assert resolve_backend("serial").name == "serial"
-        assert resolve_backend("thread", 3).workers == 3
         assert resolve_backend("process", 2).workers == 2
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
@@ -322,20 +295,22 @@ class TestResolution:
         with pytest.raises(ParameterError):
             resolve_backend("gpu")
         with pytest.raises(ParameterError):
+            resolve_backend("thread")
+        with pytest.raises(ParameterError):
             resolve_backend(42)
 
     def test_env_variable_default(self, monkeypatch):
         set_default_backend(None)
         monkeypatch.delenv("SMATCH_BACKEND", raising=False)
         assert default_backend() is None
-        monkeypatch.setenv("SMATCH_BACKEND", "thread")
+        monkeypatch.setenv("SMATCH_BACKEND", "process")
         backend = default_backend()
-        assert backend is not None and backend.name == "thread"
+        assert backend is not None and backend.name == "process"
         # cached per name across call sites
         assert default_backend() is backend
 
     def test_explicit_default_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("SMATCH_BACKEND", "thread")
+        monkeypatch.setenv("SMATCH_BACKEND", "process")
         try:
             installed = set_default_backend("serial")
             assert default_backend() is installed
@@ -344,7 +319,7 @@ class TestResolution:
 
     def test_workers_validated(self):
         with pytest.raises(ParameterError):
-            ThreadBackend(0)
+            ProcessBackend(0)
         with pytest.raises(ParameterError):
             ProcessBackend(2, max_inflight=0)
 
@@ -412,19 +387,15 @@ class TestTelemetryEquivalence:
 
     ``smatch_parallel_*``, ``smatch_ope_cache_*_total``, and
     ``smatch_enroll_*`` measure the *work*, so a seeded batch must report
-    identical totals whether it ran serially, on GIL threads, or fanned
-    out to worker processes; only ``smatch_obs_worker_spans_total`` (the
-    collection mechanism) legitimately differs, and gauges like cache
-    ``entries`` may (one big serial cache vs per-worker caches merged by
-    max).  Worker spans splice into the parent trace under the submitting
-    span, tagged with the worker's identity.
+    identical totals whether it ran serially or fanned out to worker
+    processes; only ``smatch_obs_worker_spans_total`` (the collection
+    mechanism) legitimately differs, and gauges like cache ``entries`` may
+    (one big serial cache vs per-worker caches merged by max).  Worker
+    spans splice into the parent trace under the submitting span, tagged
+    with the worker's identity.
     """
 
     _WORK_PREFIXES = ("smatch_parallel_", "smatch_ope_cache_", "smatch_enroll_")
-    #: transport-mechanism counters: like smatch_obs_worker_spans_total,
-    #: the shared-memory arena tallies measure how results *moved*, not the
-    #: work itself, so they legitimately exist only on the process backend
-    _MECHANISM_PREFIXES = ("smatch_parallel_shm_",)
 
     @classmethod
     def _work_counters(cls, counters):
@@ -432,22 +403,19 @@ class TestTelemetryEquivalence:
             name: value
             for name, value in counters.items()
             if name.startswith(cls._WORK_PREFIXES)
-            and not name.startswith(cls._MECHANISM_PREFIXES)
         }
 
     @pytest.fixture(scope="class")
     def serial_telemetry(self, distinct_profiles):
         return _traced_enroll(SerialBackend(), distinct_profiles)
 
-    @pytest.mark.parametrize("kind", ["thread", "process"])
+    # one worker runs all three chunks through one warm OPE cache; four
+    # workers spread them over private caches merged back by the parent
+    @pytest.mark.parametrize("workers", [4, 1], ids=["process", "process-1"])
     def test_counters_match_serial(
-        self, kind, serial_telemetry, distinct_profiles
+        self, workers, serial_telemetry, distinct_profiles
     ):
-        if kind == "thread":
-            backend = ThreadBackend(4)
-        else:
-            backend = ProcessBackend(4, mp_context="fork")
-        with backend:
+        with ProcessBackend(workers, mp_context="fork") as backend:
             uploads, counters, _, root_ops = _traced_enroll(
                 backend, distinct_profiles
             )
@@ -488,56 +456,94 @@ class TestTelemetryEquivalence:
         spliced = sum(1 for r in records if in_worker_subtree(r["id"]))
         assert counters["smatch_obs_worker_spans_total"] == spliced >= 3
 
-    def test_thread_worker_spans_not_lost(self, distinct_profiles):
-        # regression guard: thread workers run off the submitting thread,
-        # so without capture+splice their spans silently vanished
-        with ThreadBackend(4) as backend:
-            _, counters, records, _ = _traced_enroll(
-                backend, distinct_profiles
-            )
-        chunk_spans = [r for r in records if r["name"] == "parallel.chunk"]
-        assert len(chunk_spans) == 3
-        for record in chunk_spans:
-            assert record["attrs"]["worker"]  # thread name
-        assert counters["smatch_obs_worker_spans_total"] >= 3
-        # per-chunk enroll work nests under the spliced chunk spans
-        chunk_ids = {r["id"] for r in chunk_spans}
-        assert any(r["parent"] in chunk_ids for r in records)
-
     def test_serial_has_no_worker_span_accounting(self, serial_telemetry):
         _, counters, records, _ = serial_telemetry
         assert "smatch_obs_worker_spans_total" not in counters
         assert all("worker" not in r["attrs"] for r in records)
 
-    def test_envelope_obs_false_disables_capture(self, distinct_profiles):
-        from repro.obs.trace import tracing
 
-        chunks = partition_chunks(list(range(6)), chunk_size=2)
-        envelope = TaskEnvelope(
-            fn=lambda _, chunk: [x * x for x in chunk],
-            context=None,
-            label="square",
-            obs=False,
+# -- shard-tier telemetry equivalence ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def grouped_uploads():
+    # six key groups of five identical profiles each: enough groups that
+    # the two-shard placement puts some on each shard
+    profiles = [
+        Profile(
+            10 * group + member,
+            SCHEMA,
+            (300 * group + 40, 500 * group + 400, (700 * group + 29) % 4096),
         )
-        with ThreadBackend(2) as backend, tracing("off") as tracer:
-            results = backend.map_chunks(envelope, chunks)
-        assert [x for chunk in results for x in chunk] == [
-            x * x for x in range(6)
-        ]
-        names = {s.name for s in tracer.root.walk()}
-        assert "parallel.chunk" not in names
+        for group in range(1, 7)
+        for member in range(5)
+    ]
+    uploads, _ = _scheme().enroll_population(
+        profiles, backend="serial", seed=5
+    )
+    return [uploads[uid] for uid in sorted(uploads)]
 
-    def test_envelope_obs_true_forces_capture(self, distinct_profiles):
-        from repro.obs.trace import tracing
 
-        chunks = partition_chunks(list(range(4)), chunk_size=2)
-        envelope = TaskEnvelope(
-            fn=lambda _, chunk: list(chunk),
-            context=None,
-            label="identity",
-            obs=True,
-        )
-        with ThreadBackend(2) as backend, tracing("on") as tracer:
-            backend.map_chunks(envelope, chunks)
-        names = [s.name for s in tracer.root.walk()]
-        assert names.count("parallel.chunk") == 2
+def _traced_shard_round(mode, uploads):
+    """A traced put_batch + query_bulk on a two-shard tier; returns
+    (results, span-name counts, counters, shards touched)."""
+    from collections import Counter
+
+    from repro.obs.metrics import (
+        MetricsRegistry,
+        disable_metrics,
+        enable_metrics,
+    )
+    from repro.obs.trace import tracing
+    from repro.server.sharding import ShardedTier
+
+    registry = enable_metrics(MetricsRegistry())
+    try:
+        with ShardedTier(shards=2, mode=mode) as tier:
+            with tracing("test.shards") as tracer:
+                tier.put_batch(uploads)
+                results = tier.query_bulk(
+                    [payload.user_id for payload in uploads], k=3
+                )
+            touched = sum(1 for sizes in tier.shard_sizes().values() if sizes)
+        counters = registry.snapshot()["counters"]
+    finally:
+        disable_metrics()
+    names = Counter(record["name"] for record in tracer.span_records())
+    return results, names, counters, touched
+
+
+class TestShardTierTelemetryEquivalence:
+    """Process-mode shards account for every span inline shards record.
+
+    The tier fans multi-shard batches out on pool threads, which have no
+    tracer of their own; each thread captures its spans (the shard
+    worker's spliced subtree included) and the coordinator splices them
+    under the open tier span.  Process mode adds its own mechanism spans
+    (the per-thread root, ``parallel.map``/``parallel.chunk``), but every
+    span name inline mode records must appear exactly as often.
+    """
+
+    def test_process_shard_spans_match_inline(self, grouped_uploads):
+        inline = _traced_shard_round("inline", grouped_uploads)
+        process = _traced_shard_round("process", grouped_uploads)
+        results, names, counters, touched = inline
+        assert touched == 2  # the fan-out really crossed both shards
+        assert process[0] == results
+        missing = {
+            name: (count, process[1][name])
+            for name, count in names.items()
+            if process[1][name] != count
+        }
+        assert not missing
+        assert names["server.shard_tier.put_batch"] == 1
+        assert len(names) > 2  # the shards' own spans, not just the tier's
+        shard_counters = {
+            name: value
+            for name, value in counters.items()
+            if name.startswith("smatch_shard_")
+        }
+        assert shard_counters["smatch_shard_ops_total"] == len(grouped_uploads)
+        assert {
+            name: process[2].get(name) for name in shard_counters
+        } == shard_counters

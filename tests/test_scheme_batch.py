@@ -2,8 +2,8 @@
 
 The load-bearing property for ``enroll_population``: with a ``seed``, the
 per-profile randomness is a pure function of ``(seed, user_id)``, so the
-output is payload-for-payload identical for any worker count, chunking, or
-OPE cache configuration.
+output is payload-for-payload identical for any backend, worker count,
+chunking, or OPE cache configuration.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.experiments.common import build_population, build_scheme
 from repro.net.channel import SecureChannel
 from repro.net.oprf_messages import BatchedBlindEvalRequest
 from repro.net.transport import InMemoryNetwork
-from repro.parallel import ThreadBackend
+from repro.parallel import ProcessBackend
 from repro.server.keyservice import KeyGenService, RateLimitExceeded
 
 
@@ -30,6 +30,13 @@ def population():
 
 def _fresh_scheme(pop, **kwargs):
     return build_scheme(INFOCOM06, schema=pop.schema, seed=41, **kwargs)
+
+
+def _enroll_in_processes(pop, profiles, workers, **kwargs):
+    with ProcessBackend(workers, mp_context="fork") as backend:
+        return _fresh_scheme(pop).enroll_population(
+            profiles, backend=backend, **kwargs
+        )
 
 
 def _assert_same_enrollment(result_a, result_b):
@@ -48,9 +55,7 @@ class TestSeededDeterminism:
         serial = _fresh_scheme(pop).enroll_population(
             profiles, backend="serial", seed=77
         )
-        parallel = _fresh_scheme(pop).enroll_population(
-            profiles, backend=ThreadBackend(4), seed=77
-        )
+        parallel = _enroll_in_processes(pop, profiles, 4, seed=77)
         _assert_same_enrollment(serial, parallel)
 
     def test_chunking_does_not_change_output(self, population):
@@ -58,8 +63,8 @@ class TestSeededDeterminism:
         baseline = _fresh_scheme(pop).enroll_population(
             profiles, backend="serial", seed=77
         )
-        chunked = _fresh_scheme(pop).enroll_population(
-            profiles, backend=ThreadBackend(3), seed=77, chunk_size=2
+        chunked = _enroll_in_processes(
+            pop, profiles, 3, seed=77, chunk_size=2
         )
         _assert_same_enrollment(baseline, chunked)
 
@@ -69,7 +74,7 @@ class TestSeededDeterminism:
             pop,
             ope_expansion_bits=16,
             ope_cache=OpeNodeCache(capacity=512),
-        ).enroll_population(profiles, backend=ThreadBackend(4), seed=77)
+        ).enroll_population(profiles, backend="serial", seed=77, chunk_size=3)
         uncached = _fresh_scheme(
             pop, ope_expansion_bits=16, ope_cache=False
         ).enroll_population(profiles, backend="serial", seed=77)
@@ -77,11 +82,9 @@ class TestSeededDeterminism:
 
     def test_profile_order_is_irrelevant_when_seeded(self, population):
         pop, profiles = population
-        forward = _fresh_scheme(pop).enroll_population(
-            profiles, backend=ThreadBackend(2), seed=5
-        )
-        reversed_ = _fresh_scheme(pop).enroll_population(
-            list(reversed(profiles)), backend=ThreadBackend(2), seed=5
+        forward = _enroll_in_processes(pop, profiles, 2, seed=5)
+        reversed_ = _enroll_in_processes(
+            pop, list(reversed(profiles)), 2, seed=5
         )
         _assert_same_enrollment(forward, reversed_)
 
@@ -100,33 +103,12 @@ class TestSeededDeterminism:
         pop, profiles = population
         scheme = _fresh_scheme(pop)
         with pytest.raises(ParameterError):
-            scheme.enroll_population(profiles, workers=0)
-        with pytest.raises(ParameterError):
             scheme.enroll_population(profiles, chunk_size=0)
         with pytest.raises(ParameterError):
             scheme.enroll_population(profiles, backend="vectorized")
 
-    def test_workers_shim_warns_and_matches_backend_path(self, population):
-        pop, profiles = population
-        with pytest.warns(DeprecationWarning):
-            legacy = _fresh_scheme(pop).enroll_population(
-                profiles, workers=4, seed=77
-            )
-        modern = _fresh_scheme(pop).enroll_population(
-            profiles, backend=ThreadBackend(4), seed=77
-        )
-        _assert_same_enrollment(legacy, modern)
-
-    def test_workers_and_backend_are_mutually_exclusive(self, population):
-        pop, profiles = population
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ParameterError):
-                _fresh_scheme(pop).enroll_population(
-                    profiles, backend="serial", workers=2, seed=1
-                )
-
     def test_legacy_sequential_path_unchanged(self, population):
-        # workers=1 without a seed must keep drawing from the instance RNG
+        # no backend and no seed must keep drawing from the instance RNG
         # exactly as the pre-batching loop did
         pop, profiles = population
         batch = _fresh_scheme(pop).enroll_population(profiles)

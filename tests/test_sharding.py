@@ -368,6 +368,62 @@ class TestShardStateRecovery:
         recovered.close()
 
 
+class TestFailedBatch:
+    """A batch that raises leaves the live store equal to what a reopen
+    recovers: its in-memory mutations are undone along with its
+    uncommitted WAL records, except those a mid-batch snapshot already
+    made durable."""
+
+    @staticmethod
+    def _answers(state, uids):
+        return state.apply_ops([("query", uid, 3) for uid in uids])
+
+    @pytest.mark.parametrize(
+        "case", ["put", "remove", "replace", "put-snapshot-put"]
+    )
+    def test_memory_equals_disk_after_failed_batch(
+        self, payloads, tmp_path, case
+    ):
+        base = payloads[:8]
+        new, other_new = payloads[8], payloads[9]
+        batch = {
+            "put": [("put", new)],
+            "remove": [("remove", base[0].user_id)],
+            # the replacement lands in another group: the undo must
+            # restore both the old group and the new one
+            "replace": [("put", _moved(base[1], base[2].key_index))],
+            "put-snapshot-put": [
+                ("put", new),
+                ("snapshot",),
+                ("put", other_new),
+            ],
+        }[case]
+        uids = [p.user_id for p in payloads[:10]]
+        state = ShardState(0, directory=tmp_path, fsync=False)
+        state.apply_ops([("put", p) for p in base])
+        before = self._answers(state, uids)
+        with pytest.raises(ParameterError):
+            state.apply_ops(batch + [("bogus",)])
+        live = self._answers(state, uids)
+        stored = dict(state.store.all_profiles())
+        state.close()
+
+        reopened = ShardState(0, directory=tmp_path, fsync=False)
+        try:
+            assert self._answers(reopened, uids) == live
+            assert dict(reopened.store.all_profiles()) == stored
+        finally:
+            reopened.close()
+        if case == "put-snapshot-put":
+            # the snapshot made the first put durable; only the second
+            # was undone
+            assert stored[new.user_id] == new
+            assert other_new.user_id not in stored
+        else:
+            assert live == before
+            assert stored == {p.user_id: p for p in base}
+
+
 # -- the equivalence matrix ----------------------------------------------------
 
 
@@ -525,6 +581,52 @@ class TestCrashRecovery:
                     ).encode()
                     == oracle[uid]
                 )
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc fd links"
+    )
+    def test_no_worker_holds_a_sibling_exit_sentinel(
+        self, payloads, tmp_path
+    ):
+        # a pool notices a dead worker when the worker's end of its exit
+        # sentinel pipe closes; a sibling forked while that end was still
+        # open in the coordinator keeps a copy, and the death goes unseen
+        # (the crash then hangs instead of raising WorkerCrashError)
+        import multiprocessing
+
+        def write_ends(pid):
+            links = set()
+            try:
+                fds = os.listdir(f"/proc/{pid}/fd")
+            except OSError:
+                return links  # a worker of an earlier pool, since exited
+            for fd in fds:
+                try:
+                    link = os.readlink(f"/proc/{pid}/fd/{fd}")
+                    with open(f"/proc/{pid}/fdinfo/{fd}") as info:
+                        flags = next(
+                            int(line.split()[1], 8)
+                            for line in info
+                            if line.startswith("flags:")
+                        )
+                except OSError:
+                    continue  # closed while listing
+                if flags & os.O_ACCMODE == os.O_WRONLY:
+                    links.add(link)
+            return links
+
+        with ShardedTier(
+            shards=3, mode="process", data_dir=tmp_path, fsync=False
+        ) as tier:
+            tier.put_batch(payloads)
+            children = multiprocessing.active_children()
+            held = {child.pid: write_ends(child.pid) for child in children}
+            for child in children:
+                sentinel = os.readlink(f"/proc/self/fd/{child.sentinel}")
+                holders = {
+                    pid for pid, links in held.items() if sentinel in links
+                }
+                assert holders <= {child.pid}
 
     def test_crash_between_batches_loses_nothing(self, payloads, tmp_path):
         with ShardedTier(

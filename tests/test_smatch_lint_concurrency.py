@@ -481,34 +481,30 @@ class TestSml015ShmLifecycle:
             == []
         )
 
-    def test_unsealed_writer_flagged(self):
+    def test_unclosed_writer_flagged(self):
         found = check(
             """
-    from repro.parallel.arena import ArenaWriter
-
-    def fill(desc, rows):
-        writer = ArenaWriter(desc)
+    def fill(path, rows):
+        writer = ShardWal(path)
         for row in rows:
-            writer.put_record(row)
+            writer.append_record(row)
     """,
             PARALLEL_PATH,
         )
         assert codes(found) == ["SML015"]
-        assert "seal" in found[0].message
+        assert "close" in found[0].message
 
-    def test_sealed_writer_clean(self):
+    def test_closed_writer_clean(self):
         assert (
             check(
                 """
-    from repro.parallel.arena import ArenaWriter
-
-    def fill(desc, rows):
-        writer = ArenaWriter(desc)
+    def fill(path, rows):
+        writer = ShardWal(path)
         try:
             for row in rows:
-                writer.put_record(row)
+                writer.append_record(row)
         finally:
-            writer.seal()
+            writer.close()
     """,
                 PARALLEL_PATH,
             )

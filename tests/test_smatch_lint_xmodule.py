@@ -321,30 +321,30 @@ class TestProcessBoundaryRule:
         assert codes(found) == ["SML010"]
         assert "__getstate__" in found[0].message or "pickling" in found[0].message
 
-    def test_arena_put_record_of_secret_fires(self):
-        # the result arena is shared memory: writing a raw secret into a
-        # slot publishes it to every process attached to the segment
+    def test_append_record_of_secret_fires(self):
+        # a WAL frame outlives the process and is replayed into restarted
+        # shard workers: a raw secret appended there crosses the boundary
         src = """
-            def emit(arena, session_key):
-                return arena.put_record(session_key)
+            def emit(wal, session_key):
+                return wal.append_record(session_key)
         """
         found = check(src)
         assert codes(found) == ["SML010"]
         assert "process boundary" in found[0].message
 
-    def test_arena_put_record_of_sealed_value_is_clean(self):
+    def test_append_record_of_sealed_value_is_clean(self):
         src = """
-            def emit(arena, session_key):
+            def emit(wal, session_key):
                 sealed_payload = seal(session_key)
-                return arena.put_record(sealed_payload)
+                return wal.append_record(sealed_payload)
         """
         assert check(src) == []
 
-    def test_arena_put_record_of_blinded_output_is_clean(self):
+    def test_append_record_of_blinded_output_is_clean(self):
         src = """
-            def emit(arena, oprf, blinded_value):
+            def emit(wal, oprf, blinded_value):
                 evaluated = oprf.evaluate_blinded(blinded_value)
-                return arena.put_record(evaluated)
+                return wal.append_record(evaluated)
         """
         assert check(src) == []
 

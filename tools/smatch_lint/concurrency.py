@@ -25,11 +25,11 @@ SML007–SML010 family:
   the canonical pool deadlock), and blocking calls (``submit``,
   ``acquire``, ``result``, ...) issued while a lock is held.
 * **SML015 — shared-memory lifecycle.**  A CFG path check that every
-  resource created by ``SharedMemory(create=True)`` / ``ResultArena`` /
-  ``ContextSegment`` / ``ArenaWriter`` reaches its release (``close()``,
-  or the ``seal()`` commit point for writers) or escapes ownership on
-  every non-raising path, and that attached (non-owner) segments are
-  never ``unlink()``-ed.
+  resource created by ``SharedMemory(create=True)`` (or another
+  registered resource constructor, such as ``ShardWal``) reaches its
+  configured release (``close()``) or escapes ownership on every
+  non-raising path, and that attached (non-owner) segments are never
+  ``unlink()``-ed.
 
 The per-class facts (:class:`ClassConcurrency`) ride the whole-program
 module summaries, so a module that imports ``OpeNodeCache`` and pokes at
@@ -891,14 +891,9 @@ def _fork_hazard_findings(
 def _creator_of(call: ast.Call, config: LintConfig) -> Optional[str]:
     """The resource constructor a call invokes, or ``None``.
 
-    ``SharedMemory`` only counts with ``create=True`` (attaching borrows);
-    ``ContextSegment.create(...)`` resolves to ``ContextSegment``.
+    ``SharedMemory`` only counts with ``create=True`` (attaching borrows).
     """
     name = _call_name(call.func)
-    if name == "create" and isinstance(call.func, ast.Attribute):
-        base = call.func.value
-        if isinstance(base, ast.Name) and config.resource_release_for(base.id):
-            return base.id
     if name is None or config.resource_release_for(name) is None:
         return None
     if name == "SharedMemory":

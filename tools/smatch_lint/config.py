@@ -214,9 +214,7 @@ class LintConfig:
 
     #: Calls whose arguments are serialized across a process boundary:
     #: ``pickle.dumps``/``dump``, task-envelope constructors, pool
-    #: ``submit``, shared-memory segments, the result arena's write
-    #: API (``put_record`` copies the encoded value into a segment any
-    #: process attached to the arena can read), and the shard durability
+    #: ``submit``, shared-memory segments, and the shard durability
     #: sinks — ``append_record`` frames a value into a shard's on-disk
     #: WAL and ``write_snapshot`` persists whole group tables, both of
     #: which outlive the process and are replayed into restarted shard
@@ -227,7 +225,6 @@ class LintConfig:
         "TaskEnvelope",
         "SharedMemory",
         "ShareableList",
-        "put_record",
         "append_record",
         "write_snapshot",
     )
@@ -360,17 +357,13 @@ class LintConfig:
 
     #: SML015 — resource constructors paired with the method that releases
     #: them.  ``SharedMemory`` counts only when called with ``create=True``
-    #: (attaching is borrowing); ``ArenaWriter``'s release is its commit
-    #: point ``seal()`` (docs/PERFORMANCE.md §5 ownership protocol).
-    #: The sharded server tier joins the pair set: an open ``ShardWal``
-    #: holds an fd and uncommitted frames, a ``ShardState`` owns one, a
-    #: ``ProcessShard`` pins a warm single-worker pool, and a
-    #: ``ShardedTier`` owns all of the above plus the fan-out thread pool.
+    #: (attaching is borrowing).  The sharded server tier joins the pair
+    #: set: an open ``ShardWal`` holds an fd and uncommitted frames, a
+    #: ``ShardState`` owns one, a ``ProcessShard`` pins a warm
+    #: single-worker pool, and a ``ShardedTier`` owns all of the above
+    #: plus the fan-out thread pool.
     resource_release_methods: Tuple[Tuple[str, str], ...] = (
         ("SharedMemory", "close"),
-        ("ResultArena", "close"),
-        ("ContextSegment", "close"),
-        ("ArenaWriter", "seal"),
         ("ShardWal", "close"),
         ("ShardState", "close"),
         ("ProcessShard", "close"),

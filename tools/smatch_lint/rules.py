@@ -583,8 +583,8 @@ class ProcessBoundaryRule(_TaintRule):
 class ParallelDeterminismRule(Rule):
     """SML011: parallel task units must be deterministic and replayable.
 
-    The execution-policy contract (PR 5) is that serial, thread, and
-    process backends produce byte-identical artifacts, so experiments are
+    The execution-policy contract is that the serial and process
+    backends produce byte-identical artifacts, so experiments are
     independent of scheduling.  Inside a task unit (``*_chunk`` /
     ``*_task`` / ``*_worker`` functions under ``repro/parallel/``) that
     contract is broken by: iterating an unordered ``set``/``frozenset``
