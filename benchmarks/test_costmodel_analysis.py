@@ -80,7 +80,7 @@ def test_server_sort_then_search(benchmark):
     from repro.experiments.common import build_population, build_scheme
     from repro.net.messages import QueryRequest, UploadMessage
     from repro.server.service import SMatchServer
-    from repro.utils.instrument import counting
+    from repro.obs.instrument import counting
 
     def setup_and_query():
         pop = build_population(INFOCOM06, seed=9)

@@ -7,8 +7,10 @@ client-side verification — plus the head-to-head pairs of the performance
 layer (docs/PERFORMANCE.md): OPE encryption with the node cache on vs off,
 ``enroll_population`` on the serial backend vs a warmed process pool,
 churn-then-query with the incremental matcher vs a forced full resort, and
-the sharded server tier (upload + bulk query across process shards) vs the
-legacy single store.
+the sharded server tier (upload + bulk query across process shards) vs one
+bare store + matcher.  The cold-query and churn numbers time a bare
+``ProfileStore`` + ``ServerMatcher`` (Algorithm Match itself); the warm
+query goes through the server's request handler.
 
 The suite runs under an active :mod:`repro.obs` metrics registry and ends
 by writing ``benchmarks/results/BENCH_throughput.json`` — measured per-op
@@ -103,6 +105,17 @@ def world(metrics_registry):
 
 
 @pytest.fixture(scope="module")
+def engine(world):
+    """The world's uploads in a bare ``ProfileStore`` + ``ServerMatcher``."""
+    _, _, _, uploads, _, _ = world
+    store = ProfileStore()
+    matcher = ServerMatcher(store)
+    for payload in uploads.values():
+        store.put(payload)
+    return store, matcher
+
+
+@pytest.fixture(scope="module")
 def ope_worlds(metrics_registry):
     """Two schemes with a real (expanded-range) OPE: node cache on and off.
 
@@ -153,9 +166,9 @@ def _calibration_us():
     return max(1, (time.perf_counter_ns() - start) // 1000)
 
 
-def _biggest_group(server):
+def _biggest_group(store):
     """(key_index, members dict) of the largest key group."""
-    return max(server.store.groups(), key=lambda pair: len(pair[1]))
+    return max(store.groups(), key=lambda pair: len(pair[1]))
 
 
 def test_enrollment_throughput(benchmark, world):
@@ -175,18 +188,17 @@ def test_warm_query_throughput(benchmark, world):
     assert result.query_id == 1
 
 
-def test_cold_query_throughput(benchmark, world):
+def test_cold_query_throughput(benchmark, world, engine):
     _, users, _, _, _, server = world
-    request = QueryRequest(
-        query_id=2, timestamp=0, user_id=users[0].profile.user_id
-    )
+    _, matcher = engine
+    uid = users[0].profile.user_id
 
     def cold_query():
-        server.matcher.invalidate()
-        return server.handle_query(request)
+        matcher.invalidate()
+        return matcher.match(uid, server.query_k)
 
     result = benchmark(cold_query)
-    assert result.query_id == 2
+    assert uid not in result
 
 
 def test_verification_throughput(benchmark, world):
@@ -220,32 +232,32 @@ def test_ope_cache_speeds_up_encrypt(benchmark, ope_worlds):
     assert cached["per_op_us"] * 2 <= uncached["per_op_us"], (cached, uncached)
 
 
-def test_incremental_matcher_beats_resort(benchmark, world):
+def test_incremental_matcher_beats_resort(benchmark, world, engine):
     """Churn + query via incremental maintenance beats a forced resort 2x."""
     _, _, _, uploads, _, server = world
-    _, members = _biggest_group(server)
+    store, matcher = engine
+    _, members = _biggest_group(store)
     if len(members) < 3:
         pytest.skip("no group big enough for churn benchmarking")
     ids = iter(members)
     query_uid, churn_uid = next(ids), next(ids)
-    request = QueryRequest(query_id=5, timestamp=0, user_id=query_uid)
     churn_payload = uploads[churn_uid]
-    server.handle_query(request)  # warm the group index
+    matcher.match(query_uid, server.query_k)  # warm the group index
 
     def churn_incremental():
-        server.store.remove(churn_uid)
-        server.handle_upload(UploadMessage(payload=churn_payload))
-        return server.handle_query(request)
+        store.remove(churn_uid)
+        store.put(churn_payload)
+        return matcher.match(query_uid, server.query_k)
 
     def churn_resort():
-        server.store.remove(churn_uid)
-        server.handle_upload(UploadMessage(payload=churn_payload))
-        server.matcher.invalidate()
-        return server.handle_query(request)
+        store.remove(churn_uid)
+        store.put(churn_payload)
+        matcher.invalidate()
+        return matcher.match(query_uid, server.query_k)
 
     incremental = _timed_us(churn_incremental, iterations=30)
     resort = _timed_us(churn_resort, iterations=30)
-    server.handle_query(request)  # leave the index warm for later tests
+    matcher.match(query_uid, server.query_k)  # leave the index warm
     benchmark.pedantic(churn_incremental, rounds=5)
     assert incremental["per_op_us"] * 2 <= resort["per_op_us"], (
         incremental,
@@ -253,16 +265,19 @@ def test_incremental_matcher_beats_resort(benchmark, world):
     )
 
 
-def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
+def test_emit_bench_artifact(
+    world, engine, ope_worlds, metrics_registry, results_dir
+):
     """Write BENCH_throughput.json: latencies, speedups, metrics snapshot."""
     pop, users, scheme, uploads, keys, server = world
+    store, matcher = engine
     uid = users[0].profile.user_id
     request = QueryRequest(query_id=9, timestamp=0, user_id=uid)
     server.handle_query(request)  # warm the group index
 
     def cold_query():
-        server.matcher.invalidate()
-        server.handle_query(request)
+        matcher.invalidate()
+        matcher.match(uid, server.query_k)
 
     # -- OPE node cache: warmed hit path vs raw HMAC descent ----------------
     cache_on, cache_off, ope_profile, ope_key, ope_mapped = ope_worlds
@@ -295,31 +310,28 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
         )
 
     # -- matcher churn: incremental maintenance vs forced resort ------------
-    _, members = _biggest_group(server)
+    _, members = _biggest_group(store)
     ids = iter(members)
     churn_query_uid, churn_uid = next(ids), next(ids)
-    churn_request = QueryRequest(
-        query_id=11, timestamp=0, user_id=churn_query_uid
-    )
     churn_payload = uploads[churn_uid]
-    server.handle_query(churn_request)
+    matcher.match(churn_query_uid, server.query_k)
 
     def churn_incremental():
-        server.store.remove(churn_uid)
-        server.handle_upload(UploadMessage(payload=churn_payload))
-        server.handle_query(churn_request)
+        store.remove(churn_uid)
+        store.put(churn_payload)
+        matcher.match(churn_query_uid, server.query_k)
 
     def churn_resort():
-        server.store.remove(churn_uid)
-        server.handle_upload(UploadMessage(payload=churn_payload))
-        server.matcher.invalidate()
-        server.handle_query(churn_request)
+        store.remove(churn_uid)
+        store.put(churn_payload)
+        matcher.invalidate()
+        matcher.match(churn_query_uid, server.query_k)
 
     churn_inc = _timed_us(churn_incremental, iterations=30)
     churn_res = _timed_us(churn_resort, iterations=30)
 
     # -- sharded server tier: one store vs BENCH_SHARDS process shards ------
-    # A churn-then-bulk-query round against (a) the legacy single
+    # A churn-then-bulk-query round against (a) one bare
     # ProfileStore + ServerMatcher with a serial bulk query, and (b) a
     # ShardedTier whose shard workers sort, match, and assemble result
     # entries in their own processes.  Both engines are pre-loaded with
@@ -348,17 +360,17 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
             payload, chain=tuple(c + bump for c in payload.chain)
         )
 
-    legacy_store = ProfileStore()
-    legacy_matcher = ServerMatcher(legacy_store)
+    single_store = ProfileStore()
+    single_matcher = ServerMatcher(single_store)
     for payload in shard_payloads:
-        legacy_store.put(payload)
-    legacy_bump = [0]
+        single_store.put(payload)
+    single_bump = [0]
 
-    def legacy_upload_query():
-        legacy_bump[0] += 1
+    def single_upload_query():
+        single_bump[0] += 1
         for payload in churn_members:
-            legacy_store.put(_drift(payload, legacy_bump[0]))
-        return legacy_matcher.query_bulk(
+            single_store.put(_drift(payload, single_bump[0]))
+        return single_matcher.query_bulk(
             shard_query_uids, server.query_k, backend="serial"
         )
 
@@ -375,13 +387,13 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
 
         # both engines run the identical op sequence; the first (warm-up)
         # iteration doubles as the equivalence check
-        legacy_result = legacy_upload_query()
+        single_result = single_upload_query()
         sharded_result = sharded_upload_query()
         assert {
             user_id: [e.user_id for e in entries]
             for user_id, entries in sharded_result.items()
-        } == legacy_result  # same matches before timing the engines
-        shard_legacy = _timed_us(legacy_upload_query, iterations=3)
+        } == single_result  # same matches before timing the engines
+        shard_single = _timed_us(single_upload_query, iterations=3)
         shard_tier_timing = _timed_us(sharded_upload_query, iterations=3)
 
     some_payload = uploads[uid]
@@ -396,7 +408,8 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
         "enroll_population_process": enroll_proc,
         "churn_query_incremental": churn_inc,
         "churn_query_resort": churn_res,
-        "sharded_upload_query_legacy": shard_legacy,
+        # "legacy" names the one-store side; kept for baseline continuity
+        "sharded_upload_query_legacy": shard_single,
         "sharded_upload_query_tier": shard_tier_timing,
     }
 
@@ -413,12 +426,12 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
         # via --min-speedup; recorded unconditionally for trend visibility.
         "process_enroll_speedup": ratio(enroll_w1, enroll_proc),
         # the sharded server tier: upload + bulk-query against
-        # BENCH_SHARDS process shards vs the legacy single store.  CI
+        # BENCH_SHARDS process shards vs one bare store.  CI
         # enforces >= 1.5 on >= 4-core runners via --min-speedup; on a
         # small runner the fan-out overhead dominates and the recorded
         # value can legitimately sit below 1.
         "sharded_upload_query_speedup": ratio(
-            shard_legacy, shard_tier_timing
+            shard_single, shard_tier_timing
         ),
     }
 

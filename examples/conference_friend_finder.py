@@ -63,7 +63,7 @@ def main() -> None:
         clients[user.profile.user_id] = (client, server_ch)
     print(
         f"enrolled {server.uploads_accepted} users, "
-        f"{server.store.num_groups} key groups, "
+        f"{server.tier.export_store().num_groups} key groups, "
         f"~{upload_bits / NUM_ATTENDEES:.0f} bits per upload "
         f"({link.transmission_time_s(upload_bits // NUM_ATTENDEES) * 1e3:.2f} ms air time)"
     )

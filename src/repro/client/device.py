@@ -8,7 +8,7 @@ hardware, so the cost experiments support two modes:
   shapes (symmetric vs homomorphic, growth in the plaintext size) carry
   over because they come from operation counts and asymptotics, not
   constant factors.
-* **testbed-calibrated** — convert an :class:`~repro.utils.instrument.OpCounter`
+* **testbed-calibrated** — convert an :class:`~repro.obs.instrument.OpCounter`
   into milliseconds using per-operation constants for a named device.  The
   constants below are order-of-magnitude figures for the 2010-era hardware
   class the paper used (a 1 GHz ARMv7 phone and a 3 GHz desktop), chosen so
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import ParameterError
-from repro.utils.instrument import OpCounter
+from repro.obs.instrument import OpCounter
 
 __all__ = ["DeviceProfile", "NEXUS_ONE", "PC_SERVER"]
 
@@ -70,7 +70,7 @@ class DeviceProfile:
         """Convert an operation tally into estimated milliseconds.
 
         Args:
-            counter: tallies recorded under :func:`repro.utils.instrument.counting`.
+            counter: tallies recorded under :func:`repro.obs.instrument.counting`.
             modexp_bits: modulus size to charge each ``modexp`` at.
             group_size: user count, for the per-user server operations.
         """

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.profile import ProfileSchema
 from repro.errors import ParameterError
-from repro.utils.instrument import count_op
+from repro.obs.instrument import count_op
 from repro.utils.rand import SystemRandomSource
 
 __all__ = ["AttributeMapping", "BigJumpMapper"]

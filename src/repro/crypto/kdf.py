@@ -14,7 +14,7 @@ import hashlib
 import hmac
 
 from repro.errors import ParameterError
-from repro.utils.instrument import count_op
+from repro.obs.instrument import count_op
 
 __all__ = ["sha256", "hkdf", "prf", "hash_to_int", "hash_to_range"]
 

@@ -23,7 +23,7 @@ from typing import Optional
 from repro.errors import CiphertextError, ParameterError
 from repro.ntheory.modular import lcm, modexp, modinv
 from repro.ntheory.primes import generate_prime
-from repro.utils.instrument import count_op
+from repro.obs.instrument import count_op
 from repro.utils.rand import SystemRandomSource
 
 __all__ = ["PaillierPublicKey", "PaillierKeyPair", "PaillierCiphertext"]

@@ -26,8 +26,8 @@ from repro.experiments.common import (
     build_scheme,
 )
 from repro.experiments.fig4cde import DATASETS, build_homopm
-from repro.net.messages import QueryRequest, UploadMessage
-from repro.server.service import SMatchServer
+from repro.server.matcher import ServerMatcher
+from repro.server.storage import ProfileStore
 
 __all__ = ["run", "server_costs_ms"]
 
@@ -47,7 +47,7 @@ def server_costs_ms(
     users = pop.generate(num_users)
     profiles = [u.profile for u in users]
 
-    # --- PM: real server handling a query ---
+    # --- PM: Algorithm Match over the stored ciphertexts ---
     scheme = build_scheme(
         spec,
         theta=theta,
@@ -56,14 +56,15 @@ def server_costs_ms(
         schema=pop.schema,
     )
     uploads, _ = scheme.enroll_population(profiles)
-    server = SMatchServer(query_k=5)
+    store = ProfileStore()
+    matcher = ServerMatcher(store)
     for payload in uploads.values():
-        server.handle_upload(UploadMessage(payload=payload))
-    request = QueryRequest(query_id=1, timestamp=0, user_id=profiles[0].user_id)
+        store.put(payload)
+    querier = profiles[0].user_id
 
     def pm_once() -> None:
-        server.matcher.invalidate()  # cold path: SORT + FIND each query
-        server.handle_query(request)
+        matcher.invalidate()  # cold path: EXTRA + SORT + FIND each query
+        matcher.match(querier, 5)
 
     start = time.perf_counter()
     for _ in range(repeats):

@@ -19,9 +19,8 @@ with :func:`enable` (or ``SMATCH_OBS=1`` / the CLI ``--obs`` flag); the
 outermost :func:`pipeline_span` then starts a root trace and saves the
 run's artifacts on exit.
 
-The op-counting layer that predates this package
-(:mod:`repro.obs.instrument`) remains importable from its historical home
-``repro.utils.instrument``.
+The op-counting layer (:mod:`repro.obs.instrument`) sits underneath all
+three: spans attribute its per-phase counter deltas.
 """
 
 from __future__ import annotations

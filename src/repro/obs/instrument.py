@@ -11,8 +11,7 @@ single dictionary lookup to hot paths in the common case.
 
 This module is the op-counting pillar of the :mod:`repro.obs` telemetry
 package; spans (:mod:`repro.obs.trace`) activate a nested counter per span
-to attribute operation deltas to pipeline phases.  The historical import
-path ``repro.utils.instrument`` re-exports everything here.
+to attribute operation deltas to pipeline phases.
 """
 
 from __future__ import annotations
@@ -25,7 +24,14 @@ from typing import Dict, Iterator, Optional
 
 __all__ = ["OpCounter", "count_op", "counting", "current_counter", "Stopwatch"]
 
-_local = threading.local()
+class _CounterLocal(threading.local):
+    """Per-thread counter slot; the class-level ``None`` is every thread's
+    default, so a plain attribute read never takes the miss path."""
+
+    counter: Optional[OpCounter] = None
+
+
+_local = _CounterLocal()
 
 
 class OpCounter:
@@ -57,12 +63,12 @@ class OpCounter:
 
 def current_counter() -> Optional[OpCounter]:
     """The counter active on this thread, or ``None``."""
-    return getattr(_local, "counter", None)
+    return _local.counter
 
 
 def count_op(name: str, amount: int = 1) -> None:
     """Record ``amount`` occurrences of operation ``name`` if counting."""
-    counter = getattr(_local, "counter", None)
+    counter = _local.counter
     if counter is not None:
         counter.add(name, amount)
 
@@ -74,7 +80,7 @@ def counting() -> Iterator[OpCounter]:
     Nested blocks each get their own counter; on exit the inner counts are
     folded into the enclosing counter so totals remain consistent.
     """
-    previous = getattr(_local, "counter", None)
+    previous = _local.counter
     counter = OpCounter()
     _local.counter = counter
     try:

@@ -43,7 +43,14 @@ __all__ = [
     "render_tree",
 ]
 
-_local = threading.local()
+class _TracerLocal(threading.local):
+    """Per-thread tracer slot; the class-level ``None`` is every thread's
+    default, so a plain attribute read never takes the miss path."""
+
+    tracer: Optional[Tracer] = None
+
+
+_local = _TracerLocal()
 
 
 class _NoopSpan:
@@ -382,7 +389,7 @@ def render_tree(
 
 def current_tracer() -> Optional[Tracer]:
     """The tracer active on this thread, or ``None``."""
-    return getattr(_local, "tracer", None)
+    return _local.tracer
 
 
 def clear_inherited_tracer() -> None:
@@ -399,7 +406,7 @@ def clear_inherited_tracer() -> None:
 
 def current_span() -> Optional[Span]:
     """The innermost open span on this thread, or ``None``."""
-    tracer = getattr(_local, "tracer", None)
+    tracer = _local.tracer
     if tracer is None or not tracer._stack:
         return None
     return tracer._stack[-1]
@@ -412,7 +419,7 @@ def span(name: str, **attrs: Any) -> Union["Span", "_NoopSpan"]:
     the same guarantee ``count_op`` gives — so instrumenting a hot path
     costs nothing measurable with telemetry off.
     """
-    tracer = getattr(_local, "tracer", None)
+    tracer = _local.tracer
     if tracer is None:
         return _NOOP
     return Span(tracer, name, attrs)
@@ -420,7 +427,7 @@ def span(name: str, **attrs: Any) -> Union["Span", "_NoopSpan"]:
 
 def record_bytes(direction: str, amount: int) -> None:
     """Tally message bytes on the innermost open span (no-op when inactive)."""
-    tracer = getattr(_local, "tracer", None)
+    tracer = _local.tracer
     if tracer is not None and tracer._stack:
         tracer._stack[-1].bytes_io[direction] += amount
 
@@ -433,7 +440,7 @@ def tracing(name: str = "run", **attrs: Any) -> Iterator[Tracer]:
     a child :func:`span` instead (which :func:`repro.obs.pipeline_span`
     does automatically).
     """
-    if getattr(_local, "tracer", None) is not None:
+    if _local.tracer is not None:
         raise ParameterError(
             "a tracer is already active on this thread; open a span instead"
         )

@@ -92,13 +92,14 @@ class MaliciousServer(SMatchServer):
 
     def _fake_users(self, request: QueryRequest) -> List[ResultEntry]:
         """Present users from foreign key groups as matches."""
+        store = self.tier.export_store()
         try:
-            my_index = self.store.get(request.user_id).key_index
+            my_index = store.get(request.user_id).key_index
         except MatchingError:
             my_index = b""  # unknown querier: every group is foreign
         outsiders = [
             payload
-            for uid, payload in self.store.all_profiles().items()
+            for uid, payload in store.all_profiles().items()
             if payload.key_index != my_index and uid != request.user_id
         ]
         return [

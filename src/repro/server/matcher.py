@@ -205,24 +205,6 @@ class ServerMatcher:
         self._max_generation = 0
         store.add_listener(self)
 
-    def attach(self, store: ProfileStore) -> None:
-        """(Re-)bind this matcher to a store — idempotent.
-
-        The persistence path returns a *fresh* ``ProfileStore`` with no
-        listeners (``load_store_bytes``), so a matcher built before save
-        would silently stop seeing mutations after reload.  ``attach``
-        closes that gap: re-attaching the current store only re-asserts
-        the (deduplicated) subscription, while attaching a different store
-        drops every cached group order — it describes the old store's
-        contents — and subscribes to the new one.  Queries after an attach
-        rebuild indexes lazily, exactly like a cold matcher.
-        """
-        if store is not self._store:
-            self._store = store
-            self._groups.clear()
-            metric_set(M_MATCHER_GROUPS_INDEXED, 0)
-        store.add_listener(self)
-
     # -- store events ---------------------------------------------------------
 
     def profile_added(self, key_index: bytes, payload: EncryptedProfile) -> None:

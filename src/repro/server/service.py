@@ -1,6 +1,6 @@
 """The untrusted server's request handler.
 
-Glues storage + matcher to the wire protocol: consumes
+Glues the match engine to the wire protocol: consumes
 :class:`~repro.net.messages.UploadMessage` and
 :class:`~repro.net.messages.QueryRequest`, produces
 :class:`~repro.net.messages.QueryResult` carrying each matched user's ID and
@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import pathlib
 import time
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
-from repro.errors import MatchingError, ProtocolError
+from repro.errors import ProtocolError
 from repro.net.messages import (
     Message,
     QueryRequest,
     QueryResult,
-    ResultEntry,
     UploadMessage,
 )
 from repro.obs.logs import get_logger
@@ -35,9 +34,7 @@ from repro.obs.metrics import (
     metric_observe,
 )
 from repro.obs.trace import span
-from repro.server.matcher import ServerMatcher
 from repro.server.sharding.tier import ShardedTier
-from repro.server.storage import ProfileStore
 
 __all__ = ["SMatchServer"]
 
@@ -47,16 +44,16 @@ _log = get_logger("server")
 class SMatchServer:
     """An honest-but-curious S-MATCH server.
 
-    ``shards=1`` with no ``data_dir`` (the default) is the legacy
-    single-store engine, byte-for-byte: one in-process
-    :class:`ProfileStore` + :class:`ServerMatcher`.  ``shards=N`` (or any
-    ``data_dir``) swaps in a :class:`~repro.server.sharding.tier.ShardedTier`
-    behind the *same* ``handle_message`` surface — key-index groups placed
-    across N shard workers (``shard_mode="process"`` runs each in its own
-    process; ``"inline"`` keeps them in-process), with per-shard
-    WAL + snapshot durability when ``data_dir`` is set.  Seeded workloads
-    produce byte-identical :class:`QueryResult` encodings either way
-    (``tests/test_sharding.py`` pins the equivalence matrix).
+    The match engine is a :class:`~repro.server.sharding.tier.ShardedTier`
+    (``tier``): key-index groups placed across ``shards`` shards, each its
+    own :class:`~repro.server.storage.ProfileStore` +
+    :class:`~repro.server.matcher.ServerMatcher`.  The default is one
+    in-process shard; ``shard_mode="process"`` runs each shard in its own
+    worker process, and ``data_dir`` adds per-shard WAL + snapshot
+    durability, from which a server reopened on the same directory
+    recovers.  Every configuration produces byte-identical
+    :class:`QueryResult` encodings (``tests/test_sharding.py`` pins the
+    equivalence matrix against a bare store + matcher).
     """
 
     def __init__(
@@ -64,24 +61,15 @@ class SMatchServer:
         query_k: int = 5,
         order_method: str = "rank",
         shards: int = 1,
-        shard_mode: str = "process",
+        shard_mode: str = "inline",
         data_dir: Optional[Union[str, pathlib.Path]] = None,
     ) -> None:
-        self.tier: Optional[ShardedTier] = None
-        self.store: Optional[ProfileStore] = None
-        self.matcher: Optional[ServerMatcher] = None
-        if shards == 1 and data_dir is None:
-            self.store = ProfileStore()
-            self.matcher = ServerMatcher(
-                self.store, order_method=order_method
-            )
-        else:
-            self.tier = ShardedTier(
-                shards=shards,
-                order_method=order_method,
-                mode=shard_mode,
-                data_dir=data_dir,
-            )
+        self.tier = ShardedTier(
+            shards=shards,
+            order_method=order_method,
+            mode=shard_mode,
+            data_dir=data_dir,
+        )
         self.query_k = query_k
         self.queries_served = 0
         self.uploads_accepted = 0
@@ -93,10 +81,7 @@ class SMatchServer:
         start_ns = time.monotonic_ns()
         try:
             with span("server.handle_upload", user=message.payload.user_id):
-                if self.tier is not None:
-                    self.tier.put(message.payload)
-                else:
-                    self._legacy_store().put(message.payload)
+                self.tier.put(message.payload)
                 self.uploads_accepted += 1
                 metric_inc(M_SERVER_UPLOADS)
                 _log.debug(
@@ -108,11 +93,19 @@ class SMatchServer:
             self._observe_latency(start_ns)
 
     def handle_query(self, request: QueryRequest) -> QueryResult:
-        """Run Match and assemble the result message."""
+        """Run Match and assemble the result message.
+
+        An unknown querier, or one alone in their key group, gets an empty
+        result.
+        """
         start_ns = time.monotonic_ns()
         try:
             with span("server.handle_query", user=request.user_id):
-                entries = self._match_entries(request)
+                entries = self.tier.query(
+                    request.user_id,
+                    k=self.query_k,
+                    max_distance=request.max_distance,
+                )
                 self.queries_served += 1
                 metric_inc(M_SERVER_QUERIES)
                 metric_inc(M_SERVER_RESULTS, len(entries))
@@ -149,48 +142,11 @@ class SMatchServer:
         )
 
     def close(self) -> None:
-        """Release shard workers and durability handles (no-op unsharded)."""
-        if self.tier is not None:
-            self.tier.close()
+        """Release shard workers and durability handles (idempotent)."""
+        self.tier.close()
 
     def __enter__(self) -> "SMatchServer":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # -- internals ----------------------------------------------------------------
-
-    def _legacy_store(self) -> ProfileStore:
-        if self.store is None:
-            raise ProtocolError("sharded server has no legacy store")
-        return self.store
-
-    def _legacy_matcher(self) -> ServerMatcher:
-        if self.matcher is None:
-            raise ProtocolError("sharded server has no legacy matcher")
-        return self.matcher
-
-    def _match_entries(self, request: QueryRequest) -> Tuple[ResultEntry, ...]:
-        if self.tier is not None:
-            return self.tier.query(
-                request.user_id,
-                k=self.query_k,
-                max_distance=request.max_distance,
-            )
-        store = self._legacy_store()
-        return tuple(
-            ResultEntry(user_id=uid, auth=store.get(uid).auth)
-            for uid in self._match_ids(request)
-        )
-
-    def _match_ids(self, request: QueryRequest) -> List[int]:
-        matcher = self._legacy_matcher()
-        try:
-            if request.max_distance is not None:
-                return matcher.match_within(
-                    request.user_id, request.max_distance
-                )
-            return matcher.match(request.user_id, self.query_k)
-        except MatchingError:
-            return []  # unknown user or singleton group: empty result

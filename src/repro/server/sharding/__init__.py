@@ -24,14 +24,12 @@ from repro.server.sharding.state import ShardDurability, ShardState
 from repro.server.sharding.tier import ShardedTier
 from repro.server.sharding.wal import ShardWal, WalReplay
 from repro.server.sharding.worker import (
-    InlineShard,
     ProcessShard,
     ShardSpec,
     shard_ops_chunk,
 )
 
 __all__ = [
-    "InlineShard",
     "PlacementMap",
     "ProcessShard",
     "ShardDurability",

@@ -85,6 +85,8 @@ class PlacementMap:
         """The shard owning a key-index group (pure, deterministic)."""
         if len(key_index) != 32:
             raise ParameterError("key index must be 32 bytes")
+        if self.shards == 1:
+            return 0  # every ring point is shard 0's: skip the hash
         point = int.from_bytes(sha256(_KEY_DOMAIN, key_index), "big")
         ring = self._ring
         pos = bisect_right(ring, (point, self.shards))

@@ -5,7 +5,8 @@ WAL**: records up to that point are folded in and their log segment is
 deleted.  Snapshots are *incremental* — a delta snapshot carries only the
 groups that changed since its parent (each as its full membership) plus
 tombstones for groups that emptied, chained back to the last **full**
-snapshot.  Every ``full_every`` deltas the chain is compacted into a fresh
+snapshot.  Every ``DEFAULT_FULL_EVERY`` files
+(:mod:`repro.server.sharding.state`) the chain is compacted into a fresh
 full snapshot and older files are reclaimed.
 
 On-disk layout per shard directory::

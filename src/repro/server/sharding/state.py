@@ -1,13 +1,14 @@
 """One shard's live state: store + matcher + WAL/snapshot durability.
 
-A :class:`ShardState` is the unit that runs inside a shard worker process
-(or inline, for ``shards=1`` and tests): its own
+A :class:`ShardState` is the unit that runs inside a shard worker process,
+and is itself the shard handle of an inline tier (the default
+``SMatchServer`` engine): its own
 :class:`~repro.server.storage.ProfileStore` and
 :class:`~repro.server.matcher.ServerMatcher`, plus an optional
 :class:`ShardDurability` wiring the write-ahead log and snapshot chain
 underneath every mutation.
 
-The batch protocol (:meth:`ShardState.apply_ops`) is a list of plain
+The batch protocol (:meth:`ShardState.apply`) is a list of plain
 tuples — the picklable shape the coordinator ships across the process
 boundary:
 
@@ -18,8 +19,7 @@ boundary:
     at-least-once redelivery after a crash converges;
 ``("query", user_id, k)``
     kNN match → a tuple of :class:`~repro.net.messages.ResultEntry`
-    (empty for an unknown user or singleton group, matching
-    ``SMatchServer._match_ids``);
+    (empty for an unknown user or singleton group);
 ``("query_within", user_id, max_distance)``
     MAX-distance match, same result shape;
 ``("manifest",)``
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union, cast
+from typing import List, Optional, Sequence, Set, Tuple, Union, cast
 
 from repro.core.scheme import EncryptedProfile
 from repro.errors import MatchingError, ParameterError
@@ -82,8 +82,9 @@ ShardOp = Tuple[object, ...]
 #: (``None`` when the user was absent).
 _Undo = Tuple[int, Optional[EncryptedProfile]]
 
-#: Snapshot cadence defaults: snapshot after this many WAL records, and
-#: compact the delta chain into a full snapshot once it grows this long.
+#: Snapshot cadence: snapshot after this many WAL records by default
+#: (``snapshot_every``), and compact the delta chain into a full snapshot
+#: once it grows this long.
 DEFAULT_SNAPSHOT_EVERY = 256
 DEFAULT_FULL_EVERY = 4
 
@@ -99,16 +100,10 @@ class ShardDurability:
     """
 
     def __init__(
-        self,
-        directory: Union[str, pathlib.Path],
-        fsync: bool = True,
-        full_every: int = DEFAULT_FULL_EVERY,
+        self, directory: Union[str, pathlib.Path], fsync: bool = True
     ) -> None:
-        if full_every < 1:
-            raise ParameterError("full_every must be >= 1")
         self._snapshots = SnapshotStore(directory)
         self._fsync = fsync
-        self._full_every = full_every
         self._seq = self._snapshots.latest_seq()
         self._wal: Optional[ShardWal] = None
 
@@ -152,20 +147,18 @@ class ShardDurability:
         if self._wal is not None:
             self._wal.rollback()
 
-    def snapshot(
-        self, store: ProfileStore, dirty: Set[bytes], force_full: bool = False
-    ) -> None:
+    def snapshot(self, store: ProfileStore, dirty: Set[bytes]) -> None:
         """Write the next snapshot in the chain and rotate the WAL.
 
         A delta carries only the ``dirty`` groups (full membership each)
         plus tombstones for the ones that emptied; the chain compacts into
-        a full snapshot when it reaches ``full_every`` files (and the very
-        first snapshot is always full — a chain needs a full base).
+        a full snapshot when it reaches ``DEFAULT_FULL_EVERY`` files (and
+        the very first snapshot is always full — a chain needs a full
+        base).
         """
         is_full = (
-            force_full
-            or self._seq == 0
-            or self._snapshots.chain_length() >= self._full_every
+            self._seq == 0
+            or self._snapshots.chain_length() >= DEFAULT_FULL_EVERY
         )
         groups: GroupTable = {}
         tombstones: List[bytes] = []
@@ -204,7 +197,6 @@ class ShardState:
         order_method: str = "rank",
         directory: Optional[Union[str, pathlib.Path]] = None,
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        full_every: int = DEFAULT_FULL_EVERY,
         fsync: bool = True,
     ) -> None:
         if snapshot_every < 1:
@@ -217,9 +209,7 @@ class ShardState:
         self._records_since_snapshot = 0
         self._durability: Optional[ShardDurability] = None
         if directory is not None:
-            durability = ShardDurability(
-                directory, fsync=fsync, full_every=full_every
-            )
+            durability = ShardDurability(directory, fsync=fsync)
             self._durability = durability
             self._recover(durability)
 
@@ -247,26 +237,25 @@ class ShardState:
     # -- mutations -------------------------------------------------------------
 
     def _put(self, payload: EncryptedProfile, undo: List[_Undo]) -> None:
-        previous: Optional[EncryptedProfile] = None
-        if self.store.contains(payload.user_id):
-            previous = self.store.get(payload.user_id)
+        previous = self.store.all_profiles().get(payload.user_id)
         if self._durability is not None:
             self._durability.log_put(payload)
+            # the groups the next delta snapshot must rewrite
+            if previous is not None:
+                self._dirty.add(previous.key_index)
+            self._dirty.add(payload.key_index)
         self.store.put(payload)
         undo.append((payload.user_id, previous))
-        if previous is not None:
-            self._dirty.add(previous.key_index)
-        self._dirty.add(payload.key_index)
 
     def _remove(self, user_id: int, undo: List[_Undo]) -> None:
-        if not self.store.contains(user_id):
+        previous = self.store.all_profiles().get(user_id)
+        if previous is None:
             return  # tolerant: replay/redelivery idempotence
-        previous = self.store.get(user_id)
         if self._durability is not None:
             self._durability.log_remove(user_id)
+            self._dirty.add(previous.key_index)
         self.store.remove(user_id)
         undo.append((user_id, previous))
-        self._dirty.add(previous.key_index)
 
     def _undo(self, undo: List[_Undo]) -> None:
         """Restore every undo entry's prior record, newest first."""
@@ -302,7 +291,10 @@ class ShardState:
 
     # -- the batch protocol ----------------------------------------------------
 
-    def apply_ops(self, ops: Sequence[ShardOp]) -> List[object]:
+    def start(self) -> None:
+        """Nothing to start inline (``ProcessShard.start`` forks)."""
+
+    def apply(self, ops: Sequence[ShardOp]) -> List[object]:
         """Apply one op batch in order; one result slot per op.
 
         Mutations are WAL-buffered as they apply and committed once at the
@@ -383,11 +375,11 @@ class ShardState:
             metric_inc(M_SHARD_QUERIES, queries)
         return results
 
-    def snapshot_now(self, full: bool = False) -> None:
+    def snapshot_now(self) -> None:
         """Snapshot immediately (no-op without durability)."""
         if self._durability is None:
             return
-        self._durability.snapshot(self.store, self._dirty, force_full=full)
+        self._durability.snapshot(self.store, self._dirty)
         self._dirty.clear()
         self._records_since_snapshot = 0
 

@@ -1,7 +1,8 @@
 """The shard coordinator: routing, fan-out, rebalance, import/export.
 
-A :class:`ShardedTier` owns N shard handles (inline or process-backed —
-:mod:`repro.server.sharding.worker`), a versioned
+A :class:`ShardedTier` owns N shard handles (inline
+:class:`~repro.server.sharding.state.ShardState` objects, or process-backed
+:class:`~repro.server.sharding.worker.ProcessShard` workers), a versioned
 :class:`~repro.server.sharding.placement.PlacementMap`, and the routing
 side table ``user_id -> key_index`` (queries carry only ``ID_v``, so the
 coordinator must remember which group — and therefore which shard — each
@@ -36,21 +37,21 @@ from repro.errors import MatchingError, ParameterError
 from repro.net.messages import ResultEntry
 from repro.obs.trace import current_tracer, span
 from repro.parallel import absorb_telemetry, run_captured
-from repro.server.sharding.placement import DEFAULT_VNODES, PlacementMap
+from repro.server.sharding.placement import PlacementMap
 from repro.server.sharding.state import (
-    DEFAULT_FULL_EVERY,
     DEFAULT_SNAPSHOT_EVERY,
     ShardOp,
+    ShardState,
 )
-from repro.server.sharding.worker import InlineShard, ProcessShard, ShardSpec
+from repro.server.sharding.worker import ProcessShard, ShardSpec
 from repro.server.storage import ProfileStore
 
 __all__ = ["ShardedTier"]
 
 _MODES = ("inline", "process")
 
-#: One shard handle: InlineShard or ProcessShard (same ``apply`` protocol).
-ShardHandle = Union[InlineShard, ProcessShard]
+#: One shard handle: ShardState or ProcessShard (same ``apply`` protocol).
+ShardHandle = Union[ShardState, ProcessShard]
 
 
 class ShardedTier:
@@ -63,9 +64,7 @@ class ShardedTier:
         mode: str = "inline",
         data_dir: Optional[Union[str, pathlib.Path]] = None,
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        full_every: int = DEFAULT_FULL_EVERY,
         fsync: bool = True,
-        vnodes: int = DEFAULT_VNODES,
     ) -> None:
         if shards < 1:
             raise ParameterError("shards must be >= 1")
@@ -76,12 +75,11 @@ class ShardedTier:
         self._order_method = order_method
         self._mode = mode
         self._snapshot_every = snapshot_every
-        self._full_every = full_every
         self._fsync = fsync
         self._data_dir = (
             pathlib.Path(data_dir) if data_dir is not None else None
         )
-        self._placement = self._open_placement(shards, vnodes)
+        self._placement = self._open_placement(shards)
         self._shards: List[ShardHandle] = [
             self._make_shard(shard_id)
             for shard_id in range(self._placement.shards)
@@ -93,9 +91,9 @@ class ShardedTier:
 
     # -- construction ----------------------------------------------------------
 
-    def _open_placement(self, shards: int, vnodes: int) -> PlacementMap:
+    def _open_placement(self, shards: int) -> PlacementMap:
         if self._data_dir is None:
-            return PlacementMap.build(shards, vnodes=vnodes)
+            return PlacementMap.build(shards)
         self._data_dir.mkdir(parents=True, exist_ok=True)
         path = self._data_dir / "placement.bin"
         if path.exists():
@@ -109,7 +107,7 @@ class ShardedTier:
                     "— placement never changes implicitly"
                 )
             return persisted
-        placement = PlacementMap.build(shards, vnodes=vnodes)
+        placement = PlacementMap.build(shards)
         self._persist_placement(placement)
         return placement
 
@@ -130,12 +128,11 @@ class ShardedTier:
             order_method=self._order_method,
             data_dir=shard_dir,
             snapshot_every=self._snapshot_every,
-            full_every=self._full_every,
             fsync=self._fsync,
         )
         if self._mode == "process":
             return ProcessShard(spec)
-        return InlineShard(spec)
+        return spec.build_state()
 
     def _reload_routing(self) -> None:
         """Rebuild ``user -> key_index`` from the shards' recovered state."""
@@ -159,15 +156,12 @@ class ShardedTier:
         subtree included) and they are spliced back under the caller's
         open tier span, the same way the execution backends splice theirs.
         """
-        live = {sid: ops for sid, ops in ops_by_shard.items() if ops}
-        if not live:
-            return {}
-        if self._mode == "inline" or len(live) == 1:
+        if self._mode == "inline" or len(ops_by_shard) <= 1:
             return {
                 sid: self._shards[sid].apply(ops)
-                for sid, ops in live.items()
+                for sid, ops in ops_by_shard.items()
             }
-        for sid in live:
+        for sid in ops_by_shard:
             # fork any missing shard worker here, one at a time, before the
             # fan-out threads run (ProcessBackend.start says why)
             self._shards[sid].start()
@@ -186,15 +180,12 @@ class ShardedTier:
                 {"shard": sid},
                 capture_spans,
             )
-            for sid, ops in live.items()
+            for sid, ops in ops_by_shard.items()
         }
         return {
             sid: absorb_telemetry(future.result())
             for sid, future in futures.items()
         }
-
-    def _shard_of(self, key_index: bytes) -> int:
-        return self._placement.shard_of(key_index)
 
     # -- mutations -------------------------------------------------------------
 
@@ -215,9 +206,9 @@ class ShardedTier:
         for payload in payloads:
             uid = payload.user_id
             previous = routed.get(uid, self._user_key_index.get(uid))
-            new_shard = self._shard_of(payload.key_index)
+            new_shard = self._placement.shard_of(payload.key_index)
             if previous is not None and previous != payload.key_index:
-                old_shard = self._shard_of(previous)
+                old_shard = self._placement.shard_of(previous)
                 if old_shard != new_shard:
                     ops_by_shard.setdefault(old_shard, []).append(
                         ("remove", uid)
@@ -237,7 +228,8 @@ class ShardedTier:
         key_index = self._user_key_index.get(user_id)
         if key_index is None:
             raise MatchingError(f"unknown user {user_id}")
-        self._shards[self._shard_of(key_index)].apply([("remove", user_id)])
+        shard = self._shards[self._placement.shard_of(key_index)]
+        shard.apply([("remove", user_id)])
         del self._user_key_index[user_id]
 
     # -- queries ---------------------------------------------------------------
@@ -248,8 +240,8 @@ class ShardedTier:
         k: int = 5,
         max_distance: Optional[int] = None,
     ) -> Tuple[ResultEntry, ...]:
-        """Match one user on their shard; unknown users get an empty tuple
-        (the same surface ``SMatchServer._match_ids`` presents)."""
+        """Match one user on their shard; unknown users (and singleton
+        groups) get an empty tuple."""
         key_index = self._user_key_index.get(user_id)
         if key_index is None:
             return ()
@@ -258,8 +250,8 @@ class ShardedTier:
             op = ("query_within", user_id, max_distance)
         else:
             op = ("query", user_id, k)
-        result = self._shards[self._shard_of(key_index)].apply([op])[0]
-        return result  # type: ignore[return-value]
+        shard = self._shards[self._placement.shard_of(key_index)]
+        return shard.apply([op])[0]  # type: ignore[return-value]
 
     def query_bulk(
         self, query_users: Sequence[int], k: int = 5
@@ -277,7 +269,7 @@ class ShardedTier:
             key_index = self._user_key_index.get(uid)
             if key_index is None:
                 continue
-            shard_id = self._shard_of(key_index)
+            shard_id = self._placement.shard_of(key_index)
             ops_by_shard.setdefault(shard_id, []).append(("query", uid, k))
             slots.setdefault(shard_id, []).append(position)
         with span(
@@ -316,13 +308,6 @@ class ShardedTier:
             {sid: [("sizes",)] for sid in range(len(self._shards))}
         )
         return {sid: results[0] for sid, results in sizes.items()}  # type: ignore[misc]
-
-    def snapshot_all(self, full: bool = False) -> None:
-        """Force every shard to snapshot (and truncate its WAL) now."""
-        op: ShardOp = ("snapshot",)
-        self._fanout(
-            {sid: [op] for sid in range(len(self._shards))}
-        )
 
     # -- rebalance -------------------------------------------------------------
 
@@ -373,11 +358,11 @@ class ShardedTier:
         self._persist_placement(successor)
         return successor
 
-    # -- import / export (the legacy full-blob path) ---------------------------
+    # -- import / export ------------------------------------------------------
 
     def export_store(self) -> ProfileStore:
         """Every stored profile folded into one in-memory ``ProfileStore``
-        — the bridge to ``repro.server.persistence.dump_store_bytes``."""
+        (shard order, then each shard's insertion order)."""
         exported = self._fanout(
             {sid: [("export",)] for sid in range(len(self._shards))}
         )
@@ -390,7 +375,8 @@ class ShardedTier:
     def import_profiles(
         self, payloads: Sequence[EncryptedProfile]
     ) -> None:
-        """Load profiles (e.g. from ``load_store_bytes``) through routing."""
+        """Load profiles (e.g. another tier's ``export_store``) through
+        routing, as one batch per shard."""
         self.put_batch(list(payloads))
 
     # -- lifecycle -------------------------------------------------------------

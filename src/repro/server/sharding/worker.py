@@ -24,19 +24,18 @@ from __future__ import annotations
 
 import atexit
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import WorkerCrashError
 from repro.obs.logs import get_logger
 from repro.parallel import ProcessBackend, TaskEnvelope
 from repro.server.sharding.state import (
-    DEFAULT_FULL_EVERY,
     DEFAULT_SNAPSHOT_EVERY,
     ShardOp,
     ShardState,
 )
 
-__all__ = ["InlineShard", "ProcessShard", "ShardSpec", "shard_ops_chunk"]
+__all__ = ["ProcessShard", "ShardSpec", "shard_ops_chunk"]
 
 _log = get_logger("server.sharding")
 
@@ -54,7 +53,6 @@ class ShardSpec:
     order_method: str = "rank"
     data_dir: Optional[str] = None  # per-shard directory; None = in-memory
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY
-    full_every: int = DEFAULT_FULL_EVERY
     fsync: bool = True
 
     def build_state(self) -> ShardState:
@@ -64,7 +62,6 @@ class ShardSpec:
             order_method=self.order_method,
             directory=self.data_dir,
             snapshot_every=self.snapshot_every,
-            full_every=self.full_every,
             fsync=self.fsync,
         )
 
@@ -91,31 +88,7 @@ def shard_ops_chunk(
         # so atexit is the close hook; a crash skips it by design — that
         # is what the WAL is for
         atexit.register(_STATE.close)
-    return _STATE.apply_ops(list(ops))
-
-
-class InlineShard:
-    """A shard living in the coordinator process (``mode="inline"``).
-
-    Same state, same op protocol, no process boundary: the reference
-    semantics the process mode must reproduce byte-for-byte, and the
-    cheap path for ``shards=1`` and tests.
-    """
-
-    def __init__(self, spec: ShardSpec) -> None:
-        self.spec = spec
-        self._state = spec.build_state()
-
-    def start(self) -> None:
-        """Nothing to start; provided for protocol symmetry."""
-
-    def apply(self, ops: Sequence[ShardOp]) -> List[object]:
-        """Apply one op batch synchronously."""
-        return self._state.apply_ops(list(ops))
-
-    def close(self) -> None:
-        """Flush durability and release the shard (idempotent)."""
-        self._state.close()
+    return _STATE.apply(list(ops))
 
 
 class ProcessShard:

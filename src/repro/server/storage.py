@@ -2,8 +2,9 @@
 
 The server "first filters the stored encrypted profiles based on h(K_up)"
 (paper, Profile Matching step): profiles live in groups keyed by the
-32-byte key index, and a side table maps user IDs to their current group so
-queries — which carry only ``ID_v`` — can locate the right group.
+32-byte key index, and each user's stored record names their current group
+(its ``key_index``), so queries — which carry only ``ID_v`` — can locate
+the right group.
 
 Re-uploads replace the user's previous record (users "update [their]
 encrypted social profile on the untrusted server periodically"), including
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.scheme import EncryptedProfile
 from repro.errors import MatchingError, ParameterError
@@ -38,7 +39,6 @@ class ProfileStore:
 
     def __init__(self) -> None:
         self._groups: Dict[bytes, Dict[int, EncryptedProfile]] = {}
-        self._user_group: Dict[int, bytes] = {}
         self._profiles: Dict[int, EncryptedProfile] = {}
         self._profiles_view: Mapping[int, EncryptedProfile] = (
             MappingProxyType(self._profiles)
@@ -47,14 +47,7 @@ class ProfileStore:
         self._listeners: list["weakref.ReferenceType"] = []
 
     def add_listener(self, listener: object) -> None:
-        """Subscribe to profile_added / profile_removed events (weakly).
-
-        Idempotent: re-adding an already-subscribed listener is a no-op,
-        so a matcher re-attached after persistence reload can never
-        double-receive events.
-        """
-        if any(ref() is listener for ref in self._listeners):
-            return
+        """Subscribe to profile_added / profile_removed events (weakly)."""
         self._listeners.append(weakref.ref(listener))
 
     def _live_listeners(self) -> List[object]:
@@ -75,7 +68,7 @@ class ProfileStore:
             listener.profile_added(payload.key_index, payload)
 
     def __len__(self) -> int:
-        return len(self._user_group)
+        return len(self._profiles)
 
     @property
     def num_groups(self) -> int:
@@ -85,14 +78,14 @@ class ProfileStore:
     def put(self, payload: EncryptedProfile) -> None:
         """Insert or replace a user's encrypted profile."""
         uid = payload.user_id
-        previous = self._user_group.get(uid)
+        old = self._profiles.get(uid)
+        previous = old.key_index if old is not None else None
         if previous is not None and previous != payload.key_index:
             old_group = self._groups[previous]
             del old_group[uid]
             if not old_group:
                 del self._groups[previous]
         self._groups.setdefault(payload.key_index, {})[uid] = payload
-        self._user_group[uid] = payload.key_index
         self._profiles[uid] = payload
         self._sizes_cache = None
         if previous is not None:
@@ -101,30 +94,27 @@ class ProfileStore:
 
     def get(self, user_id: int) -> EncryptedProfile:
         """Fetch a stored record; raises when absent."""
-        index = self._user_group.get(user_id)
-        if index is None:
+        payload = self._profiles.get(user_id)
+        if payload is None:
             raise MatchingError(f"unknown user {user_id}")
-        return self._groups[index][user_id]
+        return payload
 
     def remove(self, user_id: int) -> None:
         """Delete a user's record; raises when absent."""
-        index = self._user_group.pop(user_id, None)
-        if index is None:
+        payload = self._profiles.pop(user_id, None)
+        if payload is None:
             raise MatchingError(f"unknown user {user_id}")
+        index = payload.key_index
         group = self._groups[index]
         del group[user_id]
         if not group:
             del self._groups[index]
-        del self._profiles[user_id]
         self._sizes_cache = None
         self._notify_removed(index, user_id)
 
     def group_of(self, user_id: int) -> Dict[int, EncryptedProfile]:
         """The key group containing a user (the h(K_up) filter step)."""
-        index = self._user_group.get(user_id)
-        if index is None:
-            raise MatchingError(f"unknown user {user_id}")
-        return dict(self._groups[index])
+        return dict(self._groups[self.get(user_id).key_index])
 
     def group_by_index(self, key_index: bytes) -> Dict[int, EncryptedProfile]:
         """The group stored under a key index (possibly empty)."""
@@ -164,4 +154,4 @@ class ProfileStore:
 
     def contains(self, user_id: int) -> bool:
         """True when the user has a stored record."""
-        return user_id in self._user_group
+        return user_id in self._profiles

@@ -1,6 +1,5 @@
 """Shared utilities: bit packing, deterministic randomness, constant-time
-comparison, statistics, wire serialization, and operation-count
-instrumentation."""
+comparison, statistics, and wire serialization."""
 
 from repro.utils.bits import (
     bit_length_ceil,

@@ -9,7 +9,7 @@ from repro.net.channel import SecureChannel
 from repro.net.messages import UploadMessage
 from repro.net.transport import InMemoryNetwork
 from repro.server.service import SMatchServer
-from repro.utils.instrument import OpCounter
+from repro.obs.instrument import OpCounter
 
 
 class TestDeviceProfile:

@@ -63,7 +63,7 @@ class TestValidation:
             AES(bytes(16)).decrypt_block(b"x" * 17)
 
     def test_counts_ops(self):
-        from repro.utils.instrument import counting
+        from repro.obs.instrument import counting
 
         with counting() as c:
             AES(bytes(16)).encrypt_block(PLAINTEXT)

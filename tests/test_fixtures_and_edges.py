@@ -5,7 +5,7 @@ import pytest
 from repro.client.device import NEXUS_ONE, PC_SERVER
 from repro.crypto import fixed_params
 from repro.crypto.fixtures import fixed_paillier_keypair, fixed_rsa_keypair
-from repro.utils.instrument import OpCounter
+from repro.obs.instrument import OpCounter
 from repro.utils.rand import SystemRandomSource
 
 

@@ -5,40 +5,93 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.modes import AeadCiphertext, EtMCipher
 from repro.errors import ReproError
-from repro.server.persistence import dump_store_bytes, load_store_bytes
-from repro.server.storage import ProfileStore
+from repro.server.sharding import PlacementMap, ShardWal
+from repro.server.sharding.snapshot import load_snapshot, write_snapshot
+from repro.server.sharding.wal import decode_op, encode_put, replay_wal
 from repro.utils.serial import FieldReader
+
+
+def _replay(path):
+    """The recovery read path: scan the log, then decode every record."""
+    return [decode_op(record) for record in replay_wal(path).records]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def decoders(fuzz_dir):
+    """Every on-disk decoder of the shard tier, as ``name -> fn(raw)``."""
+    path = fuzz_dir / "hostile.bin"
+
+    def from_file(load):
+        def run(raw):
+            path.write_bytes(raw)
+            return load(path)
+
+        return run
+
+    return {
+        "op": decode_op,
+        "wal": from_file(_replay),
+        "snapshot": from_file(load_snapshot),
+        "placement": PlacementMap.decode,
+    }
+
+
+@pytest.fixture(scope="module")
+def valid_encodings(enrolled, fuzz_dir):
+    """One valid encoding per decoder, holding one stored profile."""
+    _, _, uploads, _ = enrolled
+    payload = next(iter(uploads.values()))
+    wal_path = fuzz_dir / "valid.log"
+    with ShardWal(wal_path, fsync=False) as wal:
+        wal.append_record(encode_put(payload))
+    snap_path = write_snapshot(
+        fuzz_dir,
+        1,
+        0,
+        True,
+        {payload.key_index: {payload.user_id: payload}},
+        (),
+    )
+    return {
+        "op": encode_put(payload),
+        "wal": wal_path.read_bytes(),
+        "snapshot": snap_path.read_bytes(),
+        "placement": PlacementMap.build(2).encode(),
+    }
 
 
 class TestPersistenceFuzz:
     @given(st.binary(max_size=300))
     @settings(max_examples=80)
-    def test_random_bytes_rejected_cleanly(self, raw):
-        try:
-            load_store_bytes(raw)
-        except ReproError:
-            pass
+    def test_random_bytes_rejected_cleanly(self, decoders, raw):
+        for decode in decoders.values():
+            try:
+                decode(raw)
+            except ReproError:
+                pass
 
     @given(
         pos=st.integers(min_value=0, max_value=200),
         xor=st.integers(min_value=0, max_value=255),
     )
     @settings(max_examples=60)
-    def test_single_byte_corruption_detected(self, enrolled, pos, xor):
-        _, _, uploads, _ = enrolled
-        store = ProfileStore()
-        store.put(next(iter(uploads.values())))
-        data = bytearray(dump_store_bytes(store))
-        pos %= len(data)
+    def test_single_byte_corruption_detected(
+        self, decoders, valid_encodings, pos, xor
+    ):
         if xor == 0:
             return  # no-op corruption
-        data[pos] ^= xor
-        try:
-            restored = load_store_bytes(bytes(data))
-            # extremely unlikely, but if it parses it must be consistent
-            assert len(restored) <= 1
-        except ReproError:
-            pass
+        for name, valid in valid_encodings.items():
+            data = bytearray(valid)
+            data[pos % len(data)] ^= xor
+            try:
+                decoders[name](bytes(data))
+            except ReproError:
+                pass
 
 
 class TestAeadFuzz:

@@ -78,7 +78,7 @@ class TestEndToEnd:
     def test_server_learns_only_ciphertexts(self, world):
         """The stored state contains no raw attribute values."""
         pop, users, scheme, uploads, _, server = world
-        stored = server.store.all_profiles()
+        stored = server.tier.export_store().all_profiles()
         for user in users:
             payload = stored[user.profile.user_id]
             for raw, ct in zip(user.profile.values, payload.chain):
@@ -97,7 +97,8 @@ class TestEndToEnd:
         payload, new_key = scheme.enroll(drifted)
         old_index = uploads[user.profile.user_id].key_index
         server.handle_upload(UploadMessage(payload=payload))
-        assert server.store.get(user.profile.user_id).key_index != old_index
+        stored = server.tier.export_store()
+        assert stored.get(user.profile.user_id).key_index != old_index
         # restore original upload for other tests
         server.handle_upload(
             UploadMessage(payload=uploads[user.profile.user_id])

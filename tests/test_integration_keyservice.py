@@ -126,8 +126,6 @@ def test_full_three_party_flow(deployment):
     outcome = client.receive_results()
     assert set(outcome.accepted).isdisjoint(outcome.rejected)
     # accepted matches share the querier's key group
+    stored = match_server.tier.export_store()
     for matched in outcome.accepted:
-        assert (
-            match_server.store.get(matched).key_index
-            == match_server.store.get(uid).key_index
-        )
+        assert stored.get(matched).key_index == stored.get(uid).key_index

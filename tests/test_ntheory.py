@@ -68,7 +68,7 @@ class TestModular:
         assert lcm(0, 5) == 0
 
     def test_modexp_counts_op(self):
-        from repro.utils.instrument import counting
+        from repro.obs.instrument import counting
 
         with counting() as c:
             assert modexp(2, 10, 1000) == 24

@@ -16,6 +16,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ParameterError
+from repro.obs.instrument import count_op
 from repro.obs.logs import KeyValueFormatter, Redactor, get_logger
 from repro.obs.metrics import (
     BYTE_BUCKETS,
@@ -44,7 +45,6 @@ from repro.obs.trace import (
     span,
     tracing,
 )
-from repro.utils.instrument import count_op
 
 
 @pytest.fixture(autouse=True)

@@ -24,7 +24,6 @@ from repro.errors import (
     ParameterError,
     WorkerCrashError,
 )
-from repro.net.messages import UploadMessage
 from repro.net.oprf_messages import BatchedBlindEvalRequest
 from repro.parallel import (
     ProcessBackend,
@@ -37,7 +36,8 @@ from repro.parallel import (
     set_default_backend,
 )
 from repro.server.keyservice import KeyGenService
-from repro.server.service import SMatchServer
+from repro.server.matcher import ServerMatcher
+from repro.server.storage import ProfileStore
 from repro.utils.rand import SystemRandomSource
 
 SCHEMA = ProfileSchema.uniform(["a", "b", "c"], 1 << 12)
@@ -199,7 +199,7 @@ class TestBatchedOprfEquivalence:
 
 class TestQueryBulk:
     @pytest.fixture(scope="class")
-    def server_and_users(self):
+    def matcher_and_users(self):
         scheme = SMatch(
             SMatchParams(schema=SCHEMA, theta=1, plaintext_bits=64),
             rng=SystemRandomSource(41),
@@ -209,35 +209,36 @@ class TestQueryBulk:
         uploads, _ = scheme.enroll_population(
             profiles, backend="serial", seed=9
         )
-        server = SMatchServer(query_k=3)
+        store = ProfileStore()
+        matcher = ServerMatcher(store)
         for payload in uploads.values():
-            server.handle_upload(UploadMessage(payload=payload))
-        return server, sorted(uploads)
+            store.put(payload)
+        return matcher, sorted(uploads)
 
-    def test_bulk_matches_per_user_match(self, server_and_users):
-        server, users = server_and_users
-        singles = {u: server.matcher.match(u, 3) for u in users}
-        assert server.matcher.query_bulk(users, 3) == singles
+    def test_bulk_matches_per_user_match(self, matcher_and_users):
+        matcher, users = matcher_and_users
+        singles = {u: matcher.match(u, 3) for u in users}
+        assert matcher.query_bulk(users, 3) == singles
 
     @pytest.mark.parametrize("chunk_size", [1, 3, None])
-    def test_bulk_identical_across_backends(self, server_and_users, chunk_size):
-        server, users = server_and_users
-        serial = server.matcher.query_bulk(
+    def test_bulk_identical_across_backends(self, matcher_and_users, chunk_size):
+        matcher, users = matcher_and_users
+        serial = matcher.query_bulk(
             users, 3, backend="serial", chunk_size=chunk_size
         )
         for workers in (2, 3):
             with ProcessBackend(workers, mp_context="fork") as backend:
-                processed = server.matcher.query_bulk(
+                processed = matcher.query_bulk(
                     users, 3, backend=backend, chunk_size=chunk_size
                 )
             assert processed == serial
 
-    def test_unknown_user_rejected_up_front(self, server_and_users):
+    def test_unknown_user_rejected_up_front(self, matcher_and_users):
         from repro.errors import MatchingError
 
-        server, users = server_and_users
+        matcher, users = matcher_and_users
         with pytest.raises(MatchingError):
-            server.matcher.query_bulk(users + [99999], 3)
+            matcher.query_bulk(users + [99999], 3)
 
 
 # -- failure surfacing ---------------------------------------------------------

@@ -1,89 +1,109 @@
-"""Tests for server-store persistence."""
+"""Server-state persistence: a durable server restarts from its data_dir.
+
+The untrusted server holds only ciphertext, so its state goes to disk
+as-is: a restart must not force the user community to re-enroll, and
+damaged state must fail loudly with a typed error instead of serving
+wrong matches.  ``SMatchServer(data_dir=...)`` keeps a placement map and,
+per shard, a snapshot chain plus a write-ahead log
+(:mod:`repro.server.sharding`); these tests reopen a server on that
+directory.
+"""
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import PersistenceError, ProtocolError
 from repro.net.messages import QueryRequest, UploadMessage
-from repro.server.persistence import (
-    dump_store_bytes,
-    load_store,
-    load_store_bytes,
-    save_store,
-)
 from repro.server.service import SMatchServer
-from repro.server.storage import ProfileStore
+from repro.server.sharding import ShardedTier
+from repro.utils.serial import FieldReader, FieldWriter
+
+
+def _answers(server, uids):
+    return {
+        uid: server.handle_message(
+            QueryRequest(query_id=uid, timestamp=0, user_id=uid)
+        ).encode()
+        for uid in uids
+    }
+
+
+def _stored(server):
+    return dict(server.tier.export_store().all_profiles())
 
 
 @pytest.fixture
-def loaded_store(enrolled):
+def durable_dir(enrolled, tmp_path):
+    """A data_dir holding every upload: one snapshot, then a WAL tail."""
     _, _, uploads, _ = enrolled
-    store = ProfileStore()
-    for payload in uploads.values():
-        store.put(payload)
-    return store
+    payloads = list(uploads.values())
+    with ShardedTier(
+        data_dir=tmp_path, snapshot_every=len(payloads), fsync=False
+    ) as tier:
+        tier.put_batch(payloads)  # one commit reaches the cadence
+        tier.put_batch(payloads[:3])  # lives only in the WAL
+    return tmp_path
+
+
+def _snapshot_file(data_dir):
+    (path,) = data_dir.glob("shard-*/snap-*.bin")
+    return path
 
 
 class TestRoundtrip:
-    def test_bytes_roundtrip(self, loaded_store):
-        restored = load_store_bytes(dump_store_bytes(loaded_store))
-        assert len(restored) == len(loaded_store)
-        assert restored.group_sizes() == loaded_store.group_sizes()
-        for uid, payload in loaded_store.all_profiles().items():
-            assert restored.get(uid) == payload
+    def test_bytes_roundtrip(self, enrolled, tmp_path):
+        """No snapshot yet: the WAL alone restores every upload."""
+        _, _, uploads, _ = enrolled
+        with SMatchServer(data_dir=tmp_path) as server:
+            for payload in uploads.values():
+                server.handle_message(UploadMessage(payload=payload))
+        assert not list(tmp_path.glob("shard-*/snap-*.bin"))
+        with SMatchServer(data_dir=tmp_path) as restored:
+            assert _stored(restored) == uploads
 
-    def test_file_roundtrip(self, loaded_store, tmp_path):
-        path = tmp_path / "store.bin"
-        written = save_store(loaded_store, path)
-        assert path.stat().st_size == written
-        restored = load_store(path)
-        assert restored.all_profiles() == loaded_store.all_profiles()
+    def test_file_roundtrip(self, enrolled, durable_dir):
+        """Snapshot chain plus WAL tail restore every upload."""
+        _, _, uploads, _ = enrolled
+        assert _snapshot_file(durable_dir).stat().st_size > 0
+        with SMatchServer(data_dir=durable_dir) as restored:
+            assert _stored(restored) == uploads
 
-    def test_empty_store(self):
-        restored = load_store_bytes(dump_store_bytes(ProfileStore()))
-        assert len(restored) == 0
+    def test_empty_store(self, tmp_path):
+        SMatchServer(data_dir=tmp_path).close()
+        with SMatchServer(data_dir=tmp_path) as restored:
+            assert len(restored.tier) == 0
+            result = restored.handle_query(
+                QueryRequest(query_id=1, timestamp=0, user_id=1)
+            )
+            assert result.entries == ()
 
-    def test_restored_server_answers_queries(self, enrolled, tmp_path):
-        scheme, users, uploads, keys = enrolled
-        server = SMatchServer(query_k=3)
-        for payload in uploads.values():
-            server.handle_upload(UploadMessage(payload=payload))
-        path = tmp_path / "state.bin"
-        save_store(server.store, path)
-
-        fresh = SMatchServer(query_k=3)
-        fresh.store = load_store(path)
-        from repro.server.matcher import ServerMatcher
-
-        fresh.matcher = ServerMatcher(fresh.store)
-        uid = users[0].profile.user_id
-        original = server.handle_query(
-            QueryRequest(query_id=1, timestamp=0, user_id=uid)
-        )
-        restored = fresh.handle_query(
-            QueryRequest(query_id=1, timestamp=0, user_id=uid)
-        )
-        assert {e.user_id for e in original.entries} == {
-            e.user_id for e in restored.entries
-        }
+    def test_restored_server_answers_queries(self, enrolled, durable_dir):
+        _, _, uploads, _ = enrolled
+        with SMatchServer(query_k=3) as live:
+            for payload in uploads.values():
+                live.handle_message(UploadMessage(payload=payload))
+            expected = _answers(live, uploads)
+        with SMatchServer(query_k=3, data_dir=durable_dir) as restored:
+            assert _answers(restored, uploads) == expected
 
 
 class TestCorruption:
-    def test_bad_magic(self):
+    def test_bad_magic(self, durable_dir):
+        (durable_dir / "placement.bin").write_bytes(b"\x00\x00\x00\x04junk")
         with pytest.raises(ProtocolError):
-            load_store_bytes(b"\x00\x00\x00\x04junk")
+            SMatchServer(data_dir=durable_dir)
 
-    def test_flipped_payload_bit_detected(self, loaded_store):
-        data = bytearray(dump_store_bytes(loaded_store))
+    def test_flipped_payload_bit_detected(self, durable_dir):
+        path = _snapshot_file(durable_dir)
+        data = bytearray(path.read_bytes())
         data[-1] ^= 0x01
-        with pytest.raises(ProtocolError):
-            load_store_bytes(bytes(data))
+        path.write_bytes(bytes(data))
+        with pytest.raises(PersistenceError):
+            SMatchServer(data_dir=durable_dir)
 
-    def test_wrong_version(self, loaded_store):
-        data = dump_store_bytes(loaded_store)
-        # version field follows the magic field; rewrite it
-        from repro.utils.serial import FieldReader, FieldWriter
-
-        reader = FieldReader(data)
+    def test_wrong_version(self, durable_dir):
+        # the format version follows the magic field; rewrite it
+        path = _snapshot_file(durable_dir)
+        reader = FieldReader(path.read_bytes())
         magic = reader.read_bytes()
         reader.read_int()
         digest = reader.read_bytes()
@@ -93,99 +113,13 @@ class TestCorruption:
         w.write_int(99)
         w.write_bytes(digest)
         w.write_bytes(payload)
-        with pytest.raises(ProtocolError):
-            load_store_bytes(w.getvalue())
+        path.write_bytes(w.getvalue())
+        with pytest.raises(PersistenceError):
+            SMatchServer(data_dir=durable_dir)
 
-    def test_truncated_file(self, loaded_store):
-        data = dump_store_bytes(loaded_store)
-        with pytest.raises(ProtocolError):
-            load_store_bytes(data[: len(data) // 2])
-
-
-class TestMatcherAttach:
-    """save -> load -> attach -> churn -> query (the re-bind satellite)."""
-
-    @staticmethod
-    def _crowded_group(store):
-        for key_index, members in store.groups():
-            if len(members) >= 3:
-                return key_index, members
-        pytest.skip("population produced no group with 3+ members")
-
-    def test_save_load_attach_churn_query(self, enrolled, tmp_path):
-        import dataclasses
-
-        from repro.server.matcher import ServerMatcher
-
-        _, _, uploads, _ = enrolled
-        server = SMatchServer(query_k=3)
-        for payload in uploads.values():
-            server.handle_upload(UploadMessage(payload=payload))
-        path = tmp_path / "state.bin"
-        save_store(server.store, path)
-
-        # reload and RE-BIND the existing matcher instead of rebuilding it
-        server.store = load_store(path)
-        server.matcher.attach(server.store)
-
-        _, members = self._crowded_group(server.store)
-        uid_query, uid_remove, uid_drift = sorted(members)[:3]
-        # warm the group index, then churn through the re-attached store
-        server.handle_query(
-            QueryRequest(query_id=1, timestamp=0, user_id=uid_query)
-        )
-        server.store.remove(uid_remove)
-        drifted = dataclasses.replace(
-            members[uid_drift],
-            chain=tuple(c + 1 for c in members[uid_drift].chain),
-        )
-        server.store.put(drifted)
-        churned = server.handle_query(
-            QueryRequest(query_id=2, timestamp=0, user_id=uid_query)
-        )
-
-        # oracle: a cold matcher over the same final contents
-        oracle_store = ProfileStore()
-        for payload in server.store.all_profiles().values():
-            oracle_store.put(payload)
-        oracle = ServerMatcher(oracle_store)
-        assert [e.user_id for e in churned.entries] == oracle.match(
-            uid_query, 3
-        )
-        assert uid_remove not in {e.user_id for e in churned.entries}
-
-    def test_reattach_same_store_is_idempotent(self, loaded_store):
-        from repro.server.matcher import ServerMatcher
-
-        matcher = ServerMatcher(loaded_store)
-        for _ in range(3):
-            matcher.attach(loaded_store)
-        _, members = self._crowded_group(loaded_store)
-        uid_query, uid_remove = sorted(members)[:2]
-        matcher.match(uid_query, 3)  # warm the group index
-        before = matcher.group_generation(uid_query)
-        # one mutation must land exactly one event — double subscription
-        # would double-deliver and bump the generation twice
-        loaded_store.remove(uid_remove)
-        assert matcher.group_generation(uid_query) == before + 1
-
-    def test_attach_new_store_drops_stale_indexes(self, enrolled):
-        from repro.server.matcher import ServerMatcher
-
-        _, _, uploads, _ = enrolled
-        store = ProfileStore()
-        for payload in uploads.values():
-            store.put(payload)
-        matcher = ServerMatcher(store)
-        _, members = self._crowded_group(store)
-        uid_query, uid_gone = sorted(members)[:2]
-        matcher.match(uid_query, 3)  # warm against the old store
-
-        replacement = load_store_bytes(dump_store_bytes(store))
-        replacement.remove(uid_gone)
-        matcher.attach(replacement)
-        assert uid_gone not in matcher.match(uid_query, 3)
-        # and events from the new store flow to the re-attached matcher
-        generation_probe = matcher.group_generation(uid_query)
-        replacement.remove(sorted(replacement.group_of(uid_query))[-1])
-        assert matcher.group_generation(uid_query) != generation_probe
+    def test_truncated_file(self, durable_dir):
+        path = _snapshot_file(durable_dir)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(PersistenceError):
+            SMatchServer(data_dir=durable_dir)

@@ -38,11 +38,11 @@ def big_world():
 class TestScale:
     def test_everyone_enrolled(self, big_world):
         _, users, _, server, _ = big_world
-        assert len(server.store) == NUM_USERS
+        assert len(server.tier) == NUM_USERS
 
     def test_group_structure(self, big_world):
         _, _, _, server, _ = big_world
-        sizes = server.store.group_sizes()
+        sizes = server.tier.export_store().group_sizes()
         assert sum(sizes) == NUM_USERS
         # clusters are capped at 6 in generation; merged groups stay small
         assert sizes[0] <= 30
@@ -77,7 +77,7 @@ class TestScale:
         from repro.attacks.games import PrKkGame
 
         _, users, _, server, keys = big_world
-        uploads = server.store.all_profiles()
+        uploads = server.tier.export_store().all_profiles()
         game = PrKkGame(uploads, keys)
         uid = users[0].profile.user_id
         assert game.play(uid).advantage <= 0.1  # m << N (Theorem 2 regime)

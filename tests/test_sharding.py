@@ -1,10 +1,12 @@
 """Tests for the sharded, durable server tier (repro.server.sharding).
 
 Covers the four layers bottom-up — placement ring, WAL, snapshot chain,
-shard state — then the coordinator-level contracts the ISSUE pins: the
-cross-shard equivalence matrix (legacy store vs shards=1 vs shards=N vs
-process-backed shards, byte-identical ``QueryResult`` encodings) and
-kill-a-shard-mid-churn crash recovery against an unsharded oracle.
+shard state — then the coordinator-level contracts: the equivalence matrix
+(shards=1 vs shards=N vs process-backed shards vs a durable reopen vs the
+default ``SMatchServer`` behind ``handle_message``, each checked for
+byte-identical ``QueryResult`` encodings against a bare ``ProfileStore`` +
+``ServerMatcher`` oracle) and kill-a-shard-mid-churn crash recovery
+against the same oracle.
 """
 
 import dataclasses
@@ -19,8 +21,13 @@ from repro.errors import (
     ProtocolError,
     WorkerCrashError,
 )
-from repro.net.messages import QueryRequest, QueryResult, UploadMessage
-from repro.server.persistence import dump_store_bytes, load_store_bytes
+from repro.net.messages import (
+    QueryRequest,
+    QueryResult,
+    ResultEntry,
+    UploadMessage,
+)
+from repro.server.matcher import ServerMatcher
 from repro.server.service import SMatchServer
 from repro.server.sharding import (
     PlacementMap,
@@ -312,10 +319,10 @@ class TestSnapshots:
 class TestShardStateRecovery:
     def test_snapshot_plus_tail_replay(self, payloads, tmp_path):
         state = ShardState(0, directory=tmp_path, fsync=False)
-        state.apply_ops([("put", p) for p in payloads[:6]])
+        state.apply([("put", p) for p in payloads[:6]])
         state.snapshot_now()
         # post-snapshot churn lives only in the WAL tail
-        state.apply_ops(
+        state.apply(
             [
                 ("put", _drifted(payloads[0])),
                 ("remove", payloads[5].user_id),
@@ -334,10 +341,10 @@ class TestShardStateRecovery:
 
     def test_snapshot_truncates_the_log(self, payloads, tmp_path):
         state = ShardState(0, directory=tmp_path, fsync=False)
-        state.apply_ops([("put", p) for p in payloads[:5]])
+        state.apply([("put", p) for p in payloads[:5]])
         wal_files = list(tmp_path.glob("wal-*.log"))
         assert len(wal_files) == 1 and wal_files[0].stat().st_size > 0
-        state.apply_ops([("snapshot",)])
+        state.apply([("snapshot",)])
         wal_files = list(tmp_path.glob("wal-*.log"))
         assert len(wal_files) == 1 and wal_files[0].stat().st_size == 0
         assert list(tmp_path.glob("snap-*.bin"))
@@ -347,18 +354,18 @@ class TestShardStateRecovery:
         state = ShardState(
             0, directory=tmp_path, snapshot_every=4, fsync=False
         )
-        state.apply_ops([("put", p) for p in payloads[:8]])
+        state.apply([("put", p) for p in payloads[:8]])
         assert SnapshotStore(tmp_path).latest_seq() >= 1
         state.close()
 
     def test_group_move_marks_both_groups_dirty(self, payloads, tmp_path):
         a, b = payloads[0], payloads[1]
         state = ShardState(0, directory=tmp_path, fsync=False)
-        state.apply_ops([("put", a), ("put", b)])
+        state.apply([("put", a), ("put", b)])
         state.snapshot_now()
         # a's fuzzy key drifts into b's group: delta must cover both the
         # emptied old group (tombstone) and the grown new group
-        state.apply_ops([("put", _moved(a, b.key_index))])
+        state.apply([("put", _moved(a, b.key_index))])
         state.snapshot_now()
         state.close()
         recovered = ShardState(0, directory=tmp_path, fsync=False)
@@ -376,7 +383,7 @@ class TestFailedBatch:
 
     @staticmethod
     def _answers(state, uids):
-        return state.apply_ops([("query", uid, 3) for uid in uids])
+        return state.apply([("query", uid, 3) for uid in uids])
 
     @pytest.mark.parametrize(
         "case", ["put", "remove", "replace", "put-snapshot-put"]
@@ -400,10 +407,10 @@ class TestFailedBatch:
         }[case]
         uids = [p.user_id for p in payloads[:10]]
         state = ShardState(0, directory=tmp_path, fsync=False)
-        state.apply_ops([("put", p) for p in base])
+        state.apply([("put", p) for p in base])
         before = self._answers(state, uids)
         with pytest.raises(ParameterError):
-            state.apply_ops(batch + [("bogus",)])
+            state.apply(batch + [("bogus",)])
         live = self._answers(state, uids)
         stored = dict(state.store.all_profiles())
         state.close()
@@ -439,21 +446,30 @@ def _churn_workload(payloads):
     return ops, remaining
 
 
-def _legacy_results(payloads, k=3):
-    server = SMatchServer(query_k=k)
+def _entries(store, uids):
+    return tuple(
+        ResultEntry(user_id=uid, auth=store.get(uid).auth) for uid in uids
+    )
+
+
+def _oracle_results(payloads, k=3):
+    """The churn workload on a bare ``ProfileStore`` + ``ServerMatcher``."""
+    store = ProfileStore()
+    matcher = ServerMatcher(store)
     ops, remaining = _churn_workload(payloads)
     for op in ops:
         if op[0] == "put":
-            server.handle_upload(UploadMessage(payload=op[1]))
+            store.put(op[1])
         else:
-            server.store.remove(op[1])
-    out = {}
-    for uid in remaining:
-        result = server.handle_query(
-            QueryRequest(query_id=uid, timestamp=3, user_id=uid)
-        )
-        out[uid] = result.encode()
-    return out
+            store.remove(op[1])
+    return {
+        uid: QueryResult(
+            query_id=uid,
+            timestamp=3,
+            entries=_entries(store, matcher.match(uid, k)),
+        ).encode()
+        for uid in remaining
+    }
 
 
 def _tier_results(tier, payloads, k=3):
@@ -479,10 +495,26 @@ def _tier_results(tier, payloads, k=3):
     return out
 
 
+def _server_results(server, payloads):
+    ops, remaining = _churn_workload(payloads)
+    for op in ops:
+        if op[0] == "put":
+            server.handle_message(UploadMessage(payload=op[1]))
+        else:
+            server.tier.remove(op[1])
+    assert server.uploads_accepted == sum(1 for op in ops if op[0] == "put")
+    return {
+        uid: server.handle_message(
+            QueryRequest(query_id=uid, timestamp=3, user_id=uid)
+        ).encode()
+        for uid in remaining
+    }
+
+
 class TestEquivalenceMatrix:
     @pytest.fixture(scope="class")
     def oracle(self, payloads):
-        return _legacy_results(payloads)
+        return _oracle_results(payloads)
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_inline_shards_match_legacy(self, payloads, oracle, shards):
@@ -518,21 +550,12 @@ class TestEquivalenceMatrix:
                 )
 
     def test_sharded_server_behind_handle_message(self, payloads, oracle):
-        with SMatchServer(query_k=3, shards=3, shard_mode="inline") as server:
-            ops, remaining = _churn_workload(payloads)
-            for op in ops:
-                if op[0] == "put":
-                    server.handle_message(UploadMessage(payload=op[1]))
-                else:
-                    server.tier.remove(op[1])
-            for uid in remaining:
-                result = server.handle_message(
-                    QueryRequest(query_id=uid, timestamp=3, user_id=uid)
-                )
-                assert result.encode() == oracle[uid]
-            assert server.uploads_accepted == sum(
-                1 for op in ops if op[0] == "put"
-            )
+        with SMatchServer(query_k=3, shards=3) as server:
+            assert _server_results(server, payloads) == oracle
+
+    def test_default_server_behind_handle_message(self, payloads, oracle):
+        with SMatchServer(query_k=3) as server:
+            assert _server_results(server, payloads) == oracle
 
 
 # -- crash recovery ------------------------------------------------------------
@@ -542,7 +565,7 @@ class TestCrashRecovery:
     def test_kill_shard_mid_churn_converges_to_oracle(
         self, payloads, tmp_path
     ):
-        oracle = _legacy_results(payloads)
+        oracle = _oracle_results(payloads)
         with ShardedTier(
             shards=2,
             mode="process",
@@ -692,16 +715,18 @@ class TestTierLifecycle:
             with pytest.raises(MatchingError):
                 tier.remove(999_999)
 
-    def test_export_import_bridges_the_blob_path(self, payloads):
+    def test_export_import_roundtrip(self, payloads):
         with ShardedTier(shards=3, mode="inline") as tier:
             tier.put_batch(payloads)
-            blob = dump_store_bytes(tier.export_store())
-        restored = load_store_bytes(blob)
+            exported = tier.export_store()
         with ShardedTier(shards=2, mode="inline") as fresh:
-            fresh.import_profiles(list(restored.all_profiles().values()))
+            fresh.import_profiles(list(exported.all_profiles().values()))
             assert len(fresh) == len(payloads)
             total = sum(sum(s) for s in fresh.shard_sizes().values())
             assert total == len(payloads)
+            assert dict(fresh.export_store().all_profiles()) == {
+                p.user_id: p for p in payloads
+            }
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -710,19 +735,14 @@ class TestTierLifecycle:
             ShardedTier(shards=1, mode="quantum")
 
     def test_max_distance_queries_route_too(self, payloads):
-        legacy = SMatchServer(query_k=3)
+        store = ProfileStore()
+        matcher = ServerMatcher(store)
         for payload in payloads:
-            legacy.handle_upload(UploadMessage(payload=payload))
+            store.put(payload)
         with ShardedTier(shards=3, mode="inline") as tier:
             tier.put_batch(payloads)
             for payload in payloads[:8]:
-                request = QueryRequest(
-                    query_id=1,
-                    timestamp=0,
-                    user_id=payload.user_id,
-                    max_distance=4,
-                )
-                assert (
-                    tier.query(payload.user_id, max_distance=4)
-                    == legacy.handle_query(request).entries
+                uid = payload.user_id
+                assert tier.query(uid, max_distance=4) == _entries(
+                    store, matcher.match_within(uid, 4)
                 )

@@ -44,7 +44,7 @@ class TestLifecycle:
         sim = MobileServiceSimulation(
             INFOCOM06, SimConfig(num_users=10, steps=1, seed=8)
         )
-        assert len(sim.server.store) == 10
+        assert len(sim.server.tier) == 10
 
     def test_history_length(self, finished_sim):
         assert len(finished_sim.history) == 8
@@ -84,10 +84,8 @@ class TestLifecycle:
 
 
 class TestRestartRecovery:
-    def test_simulation_survives_server_restart(self):
+    def test_simulation_survives_server_restart(self, tmp_path):
         """Mid-run, persist the store, 'restart' the server, continue."""
-        from repro.server.matcher import ServerMatcher
-        from repro.server.persistence import dump_store_bytes, load_store_bytes
         from repro.server.service import SMatchServer
 
         sim = MobileServiceSimulation(
@@ -101,17 +99,18 @@ class TestRestartRecovery:
             ),
         )
         sim.step()
-        snapshot = dump_store_bytes(sim.server.store)
+        stored = sim.server.tier.export_store().all_profiles()
+        with SMatchServer(data_dir=tmp_path) as durable:
+            durable.tier.import_profiles(list(stored.values()))
 
-        restarted = SMatchServer(query_k=sim.config.query_k)
-        restarted.store = load_store_bytes(snapshot)
-        restarted.matcher = ServerMatcher(restarted.store)
-        sim.server = restarted
-
-        sim.step()
-        sim.step()
-        assert len(sim.history) == 3
-        assert len(sim.server.store) == 15
+        with SMatchServer(
+            query_k=sim.config.query_k, data_dir=tmp_path
+        ) as restarted:
+            sim.server = restarted
+            sim.step()
+            sim.step()
+            assert len(sim.history) == 3
+            assert len(sim.server.tier) == 15
 
 
 class TestDrift:

@@ -847,7 +847,7 @@ class TestSml015ShardLifecycle:
         tier = ShardedTier(shards=n)
         state = ShardState(0, directory=path)
         tier.put_batch(payloads)
-        state.apply_ops([("put", p) for p in payloads])
+        state.apply([("put", p) for p in payloads])
     """,
             self.SHARD_PATH,
         )
