@@ -27,12 +27,11 @@ def ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
     """Generate ``length`` keystream bytes for a 16-byte initial counter."""
     if len(nonce) != AES.BLOCK_SIZE:
         raise ParameterError("CTR nonce must be a full 16-byte block")
+    blocks = (length + 15) // 16
+    if blocks < 1:
+        return b""
     counter = int.from_bytes(nonce, "big")
-    blocks = []
-    for i in range((length + 15) // 16):
-        block = ((counter + i) % (1 << 128)).to_bytes(16, "big")
-        blocks.append(cipher.encrypt_block(block))
-    return b"".join(blocks)[:length]
+    return cipher.encrypt_counters(counter, blocks)[:length]
 
 
 def ctr_xcrypt(cipher: AES, nonce: bytes, data: bytes) -> bytes:

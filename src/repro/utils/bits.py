@@ -99,4 +99,5 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
         raise ParameterError(f"length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    mixed = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return mixed.to_bytes(len(a), "big")

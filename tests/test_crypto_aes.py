@@ -62,6 +62,10 @@ class TestValidation:
         with pytest.raises(ParameterError):
             AES(bytes(16)).decrypt_block(b"x" * 17)
 
+    def test_counter_run_needs_a_block(self):
+        with pytest.raises(ParameterError):
+            AES(bytes(16)).encrypt_counters(0, 0)
+
     def test_counts_ops(self):
         from repro.obs.instrument import counting
 

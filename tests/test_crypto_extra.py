@@ -1,5 +1,7 @@
 """Additional crypto vectors and cross-cutting invariants."""
 
+import hashlib
+
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aes import AES
@@ -32,6 +34,129 @@ class TestCtrMultiBlockVectors:
     def test_partial_final_block(self):
         out = ctr_xcrypt(AES(self.KEY), self.COUNTER, self.PLAIN[:40])
         assert out == self.CIPHER[:40]
+
+
+class TestCtrAes192Vectors(TestCtrMultiBlockVectors):
+    """NIST SP 800-38A F.5.3: all four CTR-AES192 blocks."""
+
+    KEY = bytes.fromhex("8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b")
+    CIPHER = bytes.fromhex(
+        "1abc932417521ca24f2b0459fe7e6e0b"
+        "090339ec0aa6faefd5ccc2c6f4ce8e94"
+        "1e36b26bd1ebc670d1bd1d665620abf7"
+        "4f78a7f6d29809585a97daec58c6b050"
+    )
+
+
+class TestCtrAes256Vectors(TestCtrMultiBlockVectors):
+    """NIST SP 800-38A F.5.5: all four CTR-AES256 blocks (the channel's and
+    Vf's key size)."""
+
+    KEY = bytes.fromhex(
+        "603deb1015ca71be2b73aef0857d7781"
+        "1f352c073b6108d72d9810a30914dff4"
+    )
+    CIPHER = bytes.fromhex(
+        "601ec313775789a5b7a7f504bbf3d228"
+        "f443e3ca4d62b59aca84e990cacaf5c5"
+        "2b0930daa23de94ce87017ba2d84988d"
+        "dfc9c58db67aada613c2dd08457941a6"
+    )
+
+
+class TestCtrAgainstBlockCipher:
+    """CTR output is the data XOR one ``encrypt_block`` per counter value."""
+
+    @given(
+        st.sampled_from([16, 24, 32]),
+        st.integers(min_value=1, max_value=20),
+        st.binary(max_size=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_block_reference_across_wrap(self, key_size, back, data):
+        cipher = AES(bytes(range(7, 7 + key_size)))
+        counter = (1 << 128) - back
+        keystream = b"".join(
+            cipher.encrypt_block(((counter + i) % (1 << 128)).to_bytes(16, "big"))
+            for i in range((len(data) + 15) // 16)
+        )
+        expected = bytes(d ^ k for d, k in zip(data, keystream))
+        assert ctr_xcrypt(cipher, counter.to_bytes(16, "big"), data) == expected
+
+    def test_counts_one_block_per_sixteen_bytes(self):
+        from repro.obs.instrument import counting
+
+        with counting() as c:
+            ctr_xcrypt(AES(bytes(32)), bytes(16), bytes(100))
+        assert c.get("aes_block") == 7
+        assert c.get("aes_key_schedule") == 1
+
+
+class _RawBody:
+    """A stand-in message whose encoding is exactly the given body."""
+
+    def __init__(self, body: bytes) -> None:
+        self.body = body
+
+    def encode(self) -> bytes:
+        return self.body
+
+
+def _digest(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(4, "big"))
+        h.update(part)
+    return h.hexdigest()
+
+
+class TestPinnedCiphertexts:
+    """Wire bytes pinned to SHA-256 digests of what the byte-oriented AES
+    produced.
+
+    CTR is its own inverse, so a wrong but self-consistent keystream would
+    pass every seal/open round trip and every Vf; only fixed bytes catch it.
+    """
+
+    #: SHA-256 over the datagrams of :meth:`test_secure_channel_datagrams`.
+    CHANNEL_DIGEST = "55013ea2aa0601671a07c013afdf3d3f71fa412d866c230b5f7c83332d62b779"
+    #: SHA-256 over the encoded uploads of :meth:`test_enrolled_uploads`.
+    UPLOAD_DIGEST = "c86a2a7d2fbd6d2bbbee283a65605129e01ed10dc14a04941280e0ef4adfb727"
+
+    def test_secure_channel_datagrams(self):
+        from repro.net.channel import SecureChannel
+        from repro.net.transport import InMemoryNetwork
+
+        net = InMemoryNetwork()
+        phone, server = net.endpoint("phone"), net.endpoint("server")
+        rng = SystemRandomSource(seed=1401)
+        key = rng.randbytes(32)
+        to_server = SecureChannel(phone, "server", key, rng=rng)
+        to_phone = SecureChannel(server, "phone", key, rng=rng)
+        datagrams = []
+        for size in (0, 1, 15, 16, 17, 1700):
+            body = bytes((7 * i + size) & 0xFF for i in range(size))
+            to_server.send(_RawBody(body))
+            datagrams.append(server.recv()[1])
+            to_phone.send(_RawBody(body[::-1]))
+            datagrams.append(phone.recv()[1])
+        assert _digest(datagrams) == self.CHANNEL_DIGEST
+
+    def test_enrolled_uploads(self):
+        from repro.datasets import INFOCOM06
+        from repro.experiments.common import build_population, build_scheme
+        from repro.net.messages import UploadMessage
+
+        population = build_population(INFOCOM06, seed=1402)
+        profiles = [u.profile for u in population.generate(12)]
+        scheme = build_scheme(INFOCOM06, schema=population.schema, seed=1402)
+        uploads, _ = scheme.enroll_population(
+            profiles, backend="serial", seed=1402
+        )
+        encoded = [
+            UploadMessage(payload=uploads[p.user_id]).encode() for p in profiles
+        ]
+        assert _digest(encoded) == self.UPLOAD_DIGEST
 
 
 class TestOpeCrossInstance:

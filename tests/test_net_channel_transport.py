@@ -45,6 +45,21 @@ class TestTransport:
         with pytest.raises(TransportError):
             net.endpoint("a")
 
+    def test_drained_queue_is_dropped(self):
+        net = InMemoryNetwork()
+        a = net.endpoint("a")
+        b = net.endpoint("b")
+        a.send("b", b"x")
+        assert b.recv() == ("a", b"x")
+        assert net._queues == {}
+        assert b.pending() == 0
+        with pytest.raises(TransportError):
+            b.recv()
+        with pytest.raises(TransportError):
+            net.endpoint("b")
+        with pytest.raises(TransportError):
+            net.pending("ghost")
+
     def test_traffic_accounting(self):
         net = InMemoryNetwork()
         a = net.endpoint("a")

@@ -150,3 +150,43 @@ class TestSchnorrGroup:
         for _ in range(5):
             e = g.random_exponent(rng)
             assert 1 <= e < g.q
+
+
+class TestFixedBasePower:
+    """``power_of_g`` reads a precomputed table; it must equal ``pow``."""
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            SchnorrGroup.default(),
+            SchnorrGroup.generate(bits=48, rng=SystemRandomSource(seed=48)),
+        ],
+        ids=["default", "generated48"],
+    )
+    def test_matches_pow(self, group):
+        q = group.q
+        rng = SystemRandomSource(seed=49)
+        exponents = [0, 1, q - 1, q, q + 1, -1, 1 << 600]
+        exponents += [rng.randrange(0, 1 << 600) for _ in range(20)]
+        for e in exponents:
+            assert group.power_of_g(e) == pow(group.g, e % q, group.p)
+
+    def test_counts_one_modexp(self):
+        from repro.obs.instrument import counting
+
+        with counting() as c:
+            SchnorrGroup.default().power_of_g(12345)
+        assert c.get("modexp") == 1
+
+    def test_default_is_one_instance(self):
+        assert SchnorrGroup.default() is SchnorrGroup.default()
+
+    def test_pickled_group_compares_equal(self):
+        import pickle
+
+        group = SchnorrGroup.default()
+        group.power_of_g(5)  # the table exists; it must not ride along
+        restored = pickle.loads(pickle.dumps(group))
+        assert restored == group
+        assert hash(restored) == hash(group)
+        assert restored.power_of_g(5) == group.power_of_g(5)
