@@ -331,14 +331,14 @@ def test_emit_bench_artifact(
     churn_res = _timed_us(churn_resort, iterations=30)
 
     # -- sharded server tier: one store vs BENCH_SHARDS process shards ------
-    # A churn-then-bulk-query round against (a) one bare
-    # ProfileStore + ServerMatcher with a serial bulk query, and (b) a
-    # ShardedTier whose shard workers sort, match, and assemble result
-    # entries in their own processes.  Both engines are pre-loaded with
+    # A churn-then-query round against (a) one bare ProfileStore +
+    # ServerMatcher answering each query with match, and (b) a ShardedTier
+    # whose shard workers sort, match, and assemble result entries in
+    # their own processes.  Both engines are pre-loaded with
     # the full tiled population (pools spawned, group indexes settled), so
     # a timed iteration is the steady-state serving shape: one drifted
     # re-upload per group — dirtying every group, which the following
-    # queries must rescore — then a bulk query over a per-group sample.
+    # queries must rescore — then a query for each of a per-group sample.
     # The rescore work is per-shard-local and scales with group size; the
     # coordinator only ships the small churn batch, the query uids, and
     # k-entry results, which is what lets the shard fan-out win.
@@ -370,9 +370,10 @@ def test_emit_bench_artifact(
         single_bump[0] += 1
         for payload in churn_members:
             single_store.put(_drift(payload, single_bump[0]))
-        return single_matcher.query_bulk(
-            shard_query_uids, server.query_k, backend="serial"
-        )
+        return {
+            uid: single_matcher.match(uid, server.query_k)
+            for uid in shard_query_uids
+        }
 
     with ShardedTier(shards=BENCH_SHARDS, mode="process") as shard_tier:
         shard_tier.put_batch(shard_payloads)

@@ -16,10 +16,7 @@ Gives the reproduction a front door:
   the most-regressed subtree (machine-readable via ``--json-out``).
 
 ``simulate`` and ``experiment`` accept ``--obs`` (and ``--obs-dir DIR``) to
-record a structured trace and metrics snapshot of the run, and
-``--backend serial|thread|process`` (default: the ``SMATCH_BACKEND``
-environment variable) to pick the execution backend bulk work runs on —
-see docs/PERFORMANCE.md, "Execution backends".
+record a structured trace and metrics snapshot of the run.
 """
 
 from __future__ import annotations
@@ -199,19 +196,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="where to write telemetry artifacts (implies --obs)",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["serial", "process"],
-        help="execution backend for bulk enrollment/matching work "
-        "(default: $SMATCH_BACKEND, else serial)",
-    )
-    parser.add_argument(
-        "--backend-workers",
-        type=int,
-        default=None,
-        help="worker count for the process backend (default: cpu count)",
-    )
 
 
 def _maybe_enable_obs(args) -> None:
@@ -219,15 +203,6 @@ def _maybe_enable_obs(args) -> None:
         from repro import obs
 
         obs.enable(args.obs_dir)
-
-
-def _maybe_set_backend(args: argparse.Namespace) -> None:
-    if getattr(args, "backend", None):
-        from repro.parallel import resolve_backend, set_default_backend
-
-        set_default_backend(
-            resolve_backend(args.backend, getattr(args, "backend_workers", None))
-        )
 
 
 def _cmd_demo() -> int:
@@ -379,7 +354,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     _maybe_enable_obs(args)
-    _maybe_set_backend(args)
     if args.command == "demo":
         return _cmd_demo()
     if args.command == "datasets":

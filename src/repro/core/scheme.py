@@ -381,35 +381,32 @@ class SMatch:
     ) -> Tuple[Dict[int, EncryptedProfile], Dict[int, ProfileKey]]:
         """Enroll many users; returns (uploads by id, keys by id).
 
-        ``backend`` selects the execution substrate (:mod:`repro.parallel`):
-        a backend name (``"serial"``/``"process"``) or instance.
-        ``backend=None`` falls back to the process default
-        (:func:`repro.parallel.default_backend`, i.e. the ``SMATCH_BACKEND``
-        env / CLI ``--backend`` flag), else the legacy sequential path.
-        Enrollment is OPRF-modexp-bound pure-Python compute, so the
-        **process** backend is the one that buys wall-clock speedup (see
-        docs/PERFORMANCE.md, "Execution backends").
+        ``backend`` selects the execution substrate (:mod:`repro.parallel`)
+        for this call: a backend name (``"serial"``/``"process"``) or
+        instance.  Enrollment is OPRF-modexp-bound pure-Python compute, so
+        the **process** backend is the one that buys wall-clock speedup
+        (see docs/PERFORMANCE.md, "Execution backends").  With
+        ``backend=None`` a seeded call runs on a :class:`SerialBackend`.
 
         Each profile is enrolled under its own randomness source whose seed
         is a pure function of ``(seed, user_id)`` (:func:`profile_enroll_seed`),
         so a seeded run produces byte-identical uploads for *any* backend,
         worker count, or ``chunk_size`` (default: one balanced slice per
         worker) — the property ``tests/test_scheme_batch.py`` and
-        ``tests/test_parallel_backends.py`` pin.  With ``seed=None`` the
-        per-profile seeds are drawn from the scheme RNG up front, which
-        keeps the parallel path deterministic under a seeded ``SMatch`` and
-        keeps workers off the shared (non-thread-safe) source.
+        ``tests/test_parallel_backends.py`` pin.  With a backend but
+        ``seed=None`` the per-profile seeds are drawn from the scheme RNG up
+        front, which keeps the parallel path deterministic under a seeded
+        ``SMatch`` and keeps workers off the shared (non-thread-safe)
+        source.
 
-        No ``backend``/``seed`` is the legacy fully-sequential path using the
-        instance RNG directly, preserved bit-for-bit for existing seeded
-        callers.
+        No ``backend`` and no ``seed`` is the fully-sequential path using
+        the instance RNG directly, one profile after another.
         """
         from repro.parallel import (
             EnrollSpec,
             SerialBackend,
             TaskEnvelope,
             balanced_chunk_size,
-            default_backend,
             enroll_chunk,
             partition_chunks,
             resolve_backend,
@@ -422,18 +419,16 @@ class SMatch:
         keys: Dict[int, ProfileKey] = {}
         metric_inc(M_ENROLL_BATCH_PROFILES, len(profiles))
 
-        exec_backend = (
-            resolve_backend(backend) if backend is not None else default_backend()
-        )
-        if exec_backend is None and seed is None:
-            # legacy path: one shared stream, profile order significant
+        if backend is None and seed is None:
+            # one shared stream, profile order significant
             for profile in profiles:
                 payload, key = self.enroll(profile)
                 uploads[profile.user_id] = payload
                 keys[profile.user_id] = key
             return uploads, keys
-        if exec_backend is None:
-            exec_backend = SerialBackend()
+        exec_backend = (
+            SerialBackend() if backend is None else resolve_backend(backend)
+        )
 
         if seed is not None:
             seeds = [profile_enroll_seed(seed, p.user_id) for p in profiles]

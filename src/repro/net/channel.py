@@ -3,8 +3,9 @@
 Stands in for the paper's "SSL socket ... packages are sent with the mode
 Encrypt-then-MAC": every protocol message is sealed with AES-CTR +
 HMAC-SHA256 under a per-channel session key before it touches the transport.
-Sequence numbers are bound into the associated data on both sides, so
-reordering or replaying ciphertexts fails authentication.
+A direction label and the sequence number are bound into the associated
+data on both sides, so reordering, replaying or reflecting ciphertexts back
+to their sender fails authentication.
 
 Session-key establishment itself (the SSL handshake) is out of the paper's
 scope; channels are constructed with a pre-shared session key, which the
@@ -31,7 +32,7 @@ __all__ = ["SecureChannel"]
 
 
 class SecureChannel:
-    """One direction-agnostic secure session between two endpoints."""
+    """One end of a secure session between two endpoints."""
 
     def __init__(
         self,
@@ -42,6 +43,12 @@ class SecureChannel:
     ) -> None:
         self._endpoint = endpoint
         self._peer = peer
+        # one label per direction, named by which end's name sorts first:
+        # both ends derive the same pair, so a datagram only opens at the
+        # end it was sent to, never back at its sender
+        forward = endpoint.name < peer
+        self._send_label = b"msg>" if forward else b"msg<"
+        self._recv_label = b"msg<" if forward else b"msg>"
         self._cipher = EtMCipher(session_key)
         self._rng = rng or SystemRandomSource()
         self._send_seq = 0
@@ -56,7 +63,7 @@ class SecureChannel:
         """Seal and transmit a protocol message; returns wire bytes used."""
         sealed = self._cipher.seal(
             message.encode(),
-            aad=self._aad(b"msg", self._send_seq),
+            aad=self._aad(self._send_label, self._send_seq),
             rng=self._rng,
         )
         self._send_seq += 1
@@ -76,7 +83,7 @@ class SecureChannel:
             )
         sealed = AeadCiphertext.decode(datagram)
         plaintext = self._cipher.open(
-            sealed, aad=self._aad(b"msg", self._recv_seq)
+            sealed, aad=self._aad(self._recv_label, self._recv_seq)
         )
         self._recv_seq += 1
         self.bytes_received += len(datagram)

@@ -85,9 +85,6 @@ M_MATCHER_GROUPS_INDEXED = _metric(
 M_MATCHER_GROUP_GENERATION = _metric(
     "smatch_matcher_group_generation", "monotone index-rebuild generation"
 )
-M_MATCHER_BULK_QUERIES = _metric(
-    "smatch_matcher_bulk_queries_total", "users served via query_bulk"
-)
 # OPRF key service (repro.server.keyservice)
 M_KEYSERVICE_EVALUATIONS = _metric(
     "smatch_keyservice_evaluations_total", "OPRF blind evaluations"

@@ -2,8 +2,8 @@
 
 See :mod:`repro.parallel.backend` for the backend protocol and its two
 implementations (serial and process), and :mod:`repro.parallel.tasks` for
-the picklable task envelopes wired into the enrollment / OPRF / matching
-hot paths.
+the picklable enrollment task that
+:meth:`repro.core.scheme.SMatch.enroll_population` fans out.
 """
 
 from repro.parallel.backend import (
@@ -14,23 +14,14 @@ from repro.parallel.backend import (
     TaskEnvelope,
     absorb_telemetry,
     balanced_chunk_size,
-    default_backend,
     partition_chunks,
     resolve_backend,
     run_captured,
-    set_default_backend,
 )
-from repro.parallel.tasks import (
-    BulkMatchContext,
-    EnrollSpec,
-    bulk_match_chunk,
-    enroll_chunk,
-    evaluate_blinded_chunk,
-)
+from repro.parallel.tasks import EnrollSpec, enroll_chunk
 
 __all__ = [
     "BACKEND_NAMES",
-    "BulkMatchContext",
     "EnrollSpec",
     "ExecutionBackend",
     "ProcessBackend",
@@ -38,12 +29,8 @@ __all__ = [
     "TaskEnvelope",
     "absorb_telemetry",
     "balanced_chunk_size",
-    "bulk_match_chunk",
-    "default_backend",
     "enroll_chunk",
-    "evaluate_blinded_chunk",
     "partition_chunks",
     "resolve_backend",
     "run_captured",
-    "set_default_backend",
 ]

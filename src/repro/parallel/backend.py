@@ -1,11 +1,11 @@
 """Pluggable execution backends for CPU-bound bulk work.
 
-The OPRF/modexp-bound hot paths (full enrollment, server-side batched blind
-evaluation, bulk matching) are pure-Python compute, so the GIL serializes
-the arithmetic of any thread pool.  A :class:`ProcessBackend` breaks out of
+Operator enrollment (:meth:`repro.core.scheme.SMatch.enroll_population`) is
+OPRF/modexp-bound pure-Python compute, so the GIL serializes the
+arithmetic of any thread pool.  A :class:`ProcessBackend` breaks out of
 the interpreter entirely, at the cost of a pickling boundary.  Both
-backends implement one protocol so call sites choose a *policy*, not a
-mechanism:
+backends implement one protocol, and the caller passes the one it wants
+with each call:
 
 * :class:`SerialBackend` — run chunks inline, in order (the reference
   semantics the process backend must reproduce);
@@ -21,11 +21,10 @@ list (:func:`partition_chunks`).  Results always come back in submission
 order regardless of completion order, which is what lets seeded enrollment
 stay byte-identical across backends (docs/PERFORMANCE.md).
 
-Submission is **bounded**: at most ``max_inflight`` chunks are enqueued on
-the pool at any moment (default ``2 × workers``), so a million-chunk batch
-never materializes a million futures — backpressure is exerted on the
-producer by collecting the oldest outstanding future before submitting the
-next chunk.
+Submission is **bounded**: at most ``2 × workers`` chunks are enqueued on
+the pool at any moment, so a million-chunk batch never materializes a
+million futures — backpressure is exerted on the producer by collecting
+the oldest outstanding future before submitting the next chunk.
 
 Failure surfacing is typed (:mod:`repro.errors`): a worker process dying
 abruptly raises :class:`~repro.errors.WorkerCrashError` instead of hanging,
@@ -62,18 +61,12 @@ from typing import (
     Dict,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     Union,
+    runtime_checkable,
 )
-
-try:  # pragma: no cover - typing_extensions never needed at runtime
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - Python < 3.8 is unsupported anyway
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls: type) -> type:  # type: ignore[no-redef]
-        return cls
 
 from repro.errors import ParallelError, ParameterError, WorkerCrashError
 from repro.obs.metrics import (
@@ -99,17 +92,13 @@ __all__ = [
     "TaskEnvelope",
     "absorb_telemetry",
     "balanced_chunk_size",
-    "default_backend",
     "partition_chunks",
     "resolve_backend",
     "run_captured",
-    "set_default_backend",
 ]
 
-#: Names accepted by :func:`resolve_backend` and the ``SMATCH_BACKEND`` env.
+#: Names accepted by :func:`resolve_backend`.
 BACKEND_NAMES: Tuple[str, ...] = ("serial", "process")
-
-_ENV_VAR = "SMATCH_BACKEND"
 
 #: A chunk task: ``fn(context, chunk) -> result``.  Must be a module-level
 #: function for :class:`ProcessBackend` (pickled by reference).
@@ -357,9 +346,9 @@ class ProcessBackend:
     calls that reuse the *same* context object, so repeated batches against
     one key/scheme pay pool start-up once.
 
-    Bounded in-flight window: submit up to ``max_inflight`` chunks, then
+    Bounded in-flight window: submit up to ``2 × workers`` chunks, then
     alternate collect-oldest / submit-next so results arrive in submission
-    order with O(max_inflight) outstanding futures.
+    order with O(workers) outstanding futures.
     """
 
     name = "process"
@@ -367,7 +356,6 @@ class ProcessBackend:
     def __init__(
         self,
         workers: Optional[int] = None,
-        max_inflight: Optional[int] = None,
         mp_context: Optional[str] = None,
     ) -> None:
         if workers is None:
@@ -375,11 +363,6 @@ class ProcessBackend:
         if workers < 1:
             raise ParameterError("workers must be >= 1")
         self.workers = workers
-        self._max_inflight = (
-            max_inflight if max_inflight is not None else 2 * workers
-        )
-        if self._max_inflight < 1:
-            raise ParameterError("max_inflight must be >= 1")
         self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_context: Any = None
@@ -439,7 +422,7 @@ class ProcessBackend:
 
         try:
             while (
-                next_index < len(chunks) and len(pending) < self._max_inflight
+                next_index < len(chunks) and len(pending) < 2 * self.workers
             ):
                 submit_one()
             metric_set(M_PARALLEL_QUEUE_DEPTH, len(pending))
@@ -534,26 +517,23 @@ class ProcessBackend:
         self.close()
 
 
-# -- name resolution and the process-wide default ------------------------------
+# -- name resolution -----------------------------------------------------------
 
 BackendSpec = Union[str, ExecutionBackend]
 
 
-def resolve_backend(
-    spec: BackendSpec, workers: Optional[int] = None
-) -> ExecutionBackend:
+def resolve_backend(spec: BackendSpec) -> ExecutionBackend:
     """An :class:`ExecutionBackend` from a name or a ready instance.
 
-    Accepts ``"serial"``, ``"process"`` (optionally sized by ``workers``;
-    defaults to ``os.cpu_count()``), or any object already implementing
-    the protocol (returned as-is).
+    Accepts ``"serial"``, ``"process"`` (one worker per CPU), or any
+    object already implementing the protocol (returned as-is).
     """
     if isinstance(spec, str):
         name = spec.strip().lower()
         if name == "serial":
             return SerialBackend()
         if name == "process":
-            return ProcessBackend(workers)
+            return ProcessBackend()
         raise ParameterError(
             f"unknown execution backend {spec!r}; expected one of "
             f"{', '.join(BACKEND_NAMES)}"
@@ -564,41 +544,3 @@ def resolve_backend(
         f"backend must be a name or an ExecutionBackend, got "
         f"{type(spec).__name__}"
     )
-
-
-_default_backend: Optional[ExecutionBackend] = None
-_env_cache: Dict[str, ExecutionBackend] = {}
-#: guards ``_env_cache``: concurrent first calls to ``default_backend``
-#: from pool threads must not both resolve (and warm up) the same backend
-_backend_lock = threading.Lock()
-
-
-def set_default_backend(
-    spec: Optional[BackendSpec],
-) -> Optional[ExecutionBackend]:
-    """Install (or with ``None`` clear) the process-wide default backend.
-
-    The default is what ``backend=None`` call sites fall back to; the CLI's
-    ``--backend`` flag lands here.  Returns the installed backend.
-    """
-    global _default_backend
-    _default_backend = None if spec is None else resolve_backend(spec)
-    return _default_backend
-
-
-def default_backend() -> Optional[ExecutionBackend]:
-    """The process default: ``set_default_backend`` value, else the
-    ``SMATCH_BACKEND`` environment variable, else ``None`` (legacy serial
-    paths).  Env-resolved backends are cached per name so pool warm-up is
-    shared across call sites.
-    """
-    if _default_backend is not None:
-        return _default_backend
-    name = os.environ.get(_ENV_VAR, "").strip().lower()
-    if not name:
-        return None
-    with _backend_lock:
-        backend = _env_cache.get(name)
-        if backend is None:
-            backend = _env_cache[name] = resolve_backend(name)
-        return backend

@@ -1,26 +1,17 @@
-"""Picklable task envelopes for the S-MATCH hot paths.
+"""The picklable task envelope for seeded bulk enrollment.
 
-Every task here is a module-level function of ``(context, chunk)`` so the
-:class:`~repro.parallel.backend.ProcessBackend` can pickle it by reference,
-plus a plain-data context object that crosses the process boundary once per
-worker (warm start) and is then reused for every chunk.
+:func:`enroll_chunk` is a module-level function of ``(context, chunk)`` so
+the :class:`~repro.parallel.backend.ProcessBackend` can pickle it by
+reference; its context, an :class:`EnrollSpec`, crosses the process
+boundary once per worker (warm start) and is then reused for every chunk.
 
-Three hot paths are covered:
-
-* :class:`EnrollSpec` / :func:`enroll_chunk` — full seeded enrollment.  The
-  live :class:`~repro.core.scheme.SMatch` instance is *not* picklable (its
-  OPE node cache holds a lock), so the spec carries only the plain-data
-  ingredients (params, OPRF key material, mapper, Schnorr group) and each
-  worker process materializes its own scheme once, with its own cache.
-  Determinism is carried entirely by the per-profile integer seeds inside
-  the chunk items (:func:`repro.core.scheme.profile_enroll_seed`), so the
-  output bytes do not depend on which process enrolls which chunk.
-* :func:`evaluate_blinded_chunk` — server-side batched blind OPRF
-  evaluation; the context is the :class:`~repro.crypto.oprf.RsaOprfServer`
-  itself (plain RSA key material, picklable).
-* :class:`BulkMatchContext` / :func:`bulk_match_chunk` — many-requester
-  kNN fan-out over frozen per-group score orders exported by the server
-  matcher.
+The live :class:`~repro.core.scheme.SMatch` instance is *not* picklable
+(its OPE node cache holds a lock), so the spec carries only the plain-data
+ingredients (params, OPRF key material, mapper, Schnorr group) and each
+worker process materializes its own scheme once, with its own cache.
+Determinism is carried entirely by the per-profile integer seeds inside
+the chunk items (:func:`repro.core.scheme.profile_enroll_seed`), so the
+output bytes do not depend on which process enrolls which chunk.
 """
 
 from __future__ import annotations
@@ -36,13 +27,7 @@ from repro.crypto.oprf import RsaOprfServer
 from repro.ntheory.groups import SchnorrGroup
 from repro.utils.rand import SystemRandomSource
 
-__all__ = [
-    "BulkMatchContext",
-    "EnrollSpec",
-    "bulk_match_chunk",
-    "enroll_chunk",
-    "evaluate_blinded_chunk",
-]
+__all__ = ["EnrollSpec", "enroll_chunk"]
 
 
 @dataclass
@@ -119,41 +104,3 @@ def enroll_chunk(
         scheme.ope_cache.flush_metrics()
     return out
 
-
-def evaluate_blinded_chunk(
-    oprf: RsaOprfServer, chunk: Sequence[int]
-) -> List[int]:
-    """Blind-evaluate a chunk of already-range-checked blinded elements."""
-    return [oprf.evaluate_blinded(blinded) for blinded in chunk]
-
-
-@dataclass(frozen=True)
-class BulkMatchContext:
-    """Frozen matcher state for query fan-out: per-user score orders.
-
-    ``orders`` maps a group handle to that group's settled ``(score, uid)``
-    order; ``memberships`` maps each query user to their group handle and
-    score.  Everything is tuples/dicts of ints, so the context ships to
-    worker processes unchanged.
-    """
-
-    orders: Dict[int, Tuple[Tuple[int, int], ...]]
-    memberships: Dict[int, Tuple[int, int]]  # user -> (group handle, score)
-    k: int
-
-
-def bulk_match_chunk(
-    context: BulkMatchContext, chunk: Sequence[int]
-) -> List[List[int]]:
-    """kNN-match each query user against its frozen group order."""
-    from repro.core.matching import position_window
-
-    results: List[List[int]] = []
-    for query_user in chunk:
-        handle, score = context.memberships[query_user]
-        results.append(
-            position_window(
-                context.orders[handle], score, query_user, context.k
-            )
-        )
-    return results

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.crypto.oprf import RsaOprfServer
 from repro.errors import ParameterError, ProtocolError
@@ -65,69 +65,17 @@ class KeyGenService:
         oprf_server: Optional[RsaOprfServer] = None,
         max_requests_per_window: int = 30,
         window_seconds: int = 3600,
-        backend: Any = None,
-        parallel_threshold: int = 8,
     ) -> None:
         self.oprf = oprf_server or RsaOprfServer()
         if max_requests_per_window < 1:
             raise ProtocolError("rate limit must allow at least one request")
         if window_seconds < 1:
             raise ProtocolError("rate window must be positive")
-        if parallel_threshold < 2:
-            raise ProtocolError("parallel threshold must be >= 2")
         self.max_requests = max_requests_per_window
         self.window_seconds = window_seconds
         self._budgets: Dict[str, _ClientBudget] = {}
         self.evaluations_served = 0
         self.rejections = 0
-        # backend: an execution-backend name/instance (repro.parallel) the
-        # batched evaluation path fans modexps across; None falls back to
-        # the process default (SMATCH_BACKEND / CLI --backend), resolved
-        # per call so the service follows runtime configuration.  Batches
-        # below parallel_threshold stay on the serial path — chunk dispatch
-        # overhead beats one or two 1024-bit modexps.
-        self._backend_spec = backend
-        self._backend: Any = None
-        self.parallel_threshold = parallel_threshold
-
-    def _batch_backend(self) -> Any:
-        """The resolved fan-out backend, or None for the serial path."""
-        if self._backend_spec is None:
-            from repro.parallel import default_backend
-
-            return default_backend()
-        if self._backend is None:
-            from repro.parallel import resolve_backend
-
-            self._backend = resolve_backend(self._backend_spec)
-        return self._backend
-
-    def _evaluate_batch(
-        self, backend: Any, blinded: Sequence[int]
-    ) -> Tuple[int, ...]:
-        """Fan already-range-checked blinded elements across the backend.
-
-        Chunk boundaries are a pure function of batch size and worker
-        count, and results come back in submission order, so the response
-        tuple is element-for-element identical to the serial path.
-        """
-        from repro.parallel import (
-            TaskEnvelope,
-            balanced_chunk_size,
-            evaluate_blinded_chunk,
-            partition_chunks,
-        )
-
-        chunks = partition_chunks(
-            list(blinded), balanced_chunk_size(len(blinded), backend.workers)
-        )
-        envelope = TaskEnvelope(
-            fn=evaluate_blinded_chunk,
-            context=self.oprf,
-            label="keyservice.evaluate_batch",
-        )
-        results = backend.map_chunks(envelope, chunks)
-        return tuple(value for chunk in results for value in chunk)
 
     # -- rate limiting ------------------------------------------------------------
 
@@ -217,8 +165,7 @@ class KeyGenService:
                     # validate the whole batch before evaluating any element:
                     # rejecting mid-batch (after 0..k-1 modexps) would make
                     # the time-to-error reveal the index of the first bad
-                    # element — this holds for the fanned-out path too, which
-                    # only ever sees a fully validated batch
+                    # element
                     modulus = self.oprf.public_key.n
                     if any(
                         not 0 <= blinded < modulus
@@ -227,20 +174,11 @@ class KeyGenService:
                         raise ProtocolError(
                             "invalid OPRF request: blinded value out of range"
                         )
-                    backend = self._batch_backend()
                     try:
-                        if (
-                            backend is not None
-                            and len(message.blinded) >= self.parallel_threshold
-                        ):
-                            evaluated = self._evaluate_batch(
-                                backend, message.blinded
-                            )
-                        else:
-                            evaluated = tuple(
-                                self.oprf.evaluate_blinded(blinded)
-                                for blinded in message.blinded
-                            )
+                        evaluated = tuple(
+                            self.oprf.evaluate_blinded(blinded)
+                            for blinded in message.blinded
+                        )
                     except ParameterError as exc:
                         raise ProtocolError(
                             f"invalid OPRF request: {exc}"

@@ -33,7 +33,7 @@ the rescore is skipped entirely (``server_rescore_skipped``).  The
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.matching import position_window, score_table
 from repro.core.scheme import EncryptedProfile
@@ -41,10 +41,8 @@ from repro.errors import MatchingError, ParameterError
 from repro.server.storage import ProfileStore
 from repro.obs.instrument import count_op
 from repro.obs.metrics import (
-    M_MATCHER_BULK_QUERIES,
     M_MATCHER_GROUPS_INDEXED,
     M_MATCHER_GROUP_GENERATION,
-    metric_inc,
     metric_set,
 )
 from repro.obs.trace import span
@@ -123,9 +121,9 @@ class _GroupIndex:
         """Fold one member in (replacing any previous chain for the id)."""
         if user_id in self.chains:
             self.remove(user_id)
+        # ProfileStore.put refuses a chain whose length differs from the
+        # group's before any listener hears of it
         chain = tuple(chain)
-        if self.chains and len(chain) != len(next(iter(self.chains.values()))):
-            raise ParameterError("chain length disagrees with the group")
         self.chains[user_id] = chain
         self.generation += 1
         if self.method == "value":
@@ -285,88 +283,6 @@ class ServerMatcher:
         # FIND(v, C'): the side table gives the score, bisection the
         # position; the window expansion itself is the shared pure function.
         return position_window(ordered, my_score, query_user, k)
-
-    def query_bulk(
-        self,
-        query_users: Sequence[int],
-        k: int,
-        backend: Optional[object] = None,
-        chunk_size: Optional[int] = None,
-    ) -> Dict[int, List[int]]:
-        """Many-requester fan-out: ``{user: match(user, k)}`` for each user.
-
-        All touched group indexes are settled **once** up front (snapshot),
-        then the per-query window expansions — pure functions of the frozen
-        ``(score, uid)`` orders — are fanned across an execution backend
-        (:mod:`repro.parallel`).  ``backend=None`` falls back to the process
-        default (:func:`repro.parallel.default_backend`), else runs serial.
-        Results are identical to calling :meth:`match` per user against an
-        unchanged store.
-        """
-        from repro.parallel import (
-            BulkMatchContext,
-            SerialBackend,
-            TaskEnvelope,
-            balanced_chunk_size,
-            bulk_match_chunk,
-            default_backend,
-            partition_chunks,
-            resolve_backend,
-        )
-
-        if k < 1:
-            raise ParameterError("k must be >= 1")
-        query_users = list(query_users)
-        for user in query_users:
-            if not self._store.contains(user):
-                raise MatchingError(f"unknown user {user}")
-        exec_backend = (
-            resolve_backend(backend)
-            if backend is not None
-            else (default_backend() or SerialBackend())
-        )
-        metric_inc(M_MATCHER_BULK_QUERIES, len(query_users))
-        with span(
-            "server.query_bulk",
-            queries=len(query_users),
-            backend=exec_backend.name,
-        ):
-            # Freeze every touched group's settled order once; the group
-            # handle is its position in the orders table (key indexes are
-            # key-derived hashes and never ship to worker processes).
-            orders: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-            score_tables: Dict[int, Dict[int, int]] = {}
-            memberships: Dict[int, Tuple[int, int]] = {}
-            handles: Dict[bytes, int] = {}
-            for user in query_users:
-                key_index = self._store.get(user).key_index
-                handle = handles.get(key_index)
-                if handle is None:
-                    ordered, scores = self._group_index(key_index).snapshot()
-                    handle = handles[key_index] = len(handles)
-                    orders[handle] = tuple(ordered)
-                    score_tables[handle] = scores
-                count_op("server_search")
-                memberships[user] = (handle, score_tables[handle][user])
-            context = BulkMatchContext(
-                orders=orders, memberships=memberships, k=k
-            )
-            if chunk_size is None:
-                chunk_size = balanced_chunk_size(
-                    len(query_users), exec_backend.workers
-                )
-            chunks = partition_chunks(query_users, chunk_size)
-            envelope = TaskEnvelope(
-                fn=bulk_match_chunk,
-                context=context,
-                label="server.query_bulk",
-            )
-            results = exec_backend.map_chunks(envelope, chunks)
-        out: Dict[int, List[int]] = {}
-        for chunk, chunk_result in zip(chunks, results):
-            for user, matches in zip(chunk, chunk_result):
-                out[user] = matches
-        return out
 
     def match_within(self, query_user: int, max_distance: int) -> List[int]:
         """MAX-distance matching: all group members within a score radius."""

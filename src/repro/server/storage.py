@@ -76,8 +76,21 @@ class ProfileStore:
         return len(self._groups)
 
     def put(self, payload: EncryptedProfile) -> None:
-        """Insert or replace a user's encrypted profile."""
+        """Insert or replace a user's encrypted profile.
+
+        A chain whose length differs from its group's is rejected before
+        anything changes.  A group's stored members all share one length,
+        so any one of them decides; only a sole member replacing its own
+        record may change the length.
+        """
         uid = payload.user_id
+        group = self._groups.get(payload.key_index)
+        if group is not None and (len(group) > 1 or uid not in group):
+            member = next(iter(group.values()))
+            if len(member.chain) != len(payload.chain):
+                raise ParameterError(
+                    "chain length disagrees with the key group"
+                )
         old = self._profiles.get(uid)
         previous = old.key_index if old is not None else None
         if previous is not None and previous != payload.key_index:

@@ -111,15 +111,20 @@ def _digest(parts) -> str:
 
 
 class TestPinnedCiphertexts:
-    """Wire bytes pinned to SHA-256 digests of what the byte-oriented AES
-    produced.
+    """Wire bytes pinned to SHA-256 digests.
 
-    CTR is its own inverse, so a wrong but self-consistent keystream would
-    pass every seal/open round trip and every Vf; only fixed bytes catch it.
+    The upload and channel-body digests are what the byte-oriented AES
+    produced.  CTR is its own inverse, so a wrong but self-consistent
+    keystream would pass every seal/open round trip and every Vf; only
+    fixed bytes catch it.
     """
 
-    #: SHA-256 over the datagrams of :meth:`test_secure_channel_datagrams`.
-    CHANNEL_DIGEST = "55013ea2aa0601671a07c013afdf3d3f71fa412d866c230b5f7c83332d62b779"
+    #: SHA-256 over the datagrams of :meth:`test_secure_channel_datagrams`,
+    #: MAC tags (and so the direction labels they bind) included.
+    CHANNEL_DIGEST = "c0e91450f5ebf2f1ea6d661dc2022be24fbabd380e388e89be36c4371e8efd9e"
+    #: The same digest over each datagram's IV and body only: the AES-CTR
+    #: output, independent of what the MAC tag covers.
+    CHANNEL_BODY_DIGEST = "f0d77570a7fe947d355c693d7f1f3bea9996e88da9ec502782e35f059d42ddd1"
     #: SHA-256 over the encoded uploads of :meth:`test_enrolled_uploads`.
     UPLOAD_DIGEST = "c86a2a7d2fbd6d2bbbee283a65605129e01ed10dc14a04941280e0ef4adfb727"
 
@@ -140,6 +145,9 @@ class TestPinnedCiphertexts:
             datagrams.append(server.recv()[1])
             to_phone.send(_RawBody(body[::-1]))
             datagrams.append(phone.recv()[1])
+        assert _digest(d[:16] + d[48:] for d in datagrams) == (
+            self.CHANNEL_BODY_DIGEST
+        )
         assert _digest(datagrams) == self.CHANNEL_DIGEST
 
     def test_enrolled_uploads(self):

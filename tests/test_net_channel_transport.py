@@ -116,6 +116,20 @@ class TestSecureChannel:
         with pytest.raises(IntegrityError):
             server.recv()
 
+    def test_reflection_rejected(self):
+        """A datagram bounced back to its own sender fails authentication."""
+        net = InMemoryNetwork()
+        a = net.endpoint("client")
+        b = net.endpoint("server")
+        client = SecureChannel(a, "server", b"k")
+        client.send(QueryRequest(query_id=1, timestamp=0, user_id=1))
+        _, datagram = b.recv()
+        # the client receives under sequence 0, the number it sent under,
+        # so only the direction label tells the reflected datagram apart
+        b.send("client", datagram)
+        with pytest.raises(IntegrityError):
+            client.recv()
+
     def test_unexpected_peer_rejected(self):
         net = InMemoryNetwork()
         a = net.endpoint("client")

@@ -3,8 +3,7 @@
 The contract under test: for seeded work, the serial and process backends
 produce **byte-identical** results for any worker count and any chunking,
 because chunk boundaries are a pure function of (batch size, chunk_size)
-and results are collected in submission order.  On top of that: the
-batched OPRF path returns identical evaluations across backends, a
+and results are collected in submission order.  On top of that: a
 crashing worker surfaces a typed :class:`~repro.errors.WorkerCrashError`
 without deadlocking (and the pool recovers), and the name resolution
 plumbing behaves.
@@ -18,26 +17,19 @@ import pytest
 
 from repro.core.profile import Profile, ProfileSchema
 from repro.core.scheme import SMatch, SMatchParams
-from repro.crypto.oprf import RsaOprfServer
 from repro.errors import (
     ParallelError,
     ParameterError,
     WorkerCrashError,
 )
-from repro.net.oprf_messages import BatchedBlindEvalRequest
 from repro.parallel import (
     ProcessBackend,
     SerialBackend,
     TaskEnvelope,
     balanced_chunk_size,
-    default_backend,
     partition_chunks,
     resolve_backend,
-    set_default_backend,
 )
-from repro.server.keyservice import KeyGenService
-from repro.server.matcher import ServerMatcher
-from repro.server.storage import ProfileStore
 from repro.utils.rand import SystemRandomSource
 
 SCHEMA = ProfileSchema.uniform(["a", "b", "c"], 1 << 12)
@@ -127,120 +119,6 @@ class TestEnrollmentEquivalence:
         _assert_same(a, b)
 
 
-# -- batched OPRF equivalence --------------------------------------------------
-
-
-class TestBatchedOprfEquivalence:
-    @pytest.fixture(scope="class")
-    def oprf_and_batch(self):
-        rng = SystemRandomSource(3)
-        oprf = RsaOprfServer(bits=512, rng=rng)
-        blinded = tuple(rng.getrandbits(64) for _ in range(12))
-        return oprf, blinded
-
-    @pytest.mark.parametrize(
-        "backend_factory",
-        [
-            lambda: None,  # serial inline path
-            lambda: SerialBackend(),
-            lambda: ProcessBackend(3, mp_context="fork"),
-            lambda: ProcessBackend(2, mp_context="fork"),
-        ],
-    )
-    def test_batched_eval_identical(self, oprf_and_batch, backend_factory):
-        oprf, blinded = oprf_and_batch
-        reference = tuple(oprf.evaluate_blinded(b) for b in blinded)
-        backend = backend_factory()
-        service = KeyGenService(
-            oprf_server=oprf,
-            max_requests_per_window=100,
-            backend=backend,
-            parallel_threshold=4,
-        )
-        try:
-            response = service.handle_message(
-                "c", BatchedBlindEvalRequest(request_id=1, blinded=blinded)
-            )
-        finally:
-            if backend is not None:
-                backend.close()
-        assert response.evaluated == reference
-        assert service.evaluations_served == len(blinded)
-
-    def test_small_batches_stay_serial(self, oprf_and_batch):
-        oprf, blinded = oprf_and_batch
-
-        class ExplodingBackend:
-            name = "exploding"
-            workers = 4
-
-            def map_chunks(self, envelope, chunks):
-                raise AssertionError("small batch must not fan out")
-
-            def close(self):
-                pass
-
-        service = KeyGenService(
-            oprf_server=oprf,
-            max_requests_per_window=100,
-            backend=ExplodingBackend(),
-            parallel_threshold=8,
-        )
-        response = service.handle_message(
-            "c", BatchedBlindEvalRequest(request_id=1, blinded=blinded[:3])
-        )
-        assert response.evaluated == tuple(
-            oprf.evaluate_blinded(b) for b in blinded[:3]
-        )
-
-
-# -- bulk matching -------------------------------------------------------------
-
-
-class TestQueryBulk:
-    @pytest.fixture(scope="class")
-    def matcher_and_users(self):
-        scheme = SMatch(
-            SMatchParams(schema=SCHEMA, theta=1, plaintext_bits=64),
-            rng=SystemRandomSource(41),
-        )
-        # identical attribute values -> one key group for everyone
-        profiles = [Profile(i, SCHEMA, (40, 400, 4000)) for i in range(1, 9)]
-        uploads, _ = scheme.enroll_population(
-            profiles, backend="serial", seed=9
-        )
-        store = ProfileStore()
-        matcher = ServerMatcher(store)
-        for payload in uploads.values():
-            store.put(payload)
-        return matcher, sorted(uploads)
-
-    def test_bulk_matches_per_user_match(self, matcher_and_users):
-        matcher, users = matcher_and_users
-        singles = {u: matcher.match(u, 3) for u in users}
-        assert matcher.query_bulk(users, 3) == singles
-
-    @pytest.mark.parametrize("chunk_size", [1, 3, None])
-    def test_bulk_identical_across_backends(self, matcher_and_users, chunk_size):
-        matcher, users = matcher_and_users
-        serial = matcher.query_bulk(
-            users, 3, backend="serial", chunk_size=chunk_size
-        )
-        for workers in (2, 3):
-            with ProcessBackend(workers, mp_context="fork") as backend:
-                processed = matcher.query_bulk(
-                    users, 3, backend=backend, chunk_size=chunk_size
-                )
-            assert processed == serial
-
-    def test_unknown_user_rejected_up_front(self, matcher_and_users):
-        from repro.errors import MatchingError
-
-        matcher, users = matcher_and_users
-        with pytest.raises(MatchingError):
-            matcher.query_bulk(users + [99999], 3)
-
-
 # -- failure surfacing ---------------------------------------------------------
 
 
@@ -288,7 +166,7 @@ class TestFailureSurfacing:
 class TestResolution:
     def test_names_resolve(self):
         assert resolve_backend("serial").name == "serial"
-        assert resolve_backend("process", 2).workers == 2
+        assert resolve_backend("process").workers == (os.cpu_count() or 1)
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
 
@@ -300,29 +178,9 @@ class TestResolution:
         with pytest.raises(ParameterError):
             resolve_backend(42)
 
-    def test_env_variable_default(self, monkeypatch):
-        set_default_backend(None)
-        monkeypatch.delenv("SMATCH_BACKEND", raising=False)
-        assert default_backend() is None
-        monkeypatch.setenv("SMATCH_BACKEND", "process")
-        backend = default_backend()
-        assert backend is not None and backend.name == "process"
-        # cached per name across call sites
-        assert default_backend() is backend
-
-    def test_explicit_default_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("SMATCH_BACKEND", "process")
-        try:
-            installed = set_default_backend("serial")
-            assert default_backend() is installed
-        finally:
-            set_default_backend(None)
-
     def test_workers_validated(self):
         with pytest.raises(ParameterError):
             ProcessBackend(0)
-        with pytest.raises(ParameterError):
-            ProcessBackend(2, max_inflight=0)
 
 
 # -- cross-backend telemetry equivalence ---------------------------------------

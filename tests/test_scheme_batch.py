@@ -107,9 +107,10 @@ class TestSeededDeterminism:
         with pytest.raises(ParameterError):
             scheme.enroll_population(profiles, backend="vectorized")
 
-    def test_legacy_sequential_path_unchanged(self, population):
+    def test_legacy_sequential_path_unchanged(self, population, monkeypatch):
         # no backend and no seed must keep drawing from the instance RNG
-        # exactly as the pre-batching loop did
+        # exactly as the pre-batching loop did, whatever the environment
+        monkeypatch.setenv("SMATCH_BACKEND", "process")
         pop, profiles = population
         batch = _fresh_scheme(pop).enroll_population(profiles)
         loop_scheme = _fresh_scheme(pop)

@@ -1,5 +1,7 @@
 """Tests for the untrusted server: storage, matcher, service, adversaries."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import MatchingError, ParameterError, ProtocolError
@@ -220,6 +222,47 @@ class TestService:
             server.handle_message(
                 QueryResult(query_id=1, timestamp=0, entries=())
             )
+
+
+class TestMismatchedChainUpload:
+    """A re-upload whose chain length differs from its key group's is
+    refused before it is stored, so one member cannot stop the group
+    matching: every member's answer equals a server that never saw it."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_group_answers_unchanged(self, enrolled, warm):
+        _, _, uploads, _ = enrolled
+        payloads = [uploads[uid] for uid in sorted(uploads)]
+        target = next(
+            p
+            for p in payloads
+            if sum(q.key_index == p.key_index for q in payloads) > 1
+        )
+        group = [p.user_id for p in payloads if p.key_index == target.key_index]
+
+        def loaded():
+            server = SMatchServer(query_k=3)
+            for payload in payloads:
+                server.handle_message(UploadMessage(payload=payload))
+            return server
+
+        def answers(server):
+            return [
+                server.handle_message(
+                    QueryRequest(query_id=uid, timestamp=0, user_id=uid)
+                ).encode()
+                for uid in group
+            ]
+
+        server = loaded()
+        if warm:
+            answers(server)  # index the group before the bad upload
+        widened = dataclasses.replace(
+            target, chain=target.chain + (target.chain[-1] + 1,)
+        )
+        with pytest.raises(ParameterError):
+            server.handle_message(UploadMessage(payload=widened))
+        assert answers(server) == answers(loaded())
 
 
 class TestMaliciousServer:

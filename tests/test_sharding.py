@@ -61,6 +61,13 @@ def _moved(payload, key_index):
     return dataclasses.replace(payload, key_index=key_index)
 
 
+def _widened(payload):
+    """A re-upload carrying one chain element more than its group's."""
+    return dataclasses.replace(
+        payload, chain=payload.chain + (payload.chain[-1] + 1,)
+    )
+
+
 @pytest.fixture(scope="module")
 def payloads(enrolled):
     _, _, uploads, _ = enrolled
@@ -386,7 +393,7 @@ class TestFailedBatch:
         return state.apply([("query", uid, 3) for uid in uids])
 
     @pytest.mark.parametrize(
-        "case", ["put", "remove", "replace", "put-snapshot-put"]
+        "case", ["put", "remove", "replace", "put-snapshot-put", "widen"]
     )
     def test_memory_equals_disk_after_failed_batch(
         self, payloads, tmp_path, case
@@ -404,6 +411,9 @@ class TestFailedBatch:
                 ("snapshot",),
                 ("put", other_new),
             ],
+            # base[4] shares its group with three other members of base,
+            # so the longer chain must be refused before it is stored
+            "widen": [("put", _widened(base[4]))],
         }[case]
         uids = [p.user_id for p in payloads[:10]]
         state = ShardState(0, directory=tmp_path, fsync=False)

@@ -281,8 +281,8 @@ class TestSml013TaskEscape:
         assert "_CONTEXT" in found[0].message
 
     def test_non_task_global_rebind_clean(self):
-        # rebinding an immutable-valued global outside task units is the
-        # set_default_backend idiom — not a worker-visible escape
+        # rebinding an immutable-valued global outside task units (a
+        # configuration setter) is not a worker-visible escape
         assert (
             check(
                 """

@@ -55,7 +55,7 @@ _WIRE_MESSAGE_CTOR_RE = re.compile(
 #: Function names that denote parallel task units (SML011): the chunk
 #: functions shipped to worker processes and the pool worker plumbing.
 #: Matched against whole underscore-delimited trailing segments, so
-#: ``enroll_chunk``, ``bulk_match_chunk``, and ``_initialize_worker`` hit.
+#: ``enroll_chunk``, ``_run_chunk``, and ``_initialize_worker`` hit.
 _PARALLEL_TASK_NAME_RE = re.compile(r"(?:^|_)(?:chunk|task|worker)s?$")
 
 #: Identifier segments that mark a name as a lock for SML012/SML014:
