@@ -37,7 +37,6 @@ _EXPERIMENTS = {
     "fig5abc": lambda a: _mod().fig5abc.run(a.dataset, sizes=(64, 256, 1024)),
     "fig5def": lambda a: _mod().fig5def.run(a.dataset),
     "costmodel": lambda a: _mod().costmodel.run(),
-    "costmodel_batched": lambda a: _mod().costmodel.run_batched_oprf(),
     "scaling": lambda a: _mod().scaling.run(),
     "testbed": lambda a: _mod().testbed.run(a.dataset, sizes=(64, 256, 1024)),
 }

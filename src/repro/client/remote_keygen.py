@@ -12,18 +12,16 @@ profile.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.core.keygen import ProfileKey
 from repro.core.profile import Profile
 from repro.crypto.kdf import sha256
-from repro.crypto.oprf import RsaOprfClient
+from repro.crypto.oprf import BlindingState, RsaOprfClient
 from repro.crypto.rsa import RSAPublicKey
 from repro.errors import ProtocolError
 from repro.net.channel import SecureChannel
 from repro.net.oprf_messages import (
-    BatchedBlindEvalRequest,
-    BatchedBlindEvalResponse,
     OprfKeyInfo,
     OprfKeyInfoRequest,
     OprfRequest,
@@ -33,6 +31,11 @@ from repro.rs.fuzzy import FuzzyExtractor, FuzzyParams
 from repro.utils.rand import SystemRandomSource
 
 __all__ = ["RemoteKeygenClient"]
+
+#: What :meth:`RemoteKeygenClient.begin_derivation` hands to
+#: :meth:`~RemoteKeygenClient.finish_derivation`: the request id, the OPRF
+#: client and its blinding.
+DerivationState = Tuple[int, RsaOprfClient, BlindingState]
 
 
 class RemoteKeygenClient:
@@ -87,10 +90,10 @@ class RemoteKeygenClient:
 
     def begin_derivation(
         self, profile: Profile, erasures: Optional[Sequence[int]] = None
-    ):
+    ) -> DerivationState:
         """Blind the profile's key material and send the OPRF request.
 
-        Returns opaque state to pass to :meth:`finish_derivation`.
+        Returns the state to pass to :meth:`finish_derivation`.
         """
         k_prime = self.extractor.key_material(
             profile.values, erasures=erasures
@@ -103,7 +106,7 @@ class RemoteKeygenClient:
         )
         return request_id, oprf_client, blinding
 
-    def finish_derivation(self, state) -> ProfileKey:
+    def finish_derivation(self, state: DerivationState) -> ProfileKey:
         """Receive the evaluation, unblind, and assemble the profile key."""
         request_id, oprf_client, blinding = state
         message = self._channel.recv()
@@ -117,53 +120,3 @@ class RemoteKeygenClient:
         return ProfileKey(
             key=key, index=sha256(b"smatch-key-index", key)
         )
-
-    # -- batched round -------------------------------------------------------------
-
-    def begin_batch_derivation(self, profiles: Sequence[Profile]):
-        """Blind every profile's key material; one wire round for the batch.
-
-        Sends a single :class:`BatchedBlindEvalRequest` carrying all blinded
-        values (amortizing per-message framing and channel overhead across
-        the batch) and returns opaque state for
-        :meth:`finish_batch_derivation`.
-        """
-        if not profiles:
-            raise ProtocolError("batch derivation needs at least one profile")
-        oprf_client = RsaOprfClient(self.public_key, rng=self._rng)
-        # key_material is a pure hash (no randomness), so hoisting it out
-        # of the blinding loop preserves the client's RNG draw sequence
-        blindings = oprf_client.blind_batch(
-            [self.extractor.key_material(p.values) for p in profiles]
-        )
-        request_id = self._next_id()
-        self._channel.send(
-            BatchedBlindEvalRequest(
-                request_id=request_id,
-                blinded=tuple(b.blinded for b in blindings),
-            )
-        )
-        return request_id, oprf_client, blindings
-
-    def finish_batch_derivation(self, state) -> List[ProfileKey]:
-        """Receive the batched evaluations; keys come back in batch order."""
-        request_id, oprf_client, blindings = state
-        message = self._channel.recv()
-        if not isinstance(message, BatchedBlindEvalResponse):
-            raise ProtocolError(
-                f"expected BatchedBlindEvalResponse, got "
-                f"{type(message).__name__}"
-            )
-        if message.request_id != request_id:
-            raise ProtocolError("batched OPRF response id mismatch")
-        if len(message.evaluated) != len(blindings):
-            raise ProtocolError(
-                "batched OPRF response count disagrees with the request"
-            )
-        keys = []
-        for blinding, evaluated in zip(blindings, message.evaluated):
-            key = oprf_client.finalize(blinding, evaluated)
-            keys.append(
-                ProfileKey(key=key, index=sha256(b"smatch-key-index", key))
-            )
-        return keys

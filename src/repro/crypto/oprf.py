@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.crypto.kdf import hash_to_range, sha256
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey
 from repro.errors import CryptoError, ParameterError
-from repro.ntheory.modular import modexp, modinv, modinv_batch
+from repro.ntheory.modular import modexp, modinv
 from repro.obs.trace import span
 from repro.utils.ct import constant_time_eq
 from repro.utils.rand import SystemRandomSource
@@ -95,36 +95,6 @@ class RsaOprfClient:
             blinded = hm * modexp(s, self.public_key.e, n) % n
             return BlindingState(blinded=blinded, unblinder=modinv(s, n))
 
-    def blind_batch(self, messages: Sequence[bytes]) -> List[BlindingState]:
-        """Blind a whole batch, amortizing the unblinder inversions.
-
-        Produces exactly the states ``[blind(m) for m in messages]`` would —
-        the blinding factors are drawn in the same order, so a seeded client
-        is batch-size-invariant — but computes every ``s^{-1}`` with one
-        Montgomery batch inversion (:func:`~repro.ntheory.modular.
-        modinv_batch`): a single extended GCD plus three multiplications per
-        message, instead of one extended GCD each.
-        """
-        with span("oprf.blind_batch", count=len(messages)):
-            n = self.public_key.n
-            factors: List[int] = []
-            hashed: List[int] = []
-            for message in messages:
-                hashed.append(hash_to_range(b"oprf-input" + message, n))
-                while True:
-                    s = self._rng.randrange(2, n - 1)
-                    if math.gcd(s, n) == 1:
-                        break
-                factors.append(s)
-            unblinders = modinv_batch(factors, n)
-            e = self.public_key.e
-            return [
-                BlindingState(
-                    blinded=hm * modexp(s, e, n) % n, unblinder=unblinder
-                )
-                for hm, s, unblinder in zip(hashed, factors, unblinders)
-            ]
-
     def finalize(self, state: BlindingState, response: int) -> bytes:
         """``r = h'(y * s^{-1} mod N)``, with a consistency check.
 
@@ -151,14 +121,3 @@ class RsaOprfClient:
         response = server.evaluate_blinded(state.blinded)
         return self.finalize(state, response)
 
-
-def run_oprf(
-    message: bytes,
-    server: RsaOprfServer,
-    rng: Optional[SystemRandomSource] = None,
-) -> Tuple[bytes, BlindingState]:
-    """Convenience: run the protocol and return (output, blinding state)."""
-    client = RsaOprfClient(server.public_key, rng=rng)
-    state = client.blind(message)
-    response = server.evaluate_blinded(state.blinded)
-    return client.finalize(state, response), state

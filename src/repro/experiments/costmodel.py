@@ -16,28 +16,14 @@ O(d) + O(1) structure: the count is affine in d and independent of k).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
-from repro.crypto.fixtures import fixed_rsa_keypair
-from repro.crypto.oprf import RsaOprfClient, RsaOprfServer
 from repro.datasets import INFOCOM06
 from repro.datasets.schema import DatasetSpec
 from repro.experiments.common import ExperimentResult, build_population, build_scheme
-from repro.net.oprf_messages import (
-    BatchedBlindEvalRequest,
-    BatchedBlindEvalResponse,
-    OprfRequest,
-    OprfResponse,
-)
 from repro.obs.instrument import counting
-from repro.utils.rand import SystemRandomSource
 
-__all__ = [
-    "run",
-    "run_batched_oprf",
-    "pipeline_op_counts",
-    "batched_oprf_round_bytes",
-]
+__all__ = ["run", "pipeline_op_counts"]
 
 
 def pipeline_op_counts(
@@ -73,69 +59,6 @@ def pipeline_op_counts(
         scheme.verify(auth_info, key)
     phases["vf"] = c.as_dict()
     return phases
-
-
-def batched_oprf_round_bytes(
-    batch_size: int, seed: int = 6
-) -> Dict[str, int]:
-    """Measured wire bytes of ``batch_size`` OPRF evaluations, both shapes.
-
-    Encodes the real messages of a full evaluation round under the fixed
-    1024-bit RSA parameters: one :class:`OprfRequest`/:class:`OprfResponse`
-    pair per input versus a single batched pair carrying all inputs.  The
-    batched shape saves the per-message tag/request-id framing here, and —
-    on a live :class:`~repro.net.channel.SecureChannel` — one AEAD
-    nonce/tag/length envelope per avoided message on top.
-    """
-    rng = SystemRandomSource(seed)
-    server = RsaOprfServer(keypair=fixed_rsa_keypair(1024))
-    client = RsaOprfClient(server.public_key, rng=rng)
-    blindings = [
-        client.blind(b"batched-costmodel-%d" % i) for i in range(batch_size)
-    ]
-    evaluated = [server.evaluate_blinded(b.blinded) for b in blindings]
-    per_message = 0
-    for i, (blinding, value) in enumerate(zip(blindings, evaluated)):
-        request = OprfRequest(request_id=i + 1, blinded=blinding.blinded)
-        response = OprfResponse(request_id=i + 1, evaluated=value)
-        per_message += len(request.encode()) + len(response.encode())
-    batch_request = BatchedBlindEvalRequest(
-        request_id=1, blinded=tuple(b.blinded for b in blindings)
-    )
-    batch_response = BatchedBlindEvalResponse(
-        request_id=1, evaluated=tuple(evaluated)
-    )
-    batched = len(batch_request.encode()) + len(batch_response.encode())
-    return {
-        "batch_size": batch_size,
-        "per_message_bytes": per_message,
-        "batched_bytes": batched,
-        "saved_bytes": per_message - batched,
-        "messages_avoided": 2 * (batch_size - 1),
-    }
-
-
-def run_batched_oprf(
-    batch_sizes: Sequence[int] = (1, 4, 16, 64), seed: int = 6
-) -> ExperimentResult:
-    """The batched-OPRF data point for the network cost model."""
-    result = ExperimentResult(
-        name="Batched OPRF round: wire bytes vs one message per user",
-        columns=[
-            "batch_size",
-            "per_message_bytes",
-            "batched_bytes",
-            "saved_bytes",
-            "messages_avoided",
-        ],
-        notes=(
-            "Message payloads only; each avoided message also saves its "
-            "secure-channel AEAD envelope."
-        ),
-    )
-    for batch_size in batch_sizes:
-        result.add_row(**batched_oprf_round_bytes(batch_size, seed=seed))
-    return result
 
 
 def run() -> ExperimentResult:

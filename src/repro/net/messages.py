@@ -7,9 +7,13 @@ Three message types flow between a user and the untrusted server:
 * :class:`QueryRequest` — ``Q_q = <q, t, ID_v>``;
 * :class:`QueryResult` — ``R_q = <q, t, ID_1, ciph_1, ..., ID_k, ciph_k>``.
 
-Messages self-describe with a one-byte type tag followed by length-prefixed
-fields (:mod:`repro.utils.serial`), so the communication-cost experiments
-measure real encoded sizes — not estimates.
+Messages are length-prefixed fields (:mod:`repro.utils.serial`) whose first
+field is the type tag, an unsigned integer field like the rest (5 bytes for
+tags below 256), so the communication-cost experiments measure real encoded
+sizes — not estimates.  Tags 1–3 are the three messages above; 16–19 are the
+key service's (:mod:`repro.net.oprf_messages`).  Tags 20 and 21 belonged to
+a retired batched OPRF round, and :func:`decode_message` refuses them like
+any unknown tag.
 """
 
 from __future__ import annotations

@@ -11,9 +11,7 @@ raw-RSA evaluation.  Both directions ride the same
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
-from repro.errors import ProtocolError
 from repro.net import messages as base
 from repro.utils.serial import FieldReader, FieldWriter
 
@@ -22,16 +20,13 @@ __all__ = [
     "OprfResponse",
     "OprfKeyInfoRequest",
     "OprfKeyInfo",
-    "BatchedBlindEvalRequest",
-    "BatchedBlindEvalResponse",
 ]
 
 _TAG_OPRF_REQUEST = 16
 _TAG_OPRF_RESPONSE = 17
 _TAG_OPRF_KEYINFO_REQUEST = 18
 _TAG_OPRF_KEYINFO = 19
-_TAG_OPRF_BATCH_REQUEST = 20
-_TAG_OPRF_BATCH_RESPONSE = 21
+# tags 20/21 carried a retired batched round; decode_message refuses them
 
 
 @dataclass(frozen=True)
@@ -140,85 +135,8 @@ class OprfKeyInfo(base.Message):
         )
 
 
-@dataclass(frozen=True)
-class BatchedBlindEvalRequest(base.Message):
-    """Client -> key service: many blinded inputs in one round-trip.
-
-    Batch enrollment blinds every profile's key material up front and ships
-    the whole batch as one message, amortizing the per-message framing and
-    channel overhead the cost model's ``oprf_wire_bits`` breakdown charges
-    per round (see ``experiments/costmodel.py``).  The service charges the
-    client's rate-limit budget **all-or-nothing** for the whole batch.
-    """
-
-    request_id: int
-    blinded: Tuple[int, ...]
-
-    TAG = _TAG_OPRF_BATCH_REQUEST
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blinded", tuple(self.blinded))
-        if not self.blinded:
-            raise ProtocolError("batched OPRF request must carry >= 1 value")
-
-    def encode(self) -> bytes:
-        """Serialize to tagged, length-prefixed wire bytes."""
-        w = FieldWriter()
-        w.write_int(self.TAG)
-        w.write_int(self.request_id)
-        w.write_int(len(self.blinded))
-        for value in self.blinded:
-            w.write_int(value)
-        return w.getvalue()
-
-    @classmethod
-    def decode_fields(cls, reader: FieldReader) -> "BatchedBlindEvalRequest":
-        """Decode the message body from a field reader."""
-        request_id = reader.read_int()
-        count = reader.read_int()
-        values = tuple(reader.read_int() for _ in range(count))
-        reader.expect_end()
-        return cls(request_id=request_id, blinded=values)
-
-
-@dataclass(frozen=True)
-class BatchedBlindEvalResponse(base.Message):
-    """Key service -> client: evaluations in request order."""
-
-    request_id: int
-    evaluated: Tuple[int, ...]
-
-    TAG = _TAG_OPRF_BATCH_RESPONSE
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "evaluated", tuple(self.evaluated))
-        if not self.evaluated:
-            raise ProtocolError("batched OPRF response must carry >= 1 value")
-
-    def encode(self) -> bytes:
-        """Serialize to tagged, length-prefixed wire bytes."""
-        w = FieldWriter()
-        w.write_int(self.TAG)
-        w.write_int(self.request_id)
-        w.write_int(len(self.evaluated))
-        for value in self.evaluated:
-            w.write_int(value)
-        return w.getvalue()
-
-    @classmethod
-    def decode_fields(cls, reader: FieldReader) -> "BatchedBlindEvalResponse":
-        """Decode the message body from a field reader."""
-        request_id = reader.read_int()
-        count = reader.read_int()
-        values = tuple(reader.read_int() for _ in range(count))
-        reader.expect_end()
-        return cls(request_id=request_id, evaluated=values)
-
-
 # register with the shared decoder
 base._DECODERS[_TAG_OPRF_REQUEST] = OprfRequest.decode_fields
 base._DECODERS[_TAG_OPRF_RESPONSE] = OprfResponse.decode_fields
 base._DECODERS[_TAG_OPRF_KEYINFO_REQUEST] = OprfKeyInfoRequest.decode_fields
 base._DECODERS[_TAG_OPRF_KEYINFO] = OprfKeyInfo.decode_fields
-base._DECODERS[_TAG_OPRF_BATCH_REQUEST] = BatchedBlindEvalRequest.decode_fields
-base._DECODERS[_TAG_OPRF_BATCH_RESPONSE] = BatchedBlindEvalResponse.decode_fields

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import ParameterError
 from repro.obs.instrument import count_op
 
-__all__ = ["egcd", "modinv", "modinv_batch", "crt_pair", "lcm", "modexp"]
+__all__ = ["egcd", "modinv", "crt_pair", "lcm", "modexp"]
 
 
 def egcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -32,39 +32,6 @@ def modinv(a: int, m: int) -> int:
     if g != 1:
         raise ParameterError(f"{a} is not invertible modulo {m} (gcd={g})")
     return x % m
-
-
-def modinv_batch(values: Sequence[int], m: int) -> List[int]:
-    """Inverses of every value modulo ``m`` via Montgomery's batch trick.
-
-    One prefix-product pass, a single :func:`modinv` of the running
-    product, and a back-substitution pass: ``3(k-1)`` multiplications plus
-    one extended GCD for ``k`` values, versus ``k`` extended GCDs for
-    repeated :func:`modinv` calls.  Raises naming the offending position if
-    any value is not invertible (checked up front so the failure does not
-    depend on the fold order).
-    """
-    if m <= 0:
-        raise ParameterError(f"modulus must be positive, got {m}")
-    reduced = [value % m for value in values]
-    for position, value in enumerate(reduced):
-        if math.gcd(value, m) != 1:
-            raise ParameterError(
-                f"value at position {position} is not invertible "
-                f"modulo the given modulus"
-            )
-    if not reduced:
-        return []
-    prefix = [reduced[0]]
-    for value in reduced[1:]:
-        prefix.append(prefix[-1] * value % m)
-    inverse = modinv(prefix[-1], m)
-    out = [0] * len(reduced)
-    for position in range(len(reduced) - 1, 0, -1):
-        out[position] = inverse * prefix[position - 1] % m
-        inverse = inverse * reduced[position] % m
-    out[0] = inverse
-    return out
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:

@@ -89,13 +89,6 @@ M_MATCHER_GROUP_GENERATION = _metric(
 M_KEYSERVICE_EVALUATIONS = _metric(
     "smatch_keyservice_evaluations_total", "OPRF blind evaluations"
 )
-M_KEYSERVICE_BATCHED_EVALUATIONS = _metric(
-    "smatch_keyservice_batched_evaluations_total",
-    "blind evaluations served through the batched round",
-)
-M_KEYSERVICE_BATCHES = _metric(
-    "smatch_keyservice_batches_total", "batched OPRF rounds served"
-)
 M_KEYSERVICE_REJECTIONS = _metric(
     "smatch_keyservice_rejections_total", "rate-limit rejections"
 )

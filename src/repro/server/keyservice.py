@@ -22,8 +22,6 @@ from repro.crypto.oprf import RsaOprfServer
 from repro.errors import ParameterError, ProtocolError
 from repro.net.messages import Message
 from repro.net.oprf_messages import (
-    BatchedBlindEvalRequest,
-    BatchedBlindEvalResponse,
     OprfKeyInfo,
     OprfKeyInfoRequest,
     OprfRequest,
@@ -32,8 +30,6 @@ from repro.net.oprf_messages import (
 from repro.obs.logs import get_logger
 from repro.obs.metrics import (
     DURATION_US_BUCKETS,
-    M_KEYSERVICE_BATCHED_EVALUATIONS,
-    M_KEYSERVICE_BATCHES,
     M_KEYSERVICE_EVALUATIONS,
     M_KEYSERVICE_REJECTIONS,
     M_SERVER_HANDLER_LATENCY_US,
@@ -79,12 +75,8 @@ class KeyGenService:
 
     # -- rate limiting ------------------------------------------------------------
 
-    def _charge_budget(self, client: str, now: int, amount: int) -> None:
-        """Charge ``amount`` evaluations all-or-nothing against the window.
-
-        A batch that exceeds the remaining budget is rejected whole without
-        consuming anything — partial batches would let a client smear one
-        over-limit batch across windows.
+    def _check_budget(self, client: str, now: int) -> None:
+        """Charge one evaluation against the client's window, or refuse it.
 
         SML007 reviewed: every branch here depends only on public request
         metadata (client id, counts, window timestamps) — the early raise
@@ -94,13 +86,12 @@ class KeyGenService:
         if budget is None or now - budget.window_start >= self.window_seconds:
             self._budgets[client] = _ClientBudget(window_start=now, used=0)
             budget = self._budgets[client]
-        if budget.used + amount > self.max_requests:
+        if budget.used >= self.max_requests:
             self.rejections += 1
             metric_inc(M_KEYSERVICE_REJECTIONS)
             _log.warning(
                 "rate_limit_exceeded",
                 client=client,
-                requested=amount,
                 limit=self.max_requests,
                 window_seconds=self.window_seconds,
             )
@@ -108,10 +99,7 @@ class KeyGenService:
                 f"client {client!r} exceeded {self.max_requests} OPRF "
                 f"evaluations per {self.window_seconds}s window"
             )
-        budget.used += amount
-
-    def _check_budget(self, client: str, now: int) -> None:
-        self._charge_budget(client, now, 1)
+        budget.used += 1
 
     def remaining_budget(self, client: str, now: int = 0) -> int:
         """Evaluations left in the client's current window."""
@@ -153,49 +141,6 @@ class KeyGenService:
                     # and smatch-lint tracks its output as wire-safe while
                     # still secret for the timing/size rules
                     return OprfResponse(
-                        request_id=message.request_id, evaluated=evaluated
-                    )
-            if isinstance(message, BatchedBlindEvalRequest):
-                with span(
-                    "keyservice.evaluate_batch",
-                    client=client,
-                    batch=len(message.blinded),
-                ):
-                    self._charge_budget(client, now, len(message.blinded))
-                    # validate the whole batch before evaluating any element:
-                    # rejecting mid-batch (after 0..k-1 modexps) would make
-                    # the time-to-error reveal the index of the first bad
-                    # element
-                    modulus = self.oprf.public_key.n
-                    if any(
-                        not 0 <= blinded < modulus
-                        for blinded in message.blinded
-                    ):
-                        raise ProtocolError(
-                            "invalid OPRF request: blinded value out of range"
-                        )
-                    try:
-                        evaluated = tuple(
-                            self.oprf.evaluate_blinded(blinded)
-                            for blinded in message.blinded
-                        )
-                    except ParameterError as exc:
-                        raise ProtocolError(
-                            f"invalid OPRF request: {exc}"
-                        ) from exc
-                    self.evaluations_served += len(evaluated)
-                    metric_inc(
-                        M_KEYSERVICE_EVALUATIONS, len(evaluated)
-                    )
-                    metric_inc(M_KEYSERVICE_BATCHES)
-                    metric_inc(
-                        M_KEYSERVICE_BATCHED_EVALUATIONS,
-                        len(evaluated),
-                    )
-                    # blinded-evaluation outputs: wire-safe through the same
-                    # registered blinding-mask transform as the
-                    # single-evaluation OprfResponse above
-                    return BatchedBlindEvalResponse(
                         request_id=message.request_id, evaluated=evaluated
                     )
             raise ProtocolError(

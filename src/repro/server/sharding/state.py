@@ -298,11 +298,11 @@ class ShardState:
         """Apply one op batch in order; one result slot per op.
 
         Mutations are WAL-buffered as they apply and committed once at the
-        end of the batch.  A failed op undoes the batch's in-memory
-        mutations and rolls the uncommitted buffer back before the error
-        propagates, so neither the store nor the log holds anything from a
-        batch the coordinator saw fail.  Mutations a mid-batch
-        ``("snapshot",)`` already made durable stay applied.
+        end of the batch.  A failed op or a failed commit undoes the
+        batch's in-memory mutations and rolls the uncommitted buffer back
+        before the error propagates, so neither the store nor the log
+        holds anything from a batch the coordinator saw fail.  Mutations a
+        mid-batch ``("snapshot",)`` already made durable stay applied.
         """
         results: List[object] = []
         undo: List[_Undo] = []
@@ -359,16 +359,15 @@ class ShardState:
                     os._exit(21)  # recovery-drill hook: die mid-batch
                 else:
                     raise ParameterError(f"unknown shard op {kind!r}")
+            if self._durability is not None:
+                self._records_since_snapshot += self._durability.commit()
         except BaseException:
             self._undo(undo)
             if self._durability is not None:
                 self._durability.rollback()
             raise
-        if self._durability is not None:
-            committed = self._durability.commit()
-            self._records_since_snapshot += committed
-            if self._records_since_snapshot >= self._snapshot_every:
-                self.snapshot_now()
+        if self._records_since_snapshot >= self._snapshot_every:
+            self.snapshot_now()
         if mutations:
             metric_inc(M_SHARD_OPS, mutations)
         if queries:

@@ -6,9 +6,9 @@ in the existing wire codec and framed as::
     [u32 length][u32 crc32][payload]
 
 Appends are buffered and made durable in **batches**: one
-:meth:`ShardWal.commit` per applied op batch writes all buffered frames,
-flushes, and issues a single ``fsync`` — the commit point after which the
-batch survives a crash.  Replay (:func:`replay_wal`) distinguishes the two
+:meth:`ShardWal.commit` per applied op batch writes all buffered frames
+and issues a single ``fsync`` — the commit point after which the batch
+survives a crash.  Replay (:func:`replay_wal`) distinguishes the two
 failure shapes a log file can be in:
 
 * a **torn tail** — the file ends inside the last frame (header or body
@@ -165,12 +165,14 @@ class ShardWal:
     """One shard's open WAL segment (single-writer, append-only).
 
     Appends buffer in memory; :meth:`commit` is the durability point —
-    it writes every buffered frame, flushes, and fsyncs once (``fsync=False``
-    skips the sync for benchmarks and tests on tmpfs, keeping the format
+    it writes every buffered frame and fsyncs once (``fsync=False`` skips
+    the sync for benchmarks and tests on tmpfs, keeping the format
     identical).  The file is opened at its last valid frame boundary:
     a torn tail from a previous crash is truncated away before the first
     new append, so a recovered log never interleaves old half-frames with
-    new records.
+    new records.  The file is unbuffered: whatever a commit wrote is in
+    the file when the commit returns or raises, so a cut-back leaves no
+    buffered bytes behind for a later flush to write past it.
     """
 
     def __init__(
@@ -181,10 +183,12 @@ class ShardWal:
         self._buffer: List[bytes] = []
         replayed = replay_wal(self._path)
         mode = "r+b" if self._path.exists() else "w+b"
-        self._file: Optional[BinaryIO] = open(self._path, mode)
+        self._file: Optional[BinaryIO] = open(self._path, mode, buffering=0)
         if replayed.torn_tail:
             self._file.truncate(replayed.valid_bytes)
-        self._file.seek(0, os.SEEK_END)
+        #: the file length at the last commit point
+        self._committed = self._file.seek(0, os.SEEK_END)
+        self._failed = False
         self.records_written = len(replayed.records)
 
     @property
@@ -196,6 +200,10 @@ class ShardWal:
         """Buffer one op record; durable only after :meth:`commit`."""
         if self._file is None:
             raise ParameterError("WAL segment is closed")
+        if self._failed:
+            raise PersistenceError(
+                f"{self._path.name}: a commit failed; reopen the shard"
+            )
         if len(payload) > _MAX_RECORD_BYTES:
             raise ParameterError("WAL record too large")
         self._buffer.append(
@@ -203,7 +211,14 @@ class ShardWal:
         )
 
     def commit(self) -> int:
-        """Write + flush (+ fsync) all buffered records; returns the count."""
+        """Write (+ fsync) all buffered records; returns the count.
+
+        If the write or the fsync fails, the segment is cut back to its
+        last commit point, so no later append lands behind a torn frame and
+        a reopen replays no part of this commit.  Appends are then refused
+        until the shard is reopened: after a failed write or fsync, what
+        the disk holds is known only by reading it back.
+        """
         if self._file is None:
             raise ParameterError("WAL segment is closed")
         if not self._buffer:
@@ -211,10 +226,23 @@ class ShardWal:
         count = len(self._buffer)
         data = b"".join(self._buffer)
         self._buffer.clear()
-        self._file.write(data)
-        self._file.flush()
-        if self._fsync:
-            os.fsync(self._file.fileno())
+        fd = self._file.fileno()
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+            if self._fsync:
+                os.fsync(fd)
+        except BaseException as exc:
+            self._failed = True
+            os.ftruncate(fd, self._committed)
+            if not isinstance(exc, OSError):
+                raise
+            raise PersistenceError(
+                f"{self._path.name}: commit failed; cut back to the last "
+                f"commit point at {self._committed} bytes"
+            ) from exc
+        self._committed += len(data)
         self.records_written += count
         metric_inc(M_SHARD_WAL_RECORDS, count)
         metric_inc(M_SHARD_WAL_BYTES, len(data))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.fixtures import fixed_rsa_keypair
-from repro.crypto.oprf import RsaOprfClient, RsaOprfServer, run_oprf
+from repro.crypto.oprf import RsaOprfClient, RsaOprfServer
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey
 from repro.errors import CiphertextError, CryptoError, ParameterError
 from repro.utils.rand import SystemRandomSource
@@ -69,30 +69,6 @@ class TestOprf:
         )
         assert client.evaluate(b"m", server) == server.unblinded_evaluate(b"m")
 
-    def test_blind_batch_matches_sequential_blinding(self, server):
-        # the batched path must draw blinding factors in the same order a
-        # per-message loop would, so a seeded client is batch-invariant
-        messages = [bytes([i]) * 4 for i in range(7)]
-        sequential = RsaOprfClient(
-            server.public_key, rng=SystemRandomSource(seed=12)
-        )
-        batched = RsaOprfClient(
-            server.public_key, rng=SystemRandomSource(seed=12)
-        )
-        states = batched.blind_batch(messages)
-        assert states == [sequential.blind(m) for m in messages]
-        for state, message in zip(states, messages):
-            response = server.evaluate_blinded(state.blinded)
-            assert batched.finalize(
-                state, response
-            ) == server.unblinded_evaluate(message)
-
-    def test_blind_batch_empty(self, server):
-        client = RsaOprfClient(
-            server.public_key, rng=SystemRandomSource(seed=13)
-        )
-        assert client.blind_batch([]) == []
-
     def test_different_inputs_differ(self, server):
         client = RsaOprfClient(
             server.public_key, rng=SystemRandomSource(seed=12)
@@ -137,11 +113,6 @@ class TestOprf:
             client.finalize(state, server.public_key.n)
         with pytest.raises(ParameterError):
             server.evaluate_blinded(-1)
-
-    def test_run_oprf_helper(self, server):
-        out, state = run_oprf(b"hello", server, rng=SystemRandomSource(seed=17))
-        assert out == server.unblinded_evaluate(b"hello")
-        assert state.blinded != 0
 
     def test_output_is_32_bytes(self, server):
         client = RsaOprfClient(

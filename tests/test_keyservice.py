@@ -18,6 +18,7 @@ from repro.net.transport import InMemoryNetwork
 from repro.rs.fuzzy import FuzzyExtractor, FuzzyParams
 from repro.server.keyservice import KeyGenService, RateLimitExceeded
 from repro.utils.rand import SystemRandomSource
+from repro.utils.serial import FieldWriter
 
 SCHEMA = ProfileSchema.uniform(["a", "b", "c", "d", "e", "f"], 1 << 16)
 PARAMS = FuzzyParams(num_attributes=6, theta=8)
@@ -51,6 +52,16 @@ class TestMessages:
             OprfKeyInfo(request_id=2, modulus=15, exponent=65537),
         ):
             assert decode_message(msg.encode()) == msg
+
+    @pytest.mark.parametrize("tag", [20, 21])
+    def test_retired_batch_tags_are_refused(self, tag):
+        # a well-formed one-element frame of the retired batched round:
+        # request id, count, value
+        frame = (
+            FieldWriter().write_int(tag).write_int(1).write_int(1).write_int(5)
+        )
+        with pytest.raises(ProtocolError, match=f"unknown message tag {tag}"):
+            decode_message(frame.getvalue())
 
 
 class TestKeyGenService:

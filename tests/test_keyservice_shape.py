@@ -11,9 +11,7 @@ observable behavior uniform:
   surface), never a hand-rolled response;
 * all OPRF wire messages serialize through the same ``FieldWriter``
   routine, starting with the message tag, so success responses are
-  shape-identical up to field contents;
-* the batched path validates the whole batch *before* the first modexp —
-  the regression guard for the mid-batch rejection timing leak.
+  shape-identical up to field contents.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ class TestHandlerResponseShape:
             for node in ast.walk(handle_message)
             if isinstance(node, ast.Return) and node.value is not None
         ]
-        assert len(returns) >= 3  # key info, single eval, batched eval
+        assert len(returns) >= 2  # key info, evaluation
         for node in returns:
             name = _call_name(node.value)
             assert name.endswith(("Response", "Info")), (
@@ -82,14 +80,6 @@ class TestHandlerResponseShape:
                 "ProtocolError, not build a bespoke response"
             )
 
-    def test_single_and_batch_paths_build_same_response_family(self):
-        # both evaluation responses carry the same field set and therefore
-        # flow through the same encoder shape
-        single = oprf_messages.OprfResponse.__dataclass_fields__
-        batched = oprf_messages.BatchedBlindEvalResponse.__dataclass_fields__
-        assert set(single) == {"request_id", "evaluated"}
-        assert set(batched) == {"request_id", "evaluated"}
-
 
 class TestEncoderUniformity:
     def test_all_oprf_messages_share_the_fieldwriter_routine(self):
@@ -101,7 +91,7 @@ class TestEncoderUniformity:
             for item in cls.body
             if isinstance(item, ast.FunctionDef) and item.name == "encode"
         ]
-        assert len(encoders) >= 6
+        assert len(encoders) >= 4
         for cls_name, encode in encoders:
             calls = [_call_name(n) for n in ast.walk(encode) if isinstance(n, ast.Call)]
             assert "FieldWriter" in calls, f"{cls_name}.encode bypasses FieldWriter"
@@ -119,42 +109,19 @@ class TestEncoderUniformity:
             )
 
 
-class TestBatchTimingGuard:
-    def test_batch_range_check_precedes_first_evaluation(self, handle_message):
-        source_lines = {
-            "range_check": None,
-            "evaluation": None,
-        }
-        for node in ast.walk(handle_message):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if name == "any" and source_lines["range_check"] is None:
-                    source_lines["range_check"] = node.lineno
-                if name == "evaluate_blinded":
-                    line = node.lineno
-                    if (
-                        source_lines["evaluation"] is None
-                        or line > source_lines["evaluation"]
-                    ):
-                        source_lines["evaluation"] = line
-        assert source_lines["range_check"] is not None, (
-            "batched path must pre-validate blinded values in range — "
-            "rejecting mid-batch leaks the index of the first bad element"
-        )
-        assert source_lines["range_check"] < source_lines["evaluation"]
-
-    def test_batch_rejection_consumes_no_evaluations(self):
+class TestRejectedRequest:
+    def test_out_of_range_request_costs_budget(self):
         from repro.crypto.oprf import RsaOprfServer
         from repro.errors import ProtocolError
-        from repro.net.oprf_messages import BatchedBlindEvalRequest
+        from repro.net.oprf_messages import OprfRequest
 
         service = keyservice.KeyGenService(
             oprf_server=RsaOprfServer(bits=512), max_requests_per_window=10
         )
-        bad = BatchedBlindEvalRequest(
-            request_id=7,
-            blinded=(1, 2, service.oprf.public_key.n),  # last one out of range
-        )
+        bad = OprfRequest(request_id=7, blinded=service.oprf.public_key.n)
         with pytest.raises(ProtocolError):
             service.handle_message("client", bad)
         assert service.evaluations_served == 0
+        # the budget is charged before the range check, so a malformed
+        # request is not a free probe
+        assert service.remaining_budget("client") == 9

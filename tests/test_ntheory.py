@@ -7,14 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ParameterError
 from repro.ntheory.groups import SchnorrGroup
-from repro.ntheory.modular import (
-    crt_pair,
-    egcd,
-    lcm,
-    modexp,
-    modinv,
-    modinv_batch,
-)
+from repro.ntheory.modular import crt_pair, egcd, lcm, modexp, modinv
 from repro.ntheory.primes import (
     generate_prime,
     generate_safe_prime,
@@ -38,22 +31,6 @@ class TestModular:
     def test_modinv_not_invertible(self):
         with pytest.raises(ParameterError):
             modinv(4, 8)
-
-    @given(
-        st.lists(st.integers(min_value=1, max_value=2**61 - 2), max_size=12)
-    )
-    def test_modinv_batch_matches_modinv(self, values):
-        m = 2**61 - 1  # prime, so every nonzero value is invertible
-        assert modinv_batch(values, m) == [modinv(v, m) for v in values]
-
-    def test_modinv_batch_names_the_offending_position(self):
-        with pytest.raises(ParameterError, match="position 1"):
-            modinv_batch([3, 10, 7], 20)
-        with pytest.raises(ParameterError):
-            modinv_batch([1], 0)
-
-    def test_modinv_batch_empty(self):
-        assert modinv_batch([], 7) == []
 
     def test_crt(self):
         x = crt_pair(2, 3, 3, 5)

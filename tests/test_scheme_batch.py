@@ -1,4 +1,4 @@
-"""Batch enrollment determinism and the batched OPRF wire round.
+"""Batch enrollment determinism.
 
 The load-bearing property for ``enroll_population``: with a ``seed``, the
 per-profile randomness is a pure function of ``(seed, user_id)``, so the
@@ -8,17 +8,12 @@ chunking, or OPE cache configuration.
 
 import pytest
 
-from repro.client.remote_keygen import RemoteKeygenClient
 from repro.core.scheme import profile_enroll_seed
 from repro.crypto.ope_cache import OpeNodeCache
 from repro.datasets import INFOCOM06
-from repro.errors import ParameterError, ProtocolError
+from repro.errors import ParameterError
 from repro.experiments.common import build_population, build_scheme
-from repro.net.channel import SecureChannel
-from repro.net.oprf_messages import BatchedBlindEvalRequest
-from repro.net.transport import InMemoryNetwork
 from repro.parallel import ProcessBackend
-from repro.server.keyservice import KeyGenService, RateLimitExceeded
 
 
 @pytest.fixture(scope="module")
@@ -121,58 +116,3 @@ class TestSeededDeterminism:
             loop[1][profile.user_id] = key
         _assert_same_enrollment(batch, loop)
 
-
-class TestBatchedOprfWireRound:
-    @pytest.fixture()
-    def wire(self, population):
-        pop, profiles = population
-        scheme = _fresh_scheme(pop)
-        service = KeyGenService(
-            oprf_server=scheme.oprf_server, max_requests_per_window=8
-        )
-        network = InMemoryNetwork()
-        client_ch = SecureChannel(
-            network.endpoint("client"), "service", b"batch-test"
-        )
-        service_ch = SecureChannel(
-            network.endpoint("service"), "client", b"batch-test"
-        )
-        remote = RemoteKeygenClient(scheme.params.fuzzy_params, client_ch)
-        rid = remote.request_public_key()
-        service_ch.send(service.handle_message("c1", service_ch.recv()))
-        remote.receive_public_key(rid)
-        return scheme, service, remote, service_ch, profiles
-
-    def test_batch_round_matches_local_derivation(self, wire):
-        scheme, service, remote, service_ch, profiles = wire
-        batch = profiles[:4]
-        state = remote.begin_batch_derivation(batch)
-        service_ch.send(service.handle_message("c1", service_ch.recv()))
-        keys = remote.finish_batch_derivation(state)
-        assert len(keys) == len(batch)
-        for profile, key in zip(batch, keys):
-            assert key.key == scheme.keygen(profile).key
-        # the whole batch crossed the wire as one message pair
-        assert service.evaluations_served == len(batch)
-
-    def test_over_budget_batch_rejected_whole(self, wire):
-        scheme, service, remote, service_ch, profiles = wire
-        oversized = profiles[:9]  # window allows 8
-        state = remote.begin_batch_derivation(oversized)
-        with pytest.raises(RateLimitExceeded):
-            service.handle_message("c1", service_ch.recv())
-        # all-or-nothing: the failed batch consumed no budget at all
-        assert service.remaining_budget("c1") == 8
-        state = remote.begin_batch_derivation(profiles[:8])
-        service_ch.send(service.handle_message("c1", service_ch.recv()))
-        assert len(remote.finish_batch_derivation(state)) == 8
-        assert service.remaining_budget("c1") == 0
-
-    def test_empty_batch_rejected_client_side(self, wire):
-        _, _, remote, _, _ = wire
-        with pytest.raises(ProtocolError):
-            remote.begin_batch_derivation([])
-
-    def test_empty_batch_rejected_on_the_wire(self):
-        with pytest.raises(ProtocolError):
-            BatchedBlindEvalRequest(request_id=1, blinded=())

@@ -10,6 +10,7 @@ against the same oracle.
 """
 
 import dataclasses
+import errno
 import os
 
 import pytest
@@ -439,6 +440,45 @@ class TestFailedBatch:
         else:
             assert live == before
             assert stored == {p.user_id: p for p in base}
+
+    @pytest.mark.parametrize("fault", ["half-write-enospc", "fsync-eio"])
+    def test_failed_commit_is_undone_and_cut_back(
+        self, payloads, tmp_path, monkeypatch, fault
+    ):
+        # three frames, so half the bytes hold a whole first frame
+        base, failed, follow_up = payloads[:6], payloads[6:9], payloads[9]
+        state = ShardState(0, directory=tmp_path)
+        state.apply([("put", p) for p in base])
+        real_write = os.write
+
+        def half_write(fd, data):
+            real_write(fd, bytes(data[: len(data) // 2]))
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "input/output error")
+
+        with monkeypatch.context() as patch:
+            if fault == "half-write-enospc":
+                patch.setattr(os, "write", half_write)
+            else:
+                patch.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(PersistenceError) as info:
+                state.apply([("put", p) for p in failed])
+        assert isinstance(info.value.__cause__, OSError)
+        expected = {p.user_id: p for p in base}
+        assert dict(state.store.all_profiles()) == expected
+        # the segment refuses appends until it is reopened
+        with pytest.raises(PersistenceError):
+            state.apply([("put", follow_up)])
+        assert dict(state.store.all_profiles()) == expected
+        state.close()
+
+        reopened = ShardState(0, directory=tmp_path)
+        try:
+            assert dict(reopened.store.all_profiles()) == expected
+        finally:
+            reopened.close()
 
 
 # -- the equivalence matrix ----------------------------------------------------
