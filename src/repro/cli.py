@@ -23,7 +23,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from types import ModuleType
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+if TYPE_CHECKING:
+    from repro.experiments.common import ExperimentResult
 
 __all__ = ["main", "build_parser"]
 
@@ -45,13 +49,13 @@ _ATTACKS = ("chaining", "entropy_increase", "ope_split", "key_sharing",
             "erasure_decoding", "adaptive_ope")
 
 
-def _mod():
+def _mod() -> ModuleType:
     import repro.experiments as experiments
 
     return experiments
 
 
-def _fig4b(args):
+def _fig4b(args: argparse.Namespace) -> ExperimentResult:
     from repro.experiments import fig4b
     from repro.experiments.common import ExperimentResult
 
@@ -60,7 +64,7 @@ def _fig4b(args):
         columns=["theta", "Infocom06", "Sigcomm09", "Weibo"],
     )
     for theta in (5, 8, 10):
-        row = {"theta": theta}
+        row: Dict[str, Any] = {"theta": theta}
         for spec in (fig4b.INFOCOM06, fig4b.SIGCOMM09, fig4b.WEIBO):
             row[spec.name] = fig4b.measure_tpr(
                 spec, theta, num_users=args.users, seeds=(1, 2)
@@ -197,7 +201,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _maybe_enable_obs(args) -> None:
+def _maybe_enable_obs(args: argparse.Namespace) -> None:
     if getattr(args, "obs", False) or getattr(args, "obs_dir", None):
         from repro import obs
 
@@ -236,7 +240,7 @@ def _cmd_datasets() -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.obs import pipeline_span
 
     with pipeline_span("experiment", experiment=args.name):
@@ -245,7 +249,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.datasets import INFOCOM06
     from repro.obs import pipeline_span
     from repro.sim import MobileServiceSimulation, SimConfig
@@ -261,25 +265,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_trace_arg(args: argparse.Namespace) -> "List[dict]":
+def _load_trace_arg(args: argparse.Namespace) -> List[Dict[str, Any]]:
     """Span records from the positional trace file or the artifact dir."""
-    import json as _json
+    from repro.obs.report import load_trace_records, read_trace_file
 
-    from repro.obs.report import load_trace_records
-
-    trace = getattr(args, "trace", None)
-    if trace is not None:
-        import pathlib
-
-        records = []
-        for line in pathlib.Path(trace).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                records.append(_json.loads(line))
-        return records
+    if args.trace is not None:
+        return read_trace_file(args.trace)
     return load_trace_records(args.dir)
 
 
-def _cmd_obs(args) -> int:
+def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "report":
         from repro.obs.report import render_report
 
@@ -320,17 +315,11 @@ def _cmd_obs(args) -> int:
         import pathlib
 
         from repro.obs.analysis import diff_traces, render_diff
+        from repro.obs.report import read_trace_file
 
-        def read(path: str) -> "List[dict]":
-            return [
-                _json.loads(line)
-                for line in pathlib.Path(path)
-                .read_text(encoding="utf-8")
-                .splitlines()
-                if line.strip()
-            ]
-
-        report = diff_traces(read(args.baseline), read(args.current))
+        report = diff_traces(
+            read_trace_file(args.baseline), read_trace_file(args.current)
+        )
         if args.json_out:
             pathlib.Path(args.json_out).write_text(
                 _json.dumps(report, indent=2, sort_keys=True) + "\n",
@@ -341,7 +330,7 @@ def _cmd_obs(args) -> int:
     raise AssertionError("unreachable")
 
 
-def _cmd_attack(args) -> int:
+def _cmd_attack(args: argparse.Namespace) -> int:
     from repro.experiments import ablations
 
     fn = getattr(ablations, f"{args.name}_ablation")

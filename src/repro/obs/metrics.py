@@ -158,7 +158,7 @@ M_SHARD_WAL_BYTES = _metric(
     "smatch_shard_wal_bytes_total", "framed bytes committed to shard WALs"
 )
 M_SHARD_SNAPSHOTS = _metric(
-    "smatch_shard_snapshots_total", "shard snapshots written (delta or full)"
+    "smatch_shard_snapshots_total", "shard snapshots written"
 )
 M_SHARD_WAL_REPLAYED = _metric(
     "smatch_shard_wal_replayed_total", "op records replayed during recovery"

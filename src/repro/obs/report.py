@@ -28,6 +28,7 @@ __all__ = [
     "export_dir",
     "save_run",
     "load_trace_records",
+    "read_trace_file",
     "render_trace_report",
     "render_metrics_report",
     "render_report",
@@ -67,16 +68,21 @@ def save_run(
     return target
 
 
+def read_trace_file(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Parse one ``trace.jsonl`` file into span records (raises when missing)."""
+    trace = Path(path)
+    if not trace.exists():
+        raise ParameterError(f"no trace found at {trace}")
+    return [
+        json.loads(line)
+        for line in trace.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    ]
+
+
 def load_trace_records(directory: Optional[Union[str, Path]] = None) -> List[Dict[str, Any]]:
-    """Parse ``trace.jsonl`` back into span records (raises when missing)."""
-    path = export_dir(directory) / TRACE_FILE
-    if not path.exists():
-        raise ParameterError(f"no trace found at {path}")
-    records = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
+    """Parse the artifact directory's ``trace.jsonl`` into span records."""
+    return read_trace_file(export_dir(directory) / TRACE_FILE)
 
 
 def render_trace_report(records: List[Dict[str, Any]]) -> str:

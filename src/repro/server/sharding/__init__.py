@@ -13,9 +13,9 @@ process built on the :mod:`repro.parallel` machinery
 with zero cross-shard traffic on the hot path.
 
 Durability is per shard: an append-only CRC'd write-ahead log
-(:mod:`repro.server.sharding.wal`) plus incremental group-granular
-snapshots that truncate it (:mod:`repro.server.sharding.snapshot`);
-crash recovery loads the snapshot chain and replays the WAL tail.
+(:mod:`repro.server.sharding.wal`) plus full snapshots that truncate it
+(:mod:`repro.server.sharding.snapshot`); crash recovery loads the newest
+snapshot and replays the WAL tail.
 """
 
 from repro.server.sharding.placement import PlacementMap

@@ -5,7 +5,7 @@ and is itself the shard handle of an inline tier (the default
 ``SMatchServer`` engine): its own
 :class:`~repro.server.storage.ProfileStore` and
 :class:`~repro.server.matcher.ServerMatcher`, plus an optional
-:class:`ShardDurability` wiring the write-ahead log and snapshot chain
+:class:`ShardDurability` wiring the write-ahead log and snapshots
 underneath every mutation.
 
 The batch protocol (:meth:`ShardState.apply`) is a list of plain
@@ -30,7 +30,7 @@ boundary:
 ``("sizes",)``
     the shard's group sizes;
 ``("snapshot",)``
-    force a snapshot now (tests and explicit compaction);
+    force a snapshot now (tests and explicit WAL truncation);
 ``("crash",)``
     hard-kill the process via ``os._exit`` — the recovery-drill hook the
     kill-shard-mid-churn tests use; never emitted by the coordinator.
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import List, Optional, Sequence, Set, Tuple, Union, cast
+from typing import List, Optional, Sequence, Tuple, Union, cast
 
 from repro.core.scheme import EncryptedProfile
 from repro.errors import MatchingError, ParameterError
@@ -69,7 +69,6 @@ from repro.server.sharding.wal import (
     decode_op,
     encode_put,
     encode_remove,
-    replay_wal,
 )
 from repro.server.storage import ProfileStore
 
@@ -82,29 +81,28 @@ ShardOp = Tuple[object, ...]
 #: (``None`` when the user was absent).
 _Undo = Tuple[int, Optional[EncryptedProfile]]
 
-#: Snapshot cadence: snapshot after this many WAL records by default
-#: (``snapshot_every``), and compact the delta chain into a full snapshot
-#: once it grows this long.
+#: Snapshot cadence: a shard snapshots once this many WAL records have
+#: accumulated since its last snapshot.
 DEFAULT_SNAPSHOT_EVERY = 256
-DEFAULT_FULL_EVERY = 4
+
+#: Always ``1``: every snapshot is full.  Kept only because
+#: ``perfbench/churn.py`` records it in its provenance.
+DEFAULT_FULL_EVERY = 1
 
 
 class ShardDurability:
-    """The WAL + snapshot-chain pair of one shard directory.
+    """The WAL + snapshot pair of one shard directory.
 
     Single-writer: exactly one live :class:`ShardState` may own a shard
     directory at a time (the tier guarantees this — one worker per shard).
     :meth:`recover` is the only entry point that opens the log, so the
-    torn-tail truncation and the snapshot-chain fold always happen
-    together, in the right order.
+    snapshot load and the torn-tail truncation always happen together, in
+    the right order.
     """
 
-    def __init__(
-        self, directory: Union[str, pathlib.Path], fsync: bool = True
-    ) -> None:
+    def __init__(self, directory: Union[str, pathlib.Path]) -> None:
         self._snapshots = SnapshotStore(directory)
-        self._fsync = fsync
-        self._seq = self._snapshots.latest_seq()
+        self._seq = 0
         self._wal: Optional[ShardWal] = None
 
     @property
@@ -115,15 +113,13 @@ class ShardDurability:
     def recover(self) -> Tuple[GroupTable, Tuple[bytes, ...]]:
         """``(snapshot groups, WAL tail records)`` and open the live log.
 
-        The WAL tail is scanned *before* :class:`ShardWal` truncates any
-        torn tail away, so the returned records are exactly the committed
-        suffix the caller replays on top of the snapshot chain.
+        The tail is what :class:`ShardWal` read when it opened the
+        segment, before it cut any torn tail away: exactly the committed
+        suffix the caller replays on top of the newest snapshot.
         """
-        groups, seq = self._snapshots.load_chain()
-        self._seq = seq
-        tail = replay_wal(self._snapshots.wal_path(seq))
-        self._wal = ShardWal(self._snapshots.wal_path(seq), fsync=self._fsync)
-        return groups, tail.records
+        groups, self._seq = self._snapshots.load_latest()
+        self._wal = ShardWal(self._snapshots.wal_path(self._seq))
+        return groups, self._wal.recovered
 
     def _live_wal(self) -> ShardWal:
         if self._wal is None:
@@ -147,39 +143,20 @@ class ShardDurability:
         if self._wal is not None:
             self._wal.rollback()
 
-    def snapshot(self, store: ProfileStore, dirty: Set[bytes]) -> None:
-        """Write the next snapshot in the chain and rotate the WAL.
+    def snapshot(self, store: ProfileStore) -> None:
+        """Snapshot every group and rotate the WAL.
 
-        A delta carries only the ``dirty`` groups (full membership each)
-        plus tombstones for the ones that emptied; the chain compacts into
-        a full snapshot when it reaches ``DEFAULT_FULL_EVERY`` files (and
-        the very first snapshot is always full — a chain needs a full
-        base).
+        In order: close the live segment (committing anything buffered),
+        write the snapshot, delete the older snapshot and segments, open
+        the next segment.  A crash at any point recovers from the newest
+        snapshot on disk plus the segment named after it.
         """
-        is_full = (
-            self._seq == 0
-            or self._snapshots.chain_length() >= DEFAULT_FULL_EVERY
-        )
-        groups: GroupTable = {}
-        tombstones: List[bytes] = []
-        if is_full:
-            for key_index, members in store.groups():
-                groups[key_index] = dict(members)
-        else:
-            for key_index in dirty:
-                members = store.group_by_index(key_index)
-                if members:
-                    groups[key_index] = members
-                else:
-                    tombstones.append(key_index)
         new_seq = self._seq + 1
         self._live_wal().close()
         self._wal = None
-        self._snapshots.write(new_seq, self._seq, is_full, groups, tombstones)
+        self._snapshots.write(new_seq, dict(store.groups()))
         self._seq = new_seq
-        self._wal = ShardWal(
-            self._snapshots.wal_path(new_seq), fsync=self._fsync
-        )
+        self._wal = ShardWal(self._snapshots.wal_path(new_seq))
 
     def close(self) -> None:
         """Commit and close the live WAL segment (idempotent)."""
@@ -196,20 +173,14 @@ class ShardState:
         shard_id: int,
         order_method: str = "rank",
         directory: Optional[Union[str, pathlib.Path]] = None,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        fsync: bool = True,
     ) -> None:
-        if snapshot_every < 1:
-            raise ParameterError("snapshot_every must be >= 1")
         self.shard_id = shard_id
         self.store = ProfileStore()
         self.matcher = ServerMatcher(self.store, order_method=order_method)
-        self._dirty: Set[bytes] = set()
-        self._snapshot_every = snapshot_every
         self._records_since_snapshot = 0
         self._durability: Optional[ShardDurability] = None
         if directory is not None:
-            durability = ShardDurability(directory, fsync=fsync)
+            durability = ShardDurability(directory)
             self._durability = durability
             self._recover(durability)
 
@@ -240,10 +211,6 @@ class ShardState:
         previous = self.store.all_profiles().get(payload.user_id)
         if self._durability is not None:
             self._durability.log_put(payload)
-            # the groups the next delta snapshot must rewrite
-            if previous is not None:
-                self._dirty.add(previous.key_index)
-            self._dirty.add(payload.key_index)
         self.store.put(payload)
         undo.append((payload.user_id, previous))
 
@@ -253,7 +220,6 @@ class ShardState:
             return  # tolerant: replay/redelivery idempotence
         if self._durability is not None:
             self._durability.log_remove(user_id)
-            self._dirty.add(previous.key_index)
         self.store.remove(user_id)
         undo.append((user_id, previous))
 
@@ -366,7 +332,7 @@ class ShardState:
             if self._durability is not None:
                 self._durability.rollback()
             raise
-        if self._records_since_snapshot >= self._snapshot_every:
+        if self._records_since_snapshot >= DEFAULT_SNAPSHOT_EVERY:
             self.snapshot_now()
         if mutations:
             metric_inc(M_SHARD_OPS, mutations)
@@ -378,8 +344,7 @@ class ShardState:
         """Snapshot immediately (no-op without durability)."""
         if self._durability is None:
             return
-        self._durability.snapshot(self.store, self._dirty)
-        self._dirty.clear()
+        self._durability.snapshot(self.store)
         self._records_since_snapshot = 0
 
     def close(self) -> None:

@@ -18,12 +18,13 @@ Hot-path guarantees:
   in parallel (one thread per shard; the GIL is irrelevant because shard
   workers are separate processes) and reassembles results in the caller's
   submission order, so results are byte-identical to serial evaluation;
-* **explicit placement**: the map is persisted next to the shard
-  directories and validated at open — a tier can never silently come up
-  with a different group → shard assignment than the one its WALs and
-  snapshots were written under.  Changing the shard count is only possible
-  through :meth:`rebalance`, which installs a successor map and migrates
-  exactly the groups :meth:`PlacementMap.moved_keys` names.
+* **explicit placement**: the map is written atomically next to the
+  shard directories and validated at open — a tier can never silently
+  come up with a different group → shard assignment than the one its
+  WALs and snapshots were written under.  Changing the shard count is
+  only possible through :meth:`rebalance`, which installs a successor
+  map and migrates exactly the groups :meth:`PlacementMap.moved_keys`
+  names.
 """
 
 from __future__ import annotations
@@ -33,16 +34,18 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.scheme import EncryptedProfile
-from repro.errors import MatchingError, ParameterError
+from repro.errors import (
+    MatchingError,
+    ParameterError,
+    PersistenceError,
+    ProtocolError,
+)
 from repro.net.messages import ResultEntry
 from repro.obs.trace import current_tracer, span
 from repro.parallel import absorb_telemetry, run_captured
 from repro.server.sharding.placement import PlacementMap
-from repro.server.sharding.state import (
-    DEFAULT_SNAPSHOT_EVERY,
-    ShardOp,
-    ShardState,
-)
+from repro.server.sharding.snapshot import write_atomic
+from repro.server.sharding.state import ShardOp, ShardState
 from repro.server.sharding.worker import ProcessShard, ShardSpec
 from repro.server.storage import ProfileStore
 
@@ -63,8 +66,6 @@ class ShardedTier:
         order_method: str = "rank",
         mode: str = "inline",
         data_dir: Optional[Union[str, pathlib.Path]] = None,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        fsync: bool = True,
     ) -> None:
         if shards < 1:
             raise ParameterError("shards must be >= 1")
@@ -74,8 +75,6 @@ class ShardedTier:
             )
         self._order_method = order_method
         self._mode = mode
-        self._snapshot_every = snapshot_every
-        self._fsync = fsync
         self._data_dir = (
             pathlib.Path(data_dir) if data_dir is not None else None
         )
@@ -97,7 +96,12 @@ class ShardedTier:
         self._data_dir.mkdir(parents=True, exist_ok=True)
         path = self._data_dir / "placement.bin"
         if path.exists():
-            persisted = PlacementMap.decode(path.read_bytes())
+            try:
+                persisted = PlacementMap.decode(path.read_bytes())
+            except (ParameterError, ProtocolError) as exc:
+                raise PersistenceError(
+                    f"{path.name}: damaged placement map"
+                ) from exc
             if persisted.shards != shards:
                 raise ParameterError(
                     f"shard directory was written under a "
@@ -112,12 +116,8 @@ class ShardedTier:
         return placement
 
     def _persist_placement(self, placement: PlacementMap) -> None:
-        if self._data_dir is None:
-            return
-        path = self._data_dir / "placement.bin"
-        tmp = self._data_dir / "placement.bin.tmp"
-        tmp.write_bytes(placement.encode())
-        tmp.replace(path)
+        if self._data_dir is not None:
+            write_atomic(self._data_dir / "placement.bin", placement.encode())
 
     def _make_shard(self, shard_id: int) -> ShardHandle:
         shard_dir: Optional[str] = None
@@ -127,8 +127,6 @@ class ShardedTier:
             shard_id=shard_id,
             order_method=self._order_method,
             data_dir=shard_dir,
-            snapshot_every=self._snapshot_every,
-            fsync=self._fsync,
         )
         if self._mode == "process":
             return ProcessShard(spec)

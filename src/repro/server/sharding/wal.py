@@ -165,23 +165,22 @@ class ShardWal:
     """One shard's open WAL segment (single-writer, append-only).
 
     Appends buffer in memory; :meth:`commit` is the durability point —
-    it writes every buffered frame and fsyncs once (``fsync=False`` skips
-    the sync for benchmarks and tests on tmpfs, keeping the format
-    identical).  The file is opened at its last valid frame boundary:
-    a torn tail from a previous crash is truncated away before the first
-    new append, so a recovered log never interleaves old half-frames with
-    new records.  The file is unbuffered: whatever a commit wrote is in
-    the file when the commit returns or raises, so a cut-back leaves no
-    buffered bytes behind for a later flush to write past it.
+    it writes every buffered frame and fsyncs once.  Opening scans the
+    segment once: :attr:`recovered` keeps every committed record found,
+    for the shard to replay, and a torn tail from a previous crash is
+    truncated away before the first new append, so a recovered log never
+    interleaves old half-frames with new records.  The file is
+    unbuffered: whatever a commit wrote is in the file when the commit
+    returns or raises, so a cut-back leaves no buffered bytes behind for a
+    later flush to write past it.
     """
 
-    def __init__(
-        self, path: Union[str, pathlib.Path], fsync: bool = True
-    ) -> None:
+    def __init__(self, path: Union[str, pathlib.Path]) -> None:
         self._path = pathlib.Path(path)
-        self._fsync = fsync
         self._buffer: List[bytes] = []
         replayed = replay_wal(self._path)
+        #: the committed records the segment held when it was opened
+        self.recovered = replayed.records
         mode = "r+b" if self._path.exists() else "w+b"
         self._file: Optional[BinaryIO] = open(self._path, mode, buffering=0)
         if replayed.torn_tail:
@@ -189,7 +188,6 @@ class ShardWal:
         #: the file length at the last commit point
         self._committed = self._file.seek(0, os.SEEK_END)
         self._failed = False
-        self.records_written = len(replayed.records)
 
     @property
     def path(self) -> pathlib.Path:
@@ -211,7 +209,7 @@ class ShardWal:
         )
 
     def commit(self) -> int:
-        """Write (+ fsync) all buffered records; returns the count.
+        """Write and fsync all buffered records; returns the count.
 
         If the write or the fsync fails, the segment is cut back to its
         last commit point, so no later append lands behind a torn frame and
@@ -231,8 +229,7 @@ class ShardWal:
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view) :]
-            if self._fsync:
-                os.fsync(fd)
+            os.fsync(fd)
         except BaseException as exc:
             self._failed = True
             os.ftruncate(fd, self._committed)
@@ -243,7 +240,6 @@ class ShardWal:
                 f"commit point at {self._committed} bytes"
             ) from exc
         self._committed += len(data)
-        self.records_written += count
         metric_inc(M_SHARD_WAL_RECORDS, count)
         metric_inc(M_SHARD_WAL_BYTES, len(data))
         return count

@@ -13,7 +13,7 @@ registry through the backend's usual telemetry path.
 Crash handling rides the backend's typed surfacing: a dead shard worker
 raises :class:`~repro.errors.WorkerCrashError` and discards the pool, so
 the next batch starts a fresh process whose state **recovers from disk**
-(snapshot chain + WAL tail).  :class:`ProcessShard` retries the failed
+(newest snapshot + WAL tail).  :class:`ProcessShard` retries the failed
 batch exactly once on that path — ops are idempotent (puts replace,
 removes tolerate absence), so at-least-once redelivery converges, which is
 precisely the invariant the kill-shard-mid-churn test pins against an
@@ -29,11 +29,7 @@ from typing import List, Optional, Sequence
 from repro.errors import WorkerCrashError
 from repro.obs.logs import get_logger
 from repro.parallel import ProcessBackend, TaskEnvelope
-from repro.server.sharding.state import (
-    DEFAULT_SNAPSHOT_EVERY,
-    ShardOp,
-    ShardState,
-)
+from repro.server.sharding.state import ShardOp, ShardState
 
 __all__ = ["ProcessShard", "ShardSpec", "shard_ops_chunk"]
 
@@ -44,16 +40,14 @@ _log = get_logger("server.sharding")
 class ShardSpec:
     """The picklable warm-start context of one shard worker.
 
-    Carries only configuration — ids, paths, cadences — never profile
-    data or key material; the worker rebuilds its state from the spec (and
-    the shard directory, when durable) every time its process starts.
+    Carries only configuration, never profile data or key material; the
+    worker rebuilds its state from the spec (and the shard directory,
+    when durable) every time its process starts.
     """
 
     shard_id: int
     order_method: str = "rank"
     data_dir: Optional[str] = None  # per-shard directory; None = in-memory
-    snapshot_every: int = DEFAULT_SNAPSHOT_EVERY
-    fsync: bool = True
 
     def build_state(self) -> ShardState:
         """A fresh :class:`ShardState` for this spec (recovers if durable)."""
@@ -61,8 +55,6 @@ class ShardSpec:
             shard_id=self.shard_id,
             order_method=self.order_method,
             directory=self.data_dir,
-            snapshot_every=self.snapshot_every,
-            fsync=self.fsync,
         )
 
 
@@ -78,7 +70,7 @@ def shard_ops_chunk(
     """Task function: apply one op batch to this worker's shard state.
 
     First call after a (re)start builds the state — which, for a durable
-    spec, is exactly the crash-recovery path: load the snapshot chain,
+    spec, is exactly the crash-recovery path: load the newest snapshot,
     replay the WAL tail, truncate any torn write.
     """
     global _STATE

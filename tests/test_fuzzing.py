@@ -47,15 +47,10 @@ def valid_encodings(enrolled, fuzz_dir):
     _, _, uploads, _ = enrolled
     payload = next(iter(uploads.values()))
     wal_path = fuzz_dir / "valid.log"
-    with ShardWal(wal_path, fsync=False) as wal:
+    with ShardWal(wal_path) as wal:
         wal.append_record(encode_put(payload))
     snap_path = write_snapshot(
-        fuzz_dir,
-        1,
-        0,
-        True,
-        {payload.key_index: {payload.user_id: payload}},
-        (),
+        fuzz_dir, 1, {payload.key_index: {payload.user_id: payload}}
     )
     return {
         "op": encode_put(payload),

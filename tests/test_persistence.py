@@ -4,17 +4,18 @@ The untrusted server holds only ciphertext, so its state goes to disk
 as-is: a restart must not force the user community to re-enroll, and
 damaged state must fail loudly with a typed error instead of serving
 wrong matches.  ``SMatchServer(data_dir=...)`` keeps a placement map and,
-per shard, a snapshot chain plus a write-ahead log
+per shard, one snapshot plus a write-ahead log
 (:mod:`repro.server.sharding`); these tests reopen a server on that
 directory.
 """
 
 import pytest
 
-from repro.errors import PersistenceError, ProtocolError
+from repro.errors import PersistenceError
 from repro.net.messages import QueryRequest, UploadMessage
 from repro.server.service import SMatchServer
 from repro.server.sharding import ShardedTier
+from repro.server.sharding.state import DEFAULT_SNAPSHOT_EVERY
 from repro.utils.serial import FieldReader, FieldWriter
 
 
@@ -36,10 +37,9 @@ def durable_dir(enrolled, tmp_path):
     """A data_dir holding every upload: one snapshot, then a WAL tail."""
     _, _, uploads, _ = enrolled
     payloads = list(uploads.values())
-    with ShardedTier(
-        data_dir=tmp_path, snapshot_every=len(payloads), fsync=False
-    ) as tier:
-        tier.put_batch(payloads)  # one commit reaches the cadence
+    repeats = -(-DEFAULT_SNAPSHOT_EVERY // len(payloads))
+    with ShardedTier(data_dir=tmp_path) as tier:
+        tier.put_batch(payloads * repeats)  # one commit reaches the cadence
         tier.put_batch(payloads[:3])  # lives only in the WAL
     return tmp_path
 
@@ -61,7 +61,7 @@ class TestRoundtrip:
             assert _stored(restored) == uploads
 
     def test_file_roundtrip(self, enrolled, durable_dir):
-        """Snapshot chain plus WAL tail restore every upload."""
+        """A snapshot plus the WAL tail restore every upload."""
         _, _, uploads, _ = enrolled
         assert _snapshot_file(durable_dir).stat().st_size > 0
         with SMatchServer(data_dir=durable_dir) as restored:
@@ -87,9 +87,13 @@ class TestRoundtrip:
 
 
 class TestCorruption:
-    def test_bad_magic(self, durable_dir):
-        (durable_dir / "placement.bin").write_bytes(b"\x00\x00\x00\x04junk")
-        with pytest.raises(ProtocolError):
+    @pytest.mark.parametrize(
+        "raw", [b"\x00\x00\x00\x04junk", b""], ids=["junk", "empty"]
+    )
+    def test_bad_magic(self, durable_dir, raw):
+        # an empty map is what a torn write of placement.bin leaves
+        (durable_dir / "placement.bin").write_bytes(raw)
+        with pytest.raises(PersistenceError):
             SMatchServer(data_dir=durable_dir)
 
     def test_flipped_payload_bit_detected(self, durable_dir):
@@ -100,7 +104,8 @@ class TestCorruption:
         with pytest.raises(PersistenceError):
             SMatchServer(data_dir=durable_dir)
 
-    def test_wrong_version(self, durable_dir):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_wrong_version(self, durable_dir, version):
         # the format version follows the magic field; rewrite it
         path = _snapshot_file(durable_dir)
         reader = FieldReader(path.read_bytes())
@@ -110,7 +115,7 @@ class TestCorruption:
         payload = reader.read_bytes()
         w = FieldWriter()
         w.write_bytes(magic)
-        w.write_int(99)
+        w.write_int(version)
         w.write_bytes(digest)
         w.write_bytes(payload)
         path.write_bytes(w.getvalue())

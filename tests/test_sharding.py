@@ -1,6 +1,6 @@
 """Tests for the sharded, durable server tier (repro.server.sharding).
 
-Covers the four layers bottom-up — placement ring, WAL, snapshot chain,
+Covers the four layers bottom-up — placement ring, WAL, snapshots,
 shard state — then the coordinator-level contracts: the equivalence matrix
 (shards=1 vs shards=N vs process-backed shards vs a durable reopen vs the
 default ``SMatchServer`` behind ``handle_message``, each checked for
@@ -12,6 +12,7 @@ against the same oracle.
 import dataclasses
 import errno
 import os
+import pathlib
 
 import pytest
 
@@ -38,6 +39,7 @@ from repro.server.sharding import (
     SnapshotStore,
 )
 from repro.server.sharding.snapshot import load_snapshot, write_snapshot
+from repro.server.sharding.state import DEFAULT_SNAPSHOT_EVERY
 from repro.server.sharding.wal import (
     OP_PUT,
     OP_REMOVE,
@@ -137,7 +139,7 @@ class TestPlacement:
 class TestWal:
     def test_append_commit_replay_roundtrip(self, payloads, tmp_path):
         path = tmp_path / "wal.log"
-        with ShardWal(path, fsync=False) as wal:
+        with ShardWal(path) as wal:
             wal.append_record(encode_put(payloads[0]))
             wal.append_record(encode_remove(payloads[0].user_id))
             assert wal.commit() == 2
@@ -150,7 +152,7 @@ class TestWal:
 
     def test_uncommitted_appends_are_not_durable(self, payloads, tmp_path):
         path = tmp_path / "wal.log"
-        wal = ShardWal(path, fsync=False)
+        wal = ShardWal(path)
         wal.append_record(encode_put(payloads[0]))
         wal.commit()
         wal.append_record(encode_put(payloads[1]))
@@ -160,7 +162,7 @@ class TestWal:
 
     def test_torn_tail_truncated_on_reopen(self, payloads, tmp_path):
         path = tmp_path / "wal.log"
-        with ShardWal(path, fsync=False) as wal:
+        with ShardWal(path) as wal:
             wal.append_record(encode_put(payloads[0]))
             wal.commit()
         intact = path.read_bytes()
@@ -172,8 +174,8 @@ class TestWal:
         assert len(replayed.records) == 1
         # reopening rolls the file back to the last commit point and the
         # next append continues from a clean boundary
-        with ShardWal(path, fsync=False) as wal:
-            assert wal.records_written == 1
+        with ShardWal(path) as wal:
+            assert len(wal.recovered) == 1
             wal.append_record(encode_put(payloads[1]))
             wal.commit()
         replayed = replay_wal(path)
@@ -184,7 +186,7 @@ class TestWal:
         self, payloads, tmp_path
     ):
         path = tmp_path / "wal.log"
-        with ShardWal(path, fsync=False) as wal:
+        with ShardWal(path) as wal:
             wal.append_record(encode_put(payloads[0]))
             wal.append_record(encode_put(payloads[1]))
             wal.commit()
@@ -198,7 +200,7 @@ class TestWal:
         self, payloads, tmp_path
     ):
         path = tmp_path / "wal.log"
-        with ShardWal(path, fsync=False) as wal:
+        with ShardWal(path) as wal:
             wal.append_record(encode_put(payloads[0]))
             wal.commit()
         data = bytearray(path.read_bytes())
@@ -210,7 +212,7 @@ class TestWal:
 
     def test_midlog_corruption_is_a_typed_error(self, payloads, tmp_path):
         path = tmp_path / "wal.log"
-        with ShardWal(path, fsync=False) as wal:
+        with ShardWal(path) as wal:
             wal.append_record(encode_put(payloads[0]))
             wal.append_record(encode_put(payloads[1]))
             wal.commit()
@@ -228,7 +230,7 @@ class TestWal:
 
     def test_duplicate_replay_is_idempotent(self, payloads, tmp_path):
         path = tmp_path / "wal.log"
-        with ShardWal(path, fsync=False) as wal:
+        with ShardWal(path) as wal:
             for payload in payloads[:4]:
                 wal.append_record(encode_put(payload))
             wal.append_record(encode_remove(payloads[0].user_id))
@@ -265,60 +267,29 @@ def _group_table(payloads):
 
 
 class TestSnapshots:
-    def test_chain_folds_deltas_and_tombstones(self, payloads, tmp_path):
-        store = SnapshotStore(tmp_path)
-        groups = _group_table(payloads[:6])
-        store.write(1, 0, True, groups, ())
-        keys = list(groups)
-        changed = {keys[0]: dict(groups[keys[0]])}
-        removed_uid = next(iter(changed[keys[0]]))
-        del changed[keys[0]][removed_uid]
-        tombstones = [keys[-1]]
-        if not changed[keys[0]]:
-            # the member was its group's last: emptied groups travel as
-            # tombstones, never as empty delta entries
-            tombstones.append(keys[0])
-            changed = {}
-        store.write(2, 1, False, changed, tombstones)
-        folded, seq = store.load_chain()
-        assert seq == 2
-        assert keys[-1] not in folded
-        assert removed_uid not in folded.get(keys[0], {})
-
     def test_full_snapshot_compacts_the_chain(self, payloads, tmp_path):
         store = SnapshotStore(tmp_path)
+        store.write(1, _group_table(payloads[:2]))
+        with ShardWal(store.wal_path(1)) as wal:
+            wal.append_record(encode_put(payloads[2]))
         groups = _group_table(payloads[:4])
-        store.write(1, 0, True, groups, ())
-        store.write(2, 1, False, {}, ())
-        store.write(3, 2, True, groups, ())
-        assert store.chain_length() == 1
-        assert store.latest_seq() == 3
-        folded, seq = store.load_chain()
-        assert seq == 3 and folded == groups
+        store.write(2, groups)
+        assert [p.name for p in tmp_path.iterdir()] == ["snap-00000002.bin"]
+        assert store.load_latest() == (groups, 2)
 
     def test_digest_corruption_is_a_typed_error(self, payloads, tmp_path):
-        path = write_snapshot(
-            tmp_path, 1, 0, True, _group_table(payloads[:3]), ()
-        )
+        path = write_snapshot(tmp_path, 1, _group_table(payloads[:3]))
         data = bytearray(path.read_bytes())
         data[-1] ^= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(PersistenceError):
             load_snapshot(path)
 
-    def test_chain_without_full_base_is_a_typed_error(
-        self, payloads, tmp_path
-    ):
-        write_snapshot(tmp_path, 2, 1, False, _group_table(payloads[:2]), ())
+    def test_renamed_snapshot_is_a_typed_error(self, payloads, tmp_path):
+        path = write_snapshot(tmp_path, 1, _group_table(payloads[:2]))
+        path.rename(tmp_path / "snap-00000002.bin")
         with pytest.raises(PersistenceError):
-            SnapshotStore(tmp_path).load_chain()
-
-    def test_broken_chain_linkage_is_a_typed_error(self, payloads, tmp_path):
-        groups = _group_table(payloads[:2])
-        write_snapshot(tmp_path, 1, 0, True, groups, ())
-        write_snapshot(tmp_path, 3, 2, False, groups, ())  # parent 2 missing
-        with pytest.raises(PersistenceError):
-            SnapshotStore(tmp_path).load_chain()
+            SnapshotStore(tmp_path).load_latest()
 
 
 # -- shard state recovery ------------------------------------------------------
@@ -326,7 +297,7 @@ class TestSnapshots:
 
 class TestShardStateRecovery:
     def test_snapshot_plus_tail_replay(self, payloads, tmp_path):
-        state = ShardState(0, directory=tmp_path, fsync=False)
+        state = ShardState(0, directory=tmp_path)
         state.apply([("put", p) for p in payloads[:6]])
         state.snapshot_now()
         # post-snapshot churn lives only in the WAL tail
@@ -339,7 +310,7 @@ class TestShardStateRecovery:
         )
         state.close()
 
-        recovered = ShardState(0, directory=tmp_path, fsync=False)
+        recovered = ShardState(0, directory=tmp_path)
         assert len(recovered.store) == 6
         assert not recovered.store.contains(payloads[5].user_id)
         assert recovered.store.get(payloads[0].user_id) == _drifted(
@@ -348,7 +319,7 @@ class TestShardStateRecovery:
         recovered.close()
 
     def test_snapshot_truncates_the_log(self, payloads, tmp_path):
-        state = ShardState(0, directory=tmp_path, fsync=False)
+        state = ShardState(0, directory=tmp_path)
         state.apply([("put", p) for p in payloads[:5]])
         wal_files = list(tmp_path.glob("wal-*.log"))
         assert len(wal_files) == 1 and wal_files[0].stat().st_size > 0
@@ -359,28 +330,83 @@ class TestShardStateRecovery:
         state.close()
 
     def test_snapshot_cadence_is_automatic(self, payloads, tmp_path):
-        state = ShardState(
-            0, directory=tmp_path, snapshot_every=4, fsync=False
-        )
-        state.apply([("put", p) for p in payloads[:8]])
-        assert SnapshotStore(tmp_path).latest_seq() >= 1
+        state = ShardState(0, directory=tmp_path)
+        repeats = DEFAULT_SNAPSHOT_EVERY // 8
+        state.apply([("put", p) for p in payloads[:8]] * repeats)
+        assert SnapshotStore(tmp_path).latest_seq() == 1
         state.close()
 
-    def test_group_move_marks_both_groups_dirty(self, payloads, tmp_path):
+    def test_group_move_survives_snapshot_and_reopen(
+        self, payloads, tmp_path
+    ):
         a, b = payloads[0], payloads[1]
-        state = ShardState(0, directory=tmp_path, fsync=False)
+        state = ShardState(0, directory=tmp_path)
         state.apply([("put", a), ("put", b)])
         state.snapshot_now()
-        # a's fuzzy key drifts into b's group: delta must cover both the
-        # emptied old group (tombstone) and the grown new group
+        # a's fuzzy key drifts into b's group, emptying a's old group
         state.apply([("put", _moved(a, b.key_index))])
         state.snapshot_now()
         state.close()
-        recovered = ShardState(0, directory=tmp_path, fsync=False)
+        recovered = ShardState(0, directory=tmp_path)
         assert recovered.store.get(a.user_id).key_index == b.key_index
         assert len(recovered.store.group_by_index(b.key_index)) == 2
         assert recovered.store.group_by_index(a.key_index) == {}
         recovered.close()
+
+    def test_crash_between_snapshot_rename_and_cleanup(
+        self, payloads, tmp_path, monkeypatch
+    ):
+        state = ShardState(0, directory=tmp_path)
+        state.apply([("put", p) for p in payloads[:6]])
+        state.snapshot_now()
+        state.apply(
+            [("put", p) for p in payloads[6:10]]
+            + [("remove", payloads[0].user_id)]
+        )
+        real_unlink = pathlib.Path.unlink
+
+        def unlink_fails_once(path, *args, **kwargs):
+            monkeypatch.setattr(pathlib.Path, "unlink", real_unlink)
+            raise OSError(errno.EIO, "input/output error")
+
+        monkeypatch.setattr(pathlib.Path, "unlink", unlink_fails_once)
+        with pytest.raises(OSError):
+            state.snapshot_now()
+        # snapshot 2 is in place and snapshot 1 is not yet deleted; the
+        # shard is abandoned here, without close
+        assert len(list(tmp_path.glob("snap-*.bin"))) == 2
+        held = dict(state.store.all_profiles())
+        assert held == {p.user_id: p for p in payloads[1:10]}
+
+        reopened = ShardState(0, directory=tmp_path)
+        try:
+            assert dict(reopened.store.all_profiles()) == held
+            reopened.snapshot_now()
+        finally:
+            reopened.close()
+        assert len(list(tmp_path.glob("snap-*.bin"))) == 1
+        assert len(list(tmp_path.glob("wal-*.log"))) == 1
+
+    def test_reopen_reads_each_wal_segment_once(
+        self, payloads, tmp_path, monkeypatch
+    ):
+        with ShardedTier(shards=2, data_dir=tmp_path) as tier:
+            tier.put_batch(payloads)
+        reads = []
+        real_read_bytes = pathlib.Path.read_bytes
+
+        def counting_read_bytes(path):
+            if path.name.startswith("wal-"):
+                reads.append(path.relative_to(tmp_path))
+            return real_read_bytes(path)
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", counting_read_bytes)
+        with ShardedTier(shards=2, data_dir=tmp_path) as reopened:
+            assert len(reopened) == len(payloads)
+        assert sorted(map(str, reads)) == [
+            "shard-000/wal-00000000.log",
+            "shard-001/wal-00000000.log",
+        ]
 
 
 class TestFailedBatch:
@@ -417,7 +443,7 @@ class TestFailedBatch:
             "widen": [("put", _widened(base[4]))],
         }[case]
         uids = [p.user_id for p in payloads[:10]]
-        state = ShardState(0, directory=tmp_path, fsync=False)
+        state = ShardState(0, directory=tmp_path)
         state.apply([("put", p) for p in base])
         before = self._answers(state, uids)
         with pytest.raises(ParameterError):
@@ -426,7 +452,7 @@ class TestFailedBatch:
         stored = dict(state.store.all_profiles())
         state.close()
 
-        reopened = ShardState(0, directory=tmp_path, fsync=False)
+        reopened = ShardState(0, directory=tmp_path)
         try:
             assert self._answers(reopened, uids) == live
             assert dict(reopened.store.all_profiles()) == stored
@@ -572,23 +598,17 @@ class TestEquivalenceMatrix:
             assert _tier_results(tier, payloads) == oracle
 
     def test_process_shards_match_legacy(self, payloads, oracle, tmp_path):
-        with ShardedTier(
-            shards=2, mode="process", data_dir=tmp_path, fsync=False
-        ) as tier:
+        with ShardedTier(shards=2, mode="process", data_dir=tmp_path) as tier:
             assert _tier_results(tier, payloads) == oracle
 
     def test_durable_tier_reopen_matches_legacy(
         self, payloads, oracle, tmp_path
     ):
-        with ShardedTier(
-            shards=3, mode="inline", data_dir=tmp_path, fsync=False
-        ) as tier:
+        with ShardedTier(shards=3, mode="inline", data_dir=tmp_path) as tier:
             results = _tier_results(tier, payloads)
             assert results == oracle
-        # cold reopen: snapshot chain + WAL tail + manifest routing rebuild
-        with ShardedTier(
-            shards=3, mode="inline", data_dir=tmp_path, fsync=False
-        ) as reopened:
+        # cold reopen: snapshot + WAL tail + manifest routing rebuild
+        with ShardedTier(shards=3, mode="inline", data_dir=tmp_path) as reopened:
             _, remaining = _churn_workload(payloads)
             for uid in remaining:
                 entries = reopened.query(uid, k=3)
@@ -616,13 +636,7 @@ class TestCrashRecovery:
         self, payloads, tmp_path
     ):
         oracle = _oracle_results(payloads)
-        with ShardedTier(
-            shards=2,
-            mode="process",
-            data_dir=tmp_path,
-            fsync=False,
-            snapshot_every=8,
-        ) as tier:
+        with ShardedTier(shards=2, mode="process", data_dir=tmp_path) as tier:
             ops, remaining = _churn_workload(payloads)
             half = len(ops) // 2
             crashed = False
@@ -633,8 +647,14 @@ class TestCrashRecovery:
                 else:
                     tier.remove(op[1])
 
-            for op in ops[:half]:
+            for op in ops[: half // 2]:
                 run(op)
+            for shard in tier._shards:
+                shard.apply([("snapshot",)])
+            for op in ops[half // 2 : half]:
+                run(op)
+            tail = tmp_path / "shard-000" / "wal-00000001.log"
+            assert tail.stat().st_size > 0
             # hard-kill shard 0 mid-churn; the crash op dies on the retry
             # too, so the typed error escapes — exactly once
             try:
@@ -643,7 +663,7 @@ class TestCrashRecovery:
                 crashed = True
             assert crashed
             # churn continues: the next batch restarts the worker, which
-            # recovers from its snapshot chain + WAL tail
+            # recovers from its snapshot + WAL tail
             for op in ops[half:]:
                 run(op)
             bulk = tier.query_bulk(remaining, k=3)
@@ -688,9 +708,7 @@ class TestCrashRecovery:
                     links.add(link)
             return links
 
-        with ShardedTier(
-            shards=3, mode="process", data_dir=tmp_path, fsync=False
-        ) as tier:
+        with ShardedTier(shards=3, mode="process", data_dir=tmp_path) as tier:
             tier.put_batch(payloads)
             children = multiprocessing.active_children()
             held = {child.pid: write_ends(child.pid) for child in children}
@@ -702,9 +720,7 @@ class TestCrashRecovery:
                 assert holders <= {child.pid}
 
     def test_crash_between_batches_loses_nothing(self, payloads, tmp_path):
-        with ShardedTier(
-            shards=1, mode="process", data_dir=tmp_path, fsync=False
-        ) as tier:
+        with ShardedTier(shards=1, mode="process", data_dir=tmp_path) as tier:
             tier.put_batch(payloads[:10])
             with pytest.raises(WorkerCrashError):
                 tier._shards[0].apply([("crash",)])
@@ -717,17 +733,13 @@ class TestCrashRecovery:
 
 class TestTierLifecycle:
     def test_placement_mismatch_refused_on_reopen(self, payloads, tmp_path):
-        with ShardedTier(
-            shards=2, mode="inline", data_dir=tmp_path, fsync=False
-        ) as tier:
+        with ShardedTier(shards=2, mode="inline", data_dir=tmp_path) as tier:
             tier.put_batch(payloads[:4])
         with pytest.raises(ParameterError):
             ShardedTier(shards=4, mode="inline", data_dir=tmp_path)
 
     def test_rebalance_is_explicit_and_versioned(self, payloads, tmp_path):
-        tier = ShardedTier(
-            shards=2, mode="inline", data_dir=tmp_path, fsync=False
-        )
+        tier = ShardedTier(shards=2, mode="inline", data_dir=tmp_path)
         tier.put_batch(payloads)
         before = {
             uid: tier.query(uid, k=3) for uid in (p.user_id for p in payloads)
@@ -742,11 +754,45 @@ class TestTierLifecycle:
             assert tier.query(uid, k=3) == entries
         tier.close()
         # the successor map is what a reopen must now be asked for
-        reopened = ShardedTier(
-            shards=4, mode="inline", data_dir=tmp_path, fsync=False
-        )
+        reopened = ShardedTier(shards=4, mode="inline", data_dir=tmp_path)
         assert len(reopened) == len(payloads)
         reopened.close()
+
+    def test_placement_map_is_written_atomically(
+        self, payloads, tmp_path, monkeypatch
+    ):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            name = os.path.basename(dst)
+            events.append(("replace", os.stat(src).st_ino, name))
+            real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", fsync)
+            patch.setattr(os, "replace", replace)
+            tier = ShardedTier(shards=2, data_dir=tmp_path)
+            tier.put_batch(payloads[:6])
+            tier.rebalance(3)
+            tier.close()
+        # the first map, then its successor
+        installs = [
+            at
+            for at, event in enumerate(events)
+            if event[0] == "replace" and event[2] == "placement.bin"
+        ]
+        assert len(installs) == 2
+        directory = os.stat(tmp_path).st_ino
+        bounds = [-1] + installs + [len(events)]
+        for n, at in enumerate(installs):
+            tmp_file = events[at][1]
+            assert ("fsync", tmp_file) in events[bounds[n] + 1 : at]
+            assert ("fsync", directory) in events[at + 1 : bounds[n + 2]]
 
     def test_rebalance_down_drains_dropped_shards(self, payloads):
         tier = ShardedTier(shards=3, mode="inline")

@@ -702,7 +702,7 @@ class TestShardDurabilitySinks:
     def test_snapshot_write_of_secret_fires(self):
         src = """
             def persist(directory, seq, mac_key):
-                return write_snapshot(directory, seq, 0, True, mac_key, ())
+                return write_snapshot(directory, seq, mac_key)
         """
         found = check(src, self.SHARD_PATH)
         assert codes(found) == ["SML010"]
@@ -710,6 +710,6 @@ class TestShardDurabilitySinks:
     def test_snapshot_write_of_public_groups_is_clean(self):
         src = """
             def persist(directory, seq, group_table):
-                return write_snapshot(directory, seq, 0, True, group_table, ())
+                return write_snapshot(directory, seq, group_table)
         """
         assert check(src, self.SHARD_PATH) == []
