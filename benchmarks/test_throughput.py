@@ -4,13 +4,12 @@ Not a paper figure — a genuine pytest-benchmark suite measuring the three
 hot paths of a running service at the paper's parameters (64-bit
 plaintexts, theta = 8): client enrollment, server query handling, and
 client-side verification — plus the head-to-head pairs of the performance
-layer (docs/PERFORMANCE.md): OPE encryption with the node cache on vs off,
-``enroll_population`` on the serial backend vs a warmed process pool,
-churn-then-query with the incremental matcher vs a forced full resort, and
-the sharded server tier (upload + bulk query across process shards) vs one
-bare store + matcher.  The cold-query and churn numbers time a bare
-``ProfileStore`` + ``ServerMatcher`` (Algorithm Match itself); the warm
-query goes through the server's request handler.
+layer (docs/PERFORMANCE.md): ``enroll_population`` on the serial backend
+vs a warmed process pool, churn-then-query with the incremental matcher vs
+a forced full resort, and the sharded server tier (upload + bulk query
+across process shards) vs one bare store + matcher.  The cold-query and
+churn numbers time a bare ``ProfileStore`` + ``ServerMatcher`` (Algorithm
+Match itself); the warm query goes through the server's request handler.
 
 The suite runs under an active :mod:`repro.obs` metrics registry and ends
 by writing ``benchmarks/results/BENCH_throughput.json`` — measured per-op
@@ -115,32 +114,6 @@ def engine(world):
     return store, matcher
 
 
-@pytest.fixture(scope="module")
-def ope_worlds(metrics_registry):
-    """Two schemes with a real (expanded-range) OPE: node cache on and off.
-
-    The default throughput world runs the paper's N = M setting where OPE
-    degenerates to the identity, so the cache comparison needs the expanded
-    range (16 extra bits) that gives the descent actual split points.
-    """
-    pop = build_population(INFOCOM06, seed=33)
-    profile = pop.generate(1)[0].profile
-    on = build_scheme(
-        INFOCOM06, schema=pop.schema, seed=33, ope_expansion_bits=16
-    )
-    off = build_scheme(
-        INFOCOM06,
-        schema=pop.schema,
-        seed=33,
-        ope_expansion_bits=16,
-        ope_cache=False,
-    )
-    key = on.keygen(profile)
-    mapped = on.init_data(profile)
-    on.encrypt(profile, key, mapped)  # warm the cache once
-    return on, off, profile, key, mapped
-
-
 def _timed_us(fn, *args, iterations=5):
     """Total/mean wall time of ``iterations`` calls, integer microseconds."""
     start = time.perf_counter_ns()
@@ -222,16 +195,6 @@ def test_upload_message_encode_throughput(benchmark, world):
     assert len(encoded) > 0
 
 
-def test_ope_cache_speeds_up_encrypt(benchmark, ope_worlds):
-    """The warmed node cache beats the raw HMAC descent by >= 2x."""
-    on, off, profile, key, mapped = ope_worlds
-    cached = _timed_us(on.encrypt, profile, key, mapped, iterations=20)
-    uncached = _timed_us(off.encrypt, profile, key, mapped, iterations=20)
-    assert on.encrypt(profile, key, mapped) == off.encrypt(profile, key, mapped)
-    benchmark.pedantic(on.encrypt, args=(profile, key, mapped), rounds=5)
-    assert cached["per_op_us"] * 2 <= uncached["per_op_us"], (cached, uncached)
-
-
 def test_incremental_matcher_beats_resort(benchmark, world, engine):
     """Churn + query via incremental maintenance beats a forced resort 2x."""
     _, _, _, uploads, _, server = world
@@ -265,9 +228,7 @@ def test_incremental_matcher_beats_resort(benchmark, world, engine):
     )
 
 
-def test_emit_bench_artifact(
-    world, engine, ope_worlds, metrics_registry, results_dir
-):
+def test_emit_bench_artifact(world, engine, metrics_registry, results_dir):
     """Write BENCH_throughput.json: latencies, speedups, metrics snapshot."""
     pop, users, scheme, uploads, keys, server = world
     store, matcher = engine
@@ -278,15 +239,6 @@ def test_emit_bench_artifact(
     def cold_query():
         matcher.invalidate()
         matcher.match(uid, server.query_k)
-
-    # -- OPE node cache: warmed hit path vs raw HMAC descent ----------------
-    cache_on, cache_off, ope_profile, ope_key, ope_mapped = ope_worlds
-    encrypt_on = _timed_us(
-        cache_on.encrypt, ope_profile, ope_key, ope_mapped, iterations=20
-    )
-    encrypt_off = _timed_us(
-        cache_off.encrypt, ope_profile, ope_key, ope_mapped, iterations=20
-    )
 
     # -- batch enrollment: serial vs process backend, same seed ------------
     # The op name enroll_population_w1 predates the backend API and is kept
@@ -403,8 +355,6 @@ def test_emit_bench_artifact(
         "warm_query": _timed_us(server.handle_query, request),
         "cold_query": _timed_us(cold_query),
         "verify": _timed_us(scheme.verify, some_payload.auth, keys[uid]),
-        "enroll_encrypt_cache_on": encrypt_on,
-        "enroll_encrypt_cache_off": encrypt_off,
         "enroll_population_w1": enroll_w1,
         "enroll_population_process": enroll_proc,
         "churn_query_incremental": churn_inc,
@@ -418,9 +368,6 @@ def test_emit_bench_artifact(
         return round(numer["per_op_us"] / max(1, denom["per_op_us"]), 3)
 
     speedups = {
-        # OPE-encryption stage of enrollment (full enrollment is
-        # OPRF-modexp-bound; see docs/PERFORMANCE.md for the breakdown)
-        "ope_cache_encrypt": ratio(encrypt_off, encrypt_on),
         "incremental_churn_query": ratio(churn_res, churn_inc),
         # the real multicore win: a warmed process pool sidesteps the GIL
         # for the OPRF modexps.  CI enforces >= 2.0 on >= 4-core runners
@@ -436,9 +383,6 @@ def test_emit_bench_artifact(
         ),
     }
 
-    if cache_on.ope_cache is not None:
-        cache_on.ope_cache.flush_metrics()
-
     artifact = {
         "suite": "throughput",
         "params": {
@@ -447,7 +391,6 @@ def test_emit_bench_artifact(
             "plaintext_bits": scheme.params.plaintext_bits,
             "theta": scheme.params.theta,
             "query_k": server.query_k,
-            "ope_comparison_expansion_bits": 16,
             "bench_workers": BENCH_WORKERS,
             "bench_shards": BENCH_SHARDS,
             "shard_tile_copies": SHARD_TILE_COPIES,
@@ -462,7 +405,6 @@ def test_emit_bench_artifact(
     path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     parsed = json.loads(path.read_text())
     assert parsed["ops"]["enroll"]["per_op_us"] > 0
-    assert parsed["speedups"]["ope_cache_encrypt"] >= 2.0
     assert parsed["speedups"]["incremental_churn_query"] >= 2.0
     assert parsed["metrics"]["counters"]["smatch_server_uploads_total"] >= len(users)
 

@@ -17,7 +17,7 @@ message's payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.chaining import AttributeChainer
 from repro.core.entropy import BigJumpMapper
@@ -28,7 +28,6 @@ from repro.core.verification import AuthInfo, Verifier
 from repro.crypto.kdf import sha256
 from repro.crypto.modes import AeadCiphertext
 from repro.crypto.ope import OPE, OpeParams
-from repro.crypto.ope_cache import OpeNodeCache
 from repro.crypto.oprf import RsaOprfServer
 from repro.errors import ParameterError
 from repro.ntheory.groups import SchnorrGroup
@@ -214,7 +213,6 @@ class SMatch:
         mapper: Optional[BigJumpMapper] = None,
         group: Optional[SchnorrGroup] = None,
         rng: Optional[SystemRandomSource] = None,
-        ope_cache: Union[OpeNodeCache, bool, None] = None,
     ) -> None:
         self.params = params
         self._rng = rng or SystemRandomSource()
@@ -228,16 +226,6 @@ class SMatch:
             params.fuzzy_params, self.oprf_server, rng=self._rng
         )
         self.verifier = Verifier(group)
-        # ope_cache: None -> a private default cache, False -> caching off,
-        # an OpeNodeCache -> shared with the caller (e.g. with the server's
-        # score_table path, or across SMatch instances).  Cached output is
-        # bit-identical to uncached, so this is a pure speed knob.
-        if ope_cache is False:
-            self.ope_cache: Optional[OpeNodeCache] = None
-        elif ope_cache is None or ope_cache is True:
-            self.ope_cache = OpeNodeCache()
-        else:
-            self.ope_cache = ope_cache
         # Lazily built, then reused for every batch: process backends key
         # their warm worker pools on context *identity*, so handing the same
         # spec object to each enroll_population call keeps pools warm.
@@ -279,9 +267,7 @@ class SMatch:
                 self.params.num_attributes,
                 self.params.plaintext_bits,
             )
-            ope = OPE(
-                key.subkey(b"ope"), self.params.ope_params, cache=self.ope_cache
-            )
+            ope = OPE(key.subkey(b"ope"), self.params.ope_params)
             chained = chainer.chain(list(mapped))
             return tuple(ope.encrypt(v) for v in chained)
 

@@ -31,9 +31,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.crypto.ope_cache import OpeNodeCache
 from repro.errors import CiphertextError, KeyError_, ParameterError
 from repro.obs.instrument import count_op
 from repro.obs.trace import span
@@ -142,40 +141,15 @@ def _hypergeometric_ppf(u: float, total: int, good: int, draws: int) -> int:
 
 
 class OPE:
-    """Deterministic order-preserving encryption under a symmetric key.
-
-    ``cache`` optionally memoizes node-split and leaf-draw results in an
-    :class:`~repro.crypto.ope_cache.OpeNodeCache`.  Because both draws are
-    pure functions of ``(key, params, bounds)``, cached output is
-    bit-for-bit identical to the uncached derivation; the cache may be
-    shared across OPE instances (entries are namespaced by a one-way
-    digest of key and parameters, so distinct key groups never mix).
-    """
+    """Deterministic order-preserving encryption under a symmetric key."""
 
     KEY_SIZE = 32
 
-    def __init__(
-        self,
-        key: bytes,
-        params: OpeParams,
-        cache: Optional[OpeNodeCache] = None,
-    ) -> None:
+    def __init__(self, key: bytes, params: OpeParams) -> None:
         if len(key) < 16:
             raise KeyError_("OPE key must be at least 16 bytes")
         self._key = bytes(key)
         self.params = params
-        self._cache = cache
-        if cache is not None:
-            # one-way, parameter-bound namespace: shared caches never leak
-            # entries across key groups or across parameterizations, and
-            # never hold raw key material
-            label = (
-                f"smatch-ope-cache-ns|{params.split}"
-                f"|{params.plaintext_bits}|{params.expansion_bits}"
-            ).encode()
-            self._cache_ns = DeterministicStream(self._key, label).read(16)
-        else:
-            self._cache_ns = b""
 
     # -- internal: pseudorandom choices ---------------------------------------
 
@@ -201,33 +175,16 @@ class OPE:
         hi = rhi - right_need
         if lo == hi:
             return lo
-        cache = self._cache
-        if cache is not None:
-            token = (self._cache_ns, 0, dlo, dhi, rlo, rhi)
-            hit = cache.get(token)
-            if hit is not None:
-                return hit
-        rmid = self._derive_split(dlo, dhi, rlo, rhi, lo, hi)
-        if cache is not None:
-            cache.put(token, rmid)
-        return rmid
-
-    def _derive_split(
-        self, dlo: int, dhi: int, rlo: int, rhi: int, lo: int, hi: int
-    ) -> int:
-        """The HMAC derivation of a node split (the uncached ground truth)."""
         stream = self._node_stream(b"node", (dlo, dhi, rlo, rhi))
         if self.params.split == "uniform":
             return stream.randint(lo, hi)
         # Hypergeometric: of the (rhi-rlo+1) range values, the left domain
         # half receives `left_extra` of the slack positions according to the
         # random-OPF law.
-        left_need = (dlo + dhi) // 2 - dlo + 1
         total = rhi - rlo + 1
-        draws = left_need  # domain points on the left
         domain = (dhi - dlo + 1)
         u = stream.getrandbits(53) / float(1 << 53)
-        # Sample how many range values go left: law of the draws-th order
+        # Sample how many range values go left: law of the left_need-th order
         # statistic; the classic Boldyreva recursion samples
         # x ~ HG(range+domain-ish). We sample the count of range slots on the
         # left as `left_need + HG(slack split proportional to domain split)`.
@@ -238,17 +195,7 @@ class OPE:
     def _leaf_value(self, m: int, rlo: int, rhi: int) -> int:
         if rlo == rhi:
             return rlo
-        cache = self._cache
-        if cache is not None:
-            token = (self._cache_ns, 1, m, 0, rlo, rhi)
-            hit = cache.get(token)
-            if hit is not None:
-                return hit
-        stream = self._node_stream(b"leaf", (m, m, rlo, rhi))
-        value = stream.randint(rlo, rhi)
-        if cache is not None:
-            cache.put(token, value)
-        return value
+        return self._node_stream(b"leaf", (m, m, rlo, rhi)).randint(rlo, rhi)
 
     # -- public API --------------------------------------------------------------
 
@@ -315,7 +262,6 @@ class AdaptiveOPE(OPE):
         measured_entropy: float,
         security_margin: int = 16,
         split: str = "uniform",
-        cache: Optional[OpeNodeCache] = None,
     ) -> "AdaptiveOPE":
         """Build an OPE whose range adapts to the measured entropy."""
         if measured_entropy < 0:
@@ -329,4 +275,4 @@ class AdaptiveOPE(OPE):
             expansion_bits=expansion,
             split=split,
         )
-        return cls(key, params, cache=cache)
+        return cls(key, params)

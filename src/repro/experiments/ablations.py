@@ -19,7 +19,7 @@
 from __future__ import annotations
 
 import statistics
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.attacks.collusion import collusion_attack, shared_key_exposure, worst_case_advantage
 from repro.attacks.frequency import FrequencyAnalysis
@@ -147,7 +147,7 @@ def entropy_increase_ablation(
     )
     ope_mapped = OPE(b"ablation-2m" + bytes(21), OpeParams(plaintext_bits=k))
 
-    def avg_space(ope, population) -> float:
+    def avg_space(ope: OPE, population: List[int]) -> float:
         sizes = []
         for _ in range(trials):
             known = rng.sample(population, min(2, len(population) - 1))
@@ -301,7 +301,7 @@ def dpe_leakage_ablation(
     dpe = DPE(b"ablation-7" + bytes(22), DpeParams(plaintext_bits=16))
     ope = OPE(b"ablation-7" + bytes(22), OpeParams(plaintext_bits=16))
 
-    def accuracy(encrypt) -> float:
+    def accuracy(encrypt: Callable[[int], int]) -> float:
         """Fraction of users whose value the attack recovered."""
         correct = 0
         for _ in range(trials):

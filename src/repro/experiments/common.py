@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.core.profile import ProfileSchema
 from repro.core.scheme import SMatch, SMatchParams
 from repro.crypto.fixtures import fixed_rsa_keypair
-from repro.crypto.ope_cache import OpeNodeCache
 from repro.crypto.oprf import RsaOprfServer
 from repro.datasets.schema import DatasetSpec
 from repro.datasets.synthetic import ClusteredPopulation
@@ -83,7 +82,6 @@ def build_scheme(
     query_k: int = 5,
     parity_symbols: Optional[int] = None,
     ope_expansion_bits: int = 0,
-    ope_cache: Union[OpeNodeCache, bool, None] = None,
 ) -> SMatch:
     """An S-MATCH instance configured for one dataset.
 
@@ -110,7 +108,7 @@ def build_scheme(
             query_k=query_k,
             parity_symbols=parity_symbols,
         )
-        return SMatch(params, oprf_server=oprf, rng=rng, ope_cache=ope_cache)
+        return SMatch(params, oprf_server=oprf, rng=rng)
 
 
 def build_population(

@@ -21,7 +21,7 @@ one order of magnitude.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.baselines.homopm import HomoPM
 from repro.crypto.fixtures import fixed_paillier_keypair
@@ -40,7 +40,7 @@ __all__ = ["run", "client_costs_ms", "DATASETS"]
 DATASETS = {"Infocom06": INFOCOM06, "Sigcomm09": SIGCOMM09, "Weibo": WEIBO}
 
 
-def _time_ms(fn, repeats: int) -> float:
+def _time_ms(fn: Callable[[], object], repeats: int) -> float:
     start = time.perf_counter()
     for _ in range(repeats):
         fn()

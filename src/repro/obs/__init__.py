@@ -40,7 +40,6 @@ from repro.obs.analysis import (
 )
 from repro.obs.instrument import (
     OpCounter,
-    Stopwatch,
     count_op,
     counting,
     current_counter,
@@ -77,7 +76,6 @@ from repro.obs.trace import (
 __all__ = [
     # instrument
     "OpCounter",
-    "Stopwatch",
     "count_op",
     "counting",
     "current_counter",

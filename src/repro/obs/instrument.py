@@ -17,12 +17,11 @@ to attribute operation deltas to pipeline phases.
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
-__all__ = ["OpCounter", "count_op", "counting", "current_counter", "Stopwatch"]
+__all__ = ["OpCounter", "count_op", "counting", "current_counter"]
 
 class _CounterLocal(threading.local):
     """Per-thread counter slot; the class-level ``None`` is every thread's
@@ -89,38 +88,3 @@ def counting() -> Iterator[OpCounter]:
         _local.counter = previous
         if previous is not None:
             previous.merge(counter)
-
-
-class Stopwatch:
-    """Accumulating wall-clock timer used by the cost experiments."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._started: Optional[float] = None
-
-    def start(self) -> "Stopwatch":
-        """Start (or resume) timing; returns self for chaining."""
-        self._started = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop timing and return the accumulated seconds."""
-        if self._started is None:
-            raise RuntimeError("stopwatch is not running")
-        self.elapsed += time.perf_counter() - self._started
-        self._started = None
-        return self.elapsed
-
-    @contextmanager
-    def timing(self) -> Iterator["Stopwatch"]:
-        """Context manager that times its block."""
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()
-
-    @property
-    def elapsed_ms(self) -> float:
-        """Accumulated time in milliseconds."""
-        return self.elapsed * 1e3

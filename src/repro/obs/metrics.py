@@ -106,19 +106,6 @@ M_CHANNEL_SENT_BYTES = _metric(
 M_CHANNEL_RECEIVED_BYTES = _metric(
     "smatch_channel_received_bytes", "wire sizes received"
 )
-# OPE node cache (repro.crypto.ope_cache)
-M_OPE_CACHE_HITS = _metric(
-    "smatch_ope_cache_hits_total", "OPE node-cache hits"
-)
-M_OPE_CACHE_MISSES = _metric(
-    "smatch_ope_cache_misses_total", "OPE node-cache misses"
-)
-M_OPE_CACHE_EVICTIONS = _metric(
-    "smatch_ope_cache_evictions_total", "OPE node-cache LRU evictions"
-)
-M_OPE_CACHE_ENTRIES = _metric(
-    "smatch_ope_cache_entries", "live OPE node-cache entries"
-)
 # batch enrollment (repro.core.scheme)
 M_ENROLL_BATCH_PROFILES = _metric(
     "smatch_enroll_batch_profiles_total", "profiles enrolled in batches"

@@ -69,15 +69,30 @@ def save_run(
 
 
 def read_trace_file(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Parse one ``trace.jsonl`` file into span records (raises when missing)."""
+    """Parse one ``trace.jsonl`` file into span records.
+
+    Raises :class:`ParameterError` when the file is missing, or when a line
+    is not a JSON object (say, a last line cut short by a crash); the error
+    names the file and the line number.
+    """
     trace = Path(path)
     if not trace.exists():
         raise ParameterError(f"no trace found at {trace}")
-    return [
-        json.loads(line)
-        for line in trace.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    records: List[Dict[str, Any]] = []
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(
+                f"{trace}: line {number} is not valid JSON ({exc.msg})"
+            ) from exc
+        if not isinstance(record, dict):
+            raise ParameterError(f"{trace}: line {number} is not a JSON object")
+        records.append(record)
+    return records
 
 
 def load_trace_records(directory: Optional[Union[str, Path]] = None) -> List[Dict[str, Any]]:
@@ -138,11 +153,11 @@ def render_report(directory: Optional[Union[str, Path]] = None) -> str:
     """The full ``repro obs report`` output for the last run."""
     target = export_dir(directory)
     sections = [f"== telemetry report ({target}) =="]
-    try:
-        records = load_trace_records(target)
+    trace_path = target / TRACE_FILE
+    if trace_path.exists():
         sections.append("-- trace --")
-        sections.append(render_trace_report(records))
-    except ParameterError:
+        sections.append(render_trace_report(read_trace_file(trace_path)))
+    else:
         sections.append("-- trace -- (none recorded)")
     metrics_path = target / METRICS_JSON_FILE
     if metrics_path.exists():

@@ -299,42 +299,6 @@ class Tracer:
             id_map[record.get("id")] = s
         return grafted
 
-    def render(self) -> str:
-        """The trace as an indented text tree."""
-        return render_tree(
-            [
-                {
-                    "id": s.span_id,
-                    "parent": None,  # structure comes from children below
-                    "name": s.name,
-                    "attrs": s.attrs,
-                    "duration_us": s.duration_ns // 1000,
-                    "ops": s.ops,
-                    "bytes": dict(s.bytes_io),
-                }
-                for s in [self.root]
-            ],
-            _children_of(self.root),
-        )
-
-
-def _children_of(root: Span) -> Dict[int, List[Dict[str, Any]]]:
-    """Child-record map for :func:`render_tree`, built from live spans."""
-    children: Dict[int, List[Dict[str, Any]]] = {}
-    for s in root.walk():
-        children[s.span_id] = [
-            {
-                "id": c.span_id,
-                "name": c.name,
-                "attrs": c.attrs,
-                "duration_us": c.duration_ns // 1000,
-                "ops": c.ops,
-                "bytes": dict(c.bytes_io),
-            }
-            for c in s.children
-        ]
-    return children
-
 
 def _format_span_line(record: Dict[str, Any]) -> str:
     """One rendered line: name, attrs, duration, op counts, byte tallies."""
@@ -358,7 +322,8 @@ def _format_span_line(record: Dict[str, Any]) -> str:
 def render_tree(
     roots: List[Dict[str, Any]], children: Dict[int, List[Dict[str, Any]]]
 ) -> str:
-    """Render span records (live or re-parsed from JSONL) as a text tree.
+    """Render span records (:meth:`Tracer.span_records` or a parsed
+    ``trace.jsonl``) as a text tree.
 
     Iterative (explicit work stack), so a many-thousand-span trace — deep
     *or* wide — renders in O(n) without touching the recursion limit.

@@ -39,8 +39,8 @@ and are spliced into the parent trace under the open ``parallel.map`` span,
 tagged with the worker identity; when a metrics registry is enabled,
 workers also run a local :class:`~repro.obs.metrics.MetricsRegistry` whose
 mergeable snapshot is folded into the parent registry (counters add,
-gauges max), so ``smatch_parallel_*`` and OPE-cache counters agree across
-the serial and process backends.  The same capture/absorb pair
+gauges max), so ``smatch_parallel_*`` and any counter bumped inside a task
+agree across the serial and process backends.  The same capture/absorb pair
 (:func:`run_captured` / :func:`absorb_telemetry`) serves any pool thread
 that has no tracer of its own, such as the shard tier's fan-out threads.
 """

@@ -5,10 +5,10 @@ the :class:`~repro.parallel.backend.ProcessBackend` can pickle it by
 reference; its context, an :class:`EnrollSpec`, crosses the process
 boundary once per worker (warm start) and is then reused for every chunk.
 
-The live :class:`~repro.core.scheme.SMatch` instance is *not* picklable
-(its OPE node cache holds a lock), so the spec carries only the plain-data
-ingredients (params, OPRF key material, mapper, Schnorr group) and each
-worker process materializes its own scheme once, with its own cache.
+The spec carries the plain-data ingredients of the caller's
+:class:`~repro.core.scheme.SMatch` (params, OPRF key material, mapper,
+Schnorr group) but not the live instance, whose RNG is the caller's: each
+worker process materializes its own scheme once, with an inert RNG.
 Determinism is carried entirely by the per-profile integer seeds inside
 the chunk items (:func:`repro.core.scheme.profile_enroll_seed`), so the
 output bytes do not depend on which process enrolls which chunk.
@@ -34,11 +34,11 @@ __all__ = ["EnrollSpec", "enroll_chunk"]
 class EnrollSpec:
     """The picklable ingredients of an :class:`SMatch` instance.
 
-    ``materialize()`` builds (and memoizes) a scheme per process; the memo
-    is dropped on pickling so worker copies always build their own scheme
-    with a fresh OPE cache.  The materialized scheme's instance RNG is an
-    inert seeded source — enrollment tasks must pass explicit per-profile
-    RNGs, never consume scheme-instance randomness.
+    ``materialize()`` builds (and memoizes) a scheme per process.  Its
+    instance RNG is an inert seeded source — enrollment tasks must pass
+    explicit per-profile RNGs, never consume scheme-instance randomness —
+    which is why the memo is dropped on pickling: a worker never inherits
+    the caller's scheme and its RNG, it builds its own.
     """
 
     params: SMatchParams
@@ -50,7 +50,7 @@ class EnrollSpec:
     @classmethod
     def of(cls, scheme: SMatch) -> "EnrollSpec":
         """A spec capturing ``scheme``, memoized so the in-process serial
-        backend reuses the live instance and its warm OPE cache."""
+        backend reuses the live instance."""
         spec = cls(
             params=scheme.params,
             oprf_server=scheme.oprf_server,
@@ -62,7 +62,7 @@ class EnrollSpec:
 
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
-        state["_scheme"] = None  # workers build their own (cache has a lock)
+        state["_scheme"] = None  # workers build their own, with an inert RNG
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -95,12 +95,5 @@ def enroll_chunk(
     for profile, seed in chunk:
         payload, key = scheme.enroll(profile, rng=SystemRandomSource(seed))
         out.append((profile.user_id, payload, key))
-    if scheme.ope_cache is not None:
-        # flush cache counter deltas to whichever registry is active here —
-        # the worker-local one under process fan-out, the shared one
-        # otherwise — so merged totals match the serial run exactly
-        # (cache entries are namespaced per profile key, making hit/miss
-        # counts chunk-local and backend-invariant)
-        scheme.ope_cache.flush_metrics()
     return out
 

@@ -1,4 +1,4 @@
-"""Sharded, durable server tier (docs/PERFORMANCE.md §5).
+"""Sharded, durable server tier (docs/PERFORMANCE.md §4).
 
 Profiles only ever interact within their ``h(K_p)`` key-index group at
 match time, so groups are a natural unit of placement: a versioned

@@ -11,7 +11,7 @@ On-disk layout per shard directory::
     wal-00000003.log     # ops accepted after snapshot 3
 
 Recovery = load the newest snapshot + replay the live WAL tail.
-The invariants (docs/PERFORMANCE.md §5):
+The invariants (docs/PERFORMANCE.md §4):
 
 * a group's membership after recovery equals its snapshotted membership
   with the WAL tail's put/remove records applied in order;

@@ -3,7 +3,7 @@
 These are the dynamic complement to the static lockset rules: each test
 drives one of the concurrency-hardened components from many threads at
 once and asserts an exact conservation property — counts that a lost
-update, duplicated splice, or torn LRU eviction would violate.  They are
+update or a duplicated splice would violate.  They are
 deliberately deterministic in their *assertions* (exact totals, unique
 ids) even though the interleavings are not.
 """
@@ -15,7 +15,6 @@ from typing import Any, Callable, Dict, List
 
 import pytest
 
-from repro.crypto.ope_cache import OpeNodeCache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -45,42 +44,6 @@ def _hammer(worker: Callable[[int], None], threads: int = THREADS) -> None:
         thread.join()
     if errors:
         raise errors[0]
-
-
-class TestOpeNodeCacheStress:
-    def test_tally_conservation_under_contention(self) -> None:
-        """hits + misses == total gets, no matter the interleaving."""
-        cache = OpeNodeCache(capacity=256)
-
-        def token(i: int) -> Any:
-            return (b"k", 0, i % 512, 0, 0, 0)
-
-        def worker(index: int) -> None:
-            for i in range(ITERS):
-                value = cache.get(token(i))
-                if value is None:
-                    cache.put(token(i), i % 512)
-
-        _hammer(worker)
-        hits, misses, evictions = cache.stats()
-        assert hits + misses == THREADS * ITERS
-        assert len(cache) <= 256
-        assert evictions >= 0
-
-    def test_cached_values_stay_correct(self) -> None:
-        """Concurrent eviction churn never serves a wrong value."""
-        cache = OpeNodeCache(capacity=64)
-
-        def worker(index: int) -> None:
-            for i in range(ITERS):
-                key = (b"k", index, i % 128, 0, 0, 0)
-                value = cache.get(key)
-                if value is None:
-                    cache.put(key, index * 1000 + i % 128)
-                else:
-                    assert value == index * 1000 + i % 128
-
-        _hammer(worker)
 
 
 class TestMetricsRegistryStress:

@@ -116,7 +116,10 @@ class TestPinnedCiphertexts:
     The upload and channel-body digests are what the byte-oriented AES
     produced.  CTR is its own inverse, so a wrong but self-consistent
     keystream would pass every seal/open round trip and every Vf; only
-    fixed bytes catch it.
+    fixed bytes catch it.  The two OPE-descent digests (16-bit expansion and
+    the hypergeometric split) were taken while an LRU still memoized the
+    descent's nodes, so they pin that the plain HMAC derivation returns
+    what that cache served.
     """
 
     #: SHA-256 over the datagrams of :meth:`test_secure_channel_datagrams`,
@@ -127,6 +130,12 @@ class TestPinnedCiphertexts:
     CHANNEL_BODY_DIGEST = "f0d77570a7fe947d355c693d7f1f3bea9996e88da9ec502782e35f059d42ddd1"
     #: SHA-256 over the encoded uploads of :meth:`test_enrolled_uploads`.
     UPLOAD_DIGEST = "c86a2a7d2fbd6d2bbbee283a65605129e01ed10dc14a04941280e0ef4adfb727"
+    #: The same recipe at 16-bit OPE expansion, where every attribute value
+    #: takes a real OPE descent (:meth:`test_enrolled_uploads_expanded`).
+    UPLOAD_EXPANDED_DIGEST = "7990cad9388db4bdd2aca10a7ce6958b5d751ee6daf4e92ae751a05cdd552d90"
+    #: SHA-256 over the 2-byte ciphertexts of
+    #: :meth:`test_hypergeometric_ope_ciphertexts`.
+    HYPERGEOMETRIC_DIGEST = "be60ea6196d2774be52f160fdaff6c86f5ebd289cf2b5a23bd103c08c9cc1457"
 
     def test_secure_channel_datagrams(self):
         from repro.net.channel import SecureChannel
@@ -150,21 +159,40 @@ class TestPinnedCiphertexts:
         )
         assert _digest(datagrams) == self.CHANNEL_DIGEST
 
-    def test_enrolled_uploads(self):
+    @staticmethod
+    def _enrolled_uploads(**scheme_options):
         from repro.datasets import INFOCOM06
         from repro.experiments.common import build_population, build_scheme
         from repro.net.messages import UploadMessage
 
         population = build_population(INFOCOM06, seed=1402)
         profiles = [u.profile for u in population.generate(12)]
-        scheme = build_scheme(INFOCOM06, schema=population.schema, seed=1402)
+        scheme = build_scheme(
+            INFOCOM06, schema=population.schema, seed=1402, **scheme_options
+        )
         uploads, _ = scheme.enroll_population(
             profiles, backend="serial", seed=1402
         )
-        encoded = [
+        return [
             UploadMessage(payload=uploads[p.user_id]).encode() for p in profiles
         ]
-        assert _digest(encoded) == self.UPLOAD_DIGEST
+
+    def test_enrolled_uploads(self):
+        assert _digest(self._enrolled_uploads()) == self.UPLOAD_DIGEST
+
+    def test_enrolled_uploads_expanded(self):
+        encoded = self._enrolled_uploads(ope_expansion_bits=16)
+        assert _digest(encoded) == self.UPLOAD_EXPANDED_DIGEST
+
+    def test_hypergeometric_ope_ciphertexts(self):
+        rng = SystemRandomSource(seed=1403)
+        params = OpeParams(
+            plaintext_bits=10, expansion_bits=4, split="hypergeometric"
+        )
+        ope = OPE(rng.randbytes(32), params)
+        plaintexts = [rng.randrange(0, params.domain_size) for _ in range(64)]
+        ciphertexts = [ope.encrypt(m).to_bytes(2, "big") for m in plaintexts]
+        assert _digest(ciphertexts) == self.HYPERGEOMETRIC_DIGEST
 
 
 class TestOpeCrossInstance:

@@ -1,9 +1,18 @@
 """Tests for order-preserving encryption."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.ope import OPE, AdaptiveOPE, OpeParams
+from repro.crypto.ope import (
+    OPE,
+    AdaptiveOPE,
+    OpeParams,
+    _hypergeometric_logpmf,
+    _hypergeometric_ppf,
+)
 from repro.errors import CiphertextError, KeyError_, ParameterError
 
 KEY = b"ope-test-key-32-bytes-long......"
@@ -143,3 +152,51 @@ class TestAdaptiveOPE:
             AdaptiveOPE.for_entropy(KEY, 16, measured_entropy=-1)
         with pytest.raises(ParameterError):
             AdaptiveOPE.for_entropy(KEY, 16, measured_entropy=17)
+
+
+def _cdf_reference(k, total, good, draws):
+    """CDF up to ``k`` by direct log-gamma PMF summation."""
+    lo = max(0, draws - (total - good))
+    return sum(
+        math.exp(_hypergeometric_logpmf(j, total, good, draws))
+        for j in range(lo, k + 1)
+    )
+
+
+class TestHypergeometricRecurrence:
+    """The ratio-recurrence PPF still inverts the log-gamma CDF.
+
+    The recurrence and a per-step log-gamma walk differ by float ULPs, so
+    when ``u`` lands within rounding distance of a CDF jump the two walks
+    may legitimately stop one step apart; the robust statement is the
+    quantile bracket ``CDF(k-1) < u <= CDF(k)`` up to accumulated rounding.
+    """
+
+    EPS = 1e-9
+
+    @given(
+        st.integers(min_value=2, max_value=4000),
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_recurrence_inverts_lgamma_cdf(self, total, u, seed):
+        rnd = random.Random(seed)
+        good = rnd.randint(1, total - 1)
+        draws = rnd.randint(1, total - 1)
+        lo = max(0, draws - (total - good))
+        hi = min(draws, good)
+        k = _hypergeometric_ppf(u, total, good, draws)
+        assert lo <= k <= hi
+        assert _cdf_reference(k, total, good, draws) + self.EPS >= u
+        if k > lo:
+            assert _cdf_reference(k - 1, total, good, draws) < u + self.EPS
+
+    def test_support_endpoints(self):
+        # u = 0 maps to the lower support end
+        assert _hypergeometric_ppf(0.0, 100, 30, 40) == 0
+        # draws exceed the bad pool: the lower support end is positive
+        assert _hypergeometric_ppf(0.0, 10, 8, 9) == 7
+        # u = 1 lands where the accumulated mass reaches 1.0 in floats,
+        # which is within the support by construction
+        assert _hypergeometric_ppf(1.0, 100, 30, 40) <= 30

@@ -33,6 +33,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.report import (
     load_trace_records,
+    read_trace_file,
     render_report,
     render_trace_report,
     save_run,
@@ -141,7 +142,7 @@ class TestSpanTracing:
                     pass
             with span("c"):
                 pass
-        rendered = tracer.render()
+        rendered = render_trace_report(tracer.span_records())
         lines = rendered.splitlines()
         assert lines[0].startswith("root")
         assert "|- a" in lines[1]
@@ -438,6 +439,32 @@ class TestLifecycleAndReport:
     def test_load_trace_missing_raises(self, tmp_path):
         with pytest.raises(ParameterError):
             load_trace_records(tmp_path / "nope")
+
+    def test_torn_trace_line_raises_typed_error(self, tmp_path):
+        obs.enable(tmp_path)
+        with obs.pipeline_span("run"):
+            with span("phase"):
+                pass
+        trace = tmp_path / "trace.jsonl"
+        first, last = trace.read_text(encoding="utf-8").splitlines()
+        # a crash mid-write leaves the last line cut short
+        trace.write_text(f"{first}\n{last[: len(last) // 2]}", encoding="utf-8")
+        with pytest.raises(ParameterError, match="line 2 is not valid JSON") as info:
+            read_trace_file(trace)
+        assert str(trace) in str(info.value)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+        # the report surfaces the damage instead of "(none recorded)"
+        with pytest.raises(ParameterError, match="line 2"):
+            render_report(tmp_path)
+
+    def test_trace_line_not_an_object_raises(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"id": 1, "parent": null}\n[1, 2]\n', encoding="utf-8")
+        with pytest.raises(ParameterError, match="line 2 is not a JSON object"):
+            read_trace_file(trace)
+
+    def test_report_without_trace_says_none_recorded(self, tmp_path):
+        assert "-- trace -- (none recorded)" in render_report(tmp_path)
 
     def test_report_renders_tree_and_metrics(self, tmp_path):
         obs.enable(tmp_path)

@@ -282,7 +282,7 @@ class TestPerfTrendAttribution:
             json.dumps(
                 {
                     "ops": {"enroll": {"per_op_us": per_op_us}},
-                    "speedups": {"ope_cache_encrypt": 1.0},
+                    "speedups": {"incremental_churn_query": 1.0},
                     "calibration_us": 1000,
                 }
             )
@@ -304,7 +304,7 @@ class TestPerfTrendAttribution:
                 str(current),
                 str(baseline),
                 "--min-speedup",
-                "ope_cache_encrypt=2.0",
+                "incremental_churn_query=2.0",
                 "--trace",
                 str(trace_c),
                 "--trace-baseline",
@@ -313,7 +313,7 @@ class TestPerfTrendAttribution:
         )
         err = capsys.readouterr().err
         assert code == 1
-        assert "FAIL speedup 'ope_cache_encrypt' below floor" in err
+        assert "FAIL speedup 'incremental_churn_query' below floor" in err
         assert "attribution (span-path trace diff):" in err
         assert "top regression: run;enroll;encrypt" in err
 

@@ -2,14 +2,13 @@
 
 The load-bearing property for ``enroll_population``: with a ``seed``, the
 per-profile randomness is a pure function of ``(seed, user_id)``, so the
-output is payload-for-payload identical for any backend, worker count,
-chunking, or OPE cache configuration.
+output is payload-for-payload identical for any backend, worker count, or
+chunking.
 """
 
 import pytest
 
 from repro.core.scheme import profile_enroll_seed
-from repro.crypto.ope_cache import OpeNodeCache
 from repro.datasets import INFOCOM06
 from repro.errors import ParameterError
 from repro.experiments.common import build_population, build_scheme
@@ -23,8 +22,8 @@ def population():
     return pop, [u.profile for u in users]
 
 
-def _fresh_scheme(pop, **kwargs):
-    return build_scheme(INFOCOM06, schema=pop.schema, seed=41, **kwargs)
+def _fresh_scheme(pop):
+    return build_scheme(INFOCOM06, schema=pop.schema, seed=41)
 
 
 def _enroll_in_processes(pop, profiles, workers, **kwargs):
@@ -62,18 +61,6 @@ class TestSeededDeterminism:
             pop, profiles, 3, seed=77, chunk_size=2
         )
         _assert_same_enrollment(baseline, chunked)
-
-    def test_shared_ope_cache_does_not_change_output(self, population):
-        pop, profiles = population
-        cached = _fresh_scheme(
-            pop,
-            ope_expansion_bits=16,
-            ope_cache=OpeNodeCache(capacity=512),
-        ).enroll_population(profiles, backend="serial", seed=77, chunk_size=3)
-        uncached = _fresh_scheme(
-            pop, ope_expansion_bits=16, ope_cache=False
-        ).enroll_population(profiles, backend="serial", seed=77)
-        _assert_same_enrollment(cached, uncached)
 
     def test_profile_order_is_irrelevant_when_seeded(self, population):
         pop, profiles = population

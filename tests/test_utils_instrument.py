@@ -7,7 +7,6 @@ from repro.obs.instrument import (
     count_op,
     counting,
     current_counter,
-    Stopwatch,
 )
 
 
@@ -60,26 +59,3 @@ class TestCounting:
         b.add("y")
         a.merge(b)
         assert a.as_dict() == {"x": 3, "y": 1}
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw.timing():
-            pass
-        first = sw.elapsed
-        with sw.timing():
-            pass
-        assert sw.elapsed >= first
-
-    def test_stop_without_start_raises(self):
-        import pytest
-
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_elapsed_ms(self):
-        sw = Stopwatch()
-        with sw.timing():
-            pass
-        assert sw.elapsed_ms == sw.elapsed * 1e3

@@ -6,7 +6,6 @@ Usage::
     python -m tools.check_perf_trend \
         benchmarks/results/BENCH_throughput.json \
         benchmarks/baselines/BENCH_throughput.baseline.json \
-        --min-speedup ope_cache_encrypt=2.0 \
         --min-speedup incremental_churn_query=2.0
 
 Two families of checks:

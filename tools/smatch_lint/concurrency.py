@@ -32,8 +32,8 @@ SML007–SML010 family:
   ``unlink()``-ed.
 
 The per-class facts (:class:`ClassConcurrency`) ride the whole-program
-module summaries, so a module that imports ``OpeNodeCache`` and pokes at
-``cache._entries`` without the cache's lock is flagged from the *caller's*
+module summaries, so a module that imports ``Tracer`` and pokes at
+``tracer._ids`` without the tracer's lock is flagged from the *caller's*
 file — the same cross-module application machinery the taint engine uses.
 """
 
@@ -521,7 +521,7 @@ def _infer_instance_facts(
 ) -> Dict[str, ClassConcurrency]:
     """Flow-insensitive map of local variable -> lockset facts.
 
-    ``obj = OpeNodeCache(...)`` binds ``obj`` to the class's facts when the
+    ``obj = Tracer(...)`` binds ``obj`` to the class's facts when the
     class is local or resolvable through the import graph.
     """
     inferred: Dict[str, ClassConcurrency] = {}
