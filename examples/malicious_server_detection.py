@@ -22,8 +22,7 @@ from repro.utils.rand import SystemRandomSource
 def run_query(server, scheme, querier, keys):
     request = QueryRequest(query_id=1, timestamp=0, user_id=querier.user_id)
     result = server.handle_query(request)
-    client = MobileClient(querier, scheme)
-    client._key = keys[querier.user_id]
+    client = MobileClient(querier, scheme, key=keys[querier.user_id])
     return client.verify_results(result), result
 
 

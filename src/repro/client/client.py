@@ -45,18 +45,24 @@ class VerifiedMatches:
 
 
 class MobileClient:
-    """One user's device running the S-MATCH client."""
+    """One user's device running the S-MATCH client.
+
+    ``key`` adopts a profile key derived elsewhere, for example through the
+    networked key service (:class:`repro.client.remote_keygen.RemoteKeygenClient`);
+    without it the client derives its key locally on first use.
+    """
 
     def __init__(
         self,
         profile: Profile,
         scheme: SMatch,
         channel: Optional[SecureChannel] = None,
+        key: Optional[ProfileKey] = None,
     ) -> None:
         self.profile = profile
         self.scheme = scheme
         self.channel = channel
-        self._key: Optional[ProfileKey] = None
+        self._key = key
         self._payload: Optional[EncryptedProfile] = None
         self._query_counter = 0
 

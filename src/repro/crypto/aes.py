@@ -4,29 +4,38 @@ Supports 128/192/256-bit keys.  The verification protocol uses AES-256 in CTR
 mode (paper Section VIII: "AES in CTR mode with random IV was utilized"), and
 the secure channel uses AES-CTR inside encrypt-then-MAC.
 
-Encryption uses the word-oriented T-table form (Daemen & Rijmen, *The Design
-of Rijndael*, §4.2): SubBytes, ShiftRows and MixColumns of one column fold
-into four lookups in 256-entry tables of 32-bit words, so a round is sixteen
-lookups and XORs on four integers instead of a Python call per state byte.
-The key schedule expands straight into 32-bit words, and
-:meth:`AES.encrypt_counters` encrypts a whole run of CTR counter blocks in
-one call.  Every channel message and every authenticator ``ciph_v`` goes
-through AES-CTR, which makes this the hot path of a user's round trip; the
-paper's cost argument (Fig. 4(c)) is that this symmetric layer is cheap.
+Encryption is byte-sliced over a whole message: :meth:`AES.encrypt_counters`
+encrypts the ``n`` counter blocks of one CTR message together.  The state is
+16 segments of ``n`` bytes in row-major order: segment ``4r + c`` holds state
+byte ``(r, c)`` of every block.  Between rounds it is held as one
+``128n``-bit big-endian integer.  A round is then about thirty Python-level
+operations whatever ``n`` is:
 
-The tables are indexed by key- and data-dependent bytes, so this cipher
-leaks through cache timing, like the rest of this not-constant-time library.
+* ShiftRows rotates row ``r`` left by ``r`` segments (a join of slices);
+* SubBytes is one C-level ``bytes.translate`` through the S-box over every
+  block, and a second through ``2 * S`` gives MixColumns its doubled bytes;
+* MixColumns is a few XORs of the whole state with its rows rotated;
+* AddRoundKey XORs an integer made by one ``translate`` through the round
+  key of a string that names the block byte each segment holds.
+
+Every channel message and every authenticator ``ciph_v`` goes through
+AES-CTR, which makes this the hot path of a user's round trip; the paper's
+cost argument (Fig. 4(c)) is that this symmetric layer is cheap.
+
+The S-box ``translate`` tables are indexed by key- and data-dependent state
+bytes, so this cipher leaks through cache timing, like the rest of this
+not-constant-time library.
 
 Decryption has no caller in the protocol (CTR only encrypts).  It keeps the
-textbook byte-oriented inverse cipher over byte round keys taken from the
-word schedule, so the ``decrypt(encrypt(x)) == x`` tests check the T-table
-encryptor against an independent implementation.
+textbook byte-oriented inverse cipher over the same round keys, so the
+``decrypt(encrypt(x)) == x`` tests check the byte-sliced encryptor against
+an independent implementation.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import KeyError_, ParameterError
 from repro.obs.instrument import count_op
@@ -36,9 +45,6 @@ __all__ = ["AES"]
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
-
-#: One round's four key words (the state's four big-endian columns).
-RoundKey = Tuple[int, int, int, int]
 
 
 def _build_sbox() -> bytes:
@@ -99,30 +105,33 @@ def _gmul(a: int, b: int) -> int:
     return res
 
 
-def _build_t_tables() -> Tuple[List[int], List[int], List[int], List[int]]:
-    """``T0[x]`` is the MixColumns column ``(2, 1, 1, 3) * S[x]`` as a
-    big-endian word; ``T1``..``T3`` are its byte rotations right by 1..3."""
-    t0 = []
-    for s in _SBOX:
-        s2 = _xtime(s)
-        t0.append((s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s))
-    t1 = [((w >> 8) | (w << 24)) & _MASK32 for w in t0]
-    t2 = [((w >> 16) | (w << 16)) & _MASK32 for w in t0]
-    t3 = [((w >> 24) | (w << 8)) & _MASK32 for w in t0]
-    return t0, t1, t2, t3
+#: ``_XT[v]`` is ``2 * S[v]`` in GF(2^8): the doubled S-box output MixColumns needs.
+_XT = bytes(_xtime(s) for s in _SBOX)
+
+#: Row-major state order: position ``4r + c`` holds block byte ``4c + r``,
+#: since FIPS-197 fills the state column by column.
+_ROW_MAJOR = [4 * c + r for r in range(4) for c in range(4)]
+
+#: For each segment in order, the block byte it holds, as one byte.
+_SEGMENT_BYTES = [bytes((k,)) for k in _ROW_MAJOR]
+
+#: Pads a 16-byte round key to a full ``bytes.translate`` table.
+_TABLE_PAD = bytes(256 - 16)
 
 
-_T0, _T1, _T2, _T3 = _build_t_tables()
+def _shift_rows(state: bytes, n: int) -> bytes:
+    """ShiftRows on a byte-sliced state: row ``r`` rotates left by ``r``
+    segments of ``n`` bytes."""
+    return b"".join((
+        state[: 4 * n],
+        state[5 * n : 8 * n], state[4 * n : 5 * n],
+        state[10 * n : 12 * n], state[8 * n : 10 * n],
+        state[15 * n :], state[12 * n : 15 * n],
+    ))
 
 
 def _sub_word(w: int) -> int:
-    s = _SBOX
-    return (
-        (s[w >> 24] << 24)
-        | (s[(w >> 16) & 0xFF] << 16)
-        | (s[(w >> 8) & 0xFF] << 8)
-        | s[w & 0xFF]
-    )
+    return int.from_bytes(w.to_bytes(4, "big").translate(_SBOX), "big")
 
 
 def _expand_key(key: bytes, rounds: int) -> List[int]:
@@ -160,12 +169,16 @@ class AES:
         with span("aes.key_schedule", key_bits=8 * len(key)):
             count_op("aes_key_schedule")
             words = _expand_key(key, self.rounds)
-            self._round_keys: List[RoundKey] = [
-                (words[i], words[i + 1], words[i + 2], words[i + 3])
-                for i in range(0, len(words), 4)
+            schedule = struct.pack(f">{len(words)}I", *words)
+            #: Round key ``i`` as a ``translate`` table: its 16 bytes in
+            #: FIPS-197 order (entry ``k`` is XORed into block byte ``k``),
+            #: then padding.
+            self._key_tables = [
+                schedule[i : i + 16] + _TABLE_PAD
+                for i in range(0, len(schedule), 16)
             ]
 
-    # -- encryption (T-table rounds) --------------------------------------------
+    # -- encryption (byte-sliced rounds) ----------------------------------------
 
     def encrypt_counters(self, counter: int, n: int) -> bytes:
         """Encrypt the ``n`` blocks ``counter, counter + 1, ...`` (mod 2^128).
@@ -176,37 +189,44 @@ class AES:
         if n < 1:
             raise ParameterError(f"need at least one block, got {n}")
         count_op("aes_block", n)
-        t0, t1, t2, t3, sbox = _T0, _T1, _T2, _T3, _SBOX
-        (k0, k1, k2, k3), *middle, (f0, f1, f2, f3) = self._round_keys
-        out: List[int] = []
-        append = out.append
-        for i in range(n):
-            block = (counter + i) & _MASK128
-            s0 = (block >> 96) ^ k0
-            s1 = ((block >> 64) & _MASK32) ^ k1
-            s2 = ((block >> 32) & _MASK32) ^ k2
-            s3 = (block & _MASK32) ^ k3
-            for r0, r1, r2, r3 in middle:
-                s0, s1, s2, s3 = (
-                    t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF]
-                    ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ r0,
-                    t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF]
-                    ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ r1,
-                    t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF]
-                    ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ r2,
-                    t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF]
-                    ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ r3,
-                )
-            # last round: SubBytes + ShiftRows, no MixColumns
-            append(f0 ^ ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
-                         | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]))
-            append(f1 ^ ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
-                         | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]))
-            append(f2 ^ ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
-                         | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]))
-            append(f3 ^ ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
-                         | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]))
-        return struct.pack(f">{len(out)}I", *out)
+        size = 16 * n
+        full = (1 << (8 * size)) - 1
+        row1, row2, row3 = 32 * n, 64 * n, 96 * n  # bits in 1, 2, 3 rows
+        from_bytes = int.from_bytes
+        blocks = b"".join(
+            [((counter + i) & _MASK128).to_bytes(16, "big") for i in range(n)]
+        )
+        # for each segment, the block byte it holds, n times: translated
+        # through a round key's table it lays that key out like the state
+        index = b"".join([k * n for k in _SEGMENT_BYTES])
+        first, *middle, last = [
+            from_bytes(index.translate(table), "big") for table in self._key_tables
+        ]
+        state = first ^ from_bytes(
+            b"".join([blocks[k::16] for k in _ROW_MAJOR]), "big"
+        )
+        for round_key in middle:
+            shifted = _shift_rows(state.to_bytes(size, "big"), n)
+            a = from_bytes(shifted.translate(_SBOX), "big")
+            b = from_bytes(shifted.translate(_XT), "big")
+            # MixColumns: out_r = 2*a_r ^ 3*a_{r+1} ^ a_{r+2} ^ a_{r+3}; a
+            # left rotation of the state by k rows brings row r + k to row r
+            ab = a ^ b
+            aa = a ^ ((a << row1) & full) ^ (a >> row3)
+            state = (
+                b
+                ^ ((ab << row1) & full) ^ (ab >> row3)
+                ^ ((aa << row2) & full) ^ (aa >> row2)
+                ^ round_key
+            )
+        # the last round has no MixColumns
+        shifted = _shift_rows(state.to_bytes(size, "big"), n)
+        state = last ^ from_bytes(shifted.translate(_SBOX), "big")
+        segments = state.to_bytes(size, "big")
+        out = bytearray(size)
+        for seg, k in enumerate(_ROW_MAJOR):
+            out[k::16] = segments[seg * n : (seg + 1) * n]
+        return bytes(out)
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
@@ -250,7 +270,7 @@ class AES:
         if len(block) != self.BLOCK_SIZE:
             raise ParameterError("AES block must be 16 bytes")
         count_op("aes_block")
-        round_keys = [list(struct.pack(">4I", *rk)) for rk in self._round_keys]
+        round_keys = [list(table[:16]) for table in self._key_tables]
         state = list(block)
         self._add_round_key(state, round_keys[self.rounds])
         for rnd in range(self.rounds - 1, 0, -1):

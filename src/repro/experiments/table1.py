@@ -64,8 +64,7 @@ def demonstrate_capabilities(seed: int = 11) -> Dict[str, bool]:
     for payload in uploads.values():
         server.handle_upload(UploadMessage(payload=payload))
     probe = users[0].profile
-    client = MobileClient(probe, scheme)
-    client._key = keys[probe.user_id]
+    client = MobileClient(probe, scheme, key=keys[probe.user_id])
     result = server.handle_query(client.query(timestamp=1))
     verdict = client.verify_results(result)
     checks["smatch_verification"] = (

@@ -1,6 +1,6 @@
 """Number-theory substrate: primality, modular arithmetic, cyclic groups."""
 
-from repro.ntheory.modular import crt_pair, egcd, lcm, modinv
+from repro.ntheory.modular import crt_pair, lcm, modinv
 from repro.ntheory.primes import (
     generate_prime,
     generate_safe_prime,
@@ -11,7 +11,6 @@ from repro.ntheory.groups import SchnorrGroup
 
 __all__ = [
     "crt_pair",
-    "egcd",
     "lcm",
     "modinv",
     "generate_prime",

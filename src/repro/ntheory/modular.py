@@ -1,37 +1,27 @@
-"""Modular arithmetic helpers: extended GCD, inverses, CRT, LCM."""
+"""Modular arithmetic helpers: inverses, CRT, LCM."""
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 from repro.errors import ParameterError
 from repro.obs.instrument import count_op
 
-__all__ = ["egcd", "modinv", "crt_pair", "lcm", "modexp"]
-
-
-def egcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Extended Euclid: returns ``(g, x, y)`` with ``a*x + b*y == g``."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+__all__ = ["modinv", "crt_pair", "lcm", "modexp"]
 
 
 def modinv(a: int, m: int) -> int:
-    """The inverse of ``a`` modulo ``m``; raises if not invertible."""
+    """The inverse of ``a`` modulo ``m``; raises if not invertible.
+
+    Callers pass secrets (the RSA key pair inverts ``e`` modulo phi(N), which
+    factors N), so the errors name neither operand nor the modulus.
+    """
     if m <= 0:
-        raise ParameterError(f"modulus must be positive, got {m}")
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ParameterError(f"{a} is not invertible modulo {m} (gcd={g})")
-    return x % m
+        raise ParameterError("modulus must be positive")
+    try:
+        return pow(a, -1, m)
+    except ValueError as exc:
+        raise ParameterError("value is not invertible modulo the modulus") from exc
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:

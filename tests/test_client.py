@@ -132,8 +132,9 @@ class TestMobileClient:
         from repro.net.messages import QueryResult, ResultEntry
 
         scheme, users, uploads, keys = enrolled
-        client = MobileClient(users[0].profile, scheme)
-        client._key = keys[users[0].profile.user_id]
+        client = MobileClient(
+            users[0].profile, scheme, key=keys[users[0].profile.user_id]
+        )
         donor = uploads[users[1].profile.user_id]
         from repro.core.verification import AuthInfo
 

@@ -65,23 +65,37 @@ class TestCtrAes256Vectors(TestCtrMultiBlockVectors):
 
 
 class TestCtrAgainstBlockCipher:
-    """CTR output is the data XOR one ``encrypt_block`` per counter value."""
+    """CTR output is the data XOR one encrypted counter per 16 bytes.
+
+    The reference is the byte-oriented inverse cipher, which shares no code
+    with the byte-sliced encryptor: each keystream block must decrypt to its
+    counter mod 2^128.
+    """
 
     @given(
         st.sampled_from([16, 24, 32]),
-        st.integers(min_value=1, max_value=20),
-        st.binary(max_size=300),
+        st.sampled_from([8, 32, 64, 128]),
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=0, max_value=(1 << 128) - 1),
+        st.binary(max_size=16 * 70),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_block_reference_across_wrap(self, key_size, back, data):
+    def test_matches_per_block_reference_across_wrap(
+        self, key_size, low_bits, back, blocks, high, data
+    ):
         cipher = AES(bytes(range(7, 7 + key_size)))
-        counter = (1 << 128) - back
-        keystream = b"".join(
-            cipher.encrypt_block(((counter + i) % (1 << 128)).to_bytes(16, "big"))
-            for i in range((len(data) + 15) // 16)
-        )
+        # `back` blocks below the carry out of the low `low_bits` bits; at
+        # 128 bits that is the wrap of the whole counter
+        counter = (high >> low_bits << low_bits) + (1 << low_bits) - back
+        nonce = counter.to_bytes(16, "big")
+        keystream = ctr_xcrypt(cipher, nonce, bytes(16 * blocks))
+        for i in range(blocks):
+            expected = ((counter + i) % (1 << 128)).to_bytes(16, "big")
+            assert cipher.decrypt_block(keystream[16 * i : 16 * i + 16]) == expected
+        data = data[: 16 * blocks]
         expected = bytes(d ^ k for d, k in zip(data, keystream))
-        assert ctr_xcrypt(cipher, counter.to_bytes(16, "big"), data) == expected
+        assert ctr_xcrypt(cipher, nonce, data) == expected
 
     def test_counts_one_block_per_sixteen_bytes(self):
         from repro.obs.instrument import counting

@@ -171,8 +171,7 @@ class TestMaliciousServerEndToEnd:
             )
             if not result.entries:
                 continue
-            client = MobileClient(user.profile, scheme)
-            client._key = keys[uid]
+            client = MobileClient(user.profile, scheme, key=keys[uid])
             outcome = client.verify_results(result)
             honest_group = {
                 v

@@ -103,8 +103,9 @@ def test_full_three_party_flow(deployment):
         ms_ch_client.send(UploadMessage(payload=payload))
         match_server.handle_upload(ms_ch_server.recv())
 
-        client = MobileClient(user.profile, scheme, channel=ms_ch_client)
-        client._key = key
+        client = MobileClient(
+            user.profile, scheme, channel=ms_ch_client, key=key
+        )
         clients[uid] = (client, ms_ch_server)
 
     assert match_server.uploads_accepted == len(users)
@@ -115,7 +116,7 @@ def test_full_three_party_flow(deployment):
         u.profile.user_id: scheme.keygen(u.profile) for u in users
     }
     for uid, (client, _) in clients.items():
-        assert client._key.index == local_keys[uid].index
+        assert client.key.index == local_keys[uid].index
 
     # --- a query through the wire, verified end to end ---
     uid = users[0].profile.user_id

@@ -1,13 +1,10 @@
 """Tests for the number-theory substrate."""
 
-import math
-
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import ParameterError
 from repro.ntheory.groups import SchnorrGroup
-from repro.ntheory.modular import crt_pair, egcd, lcm, modexp, modinv
+from repro.ntheory.modular import crt_pair, lcm, modexp, modinv
 from repro.ntheory.primes import (
     generate_prime,
     generate_safe_prime,
@@ -18,12 +15,6 @@ from repro.utils.rand import SystemRandomSource
 
 
 class TestModular:
-    @given(st.integers(min_value=-10**9, max_value=10**9), st.integers(min_value=-10**9, max_value=10**9))
-    def test_egcd_identity(self, a, b):
-        g, x, y = egcd(a, b)
-        assert a * x + b * y == g
-        assert g == math.gcd(a, b) or g == -math.gcd(a, b)
-
     def test_modinv(self):
         assert modinv(3, 7) == 5
         assert (3 * modinv(3, 10**9 + 7)) % (10**9 + 7) == 1
@@ -31,6 +22,15 @@ class TestModular:
     def test_modinv_not_invertible(self):
         with pytest.raises(ParameterError):
             modinv(4, 8)
+
+    def test_modinv_errors_name_no_operand(self):
+        # callers invert modulo secrets such as phi(N)
+        a, m = 1234567 * 7654321, 7654321 * 1000003
+        for modulus in (m, -m):
+            with pytest.raises(ParameterError) as info:
+                modinv(a, modulus)
+            assert str(a) not in str(info.value)
+            assert str(m) not in str(info.value)
 
     def test_crt(self):
         x = crt_pair(2, 3, 3, 5)
