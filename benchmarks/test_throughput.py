@@ -5,11 +5,10 @@ hot paths of a running service at the paper's parameters (64-bit
 plaintexts, theta = 8): client enrollment, server query handling, and
 client-side verification — plus the head-to-head pairs of the performance
 layer (docs/PERFORMANCE.md): ``enroll_population`` on the serial backend
-vs a warmed process pool, churn-then-query with the incremental matcher vs
-a forced full resort, and the sharded server tier (upload + bulk query
-across process shards) vs one bare store + matcher.  The cold-query and
-churn numbers time a bare ``ProfileStore`` + ``ServerMatcher`` (Algorithm
-Match itself); the warm query goes through the server's request handler.
+vs a warmed process pool, and churn-then-query with the incremental
+matcher vs a forced full resort.  The cold-query and churn numbers time
+a bare ``ProfileStore`` + ``ServerMatcher`` (Algorithm Match itself);
+the warm query goes through the server's request handler.
 
 The suite runs under an active :mod:`repro.obs` metrics registry and ends
 by writing ``benchmarks/results/BENCH_throughput.json`` — measured per-op
@@ -17,11 +16,10 @@ latencies, the comparison ratios under ``speedups``, a machine-speed
 calibration sample, and the metrics snapshot — which
 ``tools/check_perf_trend.py`` compares against the committed baseline in
 CI (and, on a >= 4-core runner, enforces the
-``process_enroll_speedup >= 2.0`` and ``sharded_upload_query_speedup >= 1.5``
-floors; the measured values are recorded unconditionally).
+``process_enroll_speedup >= 2.0`` floor; the measured value is recorded
+unconditionally).
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -29,7 +27,6 @@ import time
 
 import pytest
 
-from repro.crypto.kdf import sha256
 from repro.datasets import INFOCOM06
 from repro.experiments.common import build_population, build_scheme
 from repro.net.messages import QueryRequest, UploadMessage
@@ -37,51 +34,11 @@ from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.parallel import ProcessBackend
 from repro.server.matcher import ServerMatcher
 from repro.server.service import SMatchServer
-from repro.server.sharding import ShardedTier
 from repro.server.storage import ProfileStore
 
 #: Worker count for the multicore head-to-heads (capped: oversubscribing a
 #: small runner just measures scheduler thrash).
 BENCH_WORKERS = min(4, os.cpu_count() or 1)
-
-#: Shard count for the sharded-tier head-to-head: one shard per bench
-#: worker, but never fewer than two (a one-shard "sharded" run measures
-#: only the routing overhead, not the fan-out).
-BENCH_SHARDS = max(2, BENCH_WORKERS)
-
-#: Population multiplier for the sharded head-to-head: the 40-user world
-#: tiled ``SHARD_TILE_COPIES`` times.  Copies map onto
-#: ``SHARD_GROUP_TILES`` distinct key-index tiles per original group, so
-#: the tiled groups are both *numerous* (placement spread across the
-#: shards) and *large* (copies / tiles members per original member —
-#: enough that the per-group rescore work a churn batch triggers
-#: dominates the coordinator's fan-out overhead).
-SHARD_TILE_COPIES = 128
-SHARD_GROUP_TILES = 4
-
-
-def _tiled_payloads(uploads, copies, group_tiles):
-    """Tile the world's payloads with fresh uids over ``group_tiles`` groups."""
-    tiled = []
-    for copy in range(copies):
-        for uid in sorted(uploads):
-            payload = uploads[uid]
-            new_uid = uid + 1_000_000 * copy
-            tiled.append(
-                dataclasses.replace(
-                    payload,
-                    user_id=new_uid,
-                    # the authenticator is bound to its uid; rebind the
-                    # copy (the bench never runs Vf on tiled entries)
-                    auth=dataclasses.replace(payload.auth, user_id=new_uid),
-                    key_index=sha256(
-                        b"bench-shard-tile",
-                        (copy % group_tiles).to_bytes(4, "big")
-                        + payload.key_index,
-                    ),
-                )
-            )
-    return tiled
 
 
 @pytest.fixture(scope="module")
@@ -282,73 +239,6 @@ def test_emit_bench_artifact(world, engine, metrics_registry, results_dir):
     churn_inc = _timed_us(churn_incremental, iterations=30)
     churn_res = _timed_us(churn_resort, iterations=30)
 
-    # -- sharded server tier: one store vs BENCH_SHARDS process shards ------
-    # A churn-then-query round against (a) one bare ProfileStore +
-    # ServerMatcher answering each query with match, and (b) a ShardedTier
-    # whose shard workers sort, match, and assemble result entries in
-    # their own processes.  Both engines are pre-loaded with
-    # the full tiled population (pools spawned, group indexes settled), so
-    # a timed iteration is the steady-state serving shape: one drifted
-    # re-upload per group — dirtying every group, which the following
-    # queries must rescore — then a query for each of a per-group sample.
-    # The rescore work is per-shard-local and scales with group size; the
-    # coordinator only ships the small churn batch, the query uids, and
-    # k-entry results, which is what lets the shard fan-out win.
-    shard_payloads = _tiled_payloads(
-        uploads, SHARD_TILE_COPIES, SHARD_GROUP_TILES
-    )
-    shard_groups = {}
-    for payload in shard_payloads:
-        shard_groups.setdefault(payload.key_index, []).append(payload)
-    churn_members = [members[0] for members in shard_groups.values()]
-    shard_query_uids = [
-        member.user_id
-        for members in shard_groups.values()
-        for member in members[1:3]
-    ]
-
-    def _drift(payload, bump):
-        return dataclasses.replace(
-            payload, chain=tuple(c + bump for c in payload.chain)
-        )
-
-    single_store = ProfileStore()
-    single_matcher = ServerMatcher(single_store)
-    for payload in shard_payloads:
-        single_store.put(payload)
-    single_bump = [0]
-
-    def single_upload_query():
-        single_bump[0] += 1
-        for payload in churn_members:
-            single_store.put(_drift(payload, single_bump[0]))
-        return {
-            uid: single_matcher.match(uid, server.query_k)
-            for uid in shard_query_uids
-        }
-
-    with ShardedTier(shards=BENCH_SHARDS, mode="process") as shard_tier:
-        shard_tier.put_batch(shard_payloads)
-        tier_bump = [0]
-
-        def sharded_upload_query():
-            tier_bump[0] += 1
-            shard_tier.put_batch(
-                [_drift(p, tier_bump[0]) for p in churn_members]
-            )
-            return shard_tier.query_bulk(shard_query_uids, k=server.query_k)
-
-        # both engines run the identical op sequence; the first (warm-up)
-        # iteration doubles as the equivalence check
-        single_result = single_upload_query()
-        sharded_result = sharded_upload_query()
-        assert {
-            user_id: [e.user_id for e in entries]
-            for user_id, entries in sharded_result.items()
-        } == single_result  # same matches before timing the engines
-        shard_single = _timed_us(single_upload_query, iterations=3)
-        shard_tier_timing = _timed_us(sharded_upload_query, iterations=3)
-
     some_payload = uploads[uid]
     ops = {
         "enroll": _timed_us(scheme.enroll, users[0].profile, iterations=3),
@@ -359,9 +249,6 @@ def test_emit_bench_artifact(world, engine, metrics_registry, results_dir):
         "enroll_population_process": enroll_proc,
         "churn_query_incremental": churn_inc,
         "churn_query_resort": churn_res,
-        # "legacy" names the one-store side; kept for baseline continuity
-        "sharded_upload_query_legacy": shard_single,
-        "sharded_upload_query_tier": shard_tier_timing,
     }
 
     def ratio(numer, denom):
@@ -373,14 +260,6 @@ def test_emit_bench_artifact(world, engine, metrics_registry, results_dir):
         # for the OPRF modexps.  CI enforces >= 2.0 on >= 4-core runners
         # via --min-speedup; recorded unconditionally for trend visibility.
         "process_enroll_speedup": ratio(enroll_w1, enroll_proc),
-        # the sharded server tier: upload + bulk-query against
-        # BENCH_SHARDS process shards vs one bare store.  CI
-        # enforces >= 1.5 on >= 4-core runners via --min-speedup; on a
-        # small runner the fan-out overhead dominates and the recorded
-        # value can legitimately sit below 1.
-        "sharded_upload_query_speedup": ratio(
-            shard_single, shard_tier_timing
-        ),
     }
 
     artifact = {
@@ -392,9 +271,6 @@ def test_emit_bench_artifact(world, engine, metrics_registry, results_dir):
             "theta": scheme.params.theta,
             "query_k": server.query_k,
             "bench_workers": BENCH_WORKERS,
-            "bench_shards": BENCH_SHARDS,
-            "shard_tile_copies": SHARD_TILE_COPIES,
-            "shard_group_tiles": SHARD_GROUP_TILES,
         },
         "calibration_us": _calibration_us(),
         "ops": ops,

@@ -76,9 +76,18 @@ class MobileClient:
         return self._key
 
     def build_upload(self) -> EncryptedProfile:
-        """Run Keygen + InitData + Enc + Auth locally."""
-        payload, key = self.scheme.enroll(self.profile)
-        self._key = key
+        """Run InitData + Enc + Auth locally under :attr:`key`.
+
+        An adopted key is used as given; Keygen runs only when the client
+        holds no key yet, and then only once.
+        """
+        key = self.key
+        payload = EncryptedProfile(
+            user_id=self.profile.user_id,
+            key_index=key.index,
+            chain=self.scheme.encrypt(self.profile, key),
+            auth=self.scheme.auth(self.profile, key),
+        )
         self._payload = payload
         return payload
 

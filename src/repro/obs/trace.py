@@ -232,7 +232,7 @@ class Tracer:
         """Graft foreign span records (a worker's trace) into this trace.
 
         ``records`` is a depth-first list in the :meth:`span_records` shape,
-        produced by a worker-local tracer in a pool thread or process.  Each
+        produced by a worker-local tracer in a worker process.  Each
         record becomes a synthetic :class:`Span` with a fresh id in this
         tracer's id space; records whose parent is absent from the batch
         (the worker's root) attach under ``parent`` (default: the innermost
@@ -260,9 +260,9 @@ class Tracer:
     ) -> List[Span]:
         """:meth:`splice` body; the tracer lock is held by the caller.
 
-        Pool threads splice their workers' telemetry concurrently into one
-        coordinator trace — without the lock, two splices appending to the
-        same parent interleave children and lose op-count folds.
+        Two threads may splice into one trace at once — without the lock,
+        their splices appending to the same parent interleave children and
+        lose op-count folds.
         """
         if parent is None:
             parent = self._stack[-1] if self._stack else self.root

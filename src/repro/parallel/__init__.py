@@ -12,11 +12,9 @@ from repro.parallel.backend import (
     ProcessBackend,
     SerialBackend,
     TaskEnvelope,
-    absorb_telemetry,
     balanced_chunk_size,
     partition_chunks,
     resolve_backend,
-    run_captured,
 )
 from repro.parallel.tasks import EnrollSpec, enroll_chunk
 
@@ -27,10 +25,8 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "TaskEnvelope",
-    "absorb_telemetry",
     "balanced_chunk_size",
     "enroll_chunk",
     "partition_chunks",
     "resolve_backend",
-    "run_captured",
 ]

@@ -40,16 +40,13 @@ tagged with the worker identity; when a metrics registry is enabled,
 workers also run a local :class:`~repro.obs.metrics.MetricsRegistry` whose
 mergeable snapshot is folded into the parent registry (counters add,
 gauges max), so ``smatch_parallel_*`` and any counter bumped inside a task
-agree across the serial and process backends.  The same capture/absorb pair
-(:func:`run_captured` / :func:`absorb_telemetry`) serves any pool thread
-that has no tracer of its own, such as the shard tier's fan-out threads.
+agree across the serial and process backends.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -90,11 +87,9 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "TaskEnvelope",
-    "absorb_telemetry",
     "balanced_chunk_size",
     "partition_chunks",
     "resolve_backend",
-    "run_captured",
 ]
 
 #: Names accepted by :func:`resolve_backend`.
@@ -162,8 +157,8 @@ class _WorkerTelemetry:
     ``spans`` is the worker tracer's depth-first record list (the
     :meth:`~repro.obs.trace.Tracer.span_records` shape) or ``None`` when
     span capture was off; ``metrics`` is the worker registry's mergeable
-    view or ``None``; ``worker`` identifies the executing worker (pool
-    thread name, or ``pid-<n>`` for a worker process).
+    view or ``None``; ``worker`` identifies the executing worker process
+    (``pid-<n>``).
     """
 
     result: Any
@@ -177,19 +172,18 @@ def run_captured(
     args: Sequence[Any],
     name: str,
     attrs: Dict[str, Any],
-    capture_spans: bool = True,
-    capture_metrics: bool = False,
-    worker: Optional[str] = None,
+    capture_spans: bool,
+    capture_metrics: bool,
+    worker: str,
 ) -> _WorkerTelemetry:
     """Run ``fn(*args)`` under worker-local telemetry and wrap the result.
 
-    Pool threads have no thread-local tracer (spans opened inside them
-    no-op), and worker processes additionally have a private metrics
-    registry, so both capture locally here — spans under a root named
-    ``name`` with ``attrs`` — and ship the records back for
-    :func:`absorb_telemetry` on the submitting thread.  ``worker`` defaults
-    to the current thread's name.  Exceptions from ``fn`` propagate
-    unchanged; the local registry swap is always restored.
+    A worker process has no tracer of its own (spans opened inside it
+    no-op) and a private metrics registry, so it captures locally here —
+    spans under a root named ``name`` with ``attrs`` — and ships the
+    records back for :func:`absorb_telemetry` on the submitting thread,
+    tagged with ``worker``.  Exceptions from ``fn`` propagate unchanged;
+    the local registry swap is always restored.
     """
     prior_registry = active_metrics()
     local_registry: Optional[MetricsRegistry] = None
@@ -215,7 +209,7 @@ def run_captured(
         metrics=(
             local_registry.to_mergeable() if local_registry is not None else None
         ),
-        worker=worker if worker is not None else threading.current_thread().name,
+        worker=worker,
     )
 
 
@@ -223,10 +217,10 @@ def absorb_telemetry(payload: Any) -> Any:
     """Unwrap a collected result, splicing/merging any worker telemetry.
 
     Runs on the submitting thread inside the span that fanned the work out
-    (``parallel.map``, or a shard-tier span), so spliced worker roots land
-    under it (and their op counts / byte tallies fold up through the
-    enclosing pipeline spans).  Gracefully drops telemetry the parent
-    cannot absorb (no tracer / no registry active).
+    (``parallel.map``), so spliced worker roots land under it (and their
+    op counts / byte tallies fold up through the enclosing pipeline
+    spans).  Gracefully drops telemetry the parent cannot absorb (no
+    tracer / no registry active).
     """
     if not isinstance(payload, _WorkerTelemetry):
         return payload
@@ -304,10 +298,6 @@ def _initialize_worker(context: Any) -> None:
     _WORKER_CONTEXT = context  # smatch-lint: disable=SML013 — initializer runs before any task
 
 
-def _started() -> None:
-    """No-op first task: submitting it forks the whole pool."""
-
-
 def _run_chunk(fn: TaskFn, chunk: Sequence[Any]) -> Any:
     """Worker-side trampoline: apply the task to the warm-started context."""
     return fn(_WORKER_CONTEXT, chunk)
@@ -344,7 +334,8 @@ class ProcessBackend:
     function reference and the chunk items, and results come back through
     the future-result pickle.  The pool is kept warm across ``map_chunks``
     calls that reuse the *same* context object, so repeated batches against
-    one key/scheme pay pool start-up once.
+    one key/scheme pay pool start-up once.  Workers fork on the thread that
+    submits the pool's first chunks.
 
     Bounded in-flight window: submit up to ``2 × workers`` chunks, then
     alternate collect-oldest / submit-next so results arrive in submission
@@ -467,25 +458,10 @@ class ProcessBackend:
             initargs=(envelope.context,),
             mp_context=mp_ctx,
         )
-        # fork the workers now, on this thread (see start)
-        pool.submit(_started)
         self._pool = pool
         # hold a strong reference so `is` identity can't be recycled
         self._pool_context = envelope.context
         return pool
-
-    def start(self, envelope: TaskEnvelope) -> None:
-        """Fork the pool for ``envelope`` now, on the calling thread.
-
-        A no-op when that pool is already running.  Callers that drive
-        several backends from several threads start them from one thread
-        first: a fork on one thread can otherwise copy the pipe another
-        thread has just made for its own new worker's exit sentinel, and
-        that worker's death then goes unnoticed until the copy's holder
-        exits — a pool that hangs instead of raising
-        :class:`~repro.errors.WorkerCrashError`.
-        """
-        self._pool_for(envelope)
 
     @staticmethod
     def _check_picklable(envelope: TaskEnvelope) -> None:

@@ -257,9 +257,6 @@ class ShardState:
 
     # -- the batch protocol ----------------------------------------------------
 
-    def start(self) -> None:
-        """Nothing to start inline (``ProcessShard.start`` forks)."""
-
     def apply(self, ops: Sequence[ShardOp]) -> List[object]:
         """Apply one op batch in order; one result slot per op.
 

@@ -1,4 +1,4 @@
-"""The shard coordinator: routing, fan-out, rebalance, import/export.
+"""The shard coordinator: routing, rebalance, import/export.
 
 A :class:`ShardedTier` owns N shard handles (inline
 :class:`~repro.server.sharding.state.ShardState` objects, or process-backed
@@ -6,7 +6,8 @@ A :class:`ShardedTier` owns N shard handles (inline
 :class:`~repro.server.sharding.placement.PlacementMap`, and the routing
 side table ``user_id -> key_index`` (queries carry only ``ID_v``, so the
 coordinator must remember which group — and therefore which shard — each
-user lives in).
+user lives in).  Every call runs on the calling thread: a batch that
+touches several shards applies each shard's op list in turn.
 
 Hot-path guarantees:
 
@@ -14,10 +15,6 @@ Hot-path guarantees:
   shard owning its key group (an upload that *moves* a user between
   groups additionally sends one remove to the old shard — the only
   two-shard op, and the two halves commute);
-* **submission-order merge**: ``query_bulk`` fans per-shard op batches out
-  in parallel (one thread per shard; the GIL is irrelevant because shard
-  workers are separate processes) and reassembles results in the caller's
-  submission order, so results are byte-identical to serial evaluation;
 * **explicit placement**: the map is written atomically next to the
   shard directories and validated at open — a tier can never silently
   come up with a different group → shard assignment than the one its
@@ -30,7 +27,6 @@ Hot-path guarantees:
 from __future__ import annotations
 
 import pathlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.scheme import EncryptedProfile
@@ -41,8 +37,7 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.net.messages import ResultEntry
-from repro.obs.trace import current_tracer, span
-from repro.parallel import absorb_telemetry, run_captured
+from repro.obs.trace import span
 from repro.server.sharding.placement import PlacementMap
 from repro.server.sharding.snapshot import write_atomic
 from repro.server.sharding.state import ShardOp, ShardState
@@ -83,7 +78,6 @@ class ShardedTier:
             self._make_shard(shard_id)
             for shard_id in range(self._placement.shards)
         ]
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._user_key_index: Dict[int, bytes] = {}
         if self._data_dir is not None:
             self._reload_routing()
@@ -134,56 +128,10 @@ class ShardedTier:
 
     def _reload_routing(self) -> None:
         """Rebuild ``user -> key_index`` from the shards' recovered state."""
-        manifests = self._fanout(
-            {sid: [("manifest",)] for sid in range(len(self._shards))}
-        )
         self._user_key_index.clear()
-        for results in manifests.values():
-            for uid, key_index in results[0]:  # type: ignore[union-attr]
-                self._user_key_index[uid] = key_index
-
-    # -- fan-out ---------------------------------------------------------------
-
-    def _fanout(
-        self, ops_by_shard: Dict[int, List[ShardOp]]
-    ) -> Dict[int, List[object]]:
-        """Apply per-shard op batches, shard-parallel in process mode.
-
-        Pool threads have no tracer of their own, so when the caller is
-        tracing each thread captures its spans (the shard worker's spliced
-        subtree included) and they are spliced back under the caller's
-        open tier span, the same way the execution backends splice theirs.
-        """
-        if self._mode == "inline" or len(ops_by_shard) <= 1:
-            return {
-                sid: self._shards[sid].apply(ops)
-                for sid, ops in ops_by_shard.items()
-            }
-        for sid in ops_by_shard:
-            # fork any missing shard worker here, one at a time, before the
-            # fan-out threads run (ProcessBackend.start says why)
-            self._shards[sid].start()
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=len(self._shards),
-                thread_name_prefix="smatch-shard",
-            )
-        capture_spans = current_tracer() is not None
-        futures = {
-            sid: self._pool.submit(
-                run_captured,
-                self._shards[sid].apply,
-                (ops,),
-                "server.shard_tier.shard",
-                {"shard": sid},
-                capture_spans,
-            )
-            for sid, ops in ops_by_shard.items()
-        }
-        return {
-            sid: absorb_telemetry(future.result())
-            for sid, future in futures.items()
-        }
+        for shard in self._shards:
+            manifest = shard.apply([("manifest",)])[0]
+            self._user_key_index.update(manifest)  # type: ignore[call-overload]
 
     # -- mutations -------------------------------------------------------------
 
@@ -197,7 +145,8 @@ class ShardedTier:
         A re-upload whose fuzzy key drifted to a group on another shard
         turns into remove-on-old + put-on-new; per-shard op order follows
         batch order, which is all the cross-shard commutativity argument
-        in the module docs needs.
+        in the module docs needs.  The shards' lists run one after another,
+        in the order the batch first touched each shard.
         """
         ops_by_shard: Dict[int, List[ShardOp]] = {}
         routed: Dict[int, bytes] = {}
@@ -218,7 +167,8 @@ class ShardedTier:
             uploads=len(payloads),
             shards=len(ops_by_shard),
         ):
-            self._fanout(ops_by_shard)
+            for shard_id, ops in ops_by_shard.items():
+                self._shards[shard_id].apply(ops)
         self._user_key_index.update(routed)
 
     def remove(self, user_id: int) -> None:
@@ -251,40 +201,6 @@ class ShardedTier:
         shard = self._shards[self._placement.shard_of(key_index)]
         return shard.apply([op])[0]  # type: ignore[return-value]
 
-    def query_bulk(
-        self, query_users: Sequence[int], k: int = 5
-    ) -> Dict[int, Tuple[ResultEntry, ...]]:
-        """Many-requester fan-out, merged in submission order.
-
-        Each shard answers its own users' queries in parallel with the
-        others; the returned dict is keyed in the caller's submission
-        order, with unknown users mapped to empty tuples.
-        """
-        query_users = list(query_users)
-        ops_by_shard: Dict[int, List[ShardOp]] = {}
-        slots: Dict[int, List[int]] = {}  # shard -> query_users positions
-        for position, uid in enumerate(query_users):
-            key_index = self._user_key_index.get(uid)
-            if key_index is None:
-                continue
-            shard_id = self._placement.shard_of(key_index)
-            ops_by_shard.setdefault(shard_id, []).append(("query", uid, k))
-            slots.setdefault(shard_id, []).append(position)
-        with span(
-            "server.shard_tier.query_bulk",
-            queries=len(query_users),
-            shards=len(ops_by_shard),
-        ):
-            answers = self._fanout(ops_by_shard)
-        merged: List[Tuple[ResultEntry, ...]] = [()] * len(query_users)
-        for shard_id, results in answers.items():
-            for position, result in zip(slots[shard_id], results):
-                merged[position] = result  # type: ignore[assignment]
-        return {
-            uid: merged[position]
-            for position, uid in enumerate(query_users)
-        }
-
     # -- introspection ---------------------------------------------------------
 
     def __len__(self) -> int:
@@ -302,10 +218,10 @@ class ShardedTier:
 
     def shard_sizes(self) -> Dict[int, Tuple[int, ...]]:
         """Per-shard group-size lists (the m of the PR-KK bound, per shard)."""
-        sizes = self._fanout(
-            {sid: [("sizes",)] for sid in range(len(self._shards))}
-        )
-        return {sid: results[0] for sid, results in sizes.items()}  # type: ignore[misc]
+        return {
+            shard_id: shard.apply([("sizes",)])[0]  # type: ignore[misc]
+            for shard_id, shard in enumerate(self._shards)
+        }
 
     # -- rebalance -------------------------------------------------------------
 
@@ -325,20 +241,16 @@ class ShardedTier:
             successor, set(self._user_key_index.values())
         )
         exports: Dict[int, List[ShardOp]] = {}
-        export_keys: Dict[int, List[bytes]] = {}
         for key_index, (old_shard, _) in moved.items():
             exports.setdefault(old_shard, []).append(
                 ("export_group", key_index)
             )
-            export_keys.setdefault(old_shard, []).append(key_index)
         with span("server.shard_tier.rebalance", moved=len(moved)):
-            exported = self._fanout(exports)
             migration: Dict[int, List[ShardOp]] = {}
-            for old_shard, results in exported.items():
-                for key_index, profiles in zip(
-                    export_keys[old_shard], results
-                ):
-                    new_shard = moved[key_index][1]
+            for old_shard, ops in exports.items():
+                results = self._shards[old_shard].apply(ops)
+                for (_, key_index), profiles in zip(ops, results):
+                    new_shard = moved[key_index][1]  # type: ignore[index]
                     for payload in profiles:  # type: ignore[union-attr]
                         migration.setdefault(new_shard, []).append(
                             ("put", payload)
@@ -346,12 +258,12 @@ class ShardedTier:
                         migration.setdefault(old_shard, []).append(
                             ("remove", payload.user_id)
                         )
-            self._fanout(migration)
+            for shard_id, ops in migration.items():
+                self._shards[shard_id].apply(ops)
         if shards < len(self._shards):
             for handle in self._shards[shards:]:
                 handle.close()
             del self._shards[shards:]
-            self._reset_pool()
         self._placement = successor
         self._persist_placement(successor)
         return successor
@@ -361,12 +273,9 @@ class ShardedTier:
     def export_store(self) -> ProfileStore:
         """Every stored profile folded into one in-memory ``ProfileStore``
         (shard order, then each shard's insertion order)."""
-        exported = self._fanout(
-            {sid: [("export",)] for sid in range(len(self._shards))}
-        )
         store = ProfileStore()
-        for results in exported.values():
-            for payload in results[0]:  # type: ignore[union-attr]
+        for shard in self._shards:
+            for payload in shard.apply([("export",)])[0]:  # type: ignore[attr-defined]
                 store.put(payload)
         return store
 
@@ -379,16 +288,10 @@ class ShardedTier:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _reset_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
     def close(self) -> None:
-        """Close every shard handle and the fan-out pool (idempotent)."""
+        """Close every shard handle (idempotent)."""
         for handle in self._shards:
             handle.close()
-        self._reset_pool()
 
     def __enter__(self) -> "ShardedTier":
         return self

@@ -7,8 +7,10 @@ warm across batches that reuse the same context object, so the worker
 process — and the :class:`~repro.server.sharding.state.ShardState` it
 builds lazily from the spec — lives for the whole tier session.  Op
 batches ship as ordinary task chunks (``shard_ops_chunk``), results come
-back in submission order, and worker-side metrics merge into the parent
-registry through the backend's usual telemetry path.
+back in submission order, and worker-side spans and metrics merge into
+the parent trace and registry through the backend's usual telemetry path.
+The tier calls its process shards one after another on the calling
+thread, so each shard's worker forks there, on the first batch it gets.
 
 Crash handling rides the backend's typed surfacing: a dead shard worker
 raises :class:`~repro.errors.WorkerCrashError` and discards the pool, so
@@ -94,10 +96,6 @@ class ProcessShard:
         self._envelope = TaskEnvelope(
             fn=shard_ops_chunk, context=spec, label="server.shard_ops"
         )
-
-    def start(self) -> None:
-        """Fork the shard worker now, if it is not running."""
-        self._backend.start(self._envelope)
 
     def apply(self, ops: Sequence[ShardOp]) -> List[object]:
         """Apply one op batch in the shard worker, retrying once on crash.

@@ -9,7 +9,7 @@ from repro.net.channel import SecureChannel
 from repro.net.messages import UploadMessage
 from repro.net.transport import InMemoryNetwork
 from repro.server.service import SMatchServer
-from repro.obs.instrument import OpCounter
+from repro.obs.instrument import OpCounter, counting
 
 
 class TestDeviceProfile:
@@ -108,6 +108,18 @@ class TestMobileClient:
         payload = client.build_upload()
         assert payload.user_id == users[0].profile.user_id
         assert payload.auth.user_id == payload.user_id
+
+    def test_build_upload_keeps_an_adopted_key(self, enrolled):
+        scheme, users, _, keys = enrolled
+        own = keys[users[0].profile.user_id]
+        # a key from another key group, so a re-derived key would show
+        adopted = next(k for k in keys.values() if k.index != own.index)
+        client = MobileClient(users[0].profile, scheme, key=adopted)
+        with counting() as ops:
+            payload = client.build_upload()
+        assert payload.key_index == adopted.index
+        assert client.key is adopted
+        assert ops.get("keygen") == 0
 
     def test_requires_channel(self, enrolled):
         scheme, users, _, _ = enrolled

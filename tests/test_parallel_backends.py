@@ -337,7 +337,7 @@ def grouped_uploads():
 
 
 def _traced_shard_round(mode, uploads):
-    """A traced put_batch + query_bulk on a two-shard tier; returns
+    """A traced put_batch + per-user queries on a two-shard tier; returns
     (results, span-name counts, counters, shards touched)."""
     from collections import Counter
 
@@ -354,9 +354,10 @@ def _traced_shard_round(mode, uploads):
         with ShardedTier(shards=2, mode=mode) as tier:
             with tracing("test.shards") as tracer:
                 tier.put_batch(uploads)
-                results = tier.query_bulk(
-                    [payload.user_id for payload in uploads], k=3
-                )
+                results = {
+                    payload.user_id: tier.query(payload.user_id, k=3)
+                    for payload in uploads
+                }
             touched = sum(1 for sizes in tier.shard_sizes().values() if sizes)
         counters = registry.snapshot()["counters"]
     finally:
@@ -368,12 +369,12 @@ def _traced_shard_round(mode, uploads):
 class TestShardTierTelemetryEquivalence:
     """Process-mode shards account for every span inline shards record.
 
-    The tier fans multi-shard batches out on pool threads, which have no
-    tracer of their own; each thread captures its spans (the shard
-    worker's spliced subtree included) and the coordinator splices them
-    under the open tier span.  Process mode adds its own mechanism spans
-    (the per-thread root, ``parallel.map``/``parallel.chunk``), but every
-    span name inline mode records must appear exactly as often.
+    The tier calls each touched shard in turn on the calling thread.  A
+    process shard's worker captures its spans and ships them back with
+    the result, and ``ProcessBackend`` splices them under its
+    ``parallel.map`` span, as it does for any chunk.  Process mode adds
+    only those mechanism spans (``parallel.map``/``parallel.chunk``):
+    every span name inline mode records must appear exactly as often.
     """
 
     def test_process_shard_spans_match_inline(self, grouped_uploads):
@@ -389,6 +390,7 @@ class TestShardTierTelemetryEquivalence:
         }
         assert not missing
         assert names["server.shard_tier.put_batch"] == 1
+        assert "server.shard_tier.shard" not in process[1]
         assert len(names) > 2  # the shards' own spans, not just the tier's
         shard_counters = {
             name: value

@@ -11,6 +11,7 @@ against the same oracle.
 
 import dataclasses
 import errno
+import itertools
 import os
 import pathlib
 
@@ -548,8 +549,8 @@ def _oracle_results(payloads, k=3):
     }
 
 
-def _tier_results(tier, payloads, k=3):
-    ops, remaining = _churn_workload(payloads)
+def _apply_churn(tier, ops):
+    """Feed churn ops to a tier: each run of puts as one batch."""
     puts = []
     for op in ops:
         if op[0] == "put":
@@ -560,15 +561,17 @@ def _tier_results(tier, payloads, k=3):
             tier.remove(op[1])
     if puts:
         tier.put_batch(puts)
-    out = {}
-    bulk = tier.query_bulk(remaining, k=k)
-    for uid in remaining:
-        single = tier.query(uid, k=k)
-        assert single == bulk[uid]
-        out[uid] = QueryResult(
-            query_id=uid, timestamp=3, entries=bulk[uid]
+
+
+def _tier_results(tier, payloads, k=3):
+    ops, remaining = _churn_workload(payloads)
+    _apply_churn(tier, ops)
+    return {
+        uid: QueryResult(
+            query_id=uid, timestamp=3, entries=tier.query(uid, k=k)
         ).encode()
-    return out
+        for uid in remaining
+    }
 
 
 def _server_results(server, payloads):
@@ -632,14 +635,16 @@ class TestEquivalenceMatrix:
 
 
 class TestCrashRecovery:
+    @pytest.mark.parametrize(
+        "killed", [[0], [0, 1]], ids=["shard0", "shard0and1"]
+    )
     def test_kill_shard_mid_churn_converges_to_oracle(
-        self, payloads, tmp_path
+        self, payloads, tmp_path, killed
     ):
         oracle = _oracle_results(payloads)
         with ShardedTier(shards=2, mode="process", data_dir=tmp_path) as tier:
             ops, remaining = _churn_workload(payloads)
             half = len(ops) // 2
-            crashed = False
 
             def run(op):
                 if op[0] == "put":
@@ -653,24 +658,26 @@ class TestCrashRecovery:
                 shard.apply([("snapshot",)])
             for op in ops[half // 2 : half]:
                 run(op)
-            tail = tmp_path / "shard-000" / "wal-00000001.log"
-            assert tail.stat().st_size > 0
-            # hard-kill shard 0 mid-churn; the crash op dies on the retry
-            # too, so the typed error escapes — exactly once
-            try:
-                tier._shards[0].apply([("crash",)])
-            except WorkerCrashError:
-                crashed = True
-            assert crashed
-            # churn continues: the next batch restarts the worker, which
-            # recovers from its snapshot + WAL tail
-            for op in ops[half:]:
-                run(op)
-            bulk = tier.query_bulk(remaining, k=3)
+            for shard_id in killed:
+                tail = tmp_path / f"shard-{shard_id:03d}" / "wal-00000001.log"
+                assert tail.stat().st_size > 0
+                # hard-kill the shard mid-churn; the crash op dies on the
+                # retry too, so the typed error escapes — exactly once
+                with pytest.raises(WorkerCrashError):
+                    tier._shards[shard_id].apply([("crash",)])
+            # churn continues with a batch that touches both shards: each
+            # killed worker restarts and recovers from its snapshot + WAL
+            # tail when its part of the batch reaches it
+            rest = ops[half:]
+            batch = itertools.takewhile(lambda op: op[0] == "put", rest)
+            assert {
+                tier.placement.shard_of(op[1].key_index) for op in batch
+            } == {0, 1}
+            _apply_churn(tier, rest)
             for uid in remaining:
                 assert (
                     QueryResult(
-                        query_id=uid, timestamp=3, entries=bulk[uid]
+                        query_id=uid, timestamp=3, entries=tier.query(uid, k=3)
                     ).encode()
                     == oracle[uid]
                 )
@@ -807,7 +814,6 @@ class TestTierLifecycle:
         with ShardedTier(shards=2, mode="inline") as tier:
             tier.put_batch(payloads[:3])
             assert tier.query(999_999, k=3) == ()
-            assert tier.query_bulk([999_999], k=3) == {999_999: ()}
             with pytest.raises(MatchingError):
                 tier.remove(999_999)
 

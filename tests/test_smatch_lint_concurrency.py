@@ -403,14 +403,14 @@ class TestSml014ForkHazards:
 
 
 class TestSml015ShmLifecycle:
+    """SML015's path check over the shapes a created resource can take."""
+
     def test_leaked_segment_flagged(self):
         found = check(
             """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def leak(n):
-        shm = SharedMemory(create=True, size=n)
-        shm.buf[0] = 1
+    def leak(path):
+        wal = ShardWal(path)
+        wal.append_record(b"x")
     """,
             PARALLEL_PATH,
         )
@@ -421,14 +421,12 @@ class TestSml015ShmLifecycle:
         assert (
             check(
                 """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def fine(n):
-        shm = SharedMemory(create=True, size=n)
+    def fine(path):
+        wal = ShardWal(path)
         try:
-            shm.buf[0] = 1
+            wal.append_record(b"x")
         finally:
-            shm.close()
+            wal.close()
     """,
                 PARALLEL_PATH,
             )
@@ -439,11 +437,9 @@ class TestSml015ShmLifecycle:
         assert (
             check(
                 """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def make(n):
-        shm = SharedMemory(create=True, size=n)
-        return shm
+    def make(path):
+        wal = ShardWal(path)
+        return wal
     """,
                 PARALLEL_PATH,
             )
@@ -453,33 +449,16 @@ class TestSml015ShmLifecycle:
     def test_early_return_path_leaks(self):
         found = check(
             """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def sometimes(n, fast):
-        shm = SharedMemory(create=True, size=n)
+    def sometimes(path, fast):
+        wal = ShardWal(path)
         if fast:
             return None
-        shm.close()
+        wal.close()
         return None
     """,
             PARALLEL_PATH,
         )
         assert codes(found) == ["SML015"]
-
-    def test_attach_without_create_untracked(self):
-        assert (
-            check(
-                """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def borrow(name):
-        shm = SharedMemory(name=name)
-        return bytes(shm.buf[:4])
-    """,
-                PARALLEL_PATH,
-            )
-            == []
-        )
 
     def test_unclosed_writer_flagged(self):
         found = check(
@@ -511,32 +490,12 @@ class TestSml015ShmLifecycle:
             == []
         )
 
-    def test_unlink_on_attached_segment_flagged(self):
-        found = check(
-            """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def borrow(name):
-        shm = SharedMemory(name=name)
-        try:
-            return bytes(shm.buf[:4])
-        finally:
-            shm.close()
-            shm.unlink()
-    """,
-            PARALLEL_PATH,
-        )
-        assert codes(found) == ["SML015"]
-        assert "unlink" in found[0].message
-
     def test_suppression(self):
         found = check(
             """
-    from multiprocessing.shared_memory import SharedMemory
-
-    def leak(n):
-        shm = SharedMemory(create=True, size=n)  # smatch-lint: disable=SML015
-        shm.buf[0] = 1
+    def leak(path):
+        wal = ShardWal(path)  # smatch-lint: disable=SML015
+        wal.append_record(b"x")
     """,
             PARALLEL_PATH,
         )

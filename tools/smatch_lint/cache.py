@@ -45,7 +45,7 @@ __all__ = [
 
 #: bump on any change to taint semantics, summaries, or rule behavior —
 #: stale cached results must never survive an engine upgrade
-ENGINE_VERSION = "smatch-lint-7"
+ENGINE_VERSION = "smatch-lint-8"
 
 
 def content_hash(display_path: str, source: str) -> str:

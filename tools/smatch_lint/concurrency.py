@@ -19,17 +19,15 @@ SML007–SML010 family:
   ``repro/parallel/`` mutated inside function bodies without a module
   lock held, plus ``global`` rebinding inside parallel task units.
   Import-time mutation (single-threaded by the import lock) is exempt.
-* **SML014 — fork/deadlock hazards.**  Locks, ``threading.local``,
-  tracers, or live ``SharedMemory`` handles captured into process-pool
-  ``initargs`` or task-envelope contexts (fork-inherited lock state is
-  the canonical pool deadlock), and blocking calls (``submit``,
-  ``acquire``, ``result``, ...) issued while a lock is held.
-* **SML015 — shared-memory lifecycle.**  A CFG path check that every
-  resource created by ``SharedMemory(create=True)`` (or another
-  registered resource constructor, such as ``ShardWal``) reaches its
-  configured release (``close()``) or escapes ownership on every
-  non-raising path, and that attached (non-owner) segments are never
-  ``unlink()``-ed.
+* **SML014 — fork/deadlock hazards.**  Locks, ``threading.local`` or
+  tracers captured into process-pool ``initargs`` or task-envelope
+  contexts (fork-inherited lock state is the canonical pool deadlock),
+  and blocking calls (``submit``, ``acquire``, ``result``, ...) issued
+  while a lock is held.
+* **SML015 — resource lifecycle.**  A CFG path check that every resource
+  a registered constructor creates (``ShardWal``, ``ShardState``, ...)
+  reaches its configured release (``close()``) or escapes ownership on
+  every non-raising path.
 
 The per-class facts (:class:`ClassConcurrency`) ride the whole-program
 module summaries, so a module that imports ``Tracer`` and pokes at
@@ -885,36 +883,15 @@ def _fork_hazard_findings(
     yield from blocking
 
 
-# -- SML015: shared-memory resource lifecycle -------------------------------------
+# -- SML015: resource lifecycle ---------------------------------------------------
 
 
 def _creator_of(call: ast.Call, config: LintConfig) -> Optional[str]:
-    """The resource constructor a call invokes, or ``None``.
-
-    ``SharedMemory`` only counts with ``create=True`` (attaching borrows).
-    """
+    """The resource constructor a call invokes, or ``None``."""
     name = _call_name(call.func)
     if name is None or config.resource_release_for(name) is None:
         return None
-    if name == "SharedMemory":
-        for keyword in call.keywords:
-            if keyword.arg == "create" and (
-                isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                return name
-        return None
     return name
-
-
-def _is_attach_call(call: ast.Call, config: LintConfig) -> bool:
-    """Attach-style acquisition: a borrowed handle that must not unlink."""
-    name = _call_name(call.func)
-    if name is None:
-        return False
-    if name == "SharedMemory":
-        return _creator_of(call, config) is None
-    return "attach" in name.lower()
 
 
 def _stmt_releases(stmt: ast.AST, var: str, release: str) -> bool:
@@ -959,14 +936,13 @@ def _stmt_escapes(stmt: ast.AST, var: str) -> bool:
     return False
 
 
-def _shm_lifecycle_findings(tree: ast.AST, ctx: "_CtxLike") -> Iterator[Finding]:
+def _resource_lifecycle_findings(tree: ast.AST, ctx: "_CtxLike") -> Iterator[Finding]:
     config = ctx.config
     for func in ast.walk(tree):
         if not isinstance(func, _FUNC_TYPES):
             continue
         graph = build_cfg(func)
         creations: List[Tuple[int, str, str, ast.stmt]] = []
-        attach_vars: Set[str] = set()
         for sub in ast.walk(func):
             if not isinstance(sub, ast.Assign) or not isinstance(sub.value, ast.Call):
                 continue
@@ -978,10 +954,8 @@ def _shm_lifecycle_findings(tree: ast.AST, ctx: "_CtxLike") -> Iterator[Finding]
                 idx = graph.index_of.get(id(sub))
                 if idx is not None:
                     creations.append((idx, var, ctor, sub))
-            elif _is_attach_call(sub.value, config):
-                attach_vars.add(var)
 
-        # (a) owners must release (or hand off) on every non-raising path
+        # owners must release (or hand off) on every non-raising path
         for idx, var, ctor, create_stmt in creations:
             release = config.resource_release_for(ctor) or "close"
             if _stmt_escapes(create_stmt, var):
@@ -1014,34 +988,8 @@ def _shm_lifecycle_findings(tree: ast.AST, ctx: "_CtxLike") -> Iterator[Finding]
                     line,
                     col,
                     f"{ctor} {var!r} may reach function exit without "
-                    f".{release}() on a non-raising path — the segment "
-                    "outlives the process and leaks; use a with block or "
-                    "try/finally"
-                    + (
-                        " (seal() is the slot's commit point: an unsealed "
-                        "slot reads as a worker crash)"
-                        if release == "seal"
-                        else ""
-                    ),
-                )
-
-        # (b) attached (non-owner) handles must never unlink the segment
-        for sub in ast.walk(func):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "unlink"
-                and isinstance(sub.func.value, ast.Name)
-                and sub.func.value.id in attach_vars
-            ):
-                line, col = _at(sub)
-                yield Finding(
-                    "SML015",
-                    line,
-                    col,
-                    f"unlink() on attached segment {sub.func.value.id!r} — "
-                    "only the creating owner unlinks (exactly-once "
-                    "protocol); attachers just close()",
+                    f".{release}() on a non-raising path — the resource "
+                    "leaks; use a with block or try/finally",
                 )
 
 
@@ -1088,7 +1036,7 @@ def analyze_module(tree: ast.AST, ctx: "_CtxLike") -> ModuleConcurrency:
         result.findings.extend(
             _fork_hazard_findings(tree, result.classes, ctx)
         )
-        result.findings.extend(_shm_lifecycle_findings(tree, ctx))
+        result.findings.extend(_resource_lifecycle_findings(tree, ctx))
     if config.is_parallel_scope(ctx.path):
         result.findings.extend(_task_escape_findings(tree, ctx))
     result.findings.sort(key=lambda f: (f.line, f.col, f.rule, f.message))

@@ -293,9 +293,8 @@ class LintConfig:
 
     #: Constructors whose instances must never be captured into process-pool
     #: ``initargs`` or task contexts (SML014): fork-inherited lock state is
-    #: the canonical pool deadlock, thread-locals and tracers are orphaned
-    #: copies in the child, and a live ``SharedMemory`` handle pickles its
-    #: *name*, silently detaching from the mapping it claims to hold.
+    #: the canonical pool deadlock, and thread-locals and tracers are
+    #: orphaned copies in the child.
     unforkable_ctor_names: Tuple[str, ...] = (
         "Lock",
         "RLock",
@@ -304,7 +303,6 @@ class LintConfig:
         "BoundedSemaphore",
         "local",
         "Tracer",
-        "SharedMemory",
     )
 
     #: Method names that may block on another thread/process while called
@@ -356,14 +354,10 @@ class LintConfig:
     )
 
     #: SML015 — resource constructors paired with the method that releases
-    #: them.  ``SharedMemory`` counts only when called with ``create=True``
-    #: (attaching is borrowing).  The sharded server tier joins the pair
-    #: set: an open ``ShardWal`` holds an fd and uncommitted frames, a
+    #: them: an open ``ShardWal`` holds an fd and uncommitted frames, a
     #: ``ShardState`` owns one, a ``ProcessShard`` pins a warm
-    #: single-worker pool, and a ``ShardedTier`` owns all of the above
-    #: plus the fan-out thread pool.
+    #: single-worker pool, and a ``ShardedTier`` owns its shards.
     resource_release_methods: Tuple[Tuple[str, str], ...] = (
-        ("SharedMemory", "close"),
         ("ShardWal", "close"),
         ("ShardState", "close"),
         ("ProcessShard", "close"),

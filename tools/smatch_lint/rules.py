@@ -733,8 +733,8 @@ class ForkHazardRule(_ConcurrencyRule):
     code = "SML014"
 
 
-class ShmLifecycleRule(_ConcurrencyRule):
-    """SML015: shared-memory segments must close() on all paths; attachers never unlink."""
+class ResourceLifecycleRule(_ConcurrencyRule):
+    """SML015: a registered resource must be released on every non-raising path."""
 
     code = "SML015"
 
@@ -754,7 +754,7 @@ RULES: Tuple[Type[Rule], ...] = (
     LockDisciplineRule,
     TaskEscapeRule,
     ForkHazardRule,
-    ShmLifecycleRule,
+    ResourceLifecycleRule,
 )
 
 RULE_CODES: Tuple[str, ...] = tuple(rule.code for rule in RULES)
