@@ -136,13 +136,20 @@ class MobileClient:
         """Step 5: run Vf on every claimed match."""
         if self._key is None:
             raise SchemeError("client has not generated its profile key yet")
+        if not result.entries:
+            return VerifiedMatches(
+                query_id=result.query_id, accepted=(), rejected=()
+            )
+        # every entry is checked under this client's key, so one auth
+        # cipher serves the whole result
+        verifier = self.scheme.verifier
+        cipher = verifier.cipher_for(self._key)
         accepted: List[int] = []
         rejected: List[int] = []
         for entry in result.entries:
-            if entry.auth.user_id != entry.user_id:
-                rejected.append(entry.user_id)
-                continue
-            if self.scheme.verify(entry.auth, self._key):
+            if entry.auth.user_id == entry.user_id and verifier.verify_with(
+                entry.auth, cipher
+            ):
                 accepted.append(entry.user_id)
             else:
                 rejected.append(entry.user_id)

@@ -11,12 +11,16 @@ paper's "d + 2 hash operations" accounting.
 from __future__ import annotations
 
 import hashlib
-import hmac
 
 from repro.errors import ParameterError
 from repro.obs.instrument import count_op
+from repro.utils.mac import HmacSha256
 
 __all__ = ["sha256", "hkdf", "prf", "hash_to_int", "hash_to_range"]
+
+#: HKDF-Extract under the default salt, a HashLen string of zeros
+#: (RFC 5869 §2.2), keyed once for the process.
+_ZERO_SALT = HmacSha256(b"\x00" * 32)
 
 
 def sha256(*parts: bytes) -> bytes:
@@ -38,14 +42,13 @@ def hkdf(
     if length < 1 or length > 255 * 32:
         raise ParameterError(f"invalid HKDF output length {length}")
     count_op("hash")
-    prk = hmac.new(salt or b"\x00" * 32, key_material, hashlib.sha256).digest()
+    extract = HmacSha256(salt) if salt else _ZERO_SALT
+    expand = HmacSha256(extract.mac(key_material))
     okm = b""
     block = b""
     counter = 1
     while len(okm) < length:
-        block = hmac.new(
-            prk, block + info + bytes([counter]), hashlib.sha256
-        ).digest()
+        block = expand.mac(block + info + bytes([counter]))
         okm += block
         counter += 1
     return okm[:length]
@@ -54,10 +57,7 @@ def hkdf(
 def prf(key: bytes, *parts: bytes) -> bytes:
     """HMAC-SHA256 as a PRF (instrumented as a hash operation)."""
     count_op("hash")
-    mac = hmac.new(key, digestmod=hashlib.sha256)
-    for part in parts:
-        mac.update(part)
-    return mac.digest()
+    return HmacSha256(key).mac(b"".join(parts))
 
 
 def hash_to_int(data: bytes, bits: int = 256) -> int:

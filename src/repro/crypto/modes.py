@@ -9,8 +9,6 @@ keys derived from one master key).
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass
 
 from repro.crypto.aes import AES
@@ -18,6 +16,7 @@ from repro.crypto.kdf import hkdf
 from repro.errors import IntegrityError, ParameterError
 from repro.utils.bits import xor_bytes
 from repro.utils.ct import constant_time_eq
+from repro.utils.mac import HmacSha256
 from repro.utils.rand import SystemRandomSource
 
 __all__ = ["ctr_keystream", "ctr_xcrypt", "AeadCiphertext", "EtMCipher"]
@@ -75,16 +74,14 @@ class EtMCipher:
         if key_size not in (16, 24, 32):
             raise ParameterError("key_size must be an AES key size")
         enc_key = hkdf(master_key, info=b"etm-enc", length=key_size)
-        self._mac_key = hkdf(master_key, info=b"etm-mac", length=32)
+        # the MAC key's HMAC pads are hashed once, not once per tag
+        self._hmac = HmacSha256(hkdf(master_key, info=b"etm-mac", length=32))
         self._aes = AES(enc_key)
 
     def _tag(self, iv: bytes, aad: bytes, body: bytes) -> bytes:
-        mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)
-        mac.update(len(aad).to_bytes(8, "big"))
-        mac.update(aad)
-        mac.update(iv)
-        mac.update(body)
-        return mac.digest()
+        return self._hmac.mac(
+            b"".join((len(aad).to_bytes(8, "big"), aad, iv, body))
+        )
 
     def seal(
         self,

@@ -5,9 +5,17 @@ A deterministic, stateless OPE in the style of Boldyreva et al. (EUROCRYPT
 ciphertext of ``m`` is found by a binary descent over the plaintext domain,
 where at every node a pseudorandom split point divides the remaining
 ciphertext range between the two halves of the remaining plaintext domain.
-All pseudorandomness is derived from the key via HMAC-SHA256 (see
-:class:`repro.utils.rand.DeterministicStream`), so ``Enc`` is a pure function
-of ``(key, m)`` and strictly monotone in ``m``.
+All pseudorandomness is derived from the key via HMAC-SHA256, so ``Enc`` is
+a pure function of ``(key, m)`` and strictly monotone in ``m``.  A node's
+split point is ``DeterministicStream(key, label).randint(lo, hi)`` for the
+label ``tag|dlo|dhi|rlo|rhi`` (see :class:`repro.utils.rand.DeterministicStream`).
+An :class:`OPE` hashes its key's HMAC pads once
+(:class:`repro.utils.mac.HmacSha256`) and draws each node straight from a
+fresh stream state with :func:`repro.utils.rand.draw_below`, the stream's
+own rejection loop, so a level costs one HMAC finish and one draw and no
+stream object.  A 64-bit descent walks 64 levels (counted once per walk as
+``ope_level``); at the default 16-bit expansion about 57 of them draw, the
+rest are forced.
 
 Split-point distributions:
 
@@ -31,16 +39,28 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.errors import CiphertextError, KeyError_, ParameterError
 from repro.obs.instrument import count_op
 from repro.obs.trace import span
-from repro.utils.rand import DeterministicStream
+from repro.utils.mac import HmacSha256
+from repro.utils.rand import DeterministicStream, draw_below
 
 __all__ = ["OpeParams", "OPE", "AdaptiveOPE"]
 
 _SPLITS = ("uniform", "hypergeometric")
+
+
+def _label(tag: bytes, dlo: int, dhi: int, rlo: int, rhi: int) -> bytes:
+    """A node's stream label ``tag|dlo|dhi|rlo|rhi``, each bound minimal
+    big-endian (one zero byte for 0)."""
+    return b"|".join((
+        tag,
+        dlo.to_bytes((dlo.bit_length() + 7) // 8 or 1, "big"),
+        dhi.to_bytes((dhi.bit_length() + 7) // 8 or 1, "big"),
+        rlo.to_bytes((rlo.bit_length() + 7) // 8 or 1, "big"),
+        rhi.to_bytes((rhi.bit_length() + 7) // 8 or 1, "big"),
+    ))
 
 
 @dataclass(frozen=True)
@@ -148,16 +168,22 @@ class OPE:
     def __init__(self, key: bytes, params: OpeParams) -> None:
         if len(key) < 16:
             raise KeyError_("OPE key must be at least 16 bytes")
-        self._key = bytes(key)
+        # every node, leaf and hypergeometric draw is keyed by this one
+        # object, so the key's HMAC pads are hashed once per OPE
+        self._prf = HmacSha256(bytes(key))
         self.params = params
 
     # -- internal: pseudorandom choices ---------------------------------------
 
-    def _node_stream(self, tag: bytes, bounds: Tuple[int, int, int, int]) -> DeterministicStream:
-        label = tag + b"|" + b"|".join(
-            v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in bounds
-        )
-        return DeterministicStream(self._key, label)
+    def _draw(
+        self, tag: bytes, dlo: int, dhi: int, rlo: int, rhi: int, lo: int, hi: int
+    ) -> int:
+        """``DeterministicStream(key, label).randint(lo, hi)`` for the node's
+        label ``tag|dlo|dhi|rlo|rhi`` (minimal big-endian bounds), drawn
+        from a fresh stream state without building the stream."""
+        return lo + draw_below(
+            self._prf, _label(tag, dlo, dhi, rlo, rhi), 0, b"", hi - lo + 1
+        )[0]
 
     def _split_point(
         self, dlo: int, dhi: int, rlo: int, rhi: int
@@ -175,12 +201,14 @@ class OPE:
         hi = rhi - right_need
         if lo == hi:
             return lo
-        stream = self._node_stream(b"node", (dlo, dhi, rlo, rhi))
         if self.params.split == "uniform":
-            return stream.randint(lo, hi)
+            return self._draw(b"node", dlo, dhi, rlo, rhi, lo, hi)
         # Hypergeometric: of the (rhi-rlo+1) range values, the left domain
         # half receives `left_extra` of the slack positions according to the
         # random-OPF law.
+        stream = DeterministicStream(
+            self._prf, _label(b"node", dlo, dhi, rlo, rhi)
+        )
         total = rhi - rlo + 1
         domain = (dhi - dlo + 1)
         u = stream.getrandbits(53) / float(1 << 53)
@@ -195,7 +223,7 @@ class OPE:
     def _leaf_value(self, m: int, rlo: int, rhi: int) -> int:
         if rlo == rhi:
             return rlo
-        return self._node_stream(b"leaf", (m, m, rlo, rhi)).randint(rlo, rhi)
+        return self._draw(b"leaf", m, m, rlo, rhi, rlo, rhi)
 
     # -- public API --------------------------------------------------------------
 
@@ -207,10 +235,11 @@ class OPE:
                 f"plaintext {m} outside [0, 2^{p.plaintext_bits})"
             )
         with span("ope.encrypt", bits=p.plaintext_bits):
+            # halving a power-of-two domain takes one level per plaintext bit
+            count_op("ope_level", p.plaintext_bits)
             dlo, dhi = 0, p.domain_size - 1
             rlo, rhi = 0, p.range_size - 1
             while dlo < dhi:
-                count_op("ope_level")
                 dmid = (dlo + dhi) // 2
                 rmid = self._split_point(dlo, dhi, rlo, rhi)
                 if m <= dmid:
@@ -227,10 +256,10 @@ class OPE:
                 f"ciphertext {c} outside [0, 2^{p.ciphertext_bits})"
             )
         with span("ope.decrypt", bits=p.plaintext_bits):
+            count_op("ope_level", p.plaintext_bits)
             dlo, dhi = 0, p.domain_size - 1
             rlo, rhi = 0, p.range_size - 1
             while dlo < dhi:
-                count_op("ope_level")
                 dmid = (dlo + dhi) // 2
                 rmid = self._split_point(dlo, dhi, rlo, rhi)
                 if c <= rmid:

@@ -146,9 +146,15 @@ class ShardedTier:
         turns into remove-on-old + put-on-new; per-shard op order follows
         batch order, which is all the cross-shard commutativity argument
         in the module docs needs.  The shards' lists run one after another,
-        in the order the batch first touched each shard.
+        in the order the batch first touched each shard, and each shard's
+        routing is folded in as soon as its list has applied: when a later
+        shard refuses its part, the routing table still names every user
+        the earlier shards now hold.
         """
         ops_by_shard: Dict[int, List[ShardOp]] = {}
+        # per shard, each touched user's group there once its ops have run
+        # (None: the shard removed the user)
+        routes_by_shard: Dict[int, Dict[int, Optional[bytes]]] = {}
         routed: Dict[int, bytes] = {}
         for payload in payloads:
             uid = payload.user_id
@@ -160,7 +166,9 @@ class ShardedTier:
                     ops_by_shard.setdefault(old_shard, []).append(
                         ("remove", uid)
                     )
+                    routes_by_shard.setdefault(old_shard, {})[uid] = None
             ops_by_shard.setdefault(new_shard, []).append(("put", payload))
+            routes_by_shard.setdefault(new_shard, {})[uid] = payload.key_index
             routed[uid] = payload.key_index
         with span(
             "server.shard_tier.put_batch",
@@ -169,7 +177,26 @@ class ShardedTier:
         ):
             for shard_id, ops in ops_by_shard.items():
                 self._shards[shard_id].apply(ops)
-        self._user_key_index.update(routed)
+                self._route(shard_id, routes_by_shard[shard_id])
+
+    def _route(
+        self, shard_id: int, routes: Dict[int, Optional[bytes]]
+    ) -> None:
+        """Fold one shard's applied ops into ``user -> key_index``.
+
+        A user the shard now holds routes to its group there.  A user the
+        shard removed stops routing to it, but keeps a route that an
+        earlier-applied shard's put already pointed elsewhere.
+        """
+        index = self._user_key_index
+        for uid, key_index in routes.items():
+            if key_index is not None:
+                index[uid] = key_index
+            elif (
+                uid in index
+                and self._placement.shard_of(index[uid]) == shard_id
+            ):
+                del index[uid]
 
     def remove(self, user_id: int) -> None:
         """Delete a user's record; raises when absent (store parity)."""

@@ -13,54 +13,81 @@ Two kinds of randomness appear in the library:
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import random
-from typing import Optional, Sequence, TypeVar
+from typing import Optional, Sequence, Tuple, TypeVar, Union
 
 _T = TypeVar("_T")
 
 from repro.errors import ParameterError
+from repro.utils.mac import HmacSha256
 
-__all__ = ["DeterministicStream", "SystemRandomSource"]
+__all__ = ["DeterministicStream", "SystemRandomSource", "draw_below"]
+
+
+def draw_below(
+    prf: HmacSha256, label: bytes, counter: int, buffer: bytes, span: int
+) -> Tuple[int, int, bytes]:
+    """Rejection-sample a uniform integer in ``[0, span)`` from a stream.
+
+    The stream state is ``(counter, buffer)``: the next counter-mode block
+    is ``prf.mac(label || counter_be64)``, and ``buffer`` holds the unread
+    bytes of the blocks drawn so far.  A candidate is the top
+    ``span.bit_length()`` bits of the next ``ceil(bits / 8)`` bytes,
+    rejected when it is ``>= span``.  Returns the value and the advanced
+    state.  :meth:`DeterministicStream.randrange` and the OPE's node draws
+    (from a fresh state, ``0, b""``) both sample through this one loop.
+    """
+    if span < 1:
+        raise ParameterError(f"cannot draw below {span}")
+    bits = span.bit_length()
+    nbytes = (bits + 7) // 8
+    shift = nbytes * 8 - bits
+    while True:
+        while len(buffer) < nbytes:
+            buffer += prf.mac(label + counter.to_bytes(8, "big"))
+            counter += 1
+        candidate = int.from_bytes(buffer[:nbytes], "big") >> shift
+        buffer = buffer[nbytes:]
+        if candidate < span:
+            return candidate, counter, buffer
 
 
 class DeterministicStream:
     """An HMAC-SHA256-based deterministic random stream.
 
-    The stream is parameterized by a byte-string ``key`` and a ``label``; two
-    streams with the same (key, label) produce identical output.  It exposes
-    the handful of sampling operations the library needs, all implemented by
-    rejection sampling over the raw HMAC output so the distributions are exact.
+    The stream is parameterized by a ``key`` and a ``label``; two streams
+    with the same (key, label) produce identical output: block ``i`` is
+    ``HMAC-SHA256(key, label || i_be64)``.  ``key`` is raw key bytes or an
+    :class:`~repro.utils.mac.HmacSha256` already keyed with them, which
+    lets a caller that opens many streams under one key hash its HMAC pads
+    once.  It exposes the handful of sampling operations the library needs,
+    all implemented by rejection sampling over the raw HMAC output
+    (:func:`draw_below`) so the distributions are exact.
     """
 
-    _BLOCK = 32  # SHA-256 output size
-
-    def __init__(self, key: bytes, label: bytes = b"") -> None:
-        if not isinstance(key, (bytes, bytearray)):
+    def __init__(
+        self, key: Union[bytes, HmacSha256], label: bytes = b""
+    ) -> None:
+        if isinstance(key, HmacSha256):
+            self._prf = key
+        elif isinstance(key, (bytes, bytearray)):
+            self._prf = HmacSha256(key)
+        else:
             raise ParameterError("key must be bytes")
-        self._key = bytes(key)
         self._label = bytes(label)
         self._counter = 0
         self._buffer = b""
-
-    def _refill(self) -> None:
-        block = hmac.new(
-            self._key,
-            self._label + self._counter.to_bytes(8, "big"),
-            hashlib.sha256,
-        ).digest()
-        self._counter += 1
-        self._buffer += block
 
     def read(self, n: int) -> bytes:
         """Return the next ``n`` bytes of the stream."""
         if n < 0:
             raise ParameterError("cannot read a negative byte count")
-        while len(self._buffer) < n:
-            self._refill()
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
+        buffer, counter = self._buffer, self._counter
+        while len(buffer) < n:
+            buffer += self._prf.mac(self._label + counter.to_bytes(8, "big"))
+            counter += 1
+        self._counter, self._buffer = counter, buffer[n:]
+        return buffer[:n]
 
     def getrandbits(self, bits: int) -> int:
         """Return a uniform integer in ``[0, 2**bits)``."""
@@ -76,12 +103,10 @@ class DeterministicStream:
         """Return a uniform integer in ``[lo, hi)`` via rejection sampling."""
         if hi <= lo:
             raise ParameterError(f"empty range [{lo}, {hi})")
-        span = hi - lo
-        bits = span.bit_length()
-        while True:
-            candidate = self.getrandbits(bits)
-            if candidate < span:
-                return lo + candidate
+        value, self._counter, self._buffer = draw_below(
+            self._prf, self._label, self._counter, self._buffer, hi - lo
+        )
+        return lo + value
 
     def randint(self, lo: int, hi: int) -> int:
         """Return a uniform integer in the inclusive range ``[lo, hi]``."""

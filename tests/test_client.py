@@ -159,3 +159,38 @@ class TestMobileClient:
         )
         assert outcome.rejected == (donor.user_id + 1000,)
         assert outcome.forgery_detected
+
+    def test_one_auth_cipher_per_result(self, enrolled):
+        from repro.net.messages import QueryResult, ResultEntry
+
+        scheme, users, uploads, keys = enrolled
+        uid = users[0].profile.user_id
+        key = keys[uid]
+        same_group = [
+            other for other, k in keys.items() if k.index == key.index
+        ]
+        others = [other for other in keys if other not in same_group][:3]
+        entries = tuple(
+            ResultEntry(user_id=other, auth=uploads[other].auth)
+            for other in same_group + others
+        )
+        # a key written straight into the client, as a harness that derived
+        # it through the key service does
+        client = MobileClient(users[0].profile, scheme)
+        client._key = key
+        with counting() as ops:
+            outcome = client.verify_results(
+                QueryResult(query_id=1, timestamp=0, entries=entries)
+            )
+        assert ops.get("aes_key_schedule") == 1
+        assert ops.get("verify") == len(entries)
+        assert outcome.accepted == tuple(same_group)
+        assert outcome.rejected == tuple(others)
+        assert [scheme.verify(e.auth, key) for e in entries] == [
+            e.user_id in same_group for e in entries
+        ]
+        with counting() as ops:
+            client.verify_results(
+                QueryResult(query_id=2, timestamp=0, entries=())
+            )
+        assert ops.get("aes_key_schedule") == 0

@@ -8,6 +8,28 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.kdf import hash_to_int, hash_to_range, hkdf, prf, sha256
 from repro.errors import ParameterError
+from repro.utils.mac import HmacSha256
+
+#: RFC 4231 HMAC-SHA-256 test cases 1-4, 6 and 7 (case 5 truncates the
+#: output); cases 6 and 7 use 131-byte keys, which are hashed first.
+RFC4231 = [
+    (b"\x0b" * 20, b"Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe", b"what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+    (b"\xaa" * 20, b"\xdd" * 50,
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    (bytes(range(1, 26)), b"\xcd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    (b"\xaa" * 131,
+     b"Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    (b"\xaa" * 131,
+     b"This is a test using a larger than block-size key and a larger "
+     b"than block-size data. The key needs to be hashed before being "
+     b"used by the HMAC algorithm.",
+     "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+]
 
 
 class TestSha256:
@@ -23,6 +45,31 @@ class TestSha256:
         with counting() as c:
             sha256(b"x")
         assert c.get("hash") == 1
+
+
+class TestHmacSha256:
+    @pytest.mark.parametrize(
+        "key, message, expected", RFC4231, ids=["1", "2", "3", "4", "6", "7"]
+    )
+    def test_rfc4231(self, key, message, expected):
+        assert HmacSha256(key).mac(message).hex() == expected
+
+    @given(st.binary(max_size=200), st.binary(max_size=300))
+    @settings(max_examples=200)
+    def test_equals_stdlib_hmac(self, key, message):
+        assert HmacSha256(key).mac(message) == hmac_mod.new(
+            key, message, hashlib.sha256
+        ).digest()
+
+    def test_reusable_across_messages(self):
+        keyed = HmacSha256(b"key")
+        first = keyed.mac(b"one")
+        keyed.mac(b"two")
+        assert keyed.mac(b"one") == first
+
+    def test_key_must_be_bytes(self):
+        with pytest.raises(ParameterError):
+            HmacSha256("key")  # type: ignore[arg-type]
 
 
 class TestHkdf:

@@ -14,8 +14,19 @@ from repro.crypto.ope import (
     _hypergeometric_ppf,
 )
 from repro.errors import CiphertextError, KeyError_, ParameterError
+from repro.utils.mac import HmacSha256
+from repro.utils.rand import DeterministicStream, draw_below
 
 KEY = b"ope-test-key-32-bytes-long......"
+
+
+def _stream_draw(key, tag, bounds, lo, hi):
+    """A node draw as a stream object makes it: the label is
+    ``tag|dlo|dhi|rlo|rhi``, each bound minimal big-endian."""
+    label = tag + b"|" + b"|".join(
+        v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in bounds
+    )
+    return DeterministicStream(key, label).randint(lo, hi)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +94,59 @@ class TestOrderPreservation:
             ope16.encrypt(1 << 16)
         with pytest.raises(ParameterError):
             ope16.encrypt(-1)
+
+
+class TestNodeDraw:
+    """The descent's node and leaf draws are byte for byte the draws of a
+    fresh :class:`DeterministicStream` per node."""
+
+    @given(
+        st.binary(min_size=16, max_size=40),
+        st.sampled_from([b"node", b"leaf"]),
+        st.tuples(*[st.integers(min_value=0, max_value=1 << 96)] * 4),
+        st.integers(min_value=0, max_value=1 << 80),
+        st.one_of(
+            st.integers(min_value=1, max_value=1 << 90),
+            # just above a power of two, where rejection is likeliest
+            st.integers(min_value=0, max_value=90).map(lambda k: (1 << k) + 1),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stream_randint(self, key, tag, bounds, lo, span):
+        ope = OPE(key, OpeParams(plaintext_bits=16))
+        hi = lo + span - 1
+        assert ope._draw(tag, *bounds, lo, hi) == _stream_draw(
+            key, tag, bounds, lo, hi
+        )
+
+    def test_draw_that_crosses_a_block(self):
+        # 91-bit candidates take 12 bytes: a third candidate straddles the
+        # first 32-byte block, and a fourth needs the next one
+        ope = OPE(KEY, OpeParams(plaintext_bits=16))
+        span = (1 << 90) + 1
+        crossed = 0
+        for dlo in range(200):
+            bounds = (dlo, dlo + 1, 0, span)
+            label = b"node|" + b"|".join(
+                v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
+                for v in bounds
+            )
+            _, counter, _ = draw_below(HmacSha256(KEY), label, 0, b"", span)
+            if counter < 2:
+                continue
+            crossed += 1
+            assert ope._draw(b"node", *bounds, 0, span - 1) == _stream_draw(
+                KEY, b"node", bounds, 0, span - 1
+            )
+        assert crossed > 0
+
+    def test_levels_counted_once_per_walk(self, ope16):
+        from repro.obs.instrument import counting
+
+        with counting() as c:
+            ope16.encrypt(1234)
+            ope16.decrypt(ope16.encrypt(99))
+        assert c.get("ope_level") == 3 * 16
 
 
 class TestDecrypt:

@@ -631,6 +631,76 @@ class TestEquivalenceMatrix:
             assert _server_results(server, payloads) == oracle
 
 
+class TestBatchRouting:
+    """The routing table names exactly the users the shards hold, batch
+    by batch, as a bare store fed the same uploads one at a time does."""
+
+    @staticmethod
+    def _agree(tier, store, uids):
+        matcher = ServerMatcher(store)
+        exported = tier.export_store()
+        assert len(tier) == len(exported) == len(store)
+        assert dict(exported.all_profiles()) == dict(store.all_profiles())
+        for uid in uids:
+            assert tier.query(uid, k=3) == _entries(
+                store, matcher.match(uid, 3)
+            )
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "disk"])
+    def test_committed_shard_routes_when_a_later_shard_refuses(
+        self, payloads, tmp_path, durable
+    ):
+        base, new = payloads[:-1], payloads[-1]
+        data_dir = tmp_path if durable else None
+        tier = ShardedTier(shards=2, data_dir=data_dir)
+        tier.put_batch(base)
+        new_shard = tier.placement.shard_of(new.key_index)
+        group_sizes = {}
+        for p in base:
+            group_sizes[p.key_index] = group_sizes.get(p.key_index, 0) + 1
+        # a re-upload with one chain element more than its group's, on the
+        # other shard: refused there after the new user's shard committed
+        refused = _widened(
+            next(
+                p
+                for p in base
+                if group_sizes[p.key_index] > 1
+                and tier.placement.shard_of(p.key_index) != new_shard
+            )
+        )
+        store = ProfileStore()
+        for p in base + [new]:
+            store.put(p)
+        with pytest.raises(ParameterError):
+            store.put(refused)
+        with pytest.raises(ParameterError):
+            tier.put_batch([new, refused])
+        uids = [p.user_id for p in payloads]
+        self._agree(tier, store, uids)
+        if durable:
+            tier.close()
+            tier = ShardedTier(shards=2, data_dir=tmp_path)
+            self._agree(tier, store, uids)
+        tier.close()
+
+    def test_user_moved_away_and_back_in_one_batch(self, payloads):
+        with ShardedTier(shards=2) as tier:
+            tier.put_batch(payloads)
+            home = payloads[0]
+            home_shard = tier.placement.shard_of(home.key_index)
+            away_key = next(
+                p.key_index
+                for p in payloads
+                if tier.placement.shard_of(p.key_index) != home_shard
+            )
+            batch = [_moved(home, away_key), _drifted(home)]
+            store = ProfileStore()
+            for p in payloads + batch:
+                store.put(p)
+            tier.put_batch(batch)
+            self._agree(tier, store, [p.user_id for p in payloads])
+
+
 # -- crash recovery ------------------------------------------------------------
 
 

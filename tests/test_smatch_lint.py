@@ -372,6 +372,45 @@ class TestSml007TaintTiming:
         """
         assert "SML007" in codes(check(src, SERVER_PATH))
 
+    def test_keyed_hmac_output_branch_flagged(self):
+        # the keyed PRF object and its output are sources even when
+        # nothing about the names involved looks secret
+        src = """\
+        from repro.utils.mac import HmacSha256
+
+        def handle(self, request):
+            expected = HmacSha256(self.session_material).mac(request.body)
+            if expected == request.claimed:
+                return b"ok"
+            return b"refused"
+        """
+        found = check(src, SERVER_PATH)
+        assert codes(found) == ["SML007"]
+        assert "expected" in found[0].message
+
+    def test_keyed_hmac_method_on_held_object_flagged(self):
+        src = """\
+        def handle(self, request):
+            expected = self._prf.mac(request.body)
+            if expected == request.claimed:
+                return b"ok"
+            return b"refused"
+        """
+        assert codes(check(src, SERVER_PATH)) == ["SML007"]
+
+    def test_keyed_hmac_constant_time_twin_clean(self):
+        src = """\
+        from repro.utils.ct import constant_time_eq
+        from repro.utils.mac import HmacSha256
+
+        def handle(self, request):
+            expected = HmacSha256(self.session_material).mac(request.body)
+            if constant_time_eq(expected, request.claimed):
+                return b"ok"
+            return b"refused"
+        """
+        assert check(src, SERVER_PATH) == []
+
     def test_reassignment_kills_taint(self):
         src = """\
         def handle(profile_key):

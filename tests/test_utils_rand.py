@@ -1,10 +1,26 @@
 """Tests for repro.utils.rand."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
-from repro.utils.rand import DeterministicStream, SystemRandomSource
+from repro.utils.mac import HmacSha256
+from repro.utils.rand import DeterministicStream, SystemRandomSource, draw_below
+
+
+def _counter_mode(key, label, n):
+    """The first ``n`` bytes of HMAC-SHA256(key, label || i_be64), i = 0, 1, ..."""
+    out = b""
+    counter = 0
+    while len(out) < n:
+        out += hmac.new(
+            key, label + counter.to_bytes(8, "big"), hashlib.sha256
+        ).digest()
+        counter += 1
+    return out[:n]
 
 
 class TestDeterministicStream:
@@ -59,6 +75,44 @@ class TestDeterministicStream:
         s = DeterministicStream(b"prop")
         v = s.randrange(lo, lo + span)
         assert lo <= v < lo + span
+
+
+class TestStreamBytes:
+    SIZES = (0, 1, 7, 31, 32, 33, 100)
+
+    @pytest.mark.parametrize("prepared", [False, True], ids=["bytes", "keyed"])
+    def test_read_is_hmac_counter_mode(self, prepared):
+        key, label = b"stream-key", b"stream|label"
+        stream = DeterministicStream(
+            HmacSha256(key) if prepared else key, label
+        )
+        out = b"".join(stream.read(n) for n in self.SIZES)
+        assert out == _counter_mode(key, label, sum(self.SIZES))
+
+    def test_rejection_state_carries_over(self):
+        # a draw's leftover bytes feed the next read, as one stream
+        stream = DeterministicStream(b"k", b"l")
+        stream.randrange(0, 3)
+        follow = stream.read(40)
+        reference = DeterministicStream(b"k", b"l")
+        reference.randrange(0, 3)
+        assert follow == reference.read(40)
+
+    def test_draw_below_returns_stream_state(self):
+        prf = HmacSha256(b"k")
+        value, counter, buffer = draw_below(prf, b"l", 0, b"", 1000)
+        stream = DeterministicStream(b"k", b"l")
+        assert stream.randrange(0, 1000) == value
+        assert stream.read(len(buffer)) == buffer
+        assert counter == 1
+
+    def test_draw_below_needs_a_positive_span(self):
+        with pytest.raises(ParameterError):
+            draw_below(HmacSha256(b"k"), b"l", 0, b"", 0)
+
+    def test_non_bytes_key_rejected(self):
+        with pytest.raises(ParameterError):
+            DeterministicStream("key")  # type: ignore[arg-type]
 
 
 class TestSystemRandomSource:

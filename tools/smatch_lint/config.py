@@ -122,9 +122,10 @@ class LintConfig:
 
     #: Registered secret-bearing APIs: calling any of these yields secret
     #: material (taint sources beyond the name heuristics).  ``ProfileKey``
-    #: and the KDF family produce key material; ``blind`` mints the OPRF
-    #: blinding factor; ``evaluate_blinded``/``unblinded_evaluate`` apply
-    #: the key service's private RSA exponent.
+    #: and the KDF family produce key material; ``HmacSha256`` is the keyed
+    #: PRF object (its state is the key's HMAC pads); ``blind`` mints the
+    #: OPRF blinding factor; ``evaluate_blinded``/``unblinded_evaluate``
+    #: apply the key service's private RSA exponent.
     taint_source_calls: Tuple[str, ...] = (
         "ProfileKey",
         "ProfileKeygen",
@@ -133,6 +134,7 @@ class LintConfig:
         "subkey",
         "hkdf",
         "prf",
+        "HmacSha256",
         "blind",
         "evaluate_blinded",
         "unblinded_evaluate",
@@ -140,8 +142,12 @@ class LintConfig:
 
     #: Secret-bearing *method* names only matched on attribute calls —
     #: ``cipher.open(...)`` yields plaintext, but the ``open`` builtin
-    #: (a bare name) opens files and stays clean.
-    taint_source_methods: Tuple[str, ...] = ("open",)
+    #: (a bare name) opens files and stays clean.  ``HmacSha256.mac`` is
+    #: the keyed PRF's output: a MAC tag or derived key, never a public
+    #: commitment, so it is a source in its own right and not one of the
+    #: name-matched ``digest`` sanitizers below — whatever object it is
+    #: read through.
+    taint_source_methods: Tuple[str, ...] = ("open", "mac")
 
     #: Sanitizers: calls whose results are public regardless of inputs.
     #: ``constant_time_eq`` yields the protocol-mandated accept/reject
