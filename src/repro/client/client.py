@@ -10,7 +10,7 @@ passes the commitment check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.keygen import ProfileKey
 from repro.core.profile import Profile
@@ -136,27 +136,11 @@ class MobileClient:
         """Step 5: run Vf on every claimed match."""
         if self._key is None:
             raise SchemeError("client has not generated its profile key yet")
-        if not result.entries:
-            return VerifiedMatches(
-                query_id=result.query_id, accepted=(), rejected=()
-            )
-        # every entry is checked under this client's key, so one auth
-        # cipher serves the whole result
-        verifier = self.scheme.verifier
-        cipher = verifier.cipher_for(self._key)
-        accepted: List[int] = []
-        rejected: List[int] = []
-        for entry in result.entries:
-            if entry.auth.user_id == entry.user_id and verifier.verify_with(
-                entry.auth, cipher
-            ):
-                accepted.append(entry.user_id)
-            else:
-                rejected.append(entry.user_id)
+        accepted, rejected = self.scheme.verify_matches(
+            result.entries, self._key
+        )
         return VerifiedMatches(
-            query_id=result.query_id,
-            accepted=tuple(accepted),
-            rejected=tuple(rejected),
+            query_id=result.query_id, accepted=accepted, rejected=rejected
         )
 
     def _require_channel(self) -> None:

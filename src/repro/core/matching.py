@@ -178,8 +178,8 @@ def position_window(
     querier is located by bisection and the ``k`` neighbours closest by
     score distance are taken, breaking window asymmetry toward smaller
     distance (and toward the left on ties) — exactly the loop Algorithm
-    Match runs after SORT/FIND.  Pure function of its arguments, so the
-    server matcher and the bulk-matching worker tasks share it.
+    Match runs after SORT/FIND.  A pure function of its arguments;
+    :meth:`repro.server.matcher.ServerMatcher.match` calls it.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")

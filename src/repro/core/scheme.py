@@ -24,7 +24,7 @@ from repro.core.entropy import BigJumpMapper
 from repro.core.keygen import ProfileKey, ProfileKeygen
 from repro.core.matching import knn_match, max_distance_match
 from repro.core.profile import Profile, ProfileSchema
-from repro.core.verification import AuthInfo, Verifier
+from repro.core.verification import AuthInfo, ClaimedMatch, Verifier
 from repro.crypto.kdf import sha256
 from repro.crypto.modes import AeadCiphertext
 from repro.crypto.ope import OPE, OpeParams
@@ -289,6 +289,33 @@ class SMatch:
         """``b <- Vf(ID_v, ciph_v, u)``: check a claimed match."""
         with span("scheme.verify", claimed_user=auth_info.user_id):
             return self.verifier.verify(auth_info, key)
+
+    def verify_matches(
+        self, entries: Sequence[ClaimedMatch], key: ProfileKey
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Vf over one query result: ``(accepted, rejected)`` user ids.
+
+        Every entry is checked under the querier's one ``key``, so one
+        ``auth`` cipher serves the whole result (none for an empty one).
+        An entry is accepted only when its authenticator is bound to the
+        entry's own user id and passes Vf: another member's authenticator
+        under a relabelled id is rejected.  Both tuples keep result order.
+        """
+        if not entries:
+            return (), ()
+        accepted: List[int] = []
+        rejected: List[int] = []
+        with span("scheme.verify_matches", entries=len(entries)):
+            verifier = self.verifier
+            cipher = verifier.cipher_for(key)
+            for entry in entries:
+                if entry.auth.user_id == entry.user_id and verifier.verify_with(
+                    entry.auth, cipher
+                ):
+                    accepted.append(entry.user_id)
+                else:
+                    rejected.append(entry.user_id)
+        return tuple(accepted), tuple(rejected)
 
     def match_in_group(
         self,

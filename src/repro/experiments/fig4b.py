@@ -96,12 +96,10 @@ def measure_tpr(
                     query_id=1, timestamp=0, user_id=profile.user_id
                 )
             )
-            accepted = {
-                entry.user_id
-                for entry in result.entries
-                if scheme.verify(entry.auth, keys[profile.user_id])
-            }
-            total_found += min(expected, len(accepted & truth))
+            accepted, _ = scheme.verify_matches(
+                result.entries, keys[profile.user_id]
+            )
+            total_found += min(expected, len(truth.intersection(accepted)))
             total_expected += expected
     if total_expected == 0:
         return float("nan")

@@ -82,9 +82,6 @@ M_SERVER_HANDLER_LATENCY_US = _metric(
 M_MATCHER_GROUPS_INDEXED = _metric(
     "smatch_matcher_groups_indexed", "key groups with a live index"
 )
-M_MATCHER_GROUP_GENERATION = _metric(
-    "smatch_matcher_group_generation", "monotone index-rebuild generation"
-)
 # OPRF key service (repro.server.keyservice)
 M_KEYSERVICE_EVALUATIONS = _metric(
     "smatch_keyservice_evaluations_total", "OPRF blind evaluations"
@@ -122,9 +119,6 @@ M_PARALLEL_CHUNKS = _metric(
 )
 M_PARALLEL_WORKER_RESTARTS = _metric(
     "smatch_parallel_worker_restarts_total", "pools discarded after a crash"
-)
-M_PARALLEL_QUEUE_DEPTH = _metric(
-    "smatch_parallel_queue_depth", "in-flight chunks on the pool"
 )
 # sharded server tier (repro.server.sharding).  Counters emitted inside
 # shard worker processes reach the coordinator via the same registry-merge

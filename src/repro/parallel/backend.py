@@ -21,10 +21,9 @@ list (:func:`partition_chunks`).  Results always come back in submission
 order regardless of completion order, which is what lets seeded enrollment
 stay byte-identical across backends (docs/PERFORMANCE.md).
 
-Submission is **bounded**: at most ``2 × workers`` chunks are enqueued on
-the pool at any moment, so a million-chunk batch never materializes a
-million futures — backpressure is exerted on the producer by collecting
-the oldest outstanding future before submitting the next chunk.
+Every chunk of a batch is submitted at once: the caller's chunk list is
+already in memory, and :meth:`~repro.core.scheme.SMatch.enroll_population`
+cuts at most ``workers`` chunks by default.
 
 Failure surfacing is typed (:mod:`repro.errors`): a worker process dying
 abruptly raises :class:`~repro.errors.WorkerCrashError` instead of hanging,
@@ -47,14 +46,12 @@ from __future__ import annotations
 
 import os
 import pickle
-from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     List,
     Optional,
@@ -69,7 +66,6 @@ from repro.errors import ParallelError, ParameterError, WorkerCrashError
 from repro.obs.metrics import (
     M_OBS_WORKER_SPANS,
     M_PARALLEL_CHUNKS,
-    M_PARALLEL_QUEUE_DEPTH,
     M_PARALLEL_TASKS,
     M_PARALLEL_WORKER_RESTARTS,
     MetricsRegistry,
@@ -77,7 +73,6 @@ from repro.obs.metrics import (
     disable_metrics,
     enable_metrics,
     metric_inc,
-    metric_set,
 )
 from repro.obs.trace import clear_inherited_tracer, current_tracer, span, tracing
 
@@ -152,7 +147,7 @@ def _note_batch(num_chunks: int, num_tasks: int) -> None:
 
 @dataclass(frozen=True)
 class _WorkerTelemetry:
-    """A result wrapped with the telemetry its worker captured.
+    """A chunk result wrapped with the telemetry its worker captured.
 
     ``spans`` is the worker tracer's depth-first record list (the
     :meth:`~repro.obs.trace.Tracer.span_records` shape) or ``None`` when
@@ -166,74 +161,23 @@ class _WorkerTelemetry:
     metrics: Optional[Dict[str, Dict[str, Any]]]
     worker: str
 
+    def absorb(self) -> Any:
+        """Splice/merge the telemetry on the submitting thread; return the result.
 
-def run_captured(
-    fn: Callable[..., Any],
-    args: Sequence[Any],
-    name: str,
-    attrs: Dict[str, Any],
-    capture_spans: bool,
-    capture_metrics: bool,
-    worker: str,
-) -> _WorkerTelemetry:
-    """Run ``fn(*args)`` under worker-local telemetry and wrap the result.
-
-    A worker process has no tracer of its own (spans opened inside it
-    no-op) and a private metrics registry, so it captures locally here —
-    spans under a root named ``name`` with ``attrs`` — and ships the
-    records back for :func:`absorb_telemetry` on the submitting thread,
-    tagged with ``worker``.  Exceptions from ``fn`` propagate unchanged;
-    the local registry swap is always restored.
-    """
-    prior_registry = active_metrics()
-    local_registry: Optional[MetricsRegistry] = None
-    if capture_metrics:
-        local_registry = enable_metrics(MetricsRegistry())
-    try:
-        if capture_spans:
-            with tracing(name, **attrs) as tracer:
-                result = fn(*args)
-            spans: Optional[List[Dict[str, Any]]] = tracer.span_records()
-        else:
-            result = fn(*args)
-            spans = None
-    finally:
-        if capture_metrics:
-            if prior_registry is None:
-                disable_metrics()
-            else:
-                enable_metrics(prior_registry)
-    return _WorkerTelemetry(
-        result=result,
-        spans=spans,
-        metrics=(
-            local_registry.to_mergeable() if local_registry is not None else None
-        ),
-        worker=worker,
-    )
-
-
-def absorb_telemetry(payload: Any) -> Any:
-    """Unwrap a collected result, splicing/merging any worker telemetry.
-
-    Runs on the submitting thread inside the span that fanned the work out
-    (``parallel.map``), so spliced worker roots land under it (and their
-    op counts / byte tallies fold up through the enclosing pipeline
-    spans).  Gracefully drops telemetry the parent cannot absorb (no
-    tracer / no registry active).
-    """
-    if not isinstance(payload, _WorkerTelemetry):
-        return payload
-    if payload.spans:
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.splice(payload.spans, attrs={"worker": payload.worker})
-            metric_inc(M_OBS_WORKER_SPANS, len(payload.spans))
-    if payload.metrics is not None:
-        registry = active_metrics()
-        if registry is not None:
-            registry.merge(payload.metrics)
-    return payload.result
+        Runs inside the span that fanned the work out (``parallel.map``),
+        so spliced worker roots land under it (and their op counts / byte
+        tallies fold up through the enclosing pipeline spans).
+        """
+        if self.spans:
+            tracer = current_tracer()
+            if tracer is not None:
+                tracer.splice(self.spans, attrs={"worker": self.worker})
+                metric_inc(M_OBS_WORKER_SPANS, len(self.spans))
+        if self.metrics is not None:
+            registry = active_metrics()
+            if registry is not None:
+                registry.merge(self.metrics)
+        return self.result
 
 
 @runtime_checkable
@@ -298,30 +242,52 @@ def _initialize_worker(context: Any) -> None:
     _WORKER_CONTEXT = context  # smatch-lint: disable=SML013 — initializer runs before any task
 
 
-def _run_chunk(fn: TaskFn, chunk: Sequence[Any]) -> Any:
-    """Worker-side trampoline: apply the task to the warm-started context."""
-    return fn(_WORKER_CONTEXT, chunk)
-
-
-def _run_chunk_traced(
+def _run_chunk(
     fn: TaskFn,
     chunk: Sequence[Any],
     label: str,
     index: int,
     capture_spans: bool,
     capture_metrics: bool,
-) -> _WorkerTelemetry:
-    """Trampoline for traced chunks: warm context + worker-local telemetry."""
+) -> Any:
+    """Worker-side trampoline: apply the task to the warm-started context.
+
+    With neither capture on, the bare result comes back.  Otherwise the
+    chunk runs under a worker-local tracer (root ``parallel.chunk``) and/or
+    metrics registry — a worker process has no tracer of its own and a
+    private registry — and the result comes back as a
+    :class:`_WorkerTelemetry`.  Exceptions from ``fn`` propagate
+    unchanged; the registry swap is always restored.
+    """
+    if not (capture_spans or capture_metrics):
+        return fn(_WORKER_CONTEXT, chunk)
     # a fork-started worker inherits the submitting thread's tracer; it is
     # an orphan copy here — clear it so the worker trace opens
     clear_inherited_tracer()
-    return run_captured(
-        fn,
-        (_WORKER_CONTEXT, chunk),
-        "parallel.chunk",
-        {"label": label, "chunk": index},
-        capture_spans,
-        capture_metrics,
+    prior_registry = active_metrics()
+    local_registry: Optional[MetricsRegistry] = None
+    if capture_metrics:
+        local_registry = enable_metrics(MetricsRegistry())
+    try:
+        if capture_spans:
+            with tracing("parallel.chunk", label=label, chunk=index) as tracer:
+                result = fn(_WORKER_CONTEXT, chunk)
+            spans: Optional[List[Dict[str, Any]]] = tracer.span_records()
+        else:
+            result = fn(_WORKER_CONTEXT, chunk)
+            spans = None
+    finally:
+        if capture_metrics:
+            if prior_registry is None:
+                disable_metrics()
+            else:
+                enable_metrics(prior_registry)
+    return _WorkerTelemetry(
+        result=result,
+        spans=spans,
+        metrics=(
+            local_registry.to_mergeable() if local_registry is not None else None
+        ),
         worker=f"pid-{os.getpid()}",
     )
 
@@ -337,24 +303,18 @@ class ProcessBackend:
     one key/scheme pay pool start-up once.  Workers fork on the thread that
     submits the pool's first chunks.
 
-    Bounded in-flight window: submit up to ``2 × workers`` chunks, then
-    alternate collect-oldest / submit-next so results arrive in submission
-    order with O(workers) outstanding futures.
+    Every chunk is submitted at once, then the results are collected in
+    submission order.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        mp_context: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ParameterError("workers must be >= 1")
         self.workers = workers
-        self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_context: Any = None
 
@@ -376,10 +336,7 @@ class ProcessBackend:
             chunks=len(chunks),
         ):
             _note_batch(len(chunks), sum(len(c) for c in chunks))
-            try:
-                return self._collect(envelope, chunks)
-            finally:
-                metric_set(M_PARALLEL_QUEUE_DEPTH, 0)
+            return self._collect(envelope, chunks)
 
     def _collect(
         self, envelope: TaskEnvelope, chunks: List[Sequence[Any]]
@@ -389,56 +346,37 @@ class ProcessBackend:
         # and run a local registry exactly when one is enabled here
         capture_spans = current_tracer() is not None
         capture_metrics = active_metrics() is not None
+        futures: List["Future[Any]"] = []
         results: List[Any] = [None] * len(chunks)
-        pending: Deque[Tuple[int, "Future[Any]"]] = deque()
-        next_index = 0
-
-        def submit_one() -> None:
-            nonlocal next_index
-            index = next_index
-            next_index += 1
-            if capture_spans or capture_metrics:
-                future = pool.submit(
-                    _run_chunk_traced,
-                    envelope.fn,
-                    chunks[index],
-                    envelope.label,
-                    index,
-                    capture_spans,
-                    capture_metrics,
-                )
-            else:
-                future = pool.submit(_run_chunk, envelope.fn, chunks[index])
-            pending.append((index, future))
-
         try:
-            while (
-                next_index < len(chunks) and len(pending) < 2 * self.workers
-            ):
-                submit_one()
-            metric_set(M_PARALLEL_QUEUE_DEPTH, len(pending))
-            while pending:
-                index, future = pending[0]
-                results[index] = absorb_telemetry(future.result())
-                pending.popleft()
-                if next_index < len(chunks):
-                    submit_one()
-                metric_set(M_PARALLEL_QUEUE_DEPTH, len(pending))
+            for index, chunk in enumerate(chunks):
+                futures.append(
+                    pool.submit(
+                        _run_chunk,
+                        envelope.fn,
+                        chunk,
+                        envelope.label,
+                        index,
+                        capture_spans,
+                        capture_metrics,
+                    )
+                )
+            for index, future in enumerate(futures):
+                payload = future.result()
+                if isinstance(payload, _WorkerTelemetry):
+                    payload = payload.absorb()
+                results[index] = payload
         except BrokenProcessPool as exc:
             # the pool is unusable — a worker died before its result came
             # back, or before a later chunk could even be submitted: drop it
-            # (the next map_chunks call restarts fresh workers) and surface
-            # a typed error instead of hanging on futures a dead worker will
-            # never complete
-            failed = pending[0][0] if pending else next_index
-            for _, leftover in pending:
-                leftover.cancel()
-            pending.clear()
+            # (the next map_chunks call restarts fresh workers; the shutdown
+            # cancels what is still queued) and surface a typed error
+            # instead of hanging on futures a dead worker will never complete
             self._discard_pool()
             metric_inc(M_PARALLEL_WORKER_RESTARTS)
             raise WorkerCrashError(
                 f"worker process died while running {envelope.label!r} "
-                f"chunk {failed} of {len(chunks)}"
+                f"chunk {index} of {len(chunks)}"
             ) from exc
         return results
 
@@ -447,16 +385,10 @@ class ProcessBackend:
             return self._pool
         self._discard_pool()
         self._check_picklable(envelope)
-        mp_ctx = None
-        if self._mp_context is not None:
-            import multiprocessing
-
-            mp_ctx = multiprocessing.get_context(self._mp_context)
         pool = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_initialize_worker,
             initargs=(envelope.context,),
-            mp_context=mp_ctx,
         )
         self._pool = pool
         # hold a strong reference so `is` identity can't be recycled

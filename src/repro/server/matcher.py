@@ -13,8 +13,7 @@ O(|V| log |V|) sort the paper quotes, after which membership changes arrive
 as :class:`~repro.server.storage.ProfileStore` events and are folded in by
 ``bisect.insort`` instead of re-sorting.  A ``uid -> score`` side table
 makes FIND a pure O(log |V|) bisection (no linear scan for the querier's
-score), and each group carries a generation counter exported as the
-``smatch_matcher_group_generation`` gauge.
+score).
 
 For the ``rank`` order method a member's score depends on the whole group's
 distinct value sets, so the index tracks per-attribute sorted distinct
@@ -23,28 +22,20 @@ values stay fully incremental, while mutations that change a distinct set
 mark the group dirty and the next query re-scores from the live columns
 (``server_rescore``) — still far cheaper than the from-scratch
 ``score_table`` rebuild (``server_sort``), which only runs on a cold group.
-A dirty group keeps its last clean order untouched alongside the chain
-snapshot it was computed from, so the common churn shape — a member leaves
-and re-uploads the same payload — lands back on the remembered state and
-the rescore is skipped entirely (``server_rescore_skipped``).  The
-``value`` method is per-user independent and always fully incremental.
+The ``value`` method is per-user independent and always fully incremental.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.matching import position_window, score_table
 from repro.core.scheme import EncryptedProfile
 from repro.errors import MatchingError, ParameterError
 from repro.server.storage import ProfileStore
 from repro.obs.instrument import count_op
-from repro.obs.metrics import (
-    M_MATCHER_GROUPS_INDEXED,
-    M_MATCHER_GROUP_GENERATION,
-    metric_set,
-)
+from repro.obs.metrics import M_MATCHER_GROUPS_INDEXED, metric_set
 from repro.obs.trace import span
 
 __all__ = ["ServerMatcher"]
@@ -88,18 +79,13 @@ class _Column:
 
 
 class _GroupIndex:
-    """The incrementally maintained sorted order of one key group."""
+    """The incrementally maintained sorted order of one key group.
 
-    __slots__ = (
-        "method",
-        "chains",
-        "columns",
-        "scores",
-        "ordered",
-        "generation",
-        "dirty",
-        "_clean_chains",
-    )
+    While ``dirty``, ``ordered`` and ``scores`` are stale and left
+    untouched; :meth:`snapshot` rescores the group from its live columns.
+    """
+
+    __slots__ = ("method", "chains", "columns", "scores", "ordered", "dirty")
 
     def __init__(self, method: str) -> None:
         self.method = method
@@ -107,12 +93,7 @@ class _GroupIndex:
         self.columns: List[_Column] = []
         self.scores: Dict[int, int] = {}
         self.ordered: List[Tuple[int, int]] = []
-        self.generation = 0
         self.dirty = False
-        # The chain snapshot ordered/scores were last computed for.  While
-        # dirty, both are left untouched; if the group's chains return to
-        # this exact state the pending rescore is dropped.
-        self._clean_chains: Optional[Dict[int, Tuple[int, ...]]] = None
 
     def __len__(self) -> int:
         return len(self.chains)
@@ -125,7 +106,6 @@ class _GroupIndex:
         # group's before any listener hears of it
         chain = tuple(chain)
         self.chains[user_id] = chain
-        self.generation += 1
         if self.method == "value":
             score = sum(chain)
             self.scores[user_id] = score
@@ -145,25 +125,18 @@ class _GroupIndex:
         score = sum(c.rank(v) for c, v in zip(self.columns, chain))
         self.scores[user_id] = score
         insort(self.ordered, (score, user_id))
-        self._clean_chains = dict(self.chains)
 
     def remove(self, user_id: int) -> None:
         """Fold one member's departure in."""
         chain = self.chains.pop(user_id)
-        self.generation += 1
         if self.method == "value":
             self._drop_ordered(user_id)
             return
         for column, value in zip(self.columns, chain):
             if column.remove(value):
                 self.dirty = True
-        if self.dirty:
-            # ordered/scores are deliberately left stale: they still match
-            # _clean_chains, so a re-upload of the same chains revalidates
-            # them for free; otherwise the next query rescores wholesale
-            return
-        self._drop_ordered(user_id)
-        self._clean_chains = dict(self.chains)
+        if not self.dirty:
+            self._drop_ordered(user_id)
 
     def _drop_ordered(self, user_id: int) -> None:
         score = self.scores.pop(user_id)
@@ -172,12 +145,6 @@ class _GroupIndex:
     def snapshot(self) -> Tuple[List[Tuple[int, int]], Dict[int, int]]:
         """``(ordered, scores)`` after settling any pending rescore."""
         if self.dirty:
-            if self.chains == self._clean_chains:
-                # churn landed back on the last clean state: ordered/scores
-                # were never touched while dirty, so they are still exact
-                count_op("server_rescore_skipped")
-                self.dirty = False
-                return self.ordered, self.scores
             count_op("server_rescore")
             self.scores = {
                 uid: sum(c.rank(v) for c, v in zip(self.columns, chain))
@@ -187,7 +154,6 @@ class _GroupIndex:
                 (score, uid) for uid, score in self.scores.items()
             )
             self.dirty = False
-            self._clean_chains = dict(self.chains)
         return self.ordered, self.scores
 
 
@@ -200,7 +166,6 @@ class ServerMatcher:
         self._store = store
         self._order_method = order_method
         self._groups: Dict[bytes, _GroupIndex] = {}
-        self._max_generation = 0
         store.add_listener(self)
 
     # -- store events ---------------------------------------------------------
@@ -212,7 +177,6 @@ class ServerMatcher:
             return  # group not indexed yet: built lazily at first query
         count_op("server_index_update")
         index.add(payload.user_id, payload.chain)
-        self._note_generation(index)
 
     def profile_removed(self, key_index: bytes, user_id: int) -> None:
         """Store event: a profile left a group."""
@@ -226,15 +190,6 @@ class ServerMatcher:
             # leaked these entries forever)
             del self._groups[key_index]
             metric_set(M_MATCHER_GROUPS_INDEXED, len(self._groups))
-            return
-        self._note_generation(index)
-
-    def _note_generation(self, index: _GroupIndex) -> None:
-        if index.generation > self._max_generation:
-            self._max_generation = index.generation
-            metric_set(
-                M_MATCHER_GROUP_GENERATION, self._max_generation
-            )
 
     # -- group index ----------------------------------------------------------
 
@@ -258,7 +213,6 @@ class ServerMatcher:
                 for chain in index.chains.values():
                     for column, value in zip(index.columns, chain):
                         column.add(value)
-                index._clean_chains = dict(index.chains)
         self._groups[key_index] = index
         metric_set(M_MATCHER_GROUPS_INDEXED, len(self._groups))
         return index
@@ -299,14 +253,6 @@ class ServerMatcher:
         return [
             uid for _, uid in ordered[lo:hi] if uid != query_user
         ]
-
-    def group_generation(self, query_user: int) -> Optional[int]:
-        """The mutation generation of a user's group index (None if cold)."""
-        if not self._store.contains(query_user):
-            return None
-        payload = self._store.get(query_user)
-        index = self._groups.get(payload.key_index)
-        return index.generation if index is not None else None
 
     def invalidate(self) -> None:
         """Drop all group indexes (tests use this to exercise the cold path)."""

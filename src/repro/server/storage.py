@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from repro.core.scheme import EncryptedProfile
 from repro.errors import MatchingError, ParameterError
@@ -43,7 +43,6 @@ class ProfileStore:
         self._profiles_view: Mapping[int, EncryptedProfile] = (
             MappingProxyType(self._profiles)
         )
-        self._sizes_cache: Optional[Tuple[int, ...]] = None
         self._listeners: list["weakref.ReferenceType"] = []
 
     def add_listener(self, listener: object) -> None:
@@ -100,7 +99,6 @@ class ProfileStore:
                 del self._groups[previous]
         self._groups.setdefault(payload.key_index, {})[uid] = payload
         self._profiles[uid] = payload
-        self._sizes_cache = None
         if previous is not None:
             self._notify_removed(previous, uid)
         self._notify_added(payload)
@@ -122,7 +120,6 @@ class ProfileStore:
         del group[user_id]
         if not group:
             del self._groups[index]
-        self._sizes_cache = None
         self._notify_removed(index, user_id)
 
     def group_of(self, user_id: int) -> Dict[int, EncryptedProfile]:
@@ -143,17 +140,12 @@ class ProfileStore:
     def group_sizes(self) -> Tuple[int, ...]:
         """Sizes of all key groups (the m of the PR-KK bound m/N).
 
-        Contract: an immutable tuple, descending, **computed lazily and
-        cached** — repeated calls between mutations (hot in benchmarks and
-        the adversary model) cost one attribute read.  The tuple is a
+        Contract: an immutable tuple, descending.  The tuple is a
         snapshot: it never changes under the caller's feet.
         """
-        sizes = self._sizes_cache
-        if sizes is None:
-            sizes = self._sizes_cache = tuple(
-                sorted((len(g) for g in self._groups.values()), reverse=True)
-            )
-        return sizes
+        return tuple(
+            sorted((len(g) for g in self._groups.values()), reverse=True)
+        )
 
     def all_profiles(self) -> Mapping[int, EncryptedProfile]:
         """Every stored record keyed by user id.

@@ -181,11 +181,12 @@ class MobileServiceSimulation:
                 )
             )
             metrics.results_returned += len(result.entries)
-            for entry in result.entries:
-                if not self.scheme.verify(entry.auth, self._keys[uid]):
-                    continue
+            accepted, _ = self.scheme.verify_matches(
+                result.entries, self._keys[uid]
+            )
+            for match_uid in accepted:
                 metrics.results_verified += 1
-                other = self.profiles[entry.user_id]
+                other = self.profiles[match_uid]
                 # ground truth on the *current* plaintexts; drift since the
                 # last upload relaxes the bound by the drift amplitude
                 slack = config.upload_period * max(

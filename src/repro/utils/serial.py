@@ -28,14 +28,11 @@ class FieldWriter:
     """Accumulates length-prefixed fields into a byte string.
 
     This codec sits on the hot path of every wire message, so the write
-    methods fuse the prefix and payload into a single list append and
-    track the accumulated size incrementally instead of re-summing.  The
-    byte layout is unchanged.
+    methods fuse the prefix and payload into a single list append.
     """
 
     def __init__(self) -> None:
         self._parts: List[bytes] = []
-        self._size = 0
 
     def write_bytes(self, data: bytes) -> "FieldWriter":
         """Append one length-prefixed byte field."""
@@ -45,7 +42,6 @@ class FieldWriter:
         if length > 0xFFFFFFFF:
             raise ProtocolError("field too large")
         self._parts.append(_LEN.pack(length) + data)
-        self._size += _LEN.size + length
         return self
 
     def write_int(self, value: int) -> "FieldWriter":
@@ -54,7 +50,6 @@ class FieldWriter:
             raise ProtocolError("wire integers are unsigned")
         length = (value.bit_length() + 7) // 8 or 1
         self._parts.append(_LEN.pack(length) + value.to_bytes(length, "big"))
-        self._size += _LEN.size + length
         return self
 
     def write_str(self, text: str) -> "FieldWriter":
@@ -73,15 +68,11 @@ class FieldWriter:
         if type(data) is not bytes:
             data = bytes(data)
         self._parts.append(data)
-        self._size += len(data)
         return self
 
     def getvalue(self) -> bytes:
         """The accumulated wire bytes."""
         return b"".join(self._parts)
-
-    def __len__(self) -> int:
-        return self._size
 
 
 class FieldReader:

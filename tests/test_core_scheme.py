@@ -127,6 +127,26 @@ class TestPipeline:
         b = groups[1][0]
         assert not scheme.verify(uploads[b].auth, keys[a])
 
+    def test_verify_matches_rejects_a_relabelled_entry(self, enrolled):
+        from repro.net.messages import ResultEntry
+
+        scheme, _, uploads, keys = enrolled
+        by_index = {}
+        for uid, payload in uploads.items():
+            by_index.setdefault(payload.key_index, []).append(uid)
+        group = max(by_index.values(), key=len)
+        if len(group) < 3:
+            pytest.skip("no group of three")
+        querier, a, b = group[:3]
+        # a's authenticator passes Vf under the group key whatever id the
+        # entry names; the entry must name a itself
+        assert scheme.verify(uploads[a].auth, keys[querier])
+        entries = (
+            ResultEntry(user_id=a, auth=uploads[a].auth),
+            ResultEntry(user_id=b, auth=uploads[a].auth),
+        )
+        assert scheme.verify_matches(entries, keys[querier]) == ((a,), (b,))
+
     def test_encrypt_consistent_for_same_mapped_values(self, enrolled, population):
         scheme, users, _, keys = enrolled
         profile = users[0].profile

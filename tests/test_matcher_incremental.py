@@ -7,12 +7,15 @@ built fresh from the same store — for both order methods — and dead groups
 must not linger in the index.
 """
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.obs.instrument import counting
 from repro.server.matcher import ServerMatcher
 from repro.server.storage import ProfileStore
+from repro.utils.rand import SystemRandomSource
 
 
 def _loaded(enrolled, order_method):
@@ -22,6 +25,34 @@ def _loaded(enrolled, order_method):
     for payload in uploads.values():
         store.put(payload)
     return store, matcher, uploads
+
+
+@pytest.fixture(scope="module")
+def fresh_uploads(enrolled):
+    """Per user, the re-uploads a churning server sees: two fresh chains
+    under the user's own key, and a move to another group's key index
+    (the user's drifted profile encrypted under that group's key)."""
+    scheme, users, uploads, keys = enrolled
+    rng = SystemRandomSource(seed=2027)
+    rnd = random.Random(2027)
+    uids = sorted(uploads)
+    fresh = {}
+    for user in users:
+        profile = user.profile
+        uid = profile.user_id
+        own = keys[uid]
+        other = keys[
+            rnd.choice([v for v in uids if keys[v].index != own.index])
+        ]
+        fresh[uid] = [
+            dataclasses.replace(
+                uploads[uid],
+                key_index=key.index,
+                chain=scheme.encrypt(profile, key, rng=rng),
+            )
+            for key in (own, own, other)
+        ]
+    return fresh
 
 
 @pytest.mark.parametrize("order_method", ["rank", "value"])
@@ -49,6 +80,36 @@ class TestIncrementalEqualsRebuild:
                     uid, 30
                 )
 
+    def test_fresh_chain_churn_equivalence(
+        self, enrolled, fresh_uploads, order_method
+    ):
+        store, matcher, uploads = _loaded(enrolled, order_method)
+        rnd = random.Random(4099)
+        all_uids = list(uploads)
+        alive = set(all_uids)
+        with counting() as ops:
+            for _ in range(250):
+                roll = rnd.random()
+                if roll < 0.45 or not alive:
+                    uid = rnd.choice(all_uids)
+                    store.put(rnd.choice(fresh_uploads[uid]))
+                    alive.add(uid)
+                elif roll < 0.7 and len(alive) > 1:
+                    uid = rnd.choice(sorted(alive))
+                    store.remove(uid)
+                    alive.discard(uid)
+                else:
+                    uid = rnd.choice(sorted(alive))
+                    fresh = ServerMatcher(store, order_method=order_method)
+                    assert matcher.match(uid, 3) == fresh.match(uid, 3)
+                    assert matcher.match_within(
+                        uid, 30
+                    ) == fresh.match_within(uid, 30)
+        # the traffic reached the incremental paths, not only cold rebuilds
+        assert ops.get("server_index_update") > 0
+        if order_method == "rank":
+            assert ops.get("server_rescore") > 0
+
     def test_remove_and_identical_reupload_is_a_no_op(
         self, enrolled, order_method
     ):
@@ -64,18 +125,6 @@ class TestIncrementalEqualsRebuild:
             store.remove(churn_uid)
             store.put(payload)
             assert matcher.match(query_uid, 3) == before
-
-    def test_generation_advances_on_churn(self, enrolled, order_method):
-        store, matcher, uploads = _loaded(enrolled, order_method)
-        _, members = max(store.groups(), key=lambda p: len(p[1]))
-        ids = iter(members)
-        query_uid, churn_uid = next(ids), next(ids)
-        matcher.match(query_uid, 3)  # build the group index
-        first = matcher.group_generation(query_uid)
-        payload = store.get(churn_uid)
-        store.remove(churn_uid)
-        store.put(payload)
-        assert matcher.group_generation(query_uid) > first
 
 
 class TestDeadGroupEviction:

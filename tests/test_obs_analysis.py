@@ -374,14 +374,67 @@ class TestEmitSiteScanner:
         _, problems = self._scan(tmp_path)
         assert len(problems) == 1 and "dynamic" in problems[0]
 
+    def test_registered_name_nobody_emits_fails(self, tmp_path, capsys):
+        import repro.obs.metrics as registry
+        from tools.check_obs_artifacts import main
+
+        constants = sorted(
+            attr
+            for attr in vars(registry)
+            if attr.startswith("M_") and getattr(registry, attr) in registry.METRICS
+        )
+        assert len(constants) == len(registry.METRICS)
+        dead, live = constants[0], constants[1:]
+        module = tmp_path / "emits.py"
+        module.write_text(
+            "from repro.obs.metrics import metric_inc\n"
+            + "".join(
+                f"from repro.obs.metrics import {attr} as m{i}\n"
+                f"metric_inc(m{i})\n"
+                for i, attr in enumerate(live)
+            )
+        )
+        assert main(["--scan-sources", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("FAIL") == 1
+        assert getattr(registry, dead) in err and "no call" in err
+        # the same tree emitting the missing name as a literal is clean
+        module.write_text(
+            module.read_text()
+            + f"metric_inc({getattr(registry, dead)!r})\n"
+        )
+        assert main(["--scan-sources", str(tmp_path)]) == 0
+
     def test_real_tree_is_clean(self):
+        import tokenize
         from pathlib import Path
 
-        count, problems = self._scan(
-            Path(__file__).resolve().parents[1] / "src" / "repro"
-        )
+        from tools.check_obs_artifacts import main
+
+        root = Path(__file__).resolve().parents[1] / "src" / "repro"
+        count, problems = self._scan(root)
         assert problems == []
-        assert count >= 30  # the swept emit sites across server/net/crypto
+        # an independent count over the same files: a helper name token
+        # followed by "(" that is not its own definition
+        helpers = {"metric_inc", "metric_set", "metric_observe"}
+        calls = 0
+        for py in sorted(root.rglob("*.py")):
+            with tokenize.open(py) as source:
+                tokens = [
+                    t
+                    for t in tokenize.generate_tokens(source.readline)
+                    if t.type not in (tokenize.NL, tokenize.COMMENT)
+                ]
+            for prev, tok, nxt in zip(tokens, tokens[1:], tokens[2:]):
+                if (
+                    tok.type == tokenize.NAME
+                    and tok.string in helpers
+                    and nxt.string == "("
+                    and prev.string != "def"
+                ):
+                    calls += 1
+        assert count == calls > 0
+        assert main(["--scan-sources", str(root)]) == 0
 
 
 class TestSpanNodeShape:

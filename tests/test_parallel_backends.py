@@ -95,7 +95,7 @@ class TestEnrollmentEquivalence:
     def test_process_backend_matches_serial(
         self, profiles, serial_result, workers, chunk_size
     ):
-        with ProcessBackend(workers, mp_context="fork") as backend:
+        with ProcessBackend(workers) as backend:
             result = _scheme().enroll_population(
                 profiles, backend=backend, seed=77, chunk_size=chunk_size
             )
@@ -112,9 +112,9 @@ class TestEnrollmentEquivalence:
     def test_unseeded_backend_run_deterministic_under_seeded_scheme(
         self, profiles
     ):
-        with ProcessBackend(2, mp_context="fork") as backend:
+        with ProcessBackend(2) as backend:
             a = _scheme().enroll_population(profiles, backend=backend)
-        with ProcessBackend(3, mp_context="fork") as backend:
+        with ProcessBackend(3) as backend:
             b = _scheme().enroll_population(profiles, backend=backend)
         _assert_same(a, b)
 
@@ -136,7 +136,7 @@ def _boom_task(context, chunk):
 
 class TestFailureSurfacing:
     def test_worker_crash_raises_typed_error_without_deadlock(self):
-        with ProcessBackend(2, mp_context="fork") as backend:
+        with ProcessBackend(2) as backend:
             envelope = TaskEnvelope(fn=_crash_task, label="crash-test")
             with pytest.raises(WorkerCrashError):
                 backend.map_chunks(envelope, [[1], [2], [3]])
@@ -146,14 +146,14 @@ class TestFailureSurfacing:
 
     def test_unpicklable_envelope_is_a_typed_error(self):
         local_fn = lambda context, chunk: chunk  # noqa: E731
-        with ProcessBackend(2, mp_context="fork") as backend:
+        with ProcessBackend(2) as backend:
             with pytest.raises(ParallelError):
                 backend.map_chunks(
                     TaskEnvelope(fn=local_fn, label="unpicklable"), [[1]]
                 )
 
     def test_task_exceptions_propagate_unchanged(self):
-        with ProcessBackend(2, mp_context="fork") as backend:
+        with ProcessBackend(2) as backend:
             with pytest.raises(ParameterError, match="inner failure"):
                 backend.map_chunks(
                     TaskEnvelope(fn=_boom_task, label="boom"), [[1], [2]]
@@ -267,7 +267,7 @@ class TestTelemetryEquivalence:
     def test_counters_match_serial(
         self, workers, serial_telemetry, distinct_profiles
     ):
-        with ProcessBackend(workers, mp_context="fork") as backend:
+        with ProcessBackend(workers) as backend:
             uploads, counters, _, root_ops = _traced_enroll(
                 backend, distinct_profiles
             )
@@ -282,7 +282,7 @@ class TestTelemetryEquivalence:
         assert root_ops == s_root_ops
 
     def test_process_worker_spans_spliced_and_tagged(self, distinct_profiles):
-        with ProcessBackend(4, mp_context="fork") as backend:
+        with ProcessBackend(4) as backend:
             _, counters, records, _ = _traced_enroll(
                 backend, distinct_profiles
             )

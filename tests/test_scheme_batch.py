@@ -27,7 +27,7 @@ def _fresh_scheme(pop):
 
 
 def _enroll_in_processes(pop, profiles, workers, **kwargs):
-    with ProcessBackend(workers, mp_context="fork") as backend:
+    with ProcessBackend(workers) as backend:
         return _fresh_scheme(pop).enroll_population(
             profiles, backend=backend, **kwargs
         )

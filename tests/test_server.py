@@ -369,9 +369,3 @@ class TestStoreViews:
         assert sum(sizes) == len(store) + 1
         # ...and a fresh call reflects them (cache invalidated on mutation)
         assert sum(store.group_sizes()) == len(store)
-
-    def test_group_sizes_cached_between_mutations(self, store):
-        assert store.group_sizes() is store.group_sizes()
-        before = store.group_sizes()
-        store.remove(next(iter(store.all_profiles())))
-        assert store.group_sizes() is not before

@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets import INFOCOM06
 from repro.errors import ParameterError
+from repro.obs.instrument import counting
 from repro.sim import MobileServiceSimulation, SimConfig
 
 
@@ -81,6 +82,31 @@ class TestLifecycle:
         )
         with pytest.raises(ParameterError):
             sim.summary()
+
+
+class TestVerification:
+    def test_one_auth_cipher_per_upload_and_result(self):
+        sim = MobileServiceSimulation(
+            INFOCOM06, SimConfig(num_users=25, steps=8, seed=5)
+        )
+        results = []
+        handle_query = sim.server.handle_query
+
+        def recording(request):
+            result = handle_query(request)
+            results.append(result)
+            return result
+
+        sim.server.handle_query = recording
+        with counting() as ops:
+            sim.run()
+        uploads = sum(m.uploads for m in sim.history)
+        non_empty = sum(1 for result in results if result.entries)
+        # results carry several entries, so a cipher per entry would differ
+        assert sum(len(r.entries) for r in results) > non_empty > 0
+        # Auth seals each upload and Vf opens each non-empty result under
+        # one auth cipher; nothing else in a step schedules an AES key
+        assert ops.get("aes_key_schedule") == uploads + non_empty
 
 
 class TestRestartRecovery:

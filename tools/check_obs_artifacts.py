@@ -19,7 +19,8 @@ almost always a typo that would silently split a time series.  With
 ``--scan-sources DIR`` the gate additionally walks the source tree's ASTs
 and fails on any ``metric_inc`` / ``metric_set`` / ``metric_observe``
 call whose metric-name argument is neither a registered literal nor a
-name imported from :mod:`repro.obs.metrics`.
+name imported from :mod:`repro.obs.metrics`, and on any registered name
+that no call under ``DIR`` emits (a leftover of deleted code).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
 """
@@ -31,13 +32,13 @@ import ast
 import json
 import sys
 from pathlib import Path
-from typing import FrozenSet, List
+from typing import Dict, FrozenSet, List, Optional, Set
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(_REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
-from repro.obs.metrics import metric_names  # noqa: E402
+import repro.obs.metrics as registry_module  # noqa: E402
 
 # Every phase the Section-III pipeline must traverse in one simulation
 # round.  Query-dependent spans (server.handle_query, match.score_table)
@@ -62,7 +63,7 @@ _SPAN_INT_FIELDS = ("start_us", "duration_us")
 #: The single source of truth (repro.obs.metrics.METRICS) — the
 #: hand-maintained whitelist this used to be needed editing in three
 #: consecutive PRs before it was generated.
-KNOWN_METRICS: FrozenSet[str] = metric_names()
+KNOWN_METRICS: FrozenSet[str] = registry_module.metric_names()
 
 #: The module-level emit helpers whose first argument is a metric name.
 _EMIT_HELPERS = ("metric_inc", "metric_set", "metric_observe")
@@ -176,7 +177,9 @@ def check_metrics(directory: Path, problems: List[str]) -> None:
         )
 
 
-def scan_emit_sites(root: Path, problems: List[str]) -> int:
+def scan_emit_sites(
+    root: Path, problems: List[str], emitted: Optional[Set[str]] = None
+) -> int:
     """AST-walk ``root`` for emit-helper calls with unregistered names.
 
     A call like ``metric_inc("smatch_typo_total")`` fails unless the
@@ -184,9 +187,12 @@ def scan_emit_sites(root: Path, problems: List[str]) -> int:
     when the name was imported from :mod:`repro.obs.metrics` (constants
     there are registered by construction).  Anything dynamic (f-strings,
     attribute lookups, locals) fails — metric names must be static so the
-    time series set is knowable offline.  Returns the number of emit
+    time series set is knowable offline.  Every registered name a call
+    emits is added to ``emitted`` when given.  Returns the number of emit
     sites inspected.
     """
+    if emitted is None:
+        emitted = set()
     inspected = 0
     for py in sorted(root.rglob("*.py")):
         try:
@@ -194,11 +200,13 @@ def scan_emit_sites(root: Path, problems: List[str]) -> int:
         except SyntaxError as exc:
             problems.append(f"{py}: unparseable ({exc})")
             continue
-        registry_names = set()
+        # local name -> the registry attribute it was imported as
+        registry_names: Dict[str, str] = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == _REGISTRY_MODULE:
                 registry_names.update(
-                    alias.asname or alias.name for alias in node.names
+                    (alias.asname or alias.name, alias.name)
+                    for alias in node.names
                 )
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -224,6 +232,7 @@ def scan_emit_sites(root: Path, problems: List[str]) -> int:
                         "repro.obs.metrics.METRICS, or better, import its "
                         "M_* constant)"
                     )
+                emitted.add(name_arg.value)
             elif isinstance(name_arg, ast.Name):
                 if name_arg.id not in registry_names:
                     problems.append(
@@ -231,6 +240,12 @@ def scan_emit_sites(root: Path, problems: List[str]) -> int:
                         f"not imported from {_REGISTRY_MODULE} — emit sites "
                         "must use the registry's M_* constants"
                     )
+                else:
+                    value = getattr(
+                        registry_module, registry_names[name_arg.id], None
+                    )
+                    if isinstance(value, str):
+                        emitted.add(value)
             else:
                 problems.append(
                     f"{where}: {callee} metric name is not a static "
@@ -257,7 +272,10 @@ def main(argv: List[str]) -> int:
         type=Path,
         default=None,
         metavar="DIR",
-        help="also AST-scan this source tree for unregistered emit sites",
+        help=(
+            "also AST-scan this source tree for unregistered emit sites "
+            "and registered names it never emits"
+        ),
     )
     try:
         args = parser.parse_args(argv)
@@ -290,10 +308,18 @@ def main(argv: List[str]) -> int:
                 f"error: {args.scan_sources} does not exist", file=sys.stderr
             )
             return 2
-        inspected = scan_emit_sites(args.scan_sources, problems)
+        emitted: Set[str] = set()
+        inspected = scan_emit_sites(args.scan_sources, problems, emitted)
+        for name in sorted(KNOWN_METRICS - emitted):
+            problems.append(
+                f"{name} is registered in repro.obs.metrics.METRICS but no "
+                f"call under {args.scan_sources} emits it (delete the "
+                "registration with the code that stopped emitting it)"
+            )
         summary.append(
             f"{inspected} emit sites under {args.scan_sources} use "
-            f"registered names ({len(KNOWN_METRICS)} in the registry)"
+            f"registered names and emit all {len(KNOWN_METRICS)} in the "
+            "registry"
         )
 
     if problems:
