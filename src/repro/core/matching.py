@@ -23,7 +23,7 @@ all users within a score radius.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 from repro.errors import MatchingError, ParameterError
 from repro.obs.instrument import count_op
@@ -40,40 +40,13 @@ __all__ = [
 
 UserId = Hashable
 
-#: fixed-point scale for attribute weights (keeps scores integral)
-_WEIGHT_SCALE = 1000
-
-
-def _check_weights(
-    weights: Optional[Sequence[float]], d: int
-) -> Optional[List[int]]:
-    """Validate and fix-point-scale per-attribute weights."""
-    if weights is None:
-        return None
-    if len(weights) != d:
-        raise ParameterError(
-            f"need {d} weights, got {len(weights)}"
-        )
-    if any(w < 0 for w in weights):
-        raise ParameterError("weights must be non-negative")
-    if not any(w > 0 for w in weights):
-        raise ParameterError("at least one weight must be positive")
-    return [round(w * _WEIGHT_SCALE) for w in weights]
-
-
-def rank_sum(
-    chains: Mapping[UserId, Sequence[int]],
-    weights: Optional[Sequence[float]] = None,
-) -> Dict[UserId, int]:
-    """(Weighted) sum of per-attribute ciphertext ranks for every user.
+def rank_sum(chains: Mapping[UserId, Sequence[int]]) -> Dict[UserId, int]:
+    """Sum of per-attribute ciphertext ranks for every user.
 
     Ties get the same rank (dense ranking), so equal ciphertexts contribute
     equal order — two users who mapped into the same slot entry are
-    indistinguishable, as intended.  ``weights`` optionally scale each
-    attribute's contribution (the paper's worked example speaks of
-    attributes with "equal weights", implying the general weighted form);
-    chained attribute positions are per-key, so weights apply to the chain
-    positions the caller observes.
+    indistinguishable, as intended.  Attributes carry equal weight, as in
+    the paper's worked example.
     """
     if not chains:
         return {}
@@ -81,52 +54,35 @@ def rank_sum(
     if len(lengths) != 1:
         raise ParameterError(f"inconsistent chain lengths: {sorted(lengths)}")
     (d,) = lengths
-    scaled = _check_weights(weights, d)
     users = list(chains)
     totals: Dict[UserId, int] = {u: 0 for u in users}
     for i in range(d):
         column = sorted({chains[u][i] for u in users})
         rank_of = {value: rank for rank, value in enumerate(column)}
         count_op("server_rank_column")
-        # unweighted scores stay plain rank sums (radius semantics of
-        # MAX-distance matching are unchanged); weighted ones are scaled
-        w = scaled[i] if scaled else 1
         for u in users:
-            totals[u] += w * rank_of[chains[u][i]]
+            totals[u] += rank_of[chains[u][i]]
     return totals
 
 
-def value_sum(
-    chains: Mapping[UserId, Sequence[int]],
-    weights: Optional[Sequence[float]] = None,
-) -> Dict[UserId, int]:
-    """(Weighted) sum of raw ciphertext values (the paper's worked example)."""
+def value_sum(chains: Mapping[UserId, Sequence[int]]) -> Dict[UserId, int]:
+    """Sum of raw ciphertext values (the paper's worked example)."""
     lengths = {len(c) for c in chains.values()}
     if chains and len(lengths) != 1:
         raise ParameterError(f"inconsistent chain lengths: {sorted(lengths)}")
-    if not chains:
-        return {}
-    (d,) = lengths
-    scaled = _check_weights(weights, d)
-    if scaled is None:
-        return {u: sum(c) for u, c in chains.items()}
-    return {
-        u: sum(w * v for w, v in zip(scaled, c))
-        for u, c in chains.items()
-    }
+    return {u: sum(c) for u, c in chains.items()}
 
 
 def score_table(
     chains: Mapping[UserId, Sequence[int]],
     method: str = "rank",
-    weights: Optional[Sequence[float]] = None,
 ) -> Dict[UserId, int]:
     """Dispatch on the order method: ``"rank"`` or ``"value"``."""
     with span("match.score_table", method=method, users=len(chains)):
         if method == "rank":
-            return rank_sum(chains, weights=weights)
+            return rank_sum(chains)
         if method == "value":
-            return value_sum(chains, weights=weights)
+            return value_sum(chains)
         raise ParameterError(f"unknown order method {method!r}")
 
 
@@ -143,7 +99,6 @@ def knn_match(
     query_user: UserId,
     k: int,
     method: str = "rank",
-    weights: Optional[Sequence[float]] = None,
 ) -> List[UserId]:
     """The ``k`` users whose scores are nearest the query user's.
 
@@ -154,7 +109,7 @@ def knn_match(
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
-    scores = score_table(chains, method, weights=weights)
+    scores = score_table(chains, method)
     mine = _query_score(scores, query_user)
     count_op("server_sort")
     others = [
@@ -212,12 +167,11 @@ def max_distance_match(
     query_user: UserId,
     max_distance: int,
     method: str = "rank",
-    weights: Optional[Sequence[float]] = None,
 ) -> List[UserId]:
     """All users whose score is within ``max_distance`` of the querier's."""
     if max_distance < 0:
         raise ParameterError("max_distance must be >= 0")
-    scores = score_table(chains, method, weights=weights)
+    scores = score_table(chains, method)
     mine = _query_score(scores, query_user)
     count_op("server_sort")
     matches = [

@@ -322,14 +322,8 @@ class SMatch:
         group: Mapping[int, EncryptedProfile],
         query_user: int,
         k: Optional[int] = None,
-        weights: Optional[Sequence[float]] = None,
     ) -> List[int]:
-        """``R <- Match(u, C)`` within one key group (server-side logic).
-
-        ``weights`` optionally emphasize attributes (by chain position);
-        the paper's worked example speaks of attributes "with equal
-        weights", which is the default.
-        """
+        """``R <- Match(u, C)`` within one key group (server-side logic)."""
         with span("scheme.match", group_size=len(group)):
             chains = {uid: ep.chain for uid, ep in group.items()}
             return knn_match(
@@ -337,7 +331,6 @@ class SMatch:
                 query_user,
                 k if k is not None else self.params.query_k,
                 method=self.params.order_method,
-                weights=weights,
             )
 
     def match_within_distance(
@@ -345,7 +338,6 @@ class SMatch:
         group: Mapping[int, EncryptedProfile],
         query_user: int,
         max_distance: int,
-        weights: Optional[Sequence[float]] = None,
     ) -> List[int]:
         """MAX-distance matching variant."""
         chains = {uid: ep.chain for uid, ep in group.items()}
@@ -354,7 +346,6 @@ class SMatch:
             query_user,
             max_distance,
             method=self.params.order_method,
-            weights=weights,
         )
 
     # -- convenience -----------------------------------------------------------

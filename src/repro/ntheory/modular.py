@@ -42,8 +42,8 @@ def lcm(a: int, b: int) -> int:
 def modexp(base: int, exponent: int, modulus: int) -> int:
     """Modular exponentiation, instrumented for the cost experiments.
 
-    A thin wrapper over :func:`pow` that records one ``modexp`` operation in
-    the active :class:`repro.obs.instrument.OpCounter`.  All primitives that
+    A thin wrapper over :func:`pow` that records one ``modexp`` operation
+    through :func:`repro.obs.instrument.count_op`.  All primitives that
     the paper's Section VII-C counts as "modular exponentiations" route
     through here.
     """

@@ -277,10 +277,9 @@ def flamegraph_html(
     scale = max(1, total)
     frames: List[str] = []
     max_depth = 0
-    # (node, offset_us, depth); children are laid out inside the parent
-    # window after the parent's self time is skipped at the left edge?  No:
-    # flamegraph convention puts children left-aligned and self time as the
-    # uncovered remainder on the right.
+    # (node, offset_us, depth); children are laid out left-aligned in the
+    # parent's window, and its self time is the uncovered remainder on the
+    # right (the flamegraph convention)
     stack: List[Tuple[SpanNode, int, int]] = []
     offset = 0
     for root in roots:

@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ParameterError
+from repro.obs.analysis import SpanNode, build_forest
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, render_tree
+from repro.obs.trace import Tracer
 
 __all__ = [
     "DEFAULT_EXPORT_DIR",
@@ -100,26 +101,57 @@ def load_trace_records(directory: Optional[Union[str, Path]] = None) -> List[Dic
     return read_trace_file(export_dir(directory) / TRACE_FILE)
 
 
+def _format_span_line(record: Dict[str, Any]) -> str:
+    """One rendered line: name, attrs, duration, op counts, byte tallies."""
+    parts = [record["name"]]
+    attrs = record.get("attrs") or {}
+    if attrs:
+        parts.append(" ".join(f"{k}={v}" for k, v in sorted(attrs.items())))
+    us = record.get("duration_us", 0)
+    parts.append(f"({us // 1000}.{(us % 1000) // 100}ms)" if us >= 1000 else f"({us}us)")
+    ops = record.get("ops") or {}
+    if ops:
+        parts.append("[" + " ".join(f"{k}={v}" for k, v in sorted(ops.items())) + "]")
+    byte_counts = record.get("bytes") or {}
+    if byte_counts:
+        parts.append(
+            "{" + " ".join(f"{k}={v}B" for k, v in sorted(byte_counts.items())) + "}"
+        )
+    return " ".join(parts)
+
+
 def render_trace_report(records: List[Dict[str, Any]]) -> str:
     """Rebuild the span tree from JSONL records and render it as text.
 
-    A record whose parent id does not resolve (a truncated file, a worker
-    trace sliced out of context) renders as an extra root — a report must
-    never silently drop spans.
+    The tree is :func:`~repro.obs.analysis.build_forest`'s: a record whose
+    parent id does not resolve (a truncated file, a worker trace sliced out
+    of context) renders as an extra root — a report must never silently
+    drop spans — and a record without a name or id raises
+    :class:`ParameterError`.  Iterative (explicit work stack), so a
+    many-thousand-span trace renders without touching the recursion limit.
     """
-    ids = {record["id"] for record in records}
-    children: Dict[int, List[Dict[str, Any]]] = {}
-    roots: List[Dict[str, Any]] = []
-    for record in records:
-        children.setdefault(record["id"], [])
-        parent = record.get("parent")
-        if parent is None or parent not in ids:
-            roots.append(record)
-        else:
-            children.setdefault(parent, []).append(record)
+    roots = build_forest(records)
     if not roots:
         return "(empty trace)"
-    return render_tree(roots, children)
+    lines: List[str] = []
+    # (node, its line's lead-in, its children's prefix); children are
+    # pushed in reverse so the stack pops them in display order
+    work: List[Tuple[SpanNode, str, str]] = [
+        (root, "", "") for root in reversed(roots)
+    ]
+    while work:
+        node, lead, prefix = work.pop()
+        lines.append(lead + _format_span_line(node.record))
+        last = len(node.children) - 1
+        for i in range(last, -1, -1):
+            work.append(
+                (
+                    node.children[i],
+                    prefix + ("`- " if i == last else "|- "),
+                    prefix + ("   " if i == last else "|  "),
+                )
+            )
+    return "\n".join(lines)
 
 
 def render_metrics_report(snapshot: Dict[str, Any]) -> str:

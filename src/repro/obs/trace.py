@@ -5,8 +5,9 @@ keygen, OPE encryption, the server-side match, verification — and records
 
 * monotonic start offset and duration (integer nanoseconds; the paper's
   cost story is durations and byte counts, never floats),
-* the :class:`~repro.obs.instrument.OpCounter` delta between entry and
-  exit (hash ops, modexps, OPE levels ... the Section VII-C quantities),
+* the operations counted while it was open (hash ops, modexps, OPE
+  levels ... the Section VII-C quantities): the innermost open span is its
+  thread's op counter, so ``count_op`` writes straight into it,
 * message-byte tallies contributed by the ``net`` layer via
   :func:`record_bytes`.
 
@@ -15,21 +16,21 @@ is recorded unless a :class:`Tracer` is active on the current thread, and
 an inactive :func:`span` call returns a shared no-op object, so the
 instrumented hot paths pay one attribute lookup when telemetry is off.
 
-A finished trace exports as JSONL (one span per line, parent links by id)
-and as a rendered text tree (``repro obs report``).
+A finished trace exports as JSONL (one span per line, parent links by id),
+which ``repro obs report`` renders as a text tree.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
-from collections import Counter
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ParameterError
-from repro.obs.instrument import counting
+from repro.obs.instrument import OpSink, _local as _counters
 
 __all__ = [
     "Span",
@@ -40,7 +41,6 @@ __all__ = [
     "current_tracer",
     "current_span",
     "record_bytes",
-    "render_tree",
 ]
 
 class _TracerLocal(threading.local):
@@ -77,10 +77,11 @@ _NOOP = _NoopSpan()
 class Span:
     """One timed, op-counted phase of a traced run.
 
-    Spans nest: entering a span pushes it on the thread's stack and
-    activates a fresh op counter; exiting folds both its counts and its
-    byte tallies into the parent, so every span reports the *total* work
-    performed while it was open (itself plus its children).
+    Spans nest: entering a span pushes it on the thread's stack and makes
+    it the thread's op counter; exiting restores the counter it displaced
+    and folds its counts into that counter, and its byte tallies into the
+    parent span, so every span reports the *total* work performed while it
+    was open (itself plus its children).
     """
 
     __slots__ = (
@@ -92,50 +93,60 @@ class Span:
         "ops",
         "bytes_io",
         "children",
-        "_counting_cm",
-        "_counter",
+        "_outer",
         "_tracer",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
         self.name = name
         self.attrs = attrs
-        self.span_id = tracer._next_id()
+        self.span_id = next(tracer._ids)
         self.start_ns = 0
         self.duration_ns = 0
         self.ops: Dict[str, int] = {}
-        self.bytes_io: Counter = Counter()
+        self.bytes_io: Dict[str, int] = {}
         self.children: List["Span"] = []
         self._tracer = tracer
-        self._counting_cm: Optional[Any] = None
-        self._counter = None
+        # the op counter this span displaced while open
+        self._outer: Optional[OpSink] = None
 
     def set_attr(self, name: str, value: Any) -> None:
         """Attach (or update) a span attribute after entry."""
         self.attrs[name] = value
 
+    def add(self, name: str, amount: int = 1) -> None:
+        """Record ``amount`` occurrences of operation ``name``."""
+        ops = self.ops
+        ops[name] = ops.get(name, 0) + amount
+
     def add_bytes(self, direction: str, amount: int) -> None:
         """Tally ``amount`` message bytes under ``direction`` (sent/received)."""
-        self.bytes_io[direction] += amount
+        bytes_io = self.bytes_io
+        bytes_io[direction] = bytes_io.get(direction, 0) + amount
 
     def __enter__(self) -> "Span":
         stack = self._tracer._stack
         if stack:
             stack[-1].children.append(self)
         stack.append(self)
-        self._counting_cm = counting()
-        self._counter = self._counting_cm.__enter__()
+        self._outer = _counters.counter
+        _counters.counter = self
         self.start_ns = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc: object) -> bool:
         self.duration_ns = time.perf_counter_ns() - self.start_ns
-        self.ops = self._counter.as_dict()
-        self._counting_cm.__exit__(None, None, None)
+        outer = self._outer
+        _counters.counter = outer
+        if outer is not None:
+            for name, amount in self.ops.items():
+                outer.add(name, amount)
         stack = self._tracer._stack
         stack.pop()
         if stack:
-            stack[-1].bytes_io.update(self.bytes_io)
+            parent = stack[-1]
+            for direction, amount in self.bytes_io.items():
+                parent.add_bytes(direction, amount)
         return False
 
     def walk(self) -> Iterator["Span"]:
@@ -156,18 +167,16 @@ class Tracer:
     """Owns one trace: a root span and the thread-local span stack."""
 
     def __init__(self, name: str, attrs: Optional[Dict[str, Any]] = None) -> None:
-        # reentrant: splice() holds it while constructing Spans, and each
-        # Span.__init__ re-enters through _next_id for its id; the lock
-        # must exist before the root Span below draws the first id
-        self._lock = threading.RLock()
-        self._ids = 0
+        # next() on an itertools.count is one C call, so threads drawing
+        # ids at once never get the same one
+        self._ids = itertools.count(1)
+        # held by splice only; see there
+        self._lock = threading.Lock()
         self._stack: List[Span] = []
         self.root = Span(self, name, dict(attrs or {}))
 
     def _next_id(self) -> int:
-        with self._lock:
-            self._ids += 1
-            return self._ids
+        return next(self._ids)
 
     # -- queries ---------------------------------------------------------------
 
@@ -242,111 +251,46 @@ class Tracer:
         Worker clocks are not comparable across processes, so spliced spans
         are **rebased**: a grafted root starts at the parent span's start
         plus its worker-relative ``start_us``.  The grafted roots' op counts
-        and byte tallies are folded into the open parent (workers fold
-        child work into their root on exit, so folding only the roots never
-        double-counts), keeping the self-plus-children reporting invariant
-        truthful across the fan-out boundary.
+        and byte tallies are folded into the parent, open or closed
+        (workers fold child work into their root on exit, so folding only
+        the roots never double-counts), keeping the self-plus-children
+        reporting invariant truthful across the fan-out boundary.
+
+        Two threads may splice into one trace at once; the tracer lock
+        keeps their splices from interleaving children under one parent
+        and losing folds.
 
         Returns the grafted root spans.
         """
         with self._lock:
-            return self._splice_locked(records, parent, attrs)
-
-    def _splice_locked(
-        self,
-        records: List[Dict[str, Any]],
-        parent: Optional[Span],
-        attrs: Optional[Dict[str, Any]],
-    ) -> List[Span]:
-        """:meth:`splice` body; the tracer lock is held by the caller.
-
-        Two threads may splice into one trace at once — without the lock,
-        their splices appending to the same parent interleave children and
-        lose op-count folds.
-        """
-        if parent is None:
-            parent = self._stack[-1] if self._stack else self.root
-        grafted: List[Span] = []
-        id_map: Dict[Any, Span] = {}
-        for record in records:
-            s = Span(self, str(record["name"]), dict(record.get("attrs") or {}))
-            s.duration_ns = int(record.get("duration_us", 0)) * 1000
-            s.ops = {
-                str(op): int(n) for op, n in (record.get("ops") or {}).items()
-            }
-            s.bytes_io = Counter(
-                {
-                    str(d): int(n)
-                    for d, n in (record.get("bytes") or {}).items()
+            if parent is None:
+                parent = self._stack[-1] if self._stack else self.root
+            grafted: List[Span] = []
+            id_map: Dict[Any, Span] = {}
+            for record in records:
+                s = Span(self, str(record["name"]), dict(record.get("attrs") or {}))
+                s.duration_ns = int(record.get("duration_us", 0)) * 1000
+                s.ops = {
+                    str(op): int(n) for op, n in (record.get("ops") or {}).items()
                 }
-            )
-            s.start_ns = parent.start_ns + int(record.get("start_us", 0)) * 1000
-            local_parent = id_map.get(record.get("parent"))
-            if local_parent is None:
-                if attrs:
-                    s.attrs.update(attrs)
-                parent.children.append(s)
-                grafted.append(s)
-                parent.bytes_io.update(s.bytes_io)
-                if parent._counter is not None:
+                s.bytes_io = {
+                    str(d): int(n) for d, n in (record.get("bytes") or {}).items()
+                }
+                s.start_ns = parent.start_ns + int(record.get("start_us", 0)) * 1000
+                local_parent = id_map.get(record.get("parent"))
+                if local_parent is None:
+                    if attrs:
+                        s.attrs.update(attrs)
+                    parent.children.append(s)
+                    grafted.append(s)
                     for op, n in s.ops.items():
-                        parent._counter.add(op, n)
-                else:  # splicing after the parent closed: fold directly
-                    for op, n in s.ops.items():
-                        parent.ops[op] = parent.ops.get(op, 0) + n
-            else:
-                local_parent.children.append(s)
-            id_map[record.get("id")] = s
-        return grafted
-
-
-def _format_span_line(record: Dict[str, Any]) -> str:
-    """One rendered line: name, attrs, duration, op counts, byte tallies."""
-    parts = [record["name"]]
-    attrs = record.get("attrs") or {}
-    if attrs:
-        parts.append(" ".join(f"{k}={v}" for k, v in sorted(attrs.items())))
-    us = record.get("duration_us", 0)
-    parts.append(f"({us // 1000}.{(us % 1000) // 100}ms)" if us >= 1000 else f"({us}us)")
-    ops = record.get("ops") or {}
-    if ops:
-        parts.append("[" + " ".join(f"{k}={v}" for k, v in sorted(ops.items())) + "]")
-    byte_counts = record.get("bytes") or {}
-    if byte_counts:
-        parts.append(
-            "{" + " ".join(f"{k}={v}B" for k, v in sorted(byte_counts.items())) + "}"
-        )
-    return " ".join(parts)
-
-
-def render_tree(
-    roots: List[Dict[str, Any]], children: Dict[int, List[Dict[str, Any]]]
-) -> str:
-    """Render span records (:meth:`Tracer.span_records` or a parsed
-    ``trace.jsonl``) as a text tree.
-
-    Iterative (explicit work stack), so a many-thousand-span trace — deep
-    *or* wide — renders in O(n) without touching the recursion limit.
-    """
-    lines: List[str] = []
-    # (record, child prefix, is_last, is_root); children are pushed in
-    # reverse so the stack pops them in display order
-    work: List[Tuple[Dict[str, Any], str, bool, bool]] = [
-        (root, "", True, True) for root in reversed(roots)
-    ]
-    while work:
-        record, prefix, is_last, is_root = work.pop()
-        if is_root:
-            lines.append(_format_span_line(record))
-            child_prefix = ""
-        else:
-            connector = "`- " if is_last else "|- "
-            lines.append(prefix + connector + _format_span_line(record))
-            child_prefix = prefix + ("   " if is_last else "|  ")
-        kids = children.get(record["id"], [])
-        for i in range(len(kids) - 1, -1, -1):
-            work.append((kids[i], child_prefix, i == len(kids) - 1, False))
-    return "\n".join(lines)
+                        parent.add(op, n)
+                    for direction, n in s.bytes_io.items():
+                        parent.add_bytes(direction, n)
+                else:
+                    local_parent.children.append(s)
+                id_map[record.get("id")] = s
+            return grafted
 
 
 # -- thread-local activation ---------------------------------------------------
@@ -394,7 +338,7 @@ def record_bytes(direction: str, amount: int) -> None:
     """Tally message bytes on the innermost open span (no-op when inactive)."""
     tracer = _local.tracer
     if tracer is not None and tracer._stack:
-        tracer._stack[-1].bytes_io[direction] += amount
+        tracer._stack[-1].add_bytes(direction, amount)
 
 
 @contextmanager

@@ -52,51 +52,6 @@ class TestRankSum:
         assert rank_sum(chains) == rank_sum(mapped)
 
 
-class TestWeightedMatching:
-    def test_uniform_weights_match_unweighted_order(self):
-        chains = {1: [10, 0], 2: [20, 5], 3: [30, 9]}
-        plain = rank_sum(chains)
-        weighted = rank_sum(chains, weights=[1.0, 1.0])
-        # same ordering (weighted values are scaled by the fixed point)
-        assert sorted(plain, key=plain.get) == sorted(
-            weighted, key=weighted.get
-        )
-
-    def test_zero_weight_ignores_attribute(self):
-        chains = {1: [10, 999], 2: [20, 0], 3: [30, 500]}
-        scores = rank_sum(chains, weights=[1.0, 0.0])
-        assert scores[1] < scores[2] < scores[3]
-
-    def test_heavy_weight_dominates(self):
-        # attribute 1 disagrees with attribute 0; weighting decides
-        chains = {"q": [0, 0], "a": [1, 9], "b": [9, 1]}
-        by_first = knn_match(chains, "q", 1, weights=[10.0, 0.1])
-        by_second = knn_match(chains, "q", 1, weights=[0.1, 10.0])
-        assert by_first == ["a"]
-        assert by_second == ["b"]
-
-    def test_weighted_value_sum(self):
-        chains = {1: [2, 3]}
-        scores = value_sum(chains, weights=[1.0, 2.0])
-        assert scores[1] == 1000 * 2 + 2000 * 3
-
-    def test_weight_validation(self):
-        chains = {1: [1, 2], 2: [3, 4]}
-        with pytest.raises(ParameterError):
-            rank_sum(chains, weights=[1.0])
-        with pytest.raises(ParameterError):
-            rank_sum(chains, weights=[-1.0, 1.0])
-        with pytest.raises(ParameterError):
-            rank_sum(chains, weights=[0.0, 0.0])
-
-    def test_weighted_max_distance(self):
-        chains = {1: [0, 0], 2: [1, 50], 3: [50, 1]}
-        near = max_distance_match(
-            chains, 1, 1500, method="rank", weights=[1.0, 0.1]
-        )
-        assert 2 in near and 3 not in near
-
-
 class TestValueSum:
     def test_paper_example(self):
         """User A 12|8 -> 20, B 34|2 -> 36, C 50|48 -> 98; A matches B."""

@@ -9,6 +9,7 @@ is inactive.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 
@@ -489,6 +490,16 @@ class TestLifecycleAndReport:
         assert rendered.splitlines()[0].startswith("root")
         assert "`- child" in rendered
 
+    def test_report_on_a_line_without_id_raises_typed_error(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            '{"id": 1, "parent": null, "name": "run"}\n'
+            '{"parent": 1, "name": "phase"}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParameterError, match="need name and id"):
+            render_report(tmp_path)
+
     def test_save_run_handles_missing_parts(self, tmp_path):
         target = save_run(None, None, tmp_path / "sub")
         assert target.exists()
@@ -565,3 +576,30 @@ class TestEndToEndPipeline:
         assert len(records) == len(traced_run.spans())
         ids = {r["id"] for r in records}
         assert all(r["parent"] in ids for r in records if r["parent"] is not None)
+
+
+class TestPinnedTrace:
+    """The seeded simulation's span tree, pinned without timings.
+
+    SHA-256 over each record's ``(id, parent, name, attrs, ops, bytes)``
+    from ``repro simulate --users 8 --steps 2``: a change to how spans count
+    ops, fold them into ancestors or link to parents shows here, while a
+    wrong but self-consistent fold would pass every structural test.
+    """
+
+    SPANS = 280
+    DIGEST = "9781d092275eeedff15c7ae1fda8bbdcb9789582c6e4c3c11393a49be05015c4"
+
+    def test_simulation_trace(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["simulate", "--users", "8", "--steps", "2"]
+        assert main(argv + ["--obs-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        records = load_trace_records(tmp_path)
+        digest = hashlib.sha256()
+        for r in records:
+            fields = [r["id"], r["parent"], r["name"], r["attrs"], r["ops"], r["bytes"]]
+            digest.update(json.dumps(fields, sort_keys=True).encode("utf-8") + b"\n")
+        assert len(records) == self.SPANS
+        assert digest.hexdigest() == self.DIGEST

@@ -8,7 +8,7 @@ traces through every iterative walker, the flamegraph HTML, the top table,
 the critical path, the trace diff naming a synthetically slowed subtree,
 and the two CI gates that consume these reports
 (``tools/check_perf_trend.py`` attribution, ``tools/check_obs_artifacts``
-emit-site scanning).
+emit-site scanning and its op/byte fold check).
 """
 
 from __future__ import annotations
@@ -435,6 +435,57 @@ class TestEmitSiteScanner:
                     calls += 1
         assert count == calls > 0
         assert main(["--scan-sources", str(root)]) == 0
+
+
+class TestTraceFoldCheck:
+    """check_obs_artifacts: no span holds less than its children together."""
+
+    @staticmethod
+    def _artifacts(tmp_path, parent_hash):
+        records = [
+            _rec(1, None, "phase", 0, 10, ops={"hash": parent_hash}, bytes_io={"sent": 8}),
+            _rec(2, 1, "step", 1, 5, ops={"hash": 3}, bytes_io={"sent": 8}),
+        ]
+        (tmp_path / "trace.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
+        )
+        return tmp_path / "trace.jsonl"
+
+    @staticmethod
+    def _fold_problems(path):
+        from tools.check_obs_artifacts import check_trace
+
+        problems = []
+        check_trace(path, problems)
+        return [p for p in problems if "children's sum" in p]
+
+    def test_parent_holding_less_than_its_child_fails(self, tmp_path, capsys):
+        from tools.check_obs_artifacts import main
+
+        (problem,) = self._fold_problems(self._artifacts(tmp_path, parent_hash=1))
+        assert "span 'phase' ops['hash']=1" in problem
+        assert problem.endswith("children's sum 3")
+        assert main([str(tmp_path)]) == 1
+        assert problem in capsys.readouterr().err
+
+    def test_parent_holding_its_child_passes(self, tmp_path):
+        assert self._fold_problems(self._artifacts(tmp_path, parent_hash=3)) == []
+
+    def test_live_trace_folds(self, tmp_path):
+        from repro.obs.instrument import count_op, counting
+        from repro.obs.trace import record_bytes
+
+        with tracing("root") as tracer:
+            with span("outer"):
+                count_op("hash")
+                with counting():
+                    with span("inner"):
+                        count_op("hash", 2)
+                        record_bytes("sent", 5)
+        path = tmp_path / "trace.jsonl"
+        path.write_text(tracer.to_jsonl())
+        assert self._fold_problems(path) == []
+        assert tracer.root.ops == {"hash": 3}
 
 
 class TestSpanNodeShape:

@@ -1,4 +1,4 @@
-"""Additional scheme-level behaviours: order methods, weights, stability."""
+"""Additional scheme-level behaviours: order methods and stability."""
 
 import pytest
 
@@ -56,43 +56,6 @@ class TestValueOrderMethod:
             pytest.skip("no group of size >= 2")
         a, b = multi[0][0], multi[0][1]
         assert scheme.verify(uploads[b].auth, keys[a])
-
-
-class TestWeightedSchemeMatching:
-    def test_weights_change_neighbour_choice(self, value_method_world):
-        _, users, scheme, uploads, _ = value_method_world
-        groups = {}
-        for uid, payload in uploads.items():
-            groups.setdefault(payload.key_index, {})[uid] = payload
-        biggest = max(groups.values(), key=len)
-        if len(biggest) < 4:
-            pytest.skip("need a group of >= 4")
-        uid = next(iter(biggest))
-        d = len(scheme.params.schema)
-        unweighted = scheme.match_in_group(biggest, uid, k=2)
-        weighted = scheme.match_in_group(
-            biggest, uid, k=2, weights=[1.0] + [0.001] * (d - 1)
-        )
-        # both are valid result sets from the same group
-        assert set(unweighted) <= set(biggest)
-        assert set(weighted) <= set(biggest)
-
-    def test_max_distance_weighted(self, value_method_world):
-        _, users, scheme, uploads, _ = value_method_world
-        groups = {}
-        for uid, payload in uploads.items():
-            groups.setdefault(payload.key_index, {})[uid] = payload
-        biggest = max(groups.values(), key=len)
-        if len(biggest) < 2:
-            pytest.skip("no group of size >= 2")
-        uid = next(iter(biggest))
-        d = len(scheme.params.schema)
-        # the 'value' method sums weighted 64-bit ciphertexts, so a radius
-        # covering the whole group needs ~ d * 2^64 * weight_scale
-        everyone = scheme.match_within_distance(
-            biggest, uid, 10**28, weights=[1.0] * d
-        )
-        assert set(everyone) == set(biggest) - {uid}
 
 
 class TestUploadStability:

@@ -7,7 +7,9 @@ Usage::
 
 Checks that ``trace.jsonl`` parses line-by-line, that parent links resolve
 to earlier spans, that durations and tallies are sane non-negative
-integers, and that the spans cover the paper's pipeline phases (profile
+integers, that no span holds less of an op or byte tally than its direct
+children together (a span reports itself plus its children), and that the
+spans cover the paper's pipeline phases (profile
 build, entropy increase, fuzzy keygen + OPRF, OPE encryption, server
 upload handling, verification).  Also checks ``metrics.json`` /
 ``metrics.prom`` exist and agree on the upload counter.
@@ -32,7 +34,7 @@ import ast
 import json
 import sys
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(_REPO_ROOT / "src") not in sys.path:
@@ -130,6 +132,8 @@ def check_trace(path: Path, problems: List[str]) -> None:
                         f"{count!r} is not a non-negative integer"
                     )
 
+    check_folds(path, spans, problems)
+
     roots = [s for s in spans if s.get("parent") is None]
     if len(roots) != 1:
         problems.append(f"{path}: expected exactly one root span, found {len(roots)}")
@@ -139,6 +143,37 @@ def check_trace(path: Path, problems: List[str]) -> None:
         problems.append(
             f"{path}: pipeline phases missing from trace: {', '.join(missing)}"
         )
+
+
+def _tallies(record: Dict[str, Any], tally: str) -> Dict[str, Any]:
+    mapping = record.get(tally)
+    return mapping if isinstance(mapping, dict) else {}
+
+
+def check_folds(
+    path: Path, spans: List[Dict[str, Any]], problems: List[str]
+) -> None:
+    """Fail each span holding less of an ``ops``/``bytes`` key than the sum
+    over its direct children: a span's tallies include its children's."""
+    sums: Dict[int, Dict[Tuple[str, str], int]] = {}
+    for record in spans:
+        parent = record.get("parent")
+        if not isinstance(parent, int):
+            continue
+        into = sums.setdefault(parent, {})
+        for tally in ("ops", "bytes"):
+            for key, count in _tallies(record, tally).items():
+                if isinstance(count, int):
+                    into[(tally, key)] = into.get((tally, key), 0) + count
+    for lineno, record in enumerate(spans, start=1):
+        for (tally, key), total in sorted(sums.get(record.get("id"), {}).items()):
+            held = _tallies(record, tally).get(key, 0)
+            if isinstance(held, int) and held < total:
+                problems.append(
+                    f"{path}:{lineno}: span {record.get('name')!r} "
+                    f"{tally}[{key!r}]={held} is less than its direct "
+                    f"children's sum {total}"
+                )
 
 
 def check_metrics(directory: Path, problems: List[str]) -> None:

@@ -30,9 +30,10 @@ SML007–SML010 family:
   every non-raising path.
 
 The per-class facts (:class:`ClassConcurrency`) ride the whole-program
-module summaries, so a module that imports ``Tracer`` and pokes at
-``tracer._ids`` without the tracer's lock is flagged from the *caller's*
-file — the same cross-module application machinery the taint engine uses.
+module summaries, so a module that imports ``MetricsRegistry`` and pokes
+at ``registry._counters`` without the registry's lock is flagged from the
+*caller's* file — the same cross-module application machinery the taint
+engine uses.
 """
 
 from __future__ import annotations
