@@ -296,10 +296,12 @@ class SMatch:
         """Vf over one query result: ``(accepted, rejected)`` user ids.
 
         Every entry is checked under the querier's one ``key``, so one
-        ``auth`` cipher serves the whole result (none for an empty one).
-        An entry is accepted only when its authenticator is bound to the
+        ``auth`` cipher serves the whole result (none for an empty one),
+        and one AES pass decrypts it (:meth:`Verifier.verify_all`).  An
+        entry is accepted only when its authenticator is bound to the
         entry's own user id and passes Vf: another member's authenticator
-        under a relabelled id is rejected.  Both tuples keep result order.
+        under a relabelled id is rejected without running Vf.  Both tuples
+        keep result order.
         """
         if not entries:
             return (), ()
@@ -308,10 +310,14 @@ class SMatch:
         with span("scheme.verify_matches", entries=len(entries)):
             verifier = self.verifier
             cipher = verifier.cipher_for(key)
-            for entry in entries:
-                if entry.auth.user_id == entry.user_id and verifier.verify_with(
-                    entry.auth, cipher
-                ):
+            bound = [e.auth.user_id == e.user_id for e in entries]
+            verdicts = iter(
+                verifier.verify_all(
+                    [e.auth for e, ok in zip(entries, bound) if ok], cipher
+                )
+            )
+            for entry, ok in zip(entries, bound):
+                if ok and next(verdicts):
                     accepted.append(entry.user_id)
                 else:
                     rejected.append(entry.user_id)

@@ -4,12 +4,13 @@ Supports 128/192/256-bit keys.  The verification protocol uses AES-256 in CTR
 mode (paper Section VIII: "AES in CTR mode with random IV was utilized"), and
 the secure channel uses AES-CTR inside encrypt-then-MAC.
 
-Encryption is byte-sliced over a whole message: :meth:`AES.encrypt_counters`
-encrypts the ``n`` counter blocks of one CTR message together.  The state is
-16 segments of ``n`` bytes in row-major order: segment ``4r + c`` holds state
-byte ``(r, c)`` of every block.  Between rounds it is held as one
-``128n``-bit big-endian integer.  A round is then about thirty Python-level
-operations whatever ``n`` is:
+Encryption is byte-sliced over whole messages: :meth:`AES.encrypt_runs`
+encrypts the counter blocks of several CTR messages together, and
+:meth:`AES.encrypt_counters` is its one-message case.  For ``n`` blocks in
+all, the state is 16 segments of ``n`` bytes in row-major order: segment
+``4r + c`` holds state byte ``(r, c)`` of every block.  Between rounds it is
+held as one ``128n``-bit big-endian integer.  A round is then about thirty
+Python-level operations whatever ``n`` is:
 
 * ShiftRows rotates row ``r`` left by ``r`` segments (a join of slices);
 * SubBytes is one C-level ``bytes.translate`` through the S-box over every
@@ -35,7 +36,7 @@ an independent implementation.
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import List, Sequence, Tuple
 
 from repro.errors import KeyError_, ParameterError
 from repro.obs.instrument import count_op
@@ -152,9 +153,10 @@ def _expand_key(key: bytes, rounds: int) -> List[int]:
 class AES:
     """The AES block cipher with a fixed expanded key.
 
-    Use :meth:`encrypt_block` / :meth:`decrypt_block` on 16-byte blocks and
-    :meth:`encrypt_counters` for a run of CTR blocks; for bulk data use the
-    modes in :mod:`repro.crypto.modes`.
+    Use :meth:`encrypt_block` / :meth:`decrypt_block` on 16-byte blocks,
+    :meth:`encrypt_counters` for a run of CTR blocks and :meth:`encrypt_runs`
+    for several runs at once; for bulk data use the modes in
+    :mod:`repro.crypto.modes`.
     """
 
     BLOCK_SIZE = 16
@@ -184,18 +186,36 @@ class AES:
         """Encrypt the ``n`` blocks ``counter, counter + 1, ...`` (mod 2^128).
 
         Returns the ``16 * n`` ciphertext bytes in order: the CTR keystream
-        for initial counter ``counter``.  One call covers a whole message.
+        for initial counter ``counter``.  One call covers a whole message;
+        this is the one-run case of :meth:`encrypt_runs`.
         """
-        if n < 1:
-            raise ParameterError(f"need at least one block, got {n}")
+        return self.encrypt_runs(((counter, n),))
+
+    def encrypt_runs(self, runs: Sequence[Tuple[int, int]]) -> bytes:
+        """Encrypt several CTR runs in one byte-sliced pass.
+
+        Each ``(counter, n)`` run is the ``n`` blocks ``counter, counter +
+        1, ...`` (mod 2^128); the result is every run's ``16 * n`` bytes,
+        concatenated in run order.  A pass costs about the same
+        Python-level operations for one block or many, so several short
+        messages under one key are cheapest as one call.
+        """
+        if not runs:
+            raise ParameterError("need at least one CTR run")
+        for _, count in runs:
+            if count < 1:
+                raise ParameterError(f"a CTR run needs a block, got {count}")
+        blocks = b"".join([
+            ((counter + i) & _MASK128).to_bytes(16, "big")
+            for counter, count in runs
+            for i in range(count)
+        ])
+        size = len(blocks)
+        n = size // 16
         count_op("aes_block", n)
-        size = 16 * n
         full = (1 << (8 * size)) - 1
         row1, row2, row3 = 32 * n, 64 * n, 96 * n  # bits in 1, 2, 3 rows
         from_bytes = int.from_bytes
-        blocks = b"".join(
-            [((counter + i) & _MASK128).to_bytes(16, "big") for i in range(n)]
-        )
         # for each segment, the block byte it holds, n times: translated
         # through a round key's table it lays that key out like the state
         index = b"".join([k * n for k in _SEGMENT_BYTES])

@@ -10,6 +10,7 @@ keys derived from one master key).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.aes import AES
 from repro.crypto.kdf import hkdf
@@ -19,18 +20,42 @@ from repro.utils.ct import constant_time_eq
 from repro.utils.mac import HmacSha256
 from repro.utils.rand import SystemRandomSource
 
-__all__ = ["ctr_keystream", "ctr_xcrypt", "AeadCiphertext", "EtMCipher"]
+__all__ = [
+    "ctr_keystream",
+    "ctr_keystreams",
+    "ctr_xcrypt",
+    "AeadCiphertext",
+    "EtMCipher",
+]
 
 
 def ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
     """Generate ``length`` keystream bytes for a 16-byte initial counter."""
-    if len(nonce) != AES.BLOCK_SIZE:
-        raise ParameterError("CTR nonce must be a full 16-byte block")
-    blocks = (length + 15) // 16
-    if blocks < 1:
-        return b""
-    counter = int.from_bytes(nonce, "big")
-    return cipher.encrypt_counters(counter, blocks)[:length]
+    return ctr_keystreams(cipher, ((nonce, length),))[0]
+
+
+def ctr_keystreams(
+    cipher: AES, runs: Sequence[Tuple[bytes, int]]
+) -> List[bytes]:
+    """The keystream of every ``(nonce, length)`` run, in one AES pass.
+
+    Each nonce is a 16-byte initial counter.  An empty run gets ``b""``,
+    and no pass runs when every run is empty.
+    """
+    counters = []
+    for nonce, length in runs:
+        if len(nonce) != AES.BLOCK_SIZE:
+            raise ParameterError("CTR nonce must be a full 16-byte block")
+        if length > 0:
+            counters.append((int.from_bytes(nonce, "big"), (length + 15) // 16))
+    stream = cipher.encrypt_runs(counters) if counters else b""
+    out = []
+    pos = 0
+    for _, length in runs:
+        length = max(length, 0)
+        out.append(stream[pos : pos + length])
+        pos += 16 * ((length + 15) // 16)
+    return out
 
 
 def ctr_xcrypt(cipher: AES, nonce: bytes, data: bytes) -> bytes:
@@ -96,8 +121,38 @@ class EtMCipher:
         return AeadCiphertext(iv=iv, body=body, tag=self._tag(iv, aad, body))
 
     def open(self, ciphertext: AeadCiphertext, aad: bytes = b"") -> bytes:
-        """Verify the tag then decrypt; raises :class:`IntegrityError`."""
-        expected_tag = self._tag(ciphertext.iv, aad, ciphertext.body)
-        if not constant_time_eq(expected_tag, ciphertext.tag):
+        """Verify the tag then decrypt; raises :class:`IntegrityError`.
+
+        The one-ciphertext case of :meth:`open_many`.
+        """
+        plaintext = self.open_many((ciphertext,), aad)[0]
+        if plaintext is None:
             raise IntegrityError("MAC verification failed")
-        return ctr_xcrypt(self._aes, ciphertext.iv, ciphertext.body)
+        return plaintext
+
+    def open_many(
+        self, ciphertexts: Sequence[AeadCiphertext], aad: bytes = b""
+    ) -> List[Optional[bytes]]:
+        """Open several ciphertexts under this key and ``aad``.
+
+        Every tag is checked in constant time first; then one keystream
+        pass decrypts the ciphertexts whose tag verified.  One slot per
+        ciphertext, in order: its plaintext, or ``None`` when its tag
+        failed (nothing of it is decrypted).
+        """
+        verified = [
+            ct
+            if constant_time_eq(self._tag(ct.iv, aad, ct.body), ct.tag)
+            else None
+            for ct in ciphertexts
+        ]
+        streams = iter(
+            ctr_keystreams(
+                self._aes,
+                [(ct.iv, len(ct.body)) for ct in verified if ct is not None],
+            )
+        )
+        return [
+            None if ct is None else xor_bytes(ct.body, next(streams))
+            for ct in verified
+        ]

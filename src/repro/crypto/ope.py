@@ -31,7 +31,10 @@ Split-point distributions:
 When the ciphertext range equals the plaintext range (the paper's
 "ciphertext range in OPE is set as the same as the plaintext range",
 ``expansion_bits = 0``) the only order-preserving injection is the identity
-and both modes degenerate to it; the default adds 16 bits of expansion.
+and both modes degenerate to it: every split and leaf is forced, so
+:meth:`OPE.encrypt` and :meth:`OPE.decrypt` return their input at once,
+after the same range check and with the same ``ope_level`` count as a
+walk.  The default adds 16 bits of expansion.
 """
 
 from __future__ import annotations
@@ -237,6 +240,8 @@ class OPE:
         with span("ope.encrypt", bits=p.plaintext_bits):
             # halving a power-of-two domain takes one level per plaintext bit
             count_op("ope_level", p.plaintext_bits)
+            if p.expansion_bits == 0:
+                return m  # every split is forced: the identity
             dlo, dhi = 0, p.domain_size - 1
             rlo, rhi = 0, p.range_size - 1
             while dlo < dhi:
@@ -257,6 +262,8 @@ class OPE:
             )
         with span("ope.decrypt", bits=p.plaintext_bits):
             count_op("ope_level", p.plaintext_bits)
+            if p.expansion_bits == 0:
+                return c  # every split is forced: the identity
             dlo, dhi = 0, p.domain_size - 1
             rlo, rhi = 0, p.range_size - 1
             while dlo < dhi:

@@ -96,16 +96,40 @@ class SpanNode:
     @property
     def ops(self) -> Dict[str, int]:
         """The span's op-count tallies (self + children, as recorded)."""
-        return dict(self.record.get("ops") or {})
+        return dict(self.record.get("ops", {}))
 
     @property
     def bytes_io(self) -> Dict[str, int]:
         """The span's byte tallies by direction (self + children)."""
-        return dict(self.record.get("bytes") or {})
+        return dict(self.record.get("bytes", {}))
 
     def folded_path(self) -> str:
         """The ``root;child;leaf`` folded-stack key for this node."""
         return PATH_SEP.join(self.path)
+
+
+def _check_record(record: Dict[str, Any]) -> None:
+    """Raise :class:`ParameterError` unless ``record`` has a name and an id,
+    integer times and tallies that map names to non-negative integers."""
+    if "name" not in record or "id" not in record:
+        raise ParameterError(
+            "span record is missing required fields (need name and id)"
+        )
+    for field_name in ("start_us", "duration_us"):
+        if type(record.get(field_name, 0)) is not int:
+            raise ParameterError(
+                f"span {record['id']!r}: {field_name} is not an integer"
+            )
+    for field_name in ("ops", "bytes"):
+        tally = record.get(field_name, {})
+        if not isinstance(tally, dict) or not all(
+            isinstance(name, str) and type(count) is int and count >= 0
+            for name, count in tally.items()
+        ):
+            raise ParameterError(
+                f"span {record['id']!r}: {field_name} is not a mapping of "
+                "names to non-negative integers"
+            )
 
 
 def build_forest(records: Sequence[Dict[str, Any]]) -> List[SpanNode]:
@@ -115,16 +139,16 @@ def build_forest(records: Sequence[Dict[str, Any]]) -> List[SpanNode]:
     context, a truncated file) are kept as additional roots rather than
     dropped — analytics must never silently lose spans.  Children keep
     file order, which for our depth-first exporter is start order.
-    Iterative throughout: traces thousands of spans deep are fine.
+    Iterative throughout: traces thousands of spans deep are fine.  A
+    record without a name or id, with a time that is not an integer, or
+    with an ``ops`` or ``bytes`` tally that is not a mapping of names to
+    non-negative integers raises :class:`ParameterError`.
     """
     nodes: Dict[Any, SpanNode] = {}
     roots: List[SpanNode] = []
     pending_children: Dict[Any, List[Dict[str, Any]]] = {}
     for record in records:
-        if "name" not in record or "id" not in record:
-            raise ParameterError(
-                "span record is missing required fields (need name and id)"
-            )
+        _check_record(record)
         pending_children.setdefault(record.get("parent"), []).append(record)
 
     def attach(record: Dict[str, Any], parent: Optional[SpanNode]) -> SpanNode:

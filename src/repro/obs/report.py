@@ -109,10 +109,10 @@ def _format_span_line(record: Dict[str, Any]) -> str:
         parts.append(" ".join(f"{k}={v}" for k, v in sorted(attrs.items())))
     us = record.get("duration_us", 0)
     parts.append(f"({us // 1000}.{(us % 1000) // 100}ms)" if us >= 1000 else f"({us}us)")
-    ops = record.get("ops") or {}
+    ops = record.get("ops", {})
     if ops:
         parts.append("[" + " ".join(f"{k}={v}" for k, v in sorted(ops.items())) + "]")
-    byte_counts = record.get("bytes") or {}
+    byte_counts = record.get("bytes", {})
     if byte_counts:
         parts.append(
             "{" + " ".join(f"{k}={v}B" for k, v in sorted(byte_counts.items())) + "}"
@@ -126,9 +126,11 @@ def render_trace_report(records: List[Dict[str, Any]]) -> str:
     The tree is :func:`~repro.obs.analysis.build_forest`'s: a record whose
     parent id does not resolve (a truncated file, a worker trace sliced out
     of context) renders as an extra root — a report must never silently
-    drop spans — and a record without a name or id raises
-    :class:`ParameterError`.  Iterative (explicit work stack), so a
-    many-thousand-span trace renders without touching the recursion limit.
+    drop spans — and a malformed record (no name or id, a time that is not
+    an integer, a tally that is not a mapping of names to non-negative
+    integers) raises :class:`ParameterError`.  Iterative (explicit work
+    stack), so a many-thousand-span trace renders without touching the
+    recursion limit.
     """
     roots = build_forest(records)
     if not roots:

@@ -251,10 +251,13 @@ class Tracer:
         Worker clocks are not comparable across processes, so spliced spans
         are **rebased**: a grafted root starts at the parent span's start
         plus its worker-relative ``start_us``.  The grafted roots' op counts
-        and byte tallies are folded into the parent, open or closed
-        (workers fold child work into their root on exit, so folding only
-        the roots never double-counts), keeping the self-plus-children
-        reporting invariant truthful across the fan-out boundary.
+        and byte tallies are folded into the parent (workers fold child
+        work into their root on exit, so folding only the roots never
+        double-counts), and the parent's own exit folds them on up, keeping
+        the self-plus-children reporting invariant truthful across the
+        fan-out boundary.  So the parent must still be open (or not yet
+        entered): a span that has closed already folded its counts into its
+        ancestors, and splicing under it raises :class:`ParameterError`.
 
         Two threads may splice into one trace at once; the tracer lock
         keeps their splices from interleaving children under one parent
@@ -265,6 +268,11 @@ class Tracer:
         with self._lock:
             if parent is None:
                 parent = self._stack[-1] if self._stack else self.root
+            # a span that has started and left the stack has closed
+            if parent.start_ns and parent not in self._stack:
+                raise ParameterError(
+                    f"cannot splice under closed span {parent.name!r}"
+                )
             grafted: List[Span] = []
             id_map: Dict[Any, Span] = {}
             for record in records:

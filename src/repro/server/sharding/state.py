@@ -52,8 +52,9 @@ import pathlib
 from typing import List, Optional, Sequence, Tuple, Union, cast
 
 from repro.core.scheme import EncryptedProfile
-from repro.errors import MatchingError, ParameterError
+from repro.errors import MatchingError, ParameterError, PersistenceError
 from repro.net.messages import ResultEntry
+from repro.obs.logs import get_logger
 from repro.obs.metrics import (
     M_SHARD_OPS,
     M_SHARD_QUERIES,
@@ -73,6 +74,8 @@ from repro.server.sharding.wal import (
 from repro.server.storage import ProfileStore
 
 __all__ = ["ShardDurability", "ShardState"]
+
+_log = get_logger("server.sharding")
 
 #: Shard op: a plain tuple, first element the op name (see module docs).
 ShardOp = Tuple[object, ...]
@@ -150,13 +153,23 @@ class ShardDurability:
         write the snapshot, delete the older snapshot and segments, open
         the next segment.  A crash at any point recovers from the newest
         snapshot on disk plus the segment named after it.
+
+        A failed snapshot write or delete raises :class:`PersistenceError`
+        and still leaves a live segment open: the one named after the
+        newest snapshot on disk.  That is the old segment, which holds
+        every commit, unless the new snapshot was already in place.  A
+        failed close is a failed commit (see :meth:`ShardWal.commit`).
         """
         new_seq = self._seq + 1
         self._live_wal().close()
-        self._wal = None
-        self._snapshots.write(new_seq, dict(store.groups()))
-        self._seq = new_seq
-        self._wal = ShardWal(self._snapshots.wal_path(new_seq))
+        try:
+            self._snapshots.write(new_seq, dict(store.groups()))
+        except OSError as exc:
+            raise PersistenceError(f"snapshot {new_seq} failed") from exc
+        finally:
+            # log on after whichever snapshot a reopen would load
+            self._seq = self._snapshots.latest_seq()
+            self._wal = ShardWal(self._snapshots.wal_path(self._seq))
 
     def close(self) -> None:
         """Commit and close the live WAL segment (idempotent)."""
@@ -264,8 +277,11 @@ class ShardState:
         end of the batch.  A failed op or a failed commit undoes the
         batch's in-memory mutations and rolls the uncommitted buffer back
         before the error propagates, so neither the store nor the log
-        holds anything from a batch the coordinator saw fail.  Mutations a
-        mid-batch ``("snapshot",)`` already made durable stay applied.
+        holds anything from a batch the coordinator saw fail.  A mid-batch
+        ``("snapshot",)`` commits the mutations before it first, so they
+        stay applied even when the snapshot itself fails.  A failed
+        automatic snapshot after a committed batch is logged, not raised,
+        and the next batch tries it again.
         """
         results: List[object] = []
         undo: List[_Undo] = []
@@ -314,9 +330,12 @@ class ShardState:
                 elif kind == "sizes":
                     results.append(tuple(self.store.group_sizes()))
                 elif kind == "snapshot":
-                    self.snapshot_now()
                     if self._durability is not None:
-                        undo.clear()  # the snapshot made them durable
+                        self._records_since_snapshot += (
+                            self._durability.commit()
+                        )
+                        undo.clear()  # durable now, whatever the snapshot does
+                    self.snapshot_now()
                     results.append(None)
                 elif kind == "crash":
                     os._exit(21)  # recovery-drill hook: die mid-batch
@@ -330,7 +349,15 @@ class ShardState:
                 self._durability.rollback()
             raise
         if self._records_since_snapshot >= DEFAULT_SNAPSHOT_EVERY:
-            self.snapshot_now()
+            try:
+                self.snapshot_now()
+            except PersistenceError:
+                # the batch is committed; the next batch tries again
+                _log.warning(
+                    "shard_snapshot_failed",
+                    shard=self.shard_id,
+                    records=self._records_since_snapshot,
+                )
         if mutations:
             metric_inc(M_SHARD_OPS, mutations)
         if queries:

@@ -1,6 +1,7 @@
 """Tests for the S-MATCH scheme facade (Definition 5)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.scheme import EncryptedProfile, SMatchParams
 from repro.errors import ParameterError
@@ -174,3 +175,90 @@ class TestPipeline:
         lo_chain = scheme.encrypt(lo, key)
         hi_chain = scheme.encrypt(hi, key)
         assert sum(lo_chain) < sum(hi_chain)
+
+
+@pytest.fixture(scope="module")
+def claimed_entries(enrolled):
+    """``(scheme, querier key, entries, per-entry verdicts)``.
+
+    The entries are the querier's honest group members, the same members'
+    authenticators relabelled to another member's id, and the results a
+    ``server.adversary`` server forges with each strategy.  A verdict is
+    per-entry Vf plus the relabel check.
+    """
+    from repro.net.messages import QueryRequest, ResultEntry, UploadMessage
+    from repro.server.adversary import MaliciousBehavior, MaliciousServer
+    from repro.utils.rand import SystemRandomSource
+
+    scheme, _, uploads, keys = enrolled
+    by_index = {}
+    for uid, payload in uploads.items():
+        by_index.setdefault(payload.key_index, []).append(uid)
+    group = max(by_index.values(), key=len)
+    if len(group) < 3:
+        pytest.skip("no group of three")
+    querier, first, *others = group
+    entries = [ResultEntry(user_id=u, auth=uploads[u].auth) for u in group[1:]]
+    entries += [ResultEntry(user_id=first, auth=uploads[u].auth) for u in others]
+    for behavior in (
+        MaliciousBehavior.FAKE_USERS,
+        MaliciousBehavior.FORGED_AUTH,
+        MaliciousBehavior.SWAPPED_AUTH,
+    ):
+        server = MaliciousServer(behavior, rng=SystemRandomSource(seed=31))
+        for payload in uploads.values():
+            server.handle_message(UploadMessage(payload=payload))
+        forged = server.handle_message(
+            QueryRequest(query_id=querier, timestamp=1, user_id=querier)
+        )
+        entries += forged.entries
+    key = keys[querier]
+    verdicts = [
+        e.auth.user_id == e.user_id and scheme.verifier.verify(e.auth, key)
+        for e in entries
+    ]
+    assert any(verdicts) and not all(verdicts)
+    return scheme, key, entries, verdicts
+
+
+class TestVerifyMatches:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts_equal_per_entry_vf(self, claimed_entries, data):
+        scheme, key, entries, verdicts = claimed_entries
+        # drawn with replacement: results may repeat an entry
+        picks = data.draw(
+            st.lists(st.integers(0, len(entries) - 1), max_size=8)
+        )
+        chosen = [entries[i] for i in picks]
+        assert scheme.verify_matches(chosen, key) == (
+            tuple(entries[i].user_id for i in picks if verdicts[i]),
+            tuple(entries[i].user_id for i in picks if not verdicts[i]),
+        )
+
+    def test_one_vf_span_per_bound_entry_and_one_aes_pass(
+        self, claimed_entries, monkeypatch
+    ):
+        from repro.crypto.aes import AES
+        from repro.obs.trace import tracing
+
+        scheme, key, entries, _ = claimed_entries
+        passes = []
+        real = AES.encrypt_runs
+
+        def counted(self, runs):
+            passes.append(len(runs))
+            return real(self, runs)
+
+        monkeypatch.setattr(AES, "encrypt_runs", counted)
+        with tracing("run") as tracer:
+            scheme.verify_matches(entries, key)
+        bound = [e for e in entries if e.auth.user_id == e.user_id]
+        vf = tracer.find("verification.vf")
+        assert [s.attrs["claimed_user"] for s in vf] == [
+            e.user_id for e in bound
+        ]
+        assert len(passes) == 1
+        (parent,) = tracer.find("scheme.verify_matches")
+        assert parent.ops["verify"] == len(bound)
+        assert all("aes_block" not in s.ops for s in vf)

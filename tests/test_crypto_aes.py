@@ -72,3 +72,47 @@ class TestValidation:
         with counting() as c:
             AES(bytes(16)).encrypt_block(PLAINTEXT)
         assert c.get("aes_block") == 1
+
+
+class TestSeveralRuns:
+    """``encrypt_runs`` is its runs' ``encrypt_counters`` outputs, joined."""
+
+    @given(
+        st.sampled_from([16, 24, 32]),
+        st.lists(
+            st.tuples(
+                st.sampled_from([8, 32, 64, 128]),
+                st.integers(min_value=1, max_value=6),
+                st.integers(min_value=1, max_value=9),
+                st.integers(min_value=0, max_value=(1 << 128) - 1),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_concatenated_single_runs(self, key_size, specs):
+        cipher = AES(bytes(range(5, 5 + key_size)))
+        # each run starts `back` blocks below the carry out of its low
+        # `low_bits` bits; at 128 bits that is the wrap of the counter
+        runs = [
+            ((high >> low_bits << low_bits) + (1 << low_bits) - back, blocks)
+            for low_bits, back, blocks, high in specs
+        ]
+        assert cipher.encrypt_runs(runs) == b"".join(
+            cipher.encrypt_counters(counter, n) for counter, n in runs
+        )
+
+    def test_counts_every_block_once(self):
+        from repro.obs.instrument import counting
+
+        cipher = AES(bytes(32))
+        with counting() as c:
+            cipher.encrypt_runs([(0, 2), ((1 << 128) - 1, 3)])
+        assert c.get("aes_block") == 5
+
+    def test_every_run_needs_a_block(self):
+        with pytest.raises(ParameterError):
+            AES(bytes(16)).encrypt_runs([])
+        with pytest.raises(ParameterError):
+            AES(bytes(16)).encrypt_runs([(0, 1), (7, 0)])

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aes import AES
-from repro.crypto.modes import AeadCiphertext, EtMCipher, ctr_keystream, ctr_xcrypt
+from repro.crypto.modes import (
+    AeadCiphertext,
+    EtMCipher,
+    ctr_keystream,
+    ctr_keystreams,
+    ctr_xcrypt,
+)
 from repro.errors import IntegrityError, ParameterError
 from repro.utils.rand import SystemRandomSource
 
@@ -37,6 +43,24 @@ class TestCtr:
     def test_bad_nonce_size(self):
         with pytest.raises(ParameterError):
             ctr_keystream(AES(bytes(16)), b"short", 10)
+        with pytest.raises(ParameterError):
+            ctr_keystreams(AES(bytes(16)), [(bytes(16), 3), (b"short", 0)])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.binary(min_size=16, max_size=16),
+                st.integers(min_value=0, max_value=70),
+            ),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_keystreams_equal_one_keystream_per_run(self, runs):
+        cipher = AES(bytes(range(32)))
+        assert ctr_keystreams(cipher, runs) == [
+            ctr_keystream(cipher, nonce, length) for nonce, length in runs
+        ]
 
 
 class TestEtM:
@@ -97,3 +121,88 @@ class TestEtM:
     def test_key_size_validation(self):
         with pytest.raises(ParameterError):
             EtMCipher(b"master", key_size=20)
+
+
+def _variant(sealed: AeadCiphertext, kind: str) -> AeadCiphertext:
+    """``sealed`` as is, or tampered or truncated the way ``kind`` names."""
+    iv, body, tag = sealed.iv, sealed.body, sealed.tag
+    if kind == "iv":
+        iv = bytes([iv[0] ^ 1]) + iv[1:]
+    elif kind == "tag":
+        tag = tag[:-1] + bytes([tag[-1] ^ 0x80])
+    elif kind == "body":
+        body = bytes([body[0] ^ 1]) + body[1:] if body else b"\x00"
+    elif kind == "truncated":
+        if body:
+            return AeadCiphertext.decode(sealed.encode()[:-1])
+        tag = tag[:-1]
+    return AeadCiphertext(iv=iv, body=body, tag=tag)
+
+
+class TestOpenMany:
+    """``open_many`` equals ``open`` per ciphertext, from one AES pass over
+    the ciphertexts whose tag verified."""
+
+    KINDS = ("valid", "empty", "iv", "tag", "body", "truncated")
+
+    @given(
+        st.lists(
+            st.tuples(st.binary(max_size=70), st.sampled_from(KINDS)),
+            max_size=6,
+        ),
+        st.binary(max_size=16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_open_per_ciphertext(self, specs, aad):
+        cipher = EtMCipher(b"master-key")
+        rng = SystemRandomSource(seed=11)
+        plaintexts = [b"" if kind == "empty" else pt for pt, kind in specs]
+        sealed = [
+            _variant(cipher.seal(pt, aad=aad, rng=rng), kind)
+            for pt, (_, kind) in zip(plaintexts, specs)
+        ]
+        expected = [
+            pt if kind in ("valid", "empty") else None
+            for pt, (_, kind) in zip(plaintexts, specs)
+        ]
+        assert cipher.open_many(sealed, aad=aad) == expected
+        for ct, want in zip(sealed, expected):
+            if want is None:
+                with pytest.raises(IntegrityError):
+                    cipher.open(ct, aad=aad)
+            else:
+                assert cipher.open(ct, aad=aad) == want
+
+    def test_one_pass_over_the_verified_ciphertexts(self, monkeypatch):
+        from repro.obs.instrument import counting
+
+        cipher = EtMCipher(b"master-key")
+        rng = SystemRandomSource(seed=12)
+        good = [cipher.seal(bytes(40), rng=rng) for _ in range(3)]
+        bad = _variant(cipher.seal(bytes(40), rng=rng), "tag")
+        passes = []
+        real = AES.encrypt_runs
+
+        def counted(self, runs):
+            passes.append(list(runs))
+            return real(self, runs)
+
+        monkeypatch.setattr(AES, "encrypt_runs", counted)
+        with counting() as c:
+            opened = cipher.open_many([good[0], bad, good[1], good[2]])
+        assert opened == [bytes(40), None, bytes(40), bytes(40)]
+        # three bodies of three blocks each; nothing of the forged one
+        assert [len(runs) for runs in passes] == [3]
+        assert c.get("aes_block") == 9
+
+    def test_no_pass_without_a_verified_body(self):
+        from repro.obs.instrument import counting
+
+        cipher = EtMCipher(b"master-key")
+        rng = SystemRandomSource(seed=13)
+        empty = cipher.seal(b"", rng=rng)
+        forged = _variant(cipher.seal(b"x" * 20, rng=rng), "body")
+        with counting() as c:
+            assert cipher.open_many([]) == []
+            assert cipher.open_many([empty, forged]) == [b"", None]
+        assert c.get("aes_block") == 0

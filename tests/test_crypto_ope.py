@@ -199,6 +199,61 @@ class TestDegenerateAndLargeDomains:
             assert ope.decrypt(ope.encrypt(v)) == v
 
 
+def _walk(ope, m):
+    """The binary descent :meth:`OPE.encrypt` runs at a nonzero expansion."""
+    p = ope.params
+    dlo, dhi, rlo, rhi = 0, p.domain_size - 1, 0, p.range_size - 1
+    while dlo < dhi:
+        dmid = (dlo + dhi) // 2
+        rmid = ope._split_point(dlo, dhi, rlo, rhi)
+        if m <= dmid:
+            dhi, rhi = dmid, rmid
+        else:
+            dlo, rlo = dmid + 1, rmid + 1
+    return ope._leaf_value(dlo, rlo, rhi)
+
+
+class TestZeroExpansion:
+    """At ``expansion_bits == 0`` the range is the domain, every split is
+    forced, and encrypt/decrypt return their input without walking."""
+
+    OPE64 = OPE(KEY, OpeParams(plaintext_bits=64, expansion_bits=0))
+    HYPER = OPE(
+        KEY,
+        OpeParams(plaintext_bits=12, expansion_bits=0, split="hypergeometric"),
+    )
+
+    @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_identity_at_64_bits(self, m):
+        assert self.OPE64.encrypt(m) == m == _walk(self.OPE64, m)
+        assert self.OPE64.decrypt(m) == m
+
+    @given(st.integers(min_value=0, max_value=(1 << 12) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_identity_under_the_hypergeometric_split(self, m):
+        assert self.HYPER.encrypt(m) == m == _walk(self.HYPER, m)
+        assert self.HYPER.decrypt(m) == m
+
+    def test_same_range_checks_span_and_level_count(self):
+        from repro.obs.instrument import counting
+        from repro.obs.trace import tracing
+
+        with pytest.raises(ParameterError):
+            self.OPE64.encrypt(1 << 64)
+        with pytest.raises(CiphertextError):
+            self.OPE64.decrypt(1 << 64)
+        with tracing("run") as tracer, counting() as ops:
+            self.OPE64.encrypt(5)
+            self.OPE64.decrypt(5)
+        assert ops.get("ope_level") == 2 * 64
+        assert [s.name for s in tracer.root.children] == [
+            "ope.encrypt",
+            "ope.decrypt",
+        ]
+        assert all(s.ops == {"ope_level": 64} for s in tracer.root.children)
+
+
 class TestAdaptiveOPE:
     def test_low_entropy_gets_more_expansion(self):
         low = AdaptiveOPE.for_entropy(KEY, 64, measured_entropy=8.0)

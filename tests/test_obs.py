@@ -164,6 +164,35 @@ class TestSpanTracing:
             with span("a") as a:
                 assert current_span() is a
 
+    @staticmethod
+    def _worker_record():
+        return {
+            "id": "w1",
+            "parent": None,
+            "name": "worker",
+            "attrs": {},
+            "start_us": 0,
+            "duration_us": 1,
+            "ops": {"modexp": 1},
+            "bytes": {},
+        }
+
+    def test_splice_under_a_closed_span_is_refused(self):
+        with tracing("root") as tracer:
+            with span("closed") as closed:
+                count_op("hash")
+            with pytest.raises(ParameterError, match="closed span"):
+                tracer.splice([self._worker_record()], parent=closed)
+        assert closed.children == []
+        assert closed.ops == tracer.root.ops == {"hash": 1}
+
+    def test_splice_under_the_innermost_open_span_folds_up(self):
+        with tracing("root") as tracer:
+            with span("open") as open_span:
+                (grafted,) = tracer.splice([self._worker_record()])
+        assert open_span.children == [grafted]
+        assert open_span.ops == tracer.root.ops == {"modexp": 1}
+
 
 class TestInactiveNoop:
     """The disabled-path guarantee the instrumented call sites rely on."""
@@ -588,7 +617,7 @@ class TestPinnedTrace:
     """
 
     SPANS = 280
-    DIGEST = "9781d092275eeedff15c7ae1fda8bbdcb9789582c6e4c3c11393a49be05015c4"
+    DIGEST = "8ba99c6bb52f0d4d383e154cb409dd92ea39cffeba8ae48b3173792b1df5e812"
 
     def test_simulation_trace(self, tmp_path, capsys):
         from repro.cli import main

@@ -129,6 +129,52 @@ class TestBuildForest:
         assert set(folded) >= {"root;enroll;keygen", "root;enroll;encrypt"}
 
 
+#: Malformed span fields: each must fail every renderer with a typed error.
+_MALFORMED = {
+    "ops-list": ("ops", [3]),
+    "ops-negative": ("ops", {"hash": -1}),
+    "ops-float": ("ops", {"hash": 2.5}),
+    "bytes-string": ("bytes", {"sent": "12"}),
+    "bytes-null": ("bytes", None),
+    "duration-string": ("duration_us", "7"),
+    "duration-bool": ("duration_us", True),
+    "start-float": ("start_us", 1.5),
+}
+
+
+class TestMalformedRecords:
+    """``obs report``, ``obs top`` and ``obs flame`` reject a malformed
+    tally or time with :class:`ParameterError`, not a raw ``TypeError`` or
+    ``AttributeError``, and never print it as if it were well formed."""
+
+    @pytest.mark.parametrize("command", ["report", "top", "flame"])
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_renderers_reject(self, tmp_path, capsys, command, case):
+        from repro.cli import main
+
+        field_name, value = _MALFORMED[case]
+        child = _rec(2, 1, "phase", 0, 7)
+        child[field_name] = value
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            json.dumps(_rec(1, None, "run", 0, 10)) + "\n"
+            + json.dumps(child) + "\n",
+            encoding="utf-8",
+        )
+        argv = {
+            "report": ["obs", "report", "--dir", str(tmp_path)],
+            "top": ["obs", "top", str(trace)],
+            "flame": ["obs", "flame", str(trace), "--format", "folded"],
+        }[command]
+        with pytest.raises(ParameterError, match=f"span 2: {field_name}"):
+            main(argv)
+        assert "phase" not in capsys.readouterr().out
+
+    def test_absent_tallies_and_times_are_empty(self):
+        (root,) = build_forest([{"id": 1, "parent": None, "name": "run"}])
+        assert (root.duration_us, root.ops, root.bytes_io) == (0, {}, {})
+
+
 class TestFolded:
     def test_round_trip(self):
         folded = folded_stacks(_live_records())

@@ -39,6 +39,7 @@ from repro.server.sharding import (
     ShardedTier,
     SnapshotStore,
 )
+from repro.server.sharding import snapshot as snapshot_module
 from repro.server.sharding.snapshot import load_snapshot, write_snapshot
 from repro.server.sharding.state import DEFAULT_SNAPSHOT_EVERY
 from repro.server.sharding.wal import (
@@ -371,8 +372,9 @@ class TestShardStateRecovery:
             raise OSError(errno.EIO, "input/output error")
 
         monkeypatch.setattr(pathlib.Path, "unlink", unlink_fails_once)
-        with pytest.raises(OSError):
+        with pytest.raises(PersistenceError) as info:
             state.snapshot_now()
+        assert isinstance(info.value.__cause__, OSError)
         # snapshot 2 is in place and snapshot 1 is not yet deleted; the
         # shard is abandoned here, without close
         assert len(list(tmp_path.glob("snap-*.bin"))) == 2
@@ -504,6 +506,115 @@ class TestFailedBatch:
         reopened = ShardState(0, directory=tmp_path)
         try:
             assert dict(reopened.store.all_profiles()) == expected
+        finally:
+            reopened.close()
+
+
+def _renamed(payload, user_id):
+    """The same upload under another user id (its authenticator's too)."""
+    return dataclasses.replace(
+        payload,
+        user_id=user_id,
+        auth=dataclasses.replace(payload.auth, user_id=user_id),
+    )
+
+
+def _fail_once(patch, target, name, nth=1):
+    """Make the ``nth`` call of ``target.name`` from now raise ENOSPC, once."""
+    real = getattr(target, name)
+    calls = itertools.count(1)
+
+    def failing(*args, **kwargs):
+        if next(calls) == nth:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return real(*args, **kwargs)
+
+    patch.setattr(target, name, failing)
+
+
+#: Snapshot faults: (patched object, attribute, which call fails).  A batch
+#: fsyncs its WAL commit first, so the snapshot's tmp-file fsync is the
+#: second call and the directory fsync after ``os.replace`` the third.
+_SNAPSHOT_FAULTS = {
+    "write_atomic": (snapshot_module, "write_atomic", 1),
+    "tmp-fsync": (os, "fsync", 2),
+    "replace": (os, "replace", 1),
+    "dir-fsync": (os, "fsync", 3),
+}
+
+
+class TestFailedSnapshot:
+    """A snapshot that fails at any step leaves the shard logging to a live
+    segment, and memory equal to what a reopen recovers."""
+
+    @staticmethod
+    def _oracle(puts):
+        store = ProfileStore()
+        for p in puts:
+            store.put(p)
+        return store
+
+    @pytest.mark.parametrize("fault", sorted(_SNAPSHOT_FAULTS))
+    def test_failed_automatic_snapshot_keeps_the_batch(
+        self, payloads, tmp_path, monkeypatch, caplog, fault
+    ):
+        cohort = [
+            _renamed(payloads[i % len(payloads)], 1000 + i)
+            for i in range(DEFAULT_SNAPSHOT_EVERY + 44)
+        ]
+        follow_up = _drifted(cohort[0])
+        uids = [p.user_id for p in cohort]
+        server = SMatchServer(shards=1, data_dir=tmp_path)
+        tier = server.tier
+        with monkeypatch.context() as patch:
+            _fail_once(patch, *_SNAPSHOT_FAULTS[fault])
+            with caplog.at_level("WARNING", logger="smatch"):
+                tier.put_batch(cohort)
+        assert "event=shard_snapshot_failed" in caplog.text
+        assert len(tier) == len(cohort)
+        # the next batch, here a read, takes the snapshot again
+        TestBatchRouting._agree(tier, self._oracle(cohort), uids)
+        shard_dir = tmp_path / "shard-000"
+        assert len(list(shard_dir.glob("snap-*.bin"))) == 1
+        assert len(list(shard_dir.glob("wal-*.log"))) == 1
+        # and the shard still logs
+        tier.put_batch([follow_up])
+        tier.close()
+
+        oracle = self._oracle(cohort + [follow_up])
+        with ShardedTier(shards=1, data_dir=tmp_path) as reopened:
+            TestBatchRouting._agree(reopened, oracle, uids)
+
+    @pytest.mark.parametrize("fault", sorted(_SNAPSHOT_FAULTS))
+    def test_failed_mid_batch_snapshot_keeps_committed_ops(
+        self, payloads, tmp_path, monkeypatch, fault
+    ):
+        base, new, later = payloads[:8], payloads[8], payloads[9]
+        state = ShardState(0, directory=tmp_path)
+        state.apply([("put", p) for p in base])
+        with monkeypatch.context() as patch:
+            _fail_once(patch, *_SNAPSHOT_FAULTS[fault])
+            with pytest.raises(PersistenceError) as info:
+                state.apply([("put", new), ("snapshot",), ("put", later)])
+        assert isinstance(info.value.__cause__, OSError)
+        # the put before the snapshot was committed and stays; the op
+        # after it never ran
+        oracle = self._oracle(base + [new])
+        assert dict(state.store.all_profiles()) == dict(oracle.all_profiles())
+        state.apply([("put", later)])
+        oracle.put(later)
+        state.close()
+
+        uids = [p.user_id for p in payloads[:10]]
+        matcher = ServerMatcher(oracle)
+        reopened = ShardState(0, directory=tmp_path)
+        try:
+            assert dict(reopened.store.all_profiles()) == dict(
+                oracle.all_profiles()
+            )
+            assert reopened.apply([("query", uid, 3) for uid in uids]) == [
+                _entries(oracle, matcher.match(uid, 3)) for uid in uids
+            ]
         finally:
             reopened.close()
 

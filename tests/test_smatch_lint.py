@@ -388,6 +388,21 @@ class TestSml007TaintTiming:
         assert codes(found) == ["SML007"]
         assert "expected" in found[0].message
 
+    @pytest.mark.parametrize("method", ["open", "open_many"])
+    def test_cipher_open_output_branch_flagged(self, method):
+        # the opened plaintext steers a branch: flagged for the
+        # one-ciphertext open and for the several-ciphertext open alike
+        src = f"""\
+        def handle(self, request):
+            opened = self._cipher.{method}(request.sealed)
+            if opened == request.claimed:
+                return b"ok"
+            return b"refused"
+        """
+        found = check(src, SERVER_PATH)
+        assert codes(found) == ["SML007"]
+        assert "opened" in found[0].message
+
     def test_keyed_hmac_method_on_held_object_flagged(self):
         src = """\
         def handle(self, request):

@@ -141,13 +141,13 @@ class LintConfig:
     )
 
     #: Secret-bearing *method* names only matched on attribute calls —
-    #: ``cipher.open(...)`` yields plaintext, but the ``open`` builtin
-    #: (a bare name) opens files and stays clean.  ``HmacSha256.mac`` is
-    #: the keyed PRF's output: a MAC tag or derived key, never a public
-    #: commitment, so it is a source in its own right and not one of the
-    #: name-matched ``digest`` sanitizers below — whatever object it is
-    #: read through.
-    taint_source_methods: Tuple[str, ...] = ("open", "mac")
+    #: ``cipher.open(...)`` and ``cipher.open_many(...)`` yield plaintext,
+    #: but the ``open`` builtin (a bare name) opens files and stays clean.
+    #: ``HmacSha256.mac`` is the keyed PRF's output: a MAC tag or derived
+    #: key, never a public commitment, so it is a source in its own right
+    #: and not one of the name-matched ``digest`` sanitizers below —
+    #: whatever object it is read through.
+    taint_source_methods: Tuple[str, ...] = ("open", "open_many", "mac")
 
     #: Sanitizers: calls whose results are public regardless of inputs.
     #: ``constant_time_eq`` yields the protocol-mandated accept/reject
