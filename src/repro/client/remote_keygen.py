@@ -12,7 +12,7 @@ profile.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.core.keygen import ProfileKey
 from repro.core.profile import Profile
@@ -88,16 +88,12 @@ class RemoteKeygenClient:
             )
         return self._public_key
 
-    def begin_derivation(
-        self, profile: Profile, erasures: Optional[Sequence[int]] = None
-    ) -> DerivationState:
+    def begin_derivation(self, profile: Profile) -> DerivationState:
         """Blind the profile's key material and send the OPRF request.
 
         Returns the state to pass to :meth:`finish_derivation`.
         """
-        k_prime = self.extractor.key_material(
-            profile.values, erasures=erasures
-        )
+        k_prime = self.extractor.key_material(profile.values)
         oprf_client = RsaOprfClient(self.public_key, rng=self._rng)
         blinding = oprf_client.blind(k_prime)
         request_id = self._next_id()

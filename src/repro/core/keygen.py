@@ -83,22 +83,17 @@ class ProfileKeygen:
     def derive(
         self,
         profile: Profile,
-        erasures: Optional[Sequence[int]] = None,
         rng: Optional[SystemRandomSource] = None,
     ) -> ProfileKey:
         """Run the full Keygen pipeline for a profile.
 
-        ``erasures`` optionally marks unreliable attribute positions for the
-        erasure-augmented decoding mode (see :class:`FuzzyExtractor`).
         ``rng`` overrides the instance randomness source for this one call
         (batch enrollment hands every profile its own deterministic source).
         """
         with span("keygen.derive", user=profile.user_id):
             count_op("keygen")
             with span("keygen.fuzzy_extract"):
-                k_prime = self.extractor.key_material(
-                    profile.values, erasures=erasures
-                )
+                k_prime = self.extractor.key_material(profile.values)
             with span("keygen.oprf"):
                 client = RsaOprfClient(
                     self._oprf_server.public_key, rng=rng or self._rng

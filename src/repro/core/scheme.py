@@ -26,7 +26,6 @@ from repro.core.matching import knn_match, max_distance_match
 from repro.core.profile import Profile, ProfileSchema
 from repro.core.verification import AuthInfo, ClaimedMatch, Verifier
 from repro.crypto.kdf import sha256
-from repro.crypto.modes import AeadCiphertext
 from repro.crypto.ope import OPE, OpeParams
 from repro.crypto.oprf import RsaOprfServer
 from repro.errors import ParameterError
@@ -40,7 +39,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import span
 from repro.utils.rand import SystemRandomSource
-from repro.utils.serial import LENGTH_PREFIX, FieldReader, FieldWriter
 
 __all__ = ["SMatchParams", "EncryptedProfile", "SMatch", "profile_enroll_seed"]
 
@@ -147,61 +145,6 @@ class EncryptedProfile:
             + len(self.chain) * ciphertext_bits
         )
 
-    # -- wire codec ------------------------------------------------------------
-    #
-    # The single source of truth for the profile's length-prefixed field
-    # layout.  `repro.net.messages.UploadMessage` delegates here, so bytes
-    # on the wire are unchanged.
-
-    def encode_fields(self, writer: FieldWriter) -> None:
-        """Append the profile's length-prefixed fields to ``writer``."""
-        writer.write_raw_fields(self.to_wire_bytes())
-
-    @classmethod
-    def decode_fields(cls, reader: FieldReader) -> "EncryptedProfile":
-        """Rebuild a profile from fields written by :meth:`encode_fields`."""
-        user_id = reader.read_int()
-        key_index = reader.read_bytes()
-        count = reader.read_int()
-        chain = tuple(reader.read_int() for _ in range(count))
-        auth_user = reader.read_int()
-        sealed = AeadCiphertext.decode(reader.read_bytes())
-        return cls(
-            user_id=user_id,
-            key_index=key_index,
-            chain=chain,
-            auth=AuthInfo(user_id=auth_user, sealed=sealed),
-        )
-
-    def to_wire_bytes(self) -> bytes:
-        """The profile's fields as one standalone wire blob.
-
-        Every upload is encoded through this method, so the fields are
-        packed by hand instead of through :class:`FieldWriter` method
-        dispatch.  The layout is :meth:`decode_fields` in reverse;
-        byte-identity with the generic writer path is pinned by the
-        upload-message tests.
-        """
-        pack = LENGTH_PREFIX.pack
-        value = self.user_id
-        length = (value.bit_length() + 7) // 8 or 1
-        parts = [pack(length) + value.to_bytes(length, "big")]
-        append = parts.append
-        append(pack(len(self.key_index)) + self.key_index)
-        chain = self.chain
-        value = len(chain)
-        length = (value.bit_length() + 7) // 8 or 1
-        append(pack(length) + value.to_bytes(length, "big"))
-        for value in chain:
-            length = (value.bit_length() + 7) // 8 or 1
-            append(pack(length) + value.to_bytes(length, "big"))
-        value = self.auth.user_id
-        length = (value.bit_length() + 7) // 8 or 1
-        append(pack(length) + value.to_bytes(length, "big"))
-        sealed = self.auth.sealed.encode()
-        append(pack(len(sealed)) + sealed)
-        return b"".join(parts)
-
 
 class SMatch:
     """A configured S-MATCH instance: the six algorithms of Definition 5."""
@@ -275,14 +218,12 @@ class SMatch:
         self,
         profile: Profile,
         key: ProfileKey,
-        secret: Optional[int] = None,
         rng: Optional[SystemRandomSource] = None,
     ) -> AuthInfo:
         """``ciph_u <- Auth(u)``: the verification commitment."""
         with span("scheme.auth", user=profile.user_id):
             rng = rng or self._rng
-            if secret is None:
-                secret = self.verifier.make_secret(rng)
+            secret = self.verifier.make_secret(rng)
             return self.verifier.auth(profile.user_id, secret, key, rng=rng)
 
     def verify(self, auth_info: AuthInfo, key: ProfileKey) -> bool:
@@ -359,7 +300,6 @@ class SMatch:
     def enroll(
         self,
         profile: Profile,
-        secret: Optional[int] = None,
         rng: Optional[SystemRandomSource] = None,
     ) -> Tuple[EncryptedProfile, ProfileKey]:
         """Full client pipeline: Keygen + InitData + Enc + Auth.
@@ -373,7 +313,7 @@ class SMatch:
         with span("scheme.enroll", user=profile.user_id):
             key = self.keygen(profile, rng=rng)
             chain = self.encrypt(profile, key, rng=rng)
-            auth_info = self.auth(profile, key, secret, rng=rng)
+            auth_info = self.auth(profile, key, rng=rng)
             payload = EncryptedProfile(
                 user_id=profile.user_id,
                 key_index=key.index,

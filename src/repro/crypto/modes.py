@@ -91,17 +91,14 @@ class AeadCiphertext:
 class EtMCipher:
     """AES-CTR + HMAC-SHA256 in encrypt-then-MAC composition.
 
-    The master key is split into independent encryption and MAC keys with
-    HKDF; the MAC covers IV, associated data, and ciphertext body.
+    The master key is split into independent AES-256 encryption and MAC
+    keys with HKDF; the MAC covers IV, associated data, and ciphertext body.
     """
 
-    def __init__(self, master_key: bytes, key_size: int = 32) -> None:
-        if key_size not in (16, 24, 32):
-            raise ParameterError("key_size must be an AES key size")
-        enc_key = hkdf(master_key, info=b"etm-enc", length=key_size)
+    def __init__(self, master_key: bytes) -> None:
+        self._aes = AES(hkdf(master_key, info=b"etm-enc", length=32))
         # the MAC key's HMAC pads are hashed once, not once per tag
         self._hmac = HmacSha256(hkdf(master_key, info=b"etm-mac", length=32))
-        self._aes = AES(enc_key)
 
     def _tag(self, iv: bytes, aad: bytes, body: bytes) -> bytes:
         return self._hmac.mac(

@@ -76,23 +76,33 @@ class UploadMessage(Message):
     TAG = _TAG_UPLOAD
 
     def encode(self) -> bytes:
-        """Serialize to tagged, length-prefixed wire bytes.
-
-        The body is the profile's own field layout
-        (:meth:`EncryptedProfile.encode_fields`), so the tagged message is
-        byte-identical to the historical inline encoding.
-        """
+        """Serialize to tagged, length-prefixed wire bytes: the user id, the
+        key index, the chain's length and ciphertexts, then ``ciph_u``."""
+        payload = self.payload
         w = FieldWriter()
         w.write_int(self.TAG)
-        self.payload.encode_fields(w)
+        w.write_int(payload.user_id)
+        w.write_bytes(payload.key_index)
+        w.write_int(len(payload.chain))
+        for value in payload.chain:
+            w.write_int(value)
+        _encode_auth(w, payload.auth)
         return w.getvalue()
 
     @classmethod
     def decode_fields(cls, reader: FieldReader) -> "UploadMessage":
         """Decode the message body from a field reader."""
-        payload = EncryptedProfile.decode_fields(reader)
+        user_id = reader.read_int()
+        key_index = reader.read_bytes()
+        count = reader.read_int()
+        chain = tuple(reader.read_int() for _ in range(count))
+        auth = _decode_auth(reader)
         reader.expect_end()
-        return cls(payload=payload)
+        return cls(
+            payload=EncryptedProfile(
+                user_id=user_id, key_index=key_index, chain=chain, auth=auth
+            )
+        )
 
 
 @dataclass(frozen=True)

@@ -170,11 +170,9 @@ class FuzzyExtractor:
 
     # -- key material -----------------------------------------------------------
 
-    def key_material(
-        self, values: Sequence[int], erasures: Optional[Sequence[int]] = None
-    ) -> bytes:
+    def key_material(self, values: Sequence[int]) -> bytes:
         """``K' = H(T(v))`` — the hash the OPRF then strengthens."""
-        vector = self.fuzzy_vector(values, erasures=erasures)
+        vector = self.fuzzy_vector(values)
         encoded = b"".join(s.to_bytes(2, "big") for s in vector)
         return hashlib.sha256(b"smatch-fuzzy-v1" + encoded).digest()
 

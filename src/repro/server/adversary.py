@@ -51,10 +51,9 @@ class MaliciousServer(SMatchServer):
         self,
         behavior: MaliciousBehavior,
         query_k: int = 5,
-        order_method: str = "rank",
         rng: Optional[SystemRandomSource] = None,
     ) -> None:
-        super().__init__(query_k=query_k, order_method=order_method)
+        super().__init__(query_k=query_k)
         self.behavior = behavior
         self._rng = rng or SystemRandomSource()
         self.forgeries_sent = 0

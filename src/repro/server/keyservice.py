@@ -75,13 +75,16 @@ class KeyGenService:
 
     # -- rate limiting ------------------------------------------------------------
 
-    def _check_budget(self, client: str, now: int) -> None:
-        """Charge one evaluation against the client's window, or refuse it.
+    def _check_budget(self, client: str, now: Optional[int]) -> None:
+        """Charge one evaluation against the client's window at ``now``
+        (whole seconds of the monotonic clock when not given), or refuse it.
 
         SML007 reviewed: every branch here depends only on public request
         metadata (client id, counts, window timestamps) — the early raise
         is observable but reveals nothing the client did not already know.
         """
+        if now is None:
+            now = int(time.monotonic())
         budget = self._budgets.get(client)
         if budget is None or now - budget.window_start >= self.window_seconds:
             self._budgets[client] = _ClientBudget(window_start=now, used=0)
@@ -101,8 +104,11 @@ class KeyGenService:
             )
         budget.used += 1
 
-    def remaining_budget(self, client: str, now: int = 0) -> int:
-        """Evaluations left in the client's current window."""
+    def remaining_budget(self, client: str, now: Optional[int] = None) -> int:
+        """Evaluations left in the client's current window at ``now``
+        (whole seconds of the monotonic clock when not given)."""
+        if now is None:
+            now = int(time.monotonic())
         budget = self._budgets.get(client)
         if budget is None or now - budget.window_start >= self.window_seconds:
             return self.max_requests
@@ -111,9 +117,10 @@ class KeyGenService:
     # -- protocol -----------------------------------------------------------------
 
     def handle_message(
-        self, client: str, message: Message, now: int = 0
+        self, client: str, message: Message, now: Optional[int] = None
     ) -> Message:
-        """Dispatch one key-service message from ``client`` at time ``now``."""
+        """Dispatch one key-service message from ``client`` at time ``now``
+        (whole seconds of the monotonic clock when not given)."""
         start_ns = time.monotonic_ns()
         try:
             if isinstance(message, OprfKeyInfoRequest):

@@ -15,14 +15,14 @@ as :class:`~repro.server.storage.ProfileStore` events and are folded in by
 makes FIND a pure O(log |V|) bisection (no linear scan for the querier's
 score).
 
-For the ``rank`` order method a member's score depends on the whole group's
-distinct value sets, so the index tracks per-attribute sorted distinct
-columns with reference counts: mutations that only touch already-present
-values stay fully incremental, while mutations that change a distinct set
-mark the group dirty and the next query re-scores from the live columns
-(``server_rescore``) — still far cheaper than the from-scratch
-``score_table`` rebuild (``server_sort``), which only runs on a cold group.
-The ``value`` method is per-user independent and always fully incremental.
+A member's score (Definition 4's sum of per-attribute ciphertext ranks)
+depends on the whole group's distinct value sets, so the index tracks
+per-attribute sorted distinct columns with reference counts: mutations that
+only touch already-present values stay fully incremental, while mutations
+that change a distinct set mark the group dirty and the next query
+re-scores from the live columns (``server_rescore``) — still far cheaper
+than the from-scratch ``score_table`` rebuild (``server_sort``), which only
+runs on a cold group.
 """
 
 from __future__ import annotations
@@ -85,10 +85,9 @@ class _GroupIndex:
     untouched; :meth:`snapshot` rescores the group from its live columns.
     """
 
-    __slots__ = ("method", "chains", "columns", "scores", "ordered", "dirty")
+    __slots__ = ("chains", "columns", "scores", "ordered", "dirty")
 
-    def __init__(self, method: str) -> None:
-        self.method = method
+    def __init__(self) -> None:
         self.chains: Dict[int, Tuple[int, ...]] = {}
         self.columns: List[_Column] = []
         self.scores: Dict[int, int] = {}
@@ -106,11 +105,6 @@ class _GroupIndex:
         # group's before any listener hears of it
         chain = tuple(chain)
         self.chains[user_id] = chain
-        if self.method == "value":
-            score = sum(chain)
-            self.scores[user_id] = score
-            insort(self.ordered, (score, user_id))
-            return
         if not self.columns:
             self.columns = [_Column() for _ in chain]
         changed = False
@@ -129,18 +123,12 @@ class _GroupIndex:
     def remove(self, user_id: int) -> None:
         """Fold one member's departure in."""
         chain = self.chains.pop(user_id)
-        if self.method == "value":
-            self._drop_ordered(user_id)
-            return
         for column, value in zip(self.columns, chain):
             if column.remove(value):
                 self.dirty = True
         if not self.dirty:
-            self._drop_ordered(user_id)
-
-    def _drop_ordered(self, user_id: int) -> None:
-        score = self.scores.pop(user_id)
-        self.ordered.pop(bisect_left(self.ordered, (score, user_id)))
+            score = self.scores.pop(user_id)
+            self.ordered.pop(bisect_left(self.ordered, (score, user_id)))
 
     def snapshot(self) -> Tuple[List[Tuple[int, int]], Dict[int, int]]:
         """``(ordered, scores)`` after settling any pending rescore."""
@@ -160,11 +148,8 @@ class _GroupIndex:
 class ServerMatcher:
     """kNN / MAX-distance matching over a :class:`ProfileStore`."""
 
-    def __init__(self, store: ProfileStore, order_method: str = "rank") -> None:
-        if order_method not in ("rank", "value"):
-            raise ParameterError("order_method must be 'rank' or 'value'")
+    def __init__(self, store: ProfileStore) -> None:
         self._store = store
-        self._order_method = order_method
         self._groups: Dict[bytes, _GroupIndex] = {}
         store.add_listener(self)
 
@@ -200,19 +185,17 @@ class ServerMatcher:
         group = self._store.group_by_index(key_index)
         with span("server.sort", group_size=len(group)):
             count_op("server_sort")
-            index = _GroupIndex(self._order_method)
+            index = _GroupIndex()
             index.chains = {uid: tuple(ep.chain) for uid, ep in group.items()}
-            scores = score_table(index.chains, self._order_method)
-            index.scores = dict(scores)
+            index.scores = score_table(index.chains)
             index.ordered = sorted(
-                (score, uid) for uid, score in scores.items()
+                (score, uid) for uid, score in index.scores.items()
             )
-            if self._order_method == "rank" and index.chains:
-                width = len(next(iter(index.chains.values())))
-                index.columns = [_Column() for _ in range(width)]
-                for chain in index.chains.values():
-                    for column, value in zip(index.columns, chain):
-                        column.add(value)
+            chains = index.chains.values()
+            index.columns = [_Column() for _ in next(iter(chains), ())]
+            for chain in chains:
+                for column, value in zip(index.columns, chain):
+                    column.add(value)
         self._groups[key_index] = index
         metric_set(M_MATCHER_GROUPS_INDEXED, len(self._groups))
         return index

@@ -59,16 +59,12 @@ class SMatchServer:
     def __init__(
         self,
         query_k: int = 5,
-        order_method: str = "rank",
         shards: int = 1,
         shard_mode: str = "inline",
         data_dir: Optional[Union[str, pathlib.Path]] = None,
     ) -> None:
         self.tier = ShardedTier(
-            shards=shards,
-            order_method=order_method,
-            mode=shard_mode,
-            data_dir=data_dir,
+            shards=shards, mode=shard_mode, data_dir=data_dir
         )
         self.query_k = query_k
         self.queries_served = 0

@@ -184,12 +184,11 @@ class ShardState:
     def __init__(
         self,
         shard_id: int,
-        order_method: str = "rank",
         directory: Optional[Union[str, pathlib.Path]] = None,
     ) -> None:
         self.shard_id = shard_id
         self.store = ProfileStore()
-        self.matcher = ServerMatcher(self.store, order_method=order_method)
+        self.matcher = ServerMatcher(self.store)
         self._records_since_snapshot = 0
         self._durability: Optional[ShardDurability] = None
         if directory is not None:
@@ -279,14 +278,16 @@ class ShardState:
         before the error propagates, so neither the store nor the log
         holds anything from a batch the coordinator saw fail.  A mid-batch
         ``("snapshot",)`` commits the mutations before it first, so they
-        stay applied even when the snapshot itself fails.  A failed
-        automatic snapshot after a committed batch is logged, not raised,
-        and the next batch tries it again.
+        stay applied even when the snapshot itself fails.  The automatic
+        snapshot is tried only after a batch whose commit wrote a record; a
+        failed one is logged, not raised, and the next such batch tries it
+        again, so reads never re-encode the shard.
         """
         results: List[object] = []
         undo: List[_Undo] = []
         mutations = 0
         queries = 0
+        committed = 0
         try:
             for op in ops:
                 kind = op[0]
@@ -342,17 +343,18 @@ class ShardState:
                 else:
                     raise ParameterError(f"unknown shard op {kind!r}")
             if self._durability is not None:
-                self._records_since_snapshot += self._durability.commit()
+                committed = self._durability.commit()
+                self._records_since_snapshot += committed
         except BaseException:
             self._undo(undo)
             if self._durability is not None:
                 self._durability.rollback()
             raise
-        if self._records_since_snapshot >= DEFAULT_SNAPSHOT_EVERY:
+        if committed and self._records_since_snapshot >= DEFAULT_SNAPSHOT_EVERY:
             try:
                 self.snapshot_now()
             except PersistenceError:
-                # the batch is committed; the next batch tries again
+                # the batch is committed; the next writing batch tries again
                 _log.warning(
                     "shard_snapshot_failed",
                     shard=self.shard_id,

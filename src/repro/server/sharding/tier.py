@@ -58,7 +58,6 @@ class ShardedTier:
     def __init__(
         self,
         shards: int = 1,
-        order_method: str = "rank",
         mode: str = "inline",
         data_dir: Optional[Union[str, pathlib.Path]] = None,
     ) -> None:
@@ -68,7 +67,6 @@ class ShardedTier:
             raise ParameterError(
                 f"mode must be one of {_MODES}, got {mode!r}"
             )
-        self._order_method = order_method
         self._mode = mode
         self._data_dir = (
             pathlib.Path(data_dir) if data_dir is not None else None
@@ -117,11 +115,7 @@ class ShardedTier:
         shard_dir: Optional[str] = None
         if self._data_dir is not None:
             shard_dir = str(self._data_dir / f"shard-{shard_id:03d}")
-        spec = ShardSpec(
-            shard_id=shard_id,
-            order_method=self._order_method,
-            data_dir=shard_dir,
-        )
+        spec = ShardSpec(shard_id=shard_id, data_dir=shard_dir)
         if self._mode == "process":
             return ProcessShard(spec)
         return spec.build_state()

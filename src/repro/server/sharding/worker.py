@@ -48,16 +48,11 @@ class ShardSpec:
     """
 
     shard_id: int
-    order_method: str = "rank"
     data_dir: Optional[str] = None  # per-shard directory; None = in-memory
 
     def build_state(self) -> ShardState:
         """A fresh :class:`ShardState` for this spec (recovers if durable)."""
-        return ShardState(
-            shard_id=self.shard_id,
-            order_method=self.order_method,
-            directory=self.data_dir,
-        )
+        return ShardState(shard_id=self.shard_id, directory=self.data_dir)
 
 
 #: The worker process's live shard state, built lazily from the first

@@ -1,8 +1,8 @@
 """Length-prefixed binary serialization for wire messages.
 
-The protocol messages in :mod:`repro.net.messages` are encoded as sequences
-of length-prefixed fields.  Keeping the codec here, independent of any
-message type, lets the communication-cost experiments (Fig. 5(d)-(f)) count
+Every wire message in :mod:`repro.net` is a sequence of length-prefixed
+fields; the message classes there own their layouts.  Keeping the field
+codec here, independent of any message type, lets the communication-cost experiments (Fig. 5(d)-(f)) count
 exact bits on the wire.
 """
 
@@ -13,15 +13,10 @@ from typing import List
 
 from repro.errors import ProtocolError
 
-__all__ = ["FieldWriter", "FieldReader", "LENGTH_PREFIX"]
+__all__ = ["FieldWriter", "FieldReader"]
 
+#: The 4-byte big-endian length prefix every field carries.
 _LEN = struct.Struct(">I")
-
-#: The length-prefix layout every field shares.  Exported for codecs that
-#: hand-pack a hot-path layout (e.g. ``EncryptedProfile.to_wire_bytes``,
-#: which every upload encodes through); such codecs stay byte-identical to
-#: the :class:`FieldWriter` path by pinning equality in tests.
-LENGTH_PREFIX = _LEN
 
 
 class FieldWriter:
@@ -55,20 +50,6 @@ class FieldWriter:
     def write_str(self, text: str) -> "FieldWriter":
         """Append a UTF-8 string field."""
         return self.write_bytes(text.encode("utf-8"))
-
-    def write_raw_fields(self, data: bytes) -> "FieldWriter":
-        """Splice an already field-encoded byte sequence in verbatim.
-
-        ``data`` must itself be a field sequence produced by another
-        writer — it is appended without a length prefix of its own.  This
-        is the serialize-once path for values whose wire encoding is
-        already in hand (e.g. :meth:`EncryptedProfile.encode_fields`
-        splicing its hand-packed fields into an upload).
-        """
-        if type(data) is not bytes:
-            data = bytes(data)
-        self._parts.append(data)
-        return self
 
     def getvalue(self) -> bytes:
         """The accumulated wire bytes."""

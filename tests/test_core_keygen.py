@@ -76,8 +76,3 @@ class TestDerivation:
         final = keygen.derive(center)
         assert k_prime != final.key
         assert len(k_prime) == 32
-
-    def test_erasures_parameter_accepted(self, keygen, anchored_profiles):
-        center, _, _ = anchored_profiles
-        key = keygen.derive(center, erasures=[0])
-        assert len(key.key) == 32

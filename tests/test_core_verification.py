@@ -95,7 +95,7 @@ class TestAuthVf:
         auth = verifier.auth(42, secret, key, rng=prng)
         from repro.crypto.modes import EtMCipher
 
-        plaintext = EtMCipher(key.subkey(b"auth"), key_size=32).open(auth.sealed)
+        plaintext = EtMCipher(key.subkey(b"auth")).open(auth.sealed)
         width = verifier.group.element_size
         t1 = int.from_bytes(plaintext[:width], "big")
         assert t1 == verifier.group.power_of_g(secret)

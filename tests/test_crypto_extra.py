@@ -209,6 +209,95 @@ class TestPinnedCiphertexts:
         assert _digest(ciphertexts) == self.HYPERGEOMETRIC_DIGEST
 
 
+class TestPinnedMessages:
+    """Every other protocol message's wire bytes, pinned to SHA-256 digests.
+
+    Uploads and channel bodies are pinned above; these cover the query,
+    result and OPRF layouts, so a codec rewrite that reorders, drops or
+    re-prefixes a field fails here even when it still decodes its own
+    output.
+    """
+
+    #: SHA-256 over the kNN and MAX-distance requests of
+    #: :meth:`test_query_requests`.
+    QUERY_DIGEST = "d318bcba9d44c91d2a69e48b41fb596308b4e8435903d5647d9172de0410196e"
+    #: SHA-256 over the one encoded empty result.
+    EMPTY_RESULT_DIGEST = "9ce03e6b6d9f9ce0b387399848cb5e3742fddb1be598c3fef0ec62711529c28d"
+    #: SHA-256 over the five-entry result of :meth:`test_query_result`.
+    RESULT_DIGEST = "d5c2ad56870fcac3d8b470a6019c3f25a1e7c9520a49dc3f4e2e802078ab8fc5"
+    #: SHA-256 over the four OPRF messages of :meth:`test_oprf_messages`.
+    OPRF_DIGEST = "4c2f4b50eb72c49cdd95e1d4cf1799fb61a7a1da060a9c6612d9e5e61b1edbc6"
+
+    @staticmethod
+    def _roundtrip(messages):
+        from repro.net.messages import decode_message
+
+        encoded = [m.encode() for m in messages]
+        assert [decode_message(raw) for raw in encoded] == list(messages)
+        return encoded
+
+    def test_query_requests(self):
+        from repro.net.messages import QueryRequest
+
+        messages = [
+            QueryRequest(query_id=1, timestamp=1_700_000_000, user_id=42),
+            QueryRequest(query_id=300, timestamp=0, user_id=1 << 40),
+            QueryRequest(
+                query_id=2, timestamp=1_700_000_001, user_id=42, max_distance=0
+            ),
+            QueryRequest(
+                query_id=3, timestamp=1_700_000_002, user_id=7, max_distance=70_000
+            ),
+        ]
+        assert _digest(self._roundtrip(messages)) == self.QUERY_DIGEST
+
+    def test_empty_query_result(self):
+        from repro.net.messages import QueryResult
+
+        empty = QueryResult(query_id=9, timestamp=1_700_000_000, entries=())
+        assert _digest(self._roundtrip([empty])) == self.EMPTY_RESULT_DIGEST
+
+    def test_query_result(self):
+        from repro.datasets import INFOCOM06
+        from repro.experiments.common import build_population, build_scheme
+        from repro.net.messages import QueryResult, ResultEntry
+
+        population = build_population(INFOCOM06, seed=1404)
+        profiles = [u.profile for u in population.generate(5)]
+        scheme = build_scheme(INFOCOM06, schema=population.schema, seed=1404)
+        uploads, _ = scheme.enroll_population(
+            profiles, backend="serial", seed=1404
+        )
+        result = QueryResult(
+            query_id=11,
+            timestamp=1_700_000_003,
+            entries=tuple(
+                ResultEntry(user_id=p.user_id, auth=uploads[p.user_id].auth)
+                for p in profiles
+            ),
+        )
+        assert _digest(self._roundtrip([result])) == self.RESULT_DIGEST
+
+    def test_oprf_messages(self):
+        from repro.crypto.fixtures import fixed_rsa_keypair
+        from repro.net.oprf_messages import (
+            OprfKeyInfo,
+            OprfKeyInfoRequest,
+            OprfRequest,
+            OprfResponse,
+        )
+
+        public = fixed_rsa_keypair(1024).public
+        rng = SystemRandomSource(seed=1405)
+        messages = [
+            OprfKeyInfoRequest(request_id=1),
+            OprfKeyInfo(request_id=1, modulus=public.n, exponent=public.e),
+            OprfRequest(request_id=2, blinded=rng.randrange(0, public.n)),
+            OprfResponse(request_id=2, evaluated=rng.randrange(0, public.n)),
+        ]
+        assert _digest(self._roundtrip(messages)) == self.OPRF_DIGEST
+
+
 class TestOpeCrossInstance:
     def test_same_key_same_function_across_instances(self):
         params = OpeParams(plaintext_bits=20)

@@ -118,10 +118,6 @@ class TestEtM:
         b = cipher.seal(b"same", rng=rng)
         assert a.iv != b.iv and a.body != b.body
 
-    def test_key_size_validation(self):
-        with pytest.raises(ParameterError):
-            EtMCipher(b"master", key_size=20)
-
 
 def _variant(sealed: AeadCiphertext, kind: str) -> AeadCiphertext:
     """``sealed`` as is, or tampered or truncated the way ``kind`` names."""

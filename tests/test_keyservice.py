@@ -16,6 +16,7 @@ from repro.net.oprf_messages import (
 )
 from repro.net.transport import InMemoryNetwork
 from repro.rs.fuzzy import FuzzyExtractor, FuzzyParams
+from repro.server import keyservice as keyservice_module
 from repro.server.keyservice import KeyGenService, RateLimitExceeded
 from repro.utils.rand import SystemRandomSource
 from repro.utils.serial import FieldWriter
@@ -115,6 +116,27 @@ class TestKeyGenService:
         service.handle_message("a", OprfRequest(request_id=1, blinded=7), now=0)
         service.handle_message("a", OprfRequest(request_id=2, blinded=7), now=11)
         assert service.evaluations_served == 2
+
+    def test_window_rolls_over_on_the_clock(self, oprf_server, monkeypatch):
+        # no `now` passed: the service reads the monotonic clock itself
+        clock = [1000.0]
+        monkeypatch.setattr(
+            keyservice_module.time, "monotonic", lambda: clock[0]
+        )
+        service = KeyGenService(
+            oprf_server=oprf_server,
+            max_requests_per_window=3,
+            window_seconds=1,
+        )
+        for i in range(3):
+            service.handle_message("c", OprfRequest(request_id=i, blinded=7))
+        with pytest.raises(RateLimitExceeded):
+            service.handle_message("c", OprfRequest(request_id=3, blinded=7))
+        assert service.remaining_budget("c") == 0
+        clock[0] += 1.2
+        assert service.remaining_budget("c") == 3
+        service.handle_message("c", OprfRequest(request_id=4, blinded=7))
+        assert service.evaluations_served == 4
 
     def test_remaining_budget(self, oprf_server):
         service = KeyGenService(

@@ -3,8 +3,8 @@
 Property tests for the performance layer's matcher (docs/PERFORMANCE.md):
 after any interleaving of uploads and removals, ``match``/``match_within``
 through the long-lived :class:`ServerMatcher` must agree with a matcher
-built fresh from the same store — for both order methods — and dead groups
-must not linger in the index.
+built fresh from the same store, and dead groups must not linger in the
+index.
 """
 
 import dataclasses
@@ -18,10 +18,10 @@ from repro.server.storage import ProfileStore
 from repro.utils.rand import SystemRandomSource
 
 
-def _loaded(enrolled, order_method):
+def _loaded(enrolled):
     _, _, uploads, _ = enrolled
     store = ProfileStore()
-    matcher = ServerMatcher(store, order_method=order_method)
+    matcher = ServerMatcher(store)
     for payload in uploads.values():
         store.put(payload)
     return store, matcher, uploads
@@ -55,10 +55,9 @@ def fresh_uploads(enrolled):
     return fresh
 
 
-@pytest.mark.parametrize("order_method", ["rank", "value"])
 class TestIncrementalEqualsRebuild:
-    def test_interleaved_churn_equivalence(self, enrolled, order_method):
-        store, matcher, uploads = _loaded(enrolled, order_method)
+    def test_interleaved_churn_equivalence(self, enrolled):
+        store, matcher, uploads = _loaded(enrolled)
         rnd = random.Random(1009)
         all_uids = list(uploads)
         alive = set(all_uids)
@@ -74,16 +73,14 @@ class TestIncrementalEqualsRebuild:
                 alive.discard(uid)
             else:
                 uid = rnd.choice(sorted(alive))
-                fresh = ServerMatcher(store, order_method=order_method)
+                fresh = ServerMatcher(store)
                 assert matcher.match(uid, 3) == fresh.match(uid, 3)
                 assert matcher.match_within(uid, 30) == fresh.match_within(
                     uid, 30
                 )
 
-    def test_fresh_chain_churn_equivalence(
-        self, enrolled, fresh_uploads, order_method
-    ):
-        store, matcher, uploads = _loaded(enrolled, order_method)
+    def test_fresh_chain_churn_equivalence(self, enrolled, fresh_uploads):
+        store, matcher, uploads = _loaded(enrolled)
         rnd = random.Random(4099)
         all_uids = list(uploads)
         alive = set(all_uids)
@@ -100,20 +97,17 @@ class TestIncrementalEqualsRebuild:
                     alive.discard(uid)
                 else:
                     uid = rnd.choice(sorted(alive))
-                    fresh = ServerMatcher(store, order_method=order_method)
+                    fresh = ServerMatcher(store)
                     assert matcher.match(uid, 3) == fresh.match(uid, 3)
                     assert matcher.match_within(
                         uid, 30
                     ) == fresh.match_within(uid, 30)
         # the traffic reached the incremental paths, not only cold rebuilds
         assert ops.get("server_index_update") > 0
-        if order_method == "rank":
-            assert ops.get("server_rescore") > 0
+        assert ops.get("server_rescore") > 0
 
-    def test_remove_and_identical_reupload_is_a_no_op(
-        self, enrolled, order_method
-    ):
-        store, matcher, uploads = _loaded(enrolled, order_method)
+    def test_remove_and_identical_reupload_is_a_no_op(self, enrolled):
+        store, matcher, uploads = _loaded(enrolled)
         _, members = max(store.groups(), key=lambda p: len(p[1]))
         if len(members) < 2:
             pytest.skip("no multi-member group in this population")
@@ -129,7 +123,7 @@ class TestIncrementalEqualsRebuild:
 
 class TestDeadGroupEviction:
     def test_emptied_group_leaves_the_index(self, enrolled):
-        store, matcher, uploads = _loaded(enrolled, "rank")
+        store, matcher, uploads = _loaded(enrolled)
         key_index, members = min(store.groups(), key=lambda p: len(p[1]))
         # force the group into the index, then drain it
         matcher._group_index(key_index)
@@ -139,7 +133,7 @@ class TestDeadGroupEviction:
         assert key_index not in matcher._groups
 
     def test_cold_groups_never_enter_the_index(self, enrolled):
-        store, matcher, uploads = _loaded(enrolled, "rank")
+        store, matcher, uploads = _loaded(enrolled)
         assert matcher._groups == {}
         uid = next(iter(uploads))
         store.remove(uid)
@@ -150,7 +144,7 @@ class TestListenerLifecycle:
     def test_dead_matcher_listener_is_pruned(self, enrolled):
         _, _, uploads, _ = enrolled
         store = ProfileStore()
-        matcher = ServerMatcher(store, order_method="rank")
+        matcher = ServerMatcher(store)
         assert len(store._live_listeners()) == 1
         del matcher
         # the weakref is dead; the next notification prunes it silently
@@ -158,7 +152,7 @@ class TestListenerLifecycle:
         assert store._live_listeners() == []
 
     def test_replacement_within_group_updates_index(self, enrolled):
-        store, matcher, uploads = _loaded(enrolled, "rank")
+        store, matcher, uploads = _loaded(enrolled)
         _, members = max(store.groups(), key=lambda p: len(p[1]))
         ids = iter(members)
         query_uid, other_uid = next(ids), next(ids)
@@ -166,7 +160,7 @@ class TestListenerLifecycle:
         # re-upload (same uid, same group) must be folded in as
         # remove-then-add, keeping the index equal to a fresh rebuild
         store.put(uploads[other_uid])
-        fresh = ServerMatcher(store, order_method="rank")
+        fresh = ServerMatcher(store)
         assert matcher.match(query_uid, 3) == fresh.match(
             query_uid, 3
         )

@@ -100,22 +100,6 @@ class TestUploadMessage:
         assert decoded == msg
         assert decoded.payload.chain == payload.chain
 
-    def test_hand_packed_fields_match_generic_writer(self, enrolled):
-        # EncryptedProfile.to_wire_bytes packs its fields by hand; it must
-        # stay byte-identical to the FieldWriter layout decode_fields reads
-        from repro.utils.serial import FieldWriter
-
-        _, _, uploads, _ = enrolled
-        for payload in uploads.values():
-            w = FieldWriter()
-            w.write_int(payload.user_id).write_bytes(payload.key_index)
-            w.write_int(len(payload.chain))
-            for value in payload.chain:
-                w.write_int(value)
-            w.write_int(payload.auth.user_id)
-            w.write_bytes(payload.auth.sealed.encode())
-            assert payload.to_wire_bytes() == w.getvalue()
-
     def test_wire_bits_scale_with_chain(self, enrolled):
         _, _, uploads, _ = enrolled
         payload = next(iter(uploads.values()))

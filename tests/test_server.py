@@ -153,10 +153,6 @@ class TestMatcher:
         with pytest.raises(ParameterError):
             matcher.match_within(uid, -1)
 
-    def test_invalid_order_method(self):
-        with pytest.raises(ParameterError):
-            ServerMatcher(ProfileStore(), order_method="nope")
-
 
 class TestService:
     def test_upload_then_query(self, loaded_server):

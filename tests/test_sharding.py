@@ -572,18 +572,45 @@ class TestFailedSnapshot:
                 tier.put_batch(cohort)
         assert "event=shard_snapshot_failed" in caplog.text
         assert len(tier) == len(cohort)
-        # the next batch, here a read, takes the snapshot again
         TestBatchRouting._agree(tier, self._oracle(cohort), uids)
+        # the shard still logs, and the next writing batch takes the
+        # snapshot again
+        tier.put_batch([follow_up])
         shard_dir = tmp_path / "shard-000"
         assert len(list(shard_dir.glob("snap-*.bin"))) == 1
         assert len(list(shard_dir.glob("wal-*.log"))) == 1
-        # and the shard still logs
-        tier.put_batch([follow_up])
         tier.close()
 
         oracle = self._oracle(cohort + [follow_up])
         with ShardedTier(shards=1, data_dir=tmp_path) as reopened:
             TestBatchRouting._agree(reopened, oracle, uids)
+
+    def test_reads_leave_a_failed_snapshot_to_the_next_write(
+        self, payloads, tmp_path, monkeypatch
+    ):
+        cohort = [
+            _renamed(payloads[i % len(payloads)], 1000 + i)
+            for i in range(DEFAULT_SNAPSHOT_EVERY)
+        ]
+        attempts = []
+
+        def failing(*args, **kwargs):
+            attempts.append(args[0])
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        state = ShardState(0, directory=tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshot_module, "write_atomic", failing)
+            state.apply([("put", p) for p in cohort])
+            assert len(attempts) == 1
+            # a read batch commits no record, so it re-encodes nothing
+            for p in cohort[:5]:
+                state.apply([("query", p.user_id, 3)])
+            state.apply([("sizes",)])
+            assert len(attempts) == 1
+            state.apply([("put", _drifted(cohort[0]))])
+            assert len(attempts) == 2
+        state.close()
 
     @pytest.mark.parametrize("fault", sorted(_SNAPSHOT_FAULTS))
     def test_failed_mid_batch_snapshot_keeps_committed_ops(

@@ -42,19 +42,6 @@ class TestRoundtrip:
         w.write_bytes(data)
         assert FieldReader(w.getvalue()).read_bytes() == data
 
-    def test_raw_field_splice(self):
-        inner = FieldWriter().write_int(7).write_str("mid")
-        w = FieldWriter()
-        w.write_int(1).write_raw_fields(inner.getvalue()).write_int(2)
-        r = FieldReader(w.getvalue())
-        assert [r.read_int(), r.read_int(), r.read_str(), r.read_int()] == [
-            1,
-            7,
-            "mid",
-            2,
-        ]
-        r.expect_end()
-
 
 class TestErrors:
     def test_negative_int_rejected(self):
