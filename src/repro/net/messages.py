@@ -25,7 +25,7 @@ from repro.core.scheme import EncryptedProfile
 from repro.core.verification import AuthInfo
 from repro.crypto.modes import AeadCiphertext
 from repro.errors import ProtocolError
-from repro.utils.serial import FieldReader, FieldWriter
+from repro.utils.serial import FieldReader, FieldWriter, bytes_field, int_field
 
 __all__ = [
     "Message",
@@ -94,8 +94,7 @@ class UploadMessage(Message):
         """Decode the message body from a field reader."""
         user_id = reader.read_int()
         key_index = reader.read_bytes()
-        count = reader.read_int()
-        chain = tuple(reader.read_int() for _ in range(count))
+        chain = reader.read_ints(reader.read_int())
         auth = _decode_auth(reader)
         reader.expect_end()
         return cls(
@@ -138,9 +137,7 @@ class QueryRequest(Message):
     @classmethod
     def decode_fields(cls, reader: FieldReader) -> "QueryRequest":
         """Decode the message body from a field reader."""
-        query_id = reader.read_int()
-        timestamp = reader.read_int()
-        user_id = reader.read_int()
+        query_id, timestamp, user_id = reader.read_ints(3)
         raw = reader.read_bytes()
         max_distance = int.from_bytes(raw, "big") if raw else None
         reader.expect_end()
@@ -171,23 +168,30 @@ class QueryResult(Message):
     TAG = _TAG_RESULT
 
     def encode(self) -> bytes:
-        """Serialize to tagged, length-prefixed wire bytes."""
-        w = FieldWriter()
-        w.write_int(self.TAG)
-        w.write_int(self.query_id)
-        w.write_int(self.timestamp)
-        w.write_int(len(self.entries))
+        """Serialize to tagged, length-prefixed wire bytes; an entry whose
+        two ids are equal writes its one id field twice."""
+        parts = [
+            int_field(self.TAG),
+            int_field(self.query_id),
+            int_field(self.timestamp),
+            int_field(len(self.entries)),
+        ]
         for entry in self.entries:
-            w.write_int(entry.user_id)
-            _encode_auth(w, entry.auth)
-        return w.getvalue()
+            auth = entry.auth
+            id_field = int_field(entry.user_id)
+            parts += (
+                id_field,
+                id_field
+                if auth.user_id == entry.user_id
+                else int_field(auth.user_id),
+                bytes_field(auth.sealed.encode()),
+            )
+        return b"".join(parts)
 
     @classmethod
     def decode_fields(cls, reader: FieldReader) -> "QueryResult":
         """Decode the message body from a field reader."""
-        query_id = reader.read_int()
-        timestamp = reader.read_int()
-        count = reader.read_int()
+        query_id, timestamp, count = reader.read_ints(3)
         entries = []
         for _ in range(count):
             user_id = reader.read_int()

@@ -15,8 +15,9 @@ rate caps the brute-force throughput, turning the information-theoretic
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.crypto.oprf import RsaOprfServer
 from repro.errors import ParameterError, ProtocolError
@@ -69,7 +70,7 @@ class KeyGenService:
             raise ProtocolError("rate window must be positive")
         self.max_requests = max_requests_per_window
         self.window_seconds = window_seconds
-        self._budgets: Dict[str, _ClientBudget] = {}
+        self._budgets: OrderedDict[str, _ClientBudget] = OrderedDict()
         self.evaluations_served = 0
         self.rejections = 0
 
@@ -79,16 +80,26 @@ class KeyGenService:
         """Charge one evaluation against the client's window at ``now``
         (whole seconds of the monotonic clock when not given), or refuse it.
 
+        Budgets whose window has ended at ``now`` are dropped first; the
+        table holds them in window-start order, so they sit at its front.
+
         SML007 reviewed: every branch here depends only on public request
         metadata (client id, counts, window timestamps) — the early raise
         is observable but reveals nothing the client did not already know.
         """
         if now is None:
             now = int(time.monotonic())
-        budget = self._budgets.get(client)
+        budgets = self._budgets
+        while budgets:
+            oldest = next(iter(budgets.values()))
+            if now - oldest.window_start < self.window_seconds:
+                break
+            budgets.popitem(last=False)
+        budget = budgets.get(client)
         if budget is None or now - budget.window_start >= self.window_seconds:
-            self._budgets[client] = _ClientBudget(window_start=now, used=0)
-            budget = self._budgets[client]
+            budget = _ClientBudget(window_start=now, used=0)
+            budgets.pop(client, None)
+            budgets[client] = budget
         if budget.used >= self.max_requests:
             self.rejections += 1
             metric_inc(M_KEYSERVICE_REJECTIONS)

@@ -16,13 +16,16 @@ makes FIND a pure O(log |V|) bisection (no linear scan for the querier's
 score).
 
 A member's score (Definition 4's sum of per-attribute ciphertext ranks)
-depends on the whole group's distinct value sets, so the index tracks
-per-attribute sorted distinct columns with reference counts: mutations that
-only touch already-present values stay fully incremental, while mutations
-that change a distinct set mark the group dirty and the next query
-re-scores from the live columns (``server_rescore``) — still far cheaper
-than the from-scratch ``score_table`` rebuild (``server_sort``), which only
-runs on a cold group.
+depends on the whole group's distinct value sets, so per chain position the
+index keeps a sorted list of the group's distinct values and a dict of how
+many members hold each.  A value's rank is its bisection index, and a
+member's score is ``sum(map(bisect_left, values, chain))``: one C-level
+loop, with no Python call per rank.  Mutations that only touch
+already-present values stay fully incremental, while mutations that change
+a distinct set mark the group dirty and the next query re-scores every
+member from the live columns (``server_rescore``) — still far cheaper than
+the from-scratch ``score_table`` rebuild (``server_sort``), which only runs
+on a cold group.
 """
 
 from __future__ import annotations
@@ -41,55 +44,25 @@ from repro.obs.trace import span
 __all__ = ["ServerMatcher"]
 
 
-class _Column:
-    """One attribute position of a group: sorted distinct values, refcounted.
-
-    The dense rank of a value (``rank_sum``'s O()) is its index in the
-    sorted distinct list, found by bisection.
-    """
-
-    __slots__ = ("values", "counts")
-
-    def __init__(self) -> None:
-        self.values: List[int] = []
-        self.counts: Dict[int, int] = {}
-
-    def add(self, value: int) -> bool:
-        """Track one occurrence; True when the distinct set changed."""
-        count = self.counts.get(value, 0)
-        self.counts[value] = count + 1
-        if count == 0:
-            insort(self.values, value)
-            return True
-        return False
-
-    def remove(self, value: int) -> bool:
-        """Drop one occurrence; True when the distinct set changed."""
-        count = self.counts[value] - 1
-        if count:
-            self.counts[value] = count
-            return False
-        del self.counts[value]
-        self.values.pop(bisect_left(self.values, value))
-        return True
-
-    def rank(self, value: int) -> int:
-        """Dense rank of ``value`` among the distinct column values."""
-        return bisect_left(self.values, value)
-
-
 class _GroupIndex:
     """The incrementally maintained sorted order of one key group.
 
+    Per chain position, ``values`` holds the sorted distinct ciphertexts
+    of the group and ``counts`` how many members hold each; a value's
+    dense rank (``rank_sum``'s O()) is its bisection index in ``values``.
     While ``dirty``, ``ordered`` and ``scores`` are stale and left
     untouched; :meth:`snapshot` rescores the group from its live columns.
     """
 
-    __slots__ = ("chains", "columns", "scores", "ordered", "dirty")
+    __slots__ = ("chains", "values", "counts", "scores", "ordered", "dirty")
 
-    def __init__(self) -> None:
+    def __init__(self, width: int) -> None:
+        # ProfileStore.put refuses a chain whose length differs from the
+        # group's before any listener hears of it, so ``width`` holds for
+        # the index's life
         self.chains: Dict[int, Tuple[int, ...]] = {}
-        self.columns: List[_Column] = []
+        self.values: List[List[int]] = [[] for _ in range(width)]
+        self.counts: List[Dict[int, int]] = [{} for _ in range(width)]
         self.scores: Dict[int, int] = {}
         self.ordered: List[Tuple[int, int]] = []
         self.dirty = False
@@ -97,51 +70,64 @@ class _GroupIndex:
     def __len__(self) -> int:
         return len(self.chains)
 
+    def fold(self, chain: Tuple[int, ...]) -> bool:
+        """Count one chain into the columns; True when a distinct set grew."""
+        grew = False
+        for values, counts, value in zip(self.values, self.counts, chain):
+            count = counts.get(value, 0)
+            counts[value] = count + 1
+            if not count:
+                insort(values, value)
+                grew = True
+        return grew
+
     def add(self, user_id: int, chain: Tuple[int, ...]) -> None:
         """Fold one member in (replacing any previous chain for the id)."""
         if user_id in self.chains:
             self.remove(user_id)
-        # ProfileStore.put refuses a chain whose length differs from the
-        # group's before any listener hears of it
         chain = tuple(chain)
         self.chains[user_id] = chain
-        if not self.columns:
-            self.columns = [_Column() for _ in chain]
-        changed = False
-        for column, value in zip(self.columns, chain):
-            if column.add(value):
-                changed = True
-        if changed or self.dirty:
+        if self.fold(chain) or self.dirty:
             # a distinct set grew: other members' ranks may shift, so the
             # order is settled lazily at the next query
             self.dirty = True
             return
-        score = sum(c.rank(v) for c, v in zip(self.columns, chain))
+        score = sum(map(bisect_left, self.values, chain))
         self.scores[user_id] = score
         insort(self.ordered, (score, user_id))
 
     def remove(self, user_id: int) -> None:
         """Fold one member's departure in."""
         chain = self.chains.pop(user_id)
-        for column, value in zip(self.columns, chain):
-            if column.remove(value):
+        for values, counts, value in zip(self.values, self.counts, chain):
+            count = counts[value] - 1
+            if count:
+                counts[value] = count
+            else:
+                del counts[value]
+                values.pop(bisect_left(values, value))
                 self.dirty = True
         if not self.dirty:
             score = self.scores.pop(user_id)
             self.ordered.pop(bisect_left(self.ordered, (score, user_id)))
 
+    def settle(self, scores: Dict[int, int]) -> None:
+        """Install every member's score and the ``(score, uid)`` order."""
+        self.scores = scores
+        self.ordered = sorted(zip(scores.values(), scores))
+        self.dirty = False
+
     def snapshot(self) -> Tuple[List[Tuple[int, int]], Dict[int, int]]:
         """``(ordered, scores)`` after settling any pending rescore."""
         if self.dirty:
             count_op("server_rescore")
-            self.scores = {
-                uid: sum(c.rank(v) for c, v in zip(self.columns, chain))
-                for uid, chain in self.chains.items()
-            }
-            self.ordered = sorted(
-                (score, uid) for uid, score in self.scores.items()
+            values = self.values
+            self.settle(
+                {
+                    uid: sum(map(bisect_left, values, chain))
+                    for uid, chain in self.chains.items()
+                }
             )
-            self.dirty = False
         return self.ordered, self.scores
 
 
@@ -185,17 +171,12 @@ class ServerMatcher:
         group = self._store.group_by_index(key_index)
         with span("server.sort", group_size=len(group)):
             count_op("server_sort")
-            index = _GroupIndex()
-            index.chains = {uid: tuple(ep.chain) for uid, ep in group.items()}
-            index.scores = score_table(index.chains)
-            index.ordered = sorted(
-                (score, uid) for uid, score in index.scores.items()
-            )
-            chains = index.chains.values()
-            index.columns = [_Column() for _ in next(iter(chains), ())]
-            for chain in chains:
-                for column, value in zip(index.columns, chain):
-                    column.add(value)
+            chains = {uid: tuple(ep.chain) for uid, ep in group.items()}
+            index = _GroupIndex(len(next(iter(chains.values()), ())))
+            index.chains = chains
+            index.settle(score_table(chains))
+            for chain in chains.values():
+                index.fold(chain)
         self._groups[key_index] = index
         metric_set(M_MATCHER_GROUPS_INDEXED, len(self._groups))
         return index

@@ -246,8 +246,9 @@ class ShardState:
     # -- queries ---------------------------------------------------------------
 
     def _entries(self, matches: Sequence[int]) -> Tuple[ResultEntry, ...]:
+        profiles = self.store.all_profiles()
         return tuple(
-            ResultEntry(user_id=uid, auth=self.store.get(uid).auth)
+            ResultEntry(user_id=uid, auth=profiles[uid].auth)
             for uid in matches
         )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 from repro.core.scheme import EncryptedProfile
 from repro.errors import MatchingError, ParameterError
@@ -49,22 +49,25 @@ class ProfileStore:
         """Subscribe to profile_added / profile_removed events (weakly)."""
         self._listeners.append(weakref.ref(listener))
 
-    def _live_listeners(self) -> List[object]:
-        live = [ref() for ref in self._listeners]
-        if any(listener is None for listener in live):
-            self._listeners = [
-                ref for ref, listener in zip(self._listeners, live)
-                if listener is not None
-            ]
-        return [listener for listener in live if listener is not None]
+    def _drop_dead_listeners(self) -> None:
+        # a new list, so a notification loop over the old one runs on
+        self._listeners = [ref for ref in self._listeners if ref() is not None]
 
     def _notify_removed(self, key_index: bytes, user_id: int) -> None:
-        for listener in self._live_listeners():
-            listener.profile_removed(key_index, user_id)
+        for ref in self._listeners:
+            listener = ref()
+            if listener is None:
+                self._drop_dead_listeners()
+            else:
+                listener.profile_removed(key_index, user_id)
 
     def _notify_added(self, payload: EncryptedProfile) -> None:
-        for listener in self._live_listeners():
-            listener.profile_added(payload.key_index, payload)
+        for ref in self._listeners:
+            listener = ref()
+            if listener is None:
+                self._drop_dead_listeners()
+            else:
+                listener.profile_added(payload.key_index, payload)
 
     def __len__(self) -> int:
         return len(self._profiles)

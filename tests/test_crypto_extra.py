@@ -225,6 +225,8 @@ class TestPinnedMessages:
     EMPTY_RESULT_DIGEST = "9ce03e6b6d9f9ce0b387399848cb5e3742fddb1be598c3fef0ec62711529c28d"
     #: SHA-256 over the five-entry result of :meth:`test_query_result`.
     RESULT_DIGEST = "d5c2ad56870fcac3d8b470a6019c3f25a1e7c9520a49dc3f4e2e802078ab8fc5"
+    #: SHA-256 over the tampered result of :meth:`test_swapped_auth_result`.
+    SWAPPED_RESULT_DIGEST = "7c5e9f95ff9bca9a299e9668b1b9e2282a7f8c62e14fbb1f520d313d79d25d74"
     #: SHA-256 over the four OPRF messages of :meth:`test_oprf_messages`.
     OPRF_DIGEST = "4c2f4b50eb72c49cdd95e1d4cf1799fb61a7a1da060a9c6612d9e5e61b1edbc6"
 
@@ -277,6 +279,40 @@ class TestPinnedMessages:
             ),
         )
         assert _digest(self._roundtrip([result])) == self.RESULT_DIGEST
+
+    def test_swapped_auth_result(self):
+        """Entries carrying another user's authenticator.
+
+        The first five rotate the sealed commitments and rebind each to
+        its entry's id, as ``MaliciousServer``'s swap builds them, so both
+        ids of an entry are equal; the last carries another user's whole
+        authenticator, so its two ids differ.
+        """
+        from repro.core.verification import AuthInfo
+        from repro.datasets import INFOCOM06
+        from repro.experiments.common import build_population, build_scheme
+        from repro.net.messages import QueryResult, ResultEntry
+
+        population = build_population(INFOCOM06, seed=1404)
+        profiles = [u.profile for u in population.generate(5)]
+        scheme = build_scheme(INFOCOM06, schema=population.schema, seed=1404)
+        uploads, _ = scheme.enroll_population(
+            profiles, backend="serial", seed=1404
+        )
+        auths = [uploads[p.user_id].auth for p in profiles]
+        donors = auths[1:] + auths[:1]
+        entries = [
+            ResultEntry(
+                user_id=auth.user_id,
+                auth=AuthInfo(user_id=auth.user_id, sealed=donor.sealed),
+            )
+            for auth, donor in zip(auths, donors)
+        ]
+        entries.append(ResultEntry(user_id=auths[0].user_id, auth=auths[1]))
+        result = QueryResult(
+            query_id=12, timestamp=1_700_000_004, entries=tuple(entries)
+        )
+        assert _digest(self._roundtrip([result])) == self.SWAPPED_RESULT_DIGEST
 
     def test_oprf_messages(self):
         from repro.crypto.fixtures import fixed_rsa_keypair

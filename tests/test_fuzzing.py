@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.modes import AeadCiphertext, EtMCipher
-from repro.errors import ReproError
+from repro.errors import ProtocolError, ReproError
 from repro.server.sharding import PlacementMap, ShardWal
 from repro.server.sharding.snapshot import load_snapshot, write_snapshot
 from repro.server.sharding.wal import decode_op, encode_put, replay_wal
-from repro.utils.serial import FieldReader
+from repro.utils.serial import FieldReader, FieldWriter
 
 
 def _replay(path):
@@ -105,6 +105,23 @@ class TestAeadFuzz:
             AeadCiphertext.decode(raw)
 
 
+def _int_fields(values):
+    writer = FieldWriter()
+    for value in values:
+        writer.write_int(value)
+    return writer.getvalue()
+
+
+#: Integer fields followed by junk, cut anywhere: whole fields, torn
+#: headers and torn bodies all occur.
+_framed_ints = st.builds(
+    lambda values, junk, cut: (_int_fields(values) + junk)[:cut],
+    st.lists(st.integers(min_value=0, max_value=1 << 80), max_size=8),
+    st.binary(max_size=16),
+    st.integers(min_value=0, max_value=160),
+)
+
+
 class TestFieldReaderFuzz:
     @given(st.binary(max_size=200))
     @settings(max_examples=80)
@@ -115,3 +132,20 @@ class TestFieldReaderFuzz:
                 reader.read_bytes()
         except ReproError:
             pass
+
+    @given(
+        st.one_of(st.binary(max_size=200), _framed_ints),
+        st.integers(min_value=0, max_value=10),
+    )
+    @settings(max_examples=150)
+    def test_read_ints_equals_read_int_loop(self, raw, count):
+        def outcome(read):
+            reader = FieldReader(raw)
+            try:
+                return read(reader), reader.at_end()
+            except ProtocolError:
+                return ProtocolError
+
+        assert outcome(lambda r: r.read_ints(count)) == outcome(
+            lambda r: tuple(r.read_int() for _ in range(count))
+        )

@@ -138,6 +138,22 @@ class TestKeyGenService:
         service.handle_message("c", OprfRequest(request_id=4, blinded=7))
         assert service.evaluations_served == 4
 
+    def test_ended_windows_are_forgotten(self, oprf_server, monkeypatch):
+        # 2,000 one-off clients 10 s apart under a 1 s window: each budget
+        # has ended by the next request, so at most the last one is kept
+        clock = [0.0]
+        monkeypatch.setattr(
+            keyservice_module.time, "monotonic", lambda: clock[0]
+        )
+        service = KeyGenService(oprf_server=oprf_server, window_seconds=1)
+        for i in range(2000):
+            clock[0] = 10.0 * i
+            service.handle_message(
+                f"client-{i}", OprfRequest(request_id=i, blinded=7)
+            )
+        assert service.evaluations_served == 2000
+        assert len(service._budgets) <= 1
+
     def test_remaining_budget(self, oprf_server):
         service = KeyGenService(
             oprf_server=oprf_server, max_requests_per_window=4

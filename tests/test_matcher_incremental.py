@@ -8,10 +8,12 @@ index.
 """
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
+from repro.net.messages import QueryResult, ResultEntry
 from repro.obs.instrument import counting
 from repro.server.matcher import ServerMatcher
 from repro.server.storage import ProfileStore
@@ -121,6 +123,63 @@ class TestIncrementalEqualsRebuild:
             assert matcher.match(query_uid, 3) == before
 
 
+class TestPinnedTraffic:
+    """The matcher's op counts and results on a seeded churn-shaped stream.
+
+    A matcher that rescored or rebuilt a group on every query would still
+    equal a rebuild; these counts pin how much work the index does.
+    """
+
+    #: (server_rescore, server_index_update, server_sort, server_search)
+    OPS = (144, 506, 29, 300)
+    #: SHA-256 over the concatenated result encodings of the stream.
+    RESULTS_DIGEST = (
+        "a48a26c64f0953fe37a7876ebfe11ebc5c2d79efebd80c8c41ea4a300b744260"
+    )
+
+    def test_churn_stream(self, enrolled, fresh_uploads):
+        store, matcher, uploads = _loaded(enrolled)
+        rnd = random.Random(6007)
+        uids = sorted(uploads)
+        digest = hashlib.sha256()
+        with counting() as ops:
+            for position in range(600):
+                uid = rnd.choice(uids)
+                if position % 2 == 0:
+                    # a fresh chain under the user's own key, or one time
+                    # in ten a move to another group
+                    *own, moved = fresh_uploads[uid]
+                    if rnd.random() < 0.1:
+                        store.put(moved)
+                    else:
+                        store.put(rnd.choice(own))
+                    continue
+                if rnd.random() < 0.2:
+                    matches = matcher.match_within(uid, 10)
+                else:
+                    matches = matcher.match(uid, 3)
+                result = QueryResult(
+                    query_id=position,
+                    timestamp=position,
+                    entries=tuple(
+                        ResultEntry(user_id=m, auth=store.get(m).auth)
+                        for m in matches
+                    ),
+                )
+                digest.update(result.encode())
+        found = tuple(
+            ops.get(name)
+            for name in (
+                "server_rescore",
+                "server_index_update",
+                "server_sort",
+                "server_search",
+            )
+        )
+        assert found == self.OPS
+        assert digest.hexdigest() == self.RESULTS_DIGEST
+
+
 class TestDeadGroupEviction:
     def test_emptied_group_leaves_the_index(self, enrolled):
         store, matcher, uploads = _loaded(enrolled)
@@ -145,11 +204,30 @@ class TestListenerLifecycle:
         _, _, uploads, _ = enrolled
         store = ProfileStore()
         matcher = ServerMatcher(store)
-        assert len(store._live_listeners()) == 1
+        assert len(store._listeners) == 1
         del matcher
         # the weakref is dead; the next notification prunes it silently
         store.put(next(iter(uploads.values())))
-        assert store._live_listeners() == []
+        assert store._listeners == []
+
+    def test_listener_after_a_dead_one_still_hears_events(self, enrolled):
+        _, _, uploads, _ = enrolled
+        store = ProfileStore()
+        doomed = ServerMatcher(store)
+        matcher = ServerMatcher(store)
+        for payload in uploads.values():
+            store.put(payload)
+        _, members = max(store.groups(), key=lambda p: len(p[1]))
+        query_uid, other_uid = sorted(members)[:2]
+        matcher.match(query_uid, 3)  # warm the index
+        del doomed
+        # this event prunes the dead ref and must still reach the matcher
+        store.remove(other_uid)
+        assert len(store._listeners) == 1
+        everyone = 1 << 30
+        assert matcher.match_within(query_uid, everyone) == ServerMatcher(
+            store
+        ).match_within(query_uid, everyone)
 
     def test_replacement_within_group_updates_index(self, enrolled):
         store, matcher, uploads = _loaded(enrolled)

@@ -484,6 +484,16 @@ class TestSml008TaintWire:
         assert codes(found) == ["SML008"]
         assert "write_bytes" in found[0].message
 
+    @pytest.mark.parametrize("sink", ["int_field", "bytes_field"])
+    def test_secret_to_field_function_flagged(self, sink):
+        src = f"""\
+        def frame(parts, session_key):
+            parts.append({sink}(session_key))
+        """
+        found = check(src, NET_PATH)
+        assert codes(found) == ["SML008"]
+        assert sink in found[0].message
+
     def test_secret_into_message_ctor_flagged(self):
         src = """\
         def reply(request, mac_key):

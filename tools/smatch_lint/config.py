@@ -179,12 +179,14 @@ class LintConfig:
     )
 
     #: Serialization / transport sinks for SML008: tainted values must not
-    #: reach these (``repro.utils.serial`` encoders, transport ``send``,
-    #: ``struct.pack``).
+    #: reach these (``repro.utils.serial`` encoders and field functions,
+    #: transport ``send``, ``struct.pack``).
     wire_sink_calls: Tuple[str, ...] = (
         "write_int",
         "write_bytes",
         "write_str",
+        "int_field",
+        "bytes_field",
         "send",
         "sendall",
         "pack",
