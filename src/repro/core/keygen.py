@@ -21,7 +21,7 @@ of Eq. (3) — never the key itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.core.profile import Profile
 from repro.crypto.kdf import hkdf, sha256
@@ -68,7 +68,16 @@ class ProfileKey:
 
 
 class ProfileKeygen:
-    """Client-side key generation against an OPRF service."""
+    """Key generation against an in-process OPRF server.
+
+    This is the operator and experiment path: ``oprf_server`` is an
+    :class:`RsaOprfServer` holding the private exponent ``d``, so whoever
+    runs this class holds the OPRF key.  That is why :meth:`derive_each`
+    may reuse one evaluation for every profile of a batch with the same
+    key material: it learns nothing it could not compute itself.  A user's
+    own device derives through the key service instead
+    (:class:`repro.client.remote_keygen.RemoteKeygenClient`).
+    """
 
     def __init__(
         self,
@@ -89,18 +98,48 @@ class ProfileKeygen:
 
         ``rng`` overrides the instance randomness source for this one call
         (batch enrollment hands every profile its own deterministic source).
+        The one-profile case of :meth:`derive_each`.
         """
-        with span("keygen.derive", user=profile.user_id):
-            count_op("keygen")
-            with span("keygen.fuzzy_extract"):
-                k_prime = self.extractor.key_material(profile.values)
-            with span("keygen.oprf"):
-                client = RsaOprfClient(
-                    self._oprf_server.public_key, rng=rng or self._rng
-                )
-                key = client.evaluate(k_prime, self._oprf_server)
-            index = sha256(b"smatch-key-index", key)
-            return ProfileKey(key=key, index=index)
+        [key] = self.derive_each([(profile, rng)])
+        return key
+
+    def derive_each(
+        self, items: Iterable[Tuple[Profile, Optional[SystemRandomSource]]]
+    ) -> Iterator[ProfileKey]:
+        """Keygen for each ``(profile, rng)`` pair, one OPRF evaluation per
+        distinct key material.
+
+        Profiles whose fuzzy vectors agree share ``K' = H(T(v))`` and so
+        share the profile key: the first with a given ``K'`` runs evaluate
+        and finalize, and later ones reuse its result.  Every profile still
+        blinds, because that draw is the first use of its randomness
+        source; skipping it would make an upload depend on which profiles
+        share its batch.  Keys are derived lazily, one per ``next``, so a
+        caller drawing from a shared source between keys keeps the
+        one-profile-at-a-time draw order.  The reuse table lives and dies
+        with the generator.
+        """
+        server = self._oprf_server
+        evaluated: Dict[bytes, bytes] = {}
+        for profile, rng in items:
+            with span("keygen.derive", user=profile.user_id):
+                count_op("keygen")
+                with span("keygen.fuzzy_extract"):
+                    k_prime = self.extractor.key_material(profile.values)
+                with span("keygen.oprf"):
+                    client = RsaOprfClient(
+                        server.public_key, rng=rng or self._rng
+                    )
+                    state = client.blind(k_prime)
+                    key = evaluated.get(k_prime)
+                    if key is None:
+                        response = server.evaluate_blinded(state.blinded)
+                        key = evaluated[k_prime] = client.finalize(
+                            state, response
+                        )
+                index = sha256(b"smatch-key-index", key)
+                derived = ProfileKey(key=key, index=index)
+            yield derived
 
     def derive_from_values(self, values: Sequence[int]) -> bytes:
         """Key material only (no OPRF round): ``K' = H(T(v))``.

@@ -17,7 +17,7 @@ message's payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.chaining import AttributeChainer
 from repro.core.entropy import BigJumpMapper
@@ -179,7 +179,13 @@ class SMatch:
     def keygen(
         self, profile: Profile, rng: Optional[SystemRandomSource] = None
     ) -> ProfileKey:
-        """``Kup <- Keygen(Au)``: RSD + H + RSA-OPRF."""
+        """``Kup <- Keygen(Au)``: RSD + H + RSA-OPRF.
+
+        The operator and experiment path: the OPRF runs against the
+        scheme's own :attr:`oprf_server`, which holds the OPRF key.  A
+        user's device derives through the key service instead
+        (:class:`repro.client.remote_keygen.RemoteKeygenClient`).
+        """
         return self.keygen_.derive(profile, rng=rng)
 
     def init_data(
@@ -308,19 +314,39 @@ class SMatch:
         user retains for querying and verification).  ``rng`` replaces the
         instance randomness source for this one enrollment — the hook batch
         enrollment uses to make each profile's upload a pure function of its
-        per-profile seed.
+        per-profile seed.  The one-profile case of :meth:`enroll_each`:
+        like :meth:`keygen`, the operator and experiment path, which holds
+        the OPRF key.
         """
-        with span("scheme.enroll", user=profile.user_id):
-            key = self.keygen(profile, rng=rng)
-            chain = self.encrypt(profile, key, rng=rng)
-            auth_info = self.auth(profile, key, rng=rng)
-            payload = EncryptedProfile(
-                user_id=profile.user_id,
-                key_index=key.index,
-                chain=chain,
-                auth=auth_info,
-            )
-            return payload, key
+        [enrolled] = self.enroll_each([(profile, rng)])
+        return enrolled
+
+    def enroll_each(
+        self, items: Sequence[Tuple[Profile, Optional[SystemRandomSource]]]
+    ) -> Iterator[Tuple[EncryptedProfile, ProfileKey]]:
+        """:meth:`enroll` for each ``(profile, rng)`` pair, lazily.
+
+        Keygen runs through :meth:`ProfileKeygen.derive_each`, so the batch
+        evaluates the OPRF once per distinct key material; that reuse is
+        sound only because this path holds the OPRF key.  Each profile's
+        Keygen runs when its upload is asked for, inside its own
+        ``scheme.enroll`` span: pairs sharing one randomness source draw in
+        the one-at-a-time order (Keygen, InitData, Enc, Auth, then the next
+        profile).
+        """
+        keys = self.keygen_.derive_each(items)
+        for profile, rng in items:
+            with span("scheme.enroll", user=profile.user_id):
+                key = next(keys)
+                chain = self.encrypt(profile, key, rng=rng)
+                auth_info = self.auth(profile, key, rng=rng)
+                payload = EncryptedProfile(
+                    user_id=profile.user_id,
+                    key_index=key.index,
+                    chain=chain,
+                    auth=auth_info,
+                )
+            yield payload, key
 
     def enroll_population(
         self,
@@ -331,12 +357,19 @@ class SMatch:
     ) -> Tuple[Dict[int, EncryptedProfile], Dict[int, ProfileKey]]:
         """Enroll many users; returns (uploads by id, keys by id).
 
+        The operator and experiment path, which holds the OPRF key: each
+        batch (a chunk, or the whole call on the sequential path) evaluates
+        the OPRF once per distinct key material (:meth:`enroll_each`), so
+        op counts depend on ``chunk_size`` as chunk boundaries do; uploads
+        and keys do not.
+
         ``backend`` selects the execution substrate (:mod:`repro.parallel`)
         for this call: a backend name (``"serial"``/``"process"``) or
-        instance.  Enrollment is OPRF-modexp-bound pure-Python compute, so
-        the **process** backend is the one that buys wall-clock speedup
-        (see docs/PERFORMANCE.md, "Execution backends").  With
-        ``backend=None`` a seeded call runs on a :class:`SerialBackend`.
+        instance.  Enrollment is pure-Python compute (the OPE descent,
+        blinding, Auth and the OPRF evaluations), so the **process**
+        backend is the one that buys wall-clock speedup (see
+        docs/PERFORMANCE.md, "Execution backends").  With ``backend=None``
+        a seeded call runs on a :class:`SerialBackend`.
 
         Each profile is enrolled under its own randomness source whose seed
         is a pure function of ``(seed, user_id)`` (:func:`profile_enroll_seed`),
@@ -350,7 +383,7 @@ class SMatch:
         source.
 
         No ``backend`` and no ``seed`` is the fully-sequential path using
-        the instance RNG directly, one profile after another.
+        the instance RNG directly, one profile after another, as one batch.
         """
         from repro.parallel import (
             EnrollSpec,
@@ -371,10 +404,9 @@ class SMatch:
 
         if backend is None and seed is None:
             # one shared stream, profile order significant
-            for profile in profiles:
-                payload, key = self.enroll(profile)
-                uploads[profile.user_id] = payload
-                keys[profile.user_id] = key
+            for payload, key in self.enroll_each([(p, None) for p in profiles]):
+                uploads[payload.user_id] = payload
+                keys[payload.user_id] = key
             return uploads, keys
         exec_backend = (
             SerialBackend() if backend is None else resolve_backend(backend)

@@ -13,8 +13,9 @@ keygen, OPE encryption, the server-side match, verification — and records
 
 Tracing follows the same activation discipline as ``count_op``: *nothing*
 is recorded unless a :class:`Tracer` is active on the current thread, and
-an inactive :func:`span` call returns a shared no-op object, so the
-instrumented hot paths pay one attribute lookup when telemetry is off.
+an inactive :func:`span` call returns a shared no-op object, so an
+instrumented hot path pays a call and an empty ``with`` when telemetry is
+off (measured in :func:`span`'s docstring).
 
 A finished trace exports as JSONL (one span per line, parent links by id),
 which ``repro obs report`` renders as a text tree.
@@ -332,9 +333,12 @@ def current_span() -> Optional[Span]:
 def span(name: str, **attrs: Any) -> Union["Span", "_NoopSpan"]:
     """A child span of the current trace, or a shared no-op when inactive.
 
-    The inactive path is a single attribute lookup plus one function call —
-    the same guarantee ``count_op`` gives — so instrumenting a hot path
-    costs nothing measurable with telemetry off.
+    The inactive path is one thread-local read and a shared no-op, but it
+    is not free: untraced, ``with span("x", user=5): pass`` took 0.5-0.9 µs
+    (``timeit``, min of 7, GC off, 2-core Xeon), about 0.2 µs of it the
+    call with its kwargs dict and the rest the no-op ``__enter__`` and
+    ``__exit__``.  That is noise beside a modexp or an OPE level, but not
+    beside a step of a few µs.
     """
     tracer = _local.tracer
     if tracer is None:

@@ -88,12 +88,14 @@ def enroll_chunk(
 
     Each profile is enrolled under its own seeded randomness source, so the
     result bytes depend only on the ``(profile, seed)`` pair — not on
-    chunking, worker count, or which process runs the chunk.
+    chunking, worker count, or which process runs the chunk.  The chunk is
+    one :meth:`~repro.core.scheme.SMatch.enroll_each` batch: it evaluates
+    the OPRF once per distinct key material among its profiles.
     """
     scheme = spec.materialize()
-    out: List[Tuple[int, EncryptedProfile, ProfileKey]] = []
-    for profile, seed in chunk:
-        payload, key = scheme.enroll(profile, rng=SystemRandomSource(seed))
-        out.append((profile.user_id, payload, key))
-    return out
+    items = [(profile, SystemRandomSource(seed)) for profile, seed in chunk]
+    return [
+        (payload.user_id, payload, key)
+        for payload, key in scheme.enroll_each(items)
+    ]
 

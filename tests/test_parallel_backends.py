@@ -11,17 +11,20 @@ plumbing behaves.
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
 
 from repro.core.profile import Profile, ProfileSchema
-from repro.core.scheme import SMatch, SMatchParams
+from repro.core.scheme import SMatch, SMatchParams, profile_enroll_seed
+from repro.crypto.kdf import sha256
 from repro.errors import (
     ParallelError,
     ParameterError,
     WorkerCrashError,
 )
+from repro.net.messages import UploadMessage
 from repro.parallel import (
     ProcessBackend,
     SerialBackend,
@@ -48,6 +51,42 @@ def profiles():
         Profile(i, SCHEMA, (40 + i, 400 + 3 * i, 4000 + 7 * i))
         for i in range(1, 10)
     ]
+
+
+# Four key groups; each member sits 0, 2 or 5 above a base that is 1 above
+# a multiple of theta + 1, so a group's members quantize alike.  Layout by
+# uid 1..10: A A B | B C A | D C C | B at chunk_size 3, so A repeats inside
+# one chunk, B straddles a chunk boundary and D stands alone.
+_GROUP_BASES = {
+    "A": (1, 397, 3997),
+    "B": (901, 1306, 2503),
+    "C": (1801, 2206, 1009),
+    "D": (2701, 3106, 3511),
+}
+_CLUSTERED_LAYOUT = "AABBCADCCB"
+
+
+@pytest.fixture(scope="module")
+def clustered_profiles():
+    return [
+        Profile(
+            uid,
+            SCHEMA,
+            tuple(v + (0, 2, 5)[(uid - 1) % 3] for v in _GROUP_BASES[group]),
+        )
+        for uid, group in enumerate(_CLUSTERED_LAYOUT, start=1)
+    ]
+
+
+def _enrollment_digest(result):
+    """SHA-256 over every upload's wire bytes, key and index, by uid."""
+    uploads, keys = result
+    h = hashlib.sha256()
+    for uid in sorted(uploads):
+        h.update(UploadMessage(payload=uploads[uid]).encode())
+        h.update(keys[uid].key)
+        h.update(keys[uid].index)
+    return h.hexdigest()
 
 
 def _assert_same(result_a, result_b):
@@ -117,6 +156,131 @@ class TestEnrollmentEquivalence:
         with ProcessBackend(3) as backend:
             b = _scheme().enroll_population(profiles, backend=backend)
         _assert_same(a, b)
+
+
+# -- one OPRF evaluation per key group -----------------------------------------
+
+
+class TestKeyGroupReuse:
+    """A batch evaluates the OPRF once per distinct key material.
+
+    The first profile of a chunk with a given ``K' = H(T(v))`` runs the
+    RSA-CRT evaluation; later ones reuse its key but still blind, so every
+    upload stays the one per-profile ``SMatch.enroll`` builds under the
+    same seed.  The digests were taken before the reuse existed.
+    """
+
+    SEEDED_DIGEST = (
+        "5c6eeb823e3e2543877a9cc220e5137844145774e5d7251ecd54823db1c63ff9"
+    )
+    UNSEEDED_DIGEST = (
+        "729d60b7568965d100ba1c7566fd980c1b3b6804ed4b3a1c853f3a6dbb714e79"
+    )
+
+    @pytest.fixture(scope="class")
+    def scheme(self):
+        # seeded runs never draw from the instance source, so one scheme
+        # (and one memoized EnrollSpec, keeping the pool warm) serves all
+        return _scheme()
+
+    @pytest.fixture(scope="class")
+    def process_backend(self):
+        with ProcessBackend(2) as backend:
+            yield backend
+
+    @pytest.fixture(scope="class")
+    def materials(self, scheme, clustered_profiles):
+        return {
+            p.user_id: scheme.keygen_.derive_from_values(p.values)
+            for p in clustered_profiles
+        }
+
+    def test_cohort_repeats_and_splits_key_groups(
+        self, materials, clustered_profiles
+    ):
+        chunks = partition_chunks(
+            [materials[p.user_id] for p in clustered_profiles], 3
+        )
+        assert len(set(materials.values())) == 4
+        assert len(set(chunks[0])) < len(chunks[0])  # a repeat in a chunk
+        assert set(chunks[0]) & set(chunks[1])  # a group across a boundary
+
+    @pytest.mark.parametrize(
+        "chunk_size", [1, 3, None, "len"], ids=["1", "3", "default", "len"]
+    )
+    @pytest.mark.parametrize("backend_name", ["serial", "process"])
+    def test_batch_matches_per_profile_enroll(
+        self,
+        scheme,
+        process_backend,
+        materials,
+        clustered_profiles,
+        backend_name,
+        chunk_size,
+    ):
+        from repro.obs.trace import tracing
+
+        profiles = clustered_profiles
+        backend = (
+            SerialBackend() if backend_name == "serial" else process_backend
+        )
+        if chunk_size == "len":
+            chunk_size = len(profiles)
+        with tracing("test.enroll") as tracer:
+            result = scheme.enroll_population(
+                profiles, backend=backend, seed=77, chunk_size=chunk_size
+            )
+        uploads, keys = result
+        assert _enrollment_digest(result) == self.SEEDED_DIGEST
+        for profile in profiles:
+            uid = profile.user_id
+            alone = scheme.enroll(
+                profile, rng=SystemRandomSource(profile_enroll_seed(77, uid))
+            )
+            assert uploads[uid] == alone[0]
+            assert keys[uid] == alone[1]
+            expected = scheme.oprf_server.unblinded_evaluate(materials[uid])
+            assert keys[uid].key == expected
+            assert keys[uid].index == sha256(b"smatch-key-index", expected)
+
+        # each raw_decrypt belongs to the scheme.enroll span above it
+        records = tracer.span_records()
+        by_id = {r["id"]: r for r in records}
+
+        def enrolled_user(record):
+            while record["name"] != "scheme.enroll":
+                record = by_id[record["parent"]]
+            return record["attrs"]["user"]
+
+        evaluated = [
+            enrolled_user(r) for r in records if r["name"] == "rsa.raw_decrypt"
+        ]
+        size = chunk_size or balanced_chunk_size(
+            len(profiles), backend.workers
+        )
+        chunks = partition_chunks([p.user_id for p in profiles], size)
+        chunk_of = {uid: i for i, chunk in enumerate(chunks) for uid in chunk}
+        assert [
+            sum(chunk_of[uid] == i for uid in evaluated)
+            for i in range(len(chunks))
+        ] == [len({materials[uid] for uid in chunk}) for chunk in chunks]
+        # and the evaluating profile is the first of its key group there
+        firsts = set()
+        for chunk in chunks:
+            seen = {}
+            for uid in chunk:
+                seen.setdefault(materials[uid], uid)
+            firsts.update(seen.values())
+        assert sorted(evaluated) == sorted(firsts)
+
+    def test_unseeded_sequential_call_unchanged(self, clustered_profiles):
+        result = _scheme().enroll_population(clustered_profiles)
+        assert _enrollment_digest(result) == self.UNSEEDED_DIGEST
+        loop_scheme = _scheme()
+        for profile in clustered_profiles:
+            payload, key = loop_scheme.enroll(profile)
+            assert result[0][profile.user_id] == payload
+            assert result[1][profile.user_id] == key
 
 
 # -- failure surfacing ---------------------------------------------------------
@@ -210,7 +374,7 @@ def distinct_profiles():
     ]
 
 
-def _traced_enroll(backend, distinct_profiles):
+def _traced_enroll(backend, profiles):
     """Enroll under a fresh tracer + registry; returns (uploads, counters,
     span records, root ops)."""
     from repro.obs.metrics import (
@@ -224,7 +388,7 @@ def _traced_enroll(backend, distinct_profiles):
     try:
         with tracing("test.enroll") as tracer:
             uploads, _ = _telemetry_scheme().enroll_population(
-                distinct_profiles, backend=backend, seed=99, chunk_size=3
+                profiles, backend=backend, seed=99, chunk_size=3
             )
         records = [
             __import__("json").loads(line)
@@ -262,24 +426,46 @@ class TestTelemetryEquivalence:
     def serial_telemetry(self, distinct_profiles):
         return _traced_enroll(SerialBackend(), distinct_profiles)
 
+    @pytest.fixture(scope="class")
+    def serial_clustered_telemetry(self, clustered_profiles):
+        return _traced_enroll(SerialBackend(), clustered_profiles)
+
+    def _assert_matches_serial(self, workers, serial, profiles):
+        with ProcessBackend(workers) as backend:
+            uploads, counters, _, root_ops = _traced_enroll(backend, profiles)
+        s_uploads, s_counters, _, s_root_ops = serial
+        assert uploads == s_uploads
+        assert self._work_counters(counters) == self._work_counters(s_counters)
+        # the compared counters are non-zero: equality of zeros would prove
+        # nothing
+        assert counters["smatch_parallel_chunks_total"] == len(
+            partition_chunks(profiles, 3)
+        )
+        assert counters["smatch_parallel_tasks_total"] == len(profiles)
+        # ops folded through spliced worker spans reach the root intact
+        assert root_ops == s_root_ops
+        return root_ops
+
     # one worker runs all three chunks; four workers spread them out
     @pytest.mark.parametrize("workers", [4, 1], ids=["process", "process-1"])
     def test_counters_match_serial(
         self, workers, serial_telemetry, distinct_profiles
     ):
-        with ProcessBackend(workers) as backend:
-            uploads, counters, _, root_ops = _traced_enroll(
-                backend, distinct_profiles
-            )
-        s_uploads, s_counters, _, s_root_ops = serial_telemetry
-        assert uploads == s_uploads
-        assert self._work_counters(counters) == self._work_counters(s_counters)
-        # the compared counters are non-zero: equality of zeros would prove
-        # nothing
-        assert counters["smatch_parallel_chunks_total"] == 3
-        assert counters["smatch_parallel_tasks_total"] == 9
-        # ops folded through spliced worker spans reach the root intact
-        assert root_ops == s_root_ops
+        self._assert_matches_serial(
+            workers, serial_telemetry, distinct_profiles
+        )
+
+    @pytest.mark.parametrize("workers", [4, 1], ids=["process", "process-1"])
+    def test_clustered_batch_counters_match_serial(
+        self, workers, serial_clustered_telemetry, clustered_profiles
+    ):
+        root_ops = self._assert_matches_serial(
+            workers, serial_clustered_telemetry, clustered_profiles
+        )
+        # six modexps per profile (blind, two CRT halves, the finalize
+        # check, Auth's two), less three for each profile whose key group
+        # already ran in its chunk: A A B | B C A | D C C | B repeats twice
+        assert root_ops["modexp"] == 6 * 10 - 3 * 2
 
     def test_process_worker_spans_spliced_and_tagged(self, distinct_profiles):
         with ProcessBackend(4) as backend:
