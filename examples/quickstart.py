@@ -27,8 +27,7 @@ def main() -> None:
     # 2. Configure S-MATCH.  theta bounds "similar": profiles whose values
     #    all lie within theta of each other derive the same fuzzy key.
     scheme = SMatch(
-        SMatchParams(schema=schema, theta=8, plaintext_bits=64, query_k=3),
-        rng=rng,
+        SMatchParams(schema=schema, theta=8, plaintext_bits=64), rng=rng
     )
 
     # 3. A small community: two taste clusters.  Fuzzy keygen quantizes
@@ -58,7 +57,8 @@ def main() -> None:
     erin = user(5, metal, [0, 3, -1, 1, -2, 0])
 
     # 4. Everyone encrypts and uploads.  The server stores only OPE
-    #    ciphertext chains, hashed key indexes, and sealed authenticators.
+    #    ciphertext chains, hashed key indexes, and sealed authenticators,
+    #    and answers each query with up to query_k matches.
     server = SMatchServer(query_k=3)
     keys = {}
     for profile in (alice, bob, carol, dave, erin):

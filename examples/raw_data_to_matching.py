@@ -66,9 +66,7 @@ def main() -> None:
     )
 
     scheme = SMatch(
-        SMatchParams(
-            schema=builder.schema, theta=8, plaintext_bits=64, query_k=2
-        ),
+        SMatchParams(schema=builder.schema, theta=8, plaintext_bits=64),
         rng=rng,
     )
     server = SMatchServer(query_k=2)

@@ -80,10 +80,6 @@ class BloomFilter:
         set_bits = sum(bin(b).count("1") for b in self._bits)
         return set_bits / self.num_bits
 
-    def false_positive_probability(self) -> float:
-        """Estimated FP probability at the current fill level."""
-        return self.fill_ratio() ** self.num_hashes
-
     def to_bytes(self) -> bytes:
         """Serialize the filter's bit array."""
         return bytes(self._bits)

@@ -73,7 +73,7 @@ class NaiveOpeScheme:
         k: int,
     ) -> List[int]:
         """Server-side kNN over the (single, global) ciphertext group."""
-        return knn_match(ciphertexts, query_user, k, method="rank")
+        return knn_match(ciphertexts, query_user, k)
 
     def leak_key(self) -> bytes:
         """What a single colluding user hands the server (PR-KK setup)."""

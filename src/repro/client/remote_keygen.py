@@ -16,12 +16,11 @@ from typing import Optional, Tuple
 
 from repro.core.keygen import ProfileKey
 from repro.core.profile import Profile
-from repro.crypto.kdf import sha256
 from repro.crypto.oprf import BlindingState, RsaOprfClient
 from repro.crypto.rsa import RSAPublicKey
 from repro.errors import ProtocolError
 from repro.net.channel import SecureChannel
-from repro.net.oprf_messages import (
+from repro.net.messages import (
     OprfKeyInfo,
     OprfKeyInfoRequest,
     OprfRequest,
@@ -112,7 +111,6 @@ class RemoteKeygenClient:
             )
         if message.request_id != request_id:
             raise ProtocolError("OPRF response id mismatch")
-        key = oprf_client.finalize(blinding, message.evaluated)
-        return ProfileKey(
-            key=key, index=sha256(b"smatch-key-index", key)
+        return ProfileKey.of(
+            oprf_client.finalize(blinding, message.evaluated)
         )

@@ -62,6 +62,15 @@ class ProfileKey:
         # secret feeds Python's (non-constant-time) hash machinery
         return hash((ProfileKey, self.index))
 
+    @classmethod
+    def of(cls, key: bytes) -> "ProfileKey":
+        """The profile key for an OPRF output, indexed by ``h(Kup)``.
+
+        Every derivation path builds its key here, so keys derived over
+        the wire land in the same groups as operator-enrolled ones.
+        """
+        return cls(key=key, index=sha256(b"smatch-key-index", key))
+
     def subkey(self, purpose: bytes) -> bytes:
         """Derive an independent purpose-bound key (OPE, AES, chaining)."""
         return hkdf(self.key, info=b"smatch-subkey|" + purpose, length=32)
@@ -137,8 +146,7 @@ class ProfileKeygen:
                         key = evaluated[k_prime] = client.finalize(
                             state, response
                         )
-                index = sha256(b"smatch-key-index", key)
-                derived = ProfileKey(key=key, index=index)
+                derived = ProfileKey.of(key)
             yield derived
 
     def derive_from_values(self, values: Sequence[int]) -> bytes:

@@ -4,8 +4,9 @@
 
 * ``Keygen`` / ``InitData`` / ``Enc`` / ``Auth`` / ``Vf`` run on the client
   (this module / :mod:`repro.client`),
-* ``Match`` runs on the untrusted server (:mod:`repro.server`), re-exported
-  here as :meth:`SMatch.match_in_group` for library use without the
+* ``Match`` runs on the untrusted server (:mod:`repro.server`);
+  :meth:`SMatch.match_in_group` runs the same :mod:`repro.core.matching`
+  selections over a group of uploads, for library use without the
   client/server machinery.
 
 A user's upload is Eq. (3):
@@ -61,7 +62,14 @@ def profile_enroll_seed(seed: int, user_id: int) -> int:
 
 @dataclass(frozen=True)
 class SMatchParams:
-    """All public parameters of an S-MATCH deployment.
+    """The public parameters that shape an upload.
+
+    None of them shapes Match: it has one scoring
+    (:func:`repro.core.matching.rank_sum`), and k is the server's
+    ``SMatchServer(query_k=)`` or the argument of
+    :meth:`SMatch.match_in_group`.  The big-jump Delta is the slot
+    capacity (maximum entropy) unless a mapper says otherwise:
+    ``SMatch(mapper=BigJumpMapper.uniform(schema, k, delta))``.
 
     Attributes:
         schema: the shared profile format.
@@ -69,28 +77,15 @@ class SMatchParams:
         plaintext_bits: ``k`` — entropy-increased attribute size in bits.
         ope_expansion_bits: extra ciphertext bits for the OPE range
             (0 reproduces the paper's N = M setting).
-        delta: big-jump mapping Delta (None = slot capacity, max entropy).
         parity_symbols: RS parity budget for the fuzzy extractor
             (None = library default).
-        order_method: "rank" (Definition 4 literally) or "value" (the
-            paper's worked example).
-        query_k: number of matching results a query returns (paper uses 5).
     """
 
     schema: ProfileSchema
     theta: int = 8
     plaintext_bits: int = 64
     ope_expansion_bits: int = 0
-    delta: Optional[int] = None
     parity_symbols: Optional[int] = None
-    order_method: str = "rank"
-    query_k: int = 5
-
-    def __post_init__(self) -> None:
-        if self.query_k < 1:
-            raise ParameterError("query_k must be >= 1")
-        if self.order_method not in ("rank", "value"):
-            raise ParameterError("order_method must be 'rank' or 'value'")
 
     @property
     def num_attributes(self) -> int:
@@ -147,7 +142,12 @@ class EncryptedProfile:
 
 
 class SMatch:
-    """A configured S-MATCH instance: the six algorithms of Definition 5."""
+    """A configured S-MATCH instance: the six algorithms of Definition 5.
+
+    Match (:meth:`match_in_group`, :meth:`match_within_distance`) takes
+    its group, its querier and its ``k`` or radius as arguments, as the
+    server's matcher does, and selects exactly what the server selects.
+    """
 
     def __init__(
         self,
@@ -161,7 +161,7 @@ class SMatch:
         self._rng = rng or SystemRandomSource()
         self.oprf_server = oprf_server or RsaOprfServer(bits=1024, rng=self._rng)
         self.mapper = mapper or BigJumpMapper.uniform(
-            params.schema, params.plaintext_bits, params.delta
+            params.schema, params.plaintext_bits
         )
         if self.mapper.k != params.plaintext_bits:
             raise ParameterError("mapper bit size disagrees with params")
@@ -274,17 +274,14 @@ class SMatch:
         self,
         group: Mapping[int, EncryptedProfile],
         query_user: int,
-        k: Optional[int] = None,
+        k: int,
     ) -> List[int]:
-        """``R <- Match(u, C)`` within one key group (server-side logic)."""
+        """``R <- Match(u, C)`` within one key group: the ``k`` users
+        :meth:`ServerMatcher.match <repro.server.matcher.ServerMatcher.match>`
+        returns for the same group, in the same order."""
         with span("scheme.match", group_size=len(group)):
             chains = {uid: ep.chain for uid, ep in group.items()}
-            return knn_match(
-                chains,
-                query_user,
-                k if k is not None else self.params.query_k,
-                method=self.params.order_method,
-            )
+            return knn_match(chains, query_user, k)
 
     def match_within_distance(
         self,
@@ -292,14 +289,10 @@ class SMatch:
         query_user: int,
         max_distance: int,
     ) -> List[int]:
-        """MAX-distance matching variant."""
+        """MAX-distance Match within one key group: what
+        ``ServerMatcher.match_within`` returns for the same group."""
         chains = {uid: ep.chain for uid, ep in group.items()}
-        return max_distance_match(
-            chains,
-            query_user,
-            max_distance,
-            method=self.params.order_method,
-        )
+        return max_distance_match(chains, query_user, max_distance)
 
     # -- convenience -----------------------------------------------------------
 

@@ -160,11 +160,6 @@ class DatasetSpec:
         """Per-attribute solved entropies."""
         return [entropy_from_probs(p) for p in self.distributions()]
 
-    def entropy_stats(self) -> Tuple[float, float, float]:
-        """(avg, max, min) attribute entropy."""
-        ents = self.entropies()
-        return (sum(ents) / len(ents), max(ents), min(ents))
-
     def landmark_attribute_count(self, tau: float) -> int:
         """Number of attributes containing a landmark value (Def. 2)."""
         count = 0

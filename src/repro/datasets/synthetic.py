@@ -355,7 +355,3 @@ class ClusteredPopulation:
                     if self._rng.random() < p_stop:
                         break
             return users
-
-    def generate_profiles(self, num_nodes: Optional[int] = None) -> List[Profile]:
-        """Generate a population and return the profiles only."""
-        return [u.profile for u in self.generate(num_nodes)]

@@ -79,7 +79,6 @@ def build_scheme(
     plaintext_bits: int = 64,
     seed: int = 1,
     schema: Optional[ProfileSchema] = None,
-    query_k: int = 5,
     parity_symbols: Optional[int] = None,
     ope_expansion_bits: int = 0,
 ) -> SMatch:
@@ -105,7 +104,6 @@ def build_scheme(
             theta=theta,
             plaintext_bits=plaintext_bits,
             ope_expansion_bits=ope_expansion_bits,
-            query_k=query_k,
             parity_symbols=parity_symbols,
         )
         return SMatch(params, oprf_server=oprf, rng=rng)

@@ -70,7 +70,6 @@ def measure_tpr(
             plaintext_bits=plaintext_bits,
             seed=seed,
             schema=pop.schema,
-            query_k=query_k,
             parity_symbols=parity_symbols,
         )
         uploads, keys = scheme.enroll_population(profiles)

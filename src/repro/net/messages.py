@@ -7,13 +7,23 @@ Three message types flow between a user and the untrusted server:
 * :class:`QueryRequest` — ``Q_q = <q, t, ID_v>``;
 * :class:`QueryResult` — ``R_q = <q, t, ID_1, ciph_1, ..., ID_k, ciph_k>``.
 
+Four more carry the interactive OPRF round of key generation between a
+user and the key service.  Paper Section III: "An OPRF is an interactive
+protocol, and a pseudo-random number r <- F(sk, m) is generated on the user
+side after a round of secure communication with the random number
+generator."  The client sends the blinded value (:class:`OprfRequest`) and
+the key service responds with its raw-RSA evaluation
+(:class:`OprfResponse`); :class:`OprfKeyInfoRequest` and
+:class:`OprfKeyInfo` fetch the public key.  Both directions ride the same
+:class:`~repro.net.channel.SecureChannel` as the rest of the protocol.
+
 Messages are length-prefixed fields (:mod:`repro.utils.serial`) whose first
 field is the type tag, an unsigned integer field like the rest (5 bytes for
 tags below 256), so the communication-cost experiments measure real encoded
-sizes — not estimates.  Tags 1–3 are the three messages above; 16–19 are the
-key service's (:mod:`repro.net.oprf_messages`).  Tags 20 and 21 belonged to
-a retired batched OPRF round, and :func:`decode_message` refuses them like
-any unknown tag.
+sizes — not estimates.  Tags 1–3 are the matching server's three messages;
+16–19 are the key service's four.  Tags 20 and 21 belonged to a retired
+batched OPRF round, and :func:`decode_message` refuses them like any
+unknown tag.
 """
 
 from __future__ import annotations
@@ -33,12 +43,20 @@ __all__ = [
     "QueryRequest",
     "QueryResult",
     "ResultEntry",
+    "OprfRequest",
+    "OprfResponse",
+    "OprfKeyInfoRequest",
+    "OprfKeyInfo",
     "decode_message",
 ]
 
 _TAG_UPLOAD = 1
 _TAG_QUERY = 2
 _TAG_RESULT = 3
+_TAG_OPRF_REQUEST = 16
+_TAG_OPRF_RESPONSE = 17
+_TAG_OPRF_KEYINFO_REQUEST = 18
+_TAG_OPRF_KEYINFO = 19
 
 
 class Message:
@@ -203,10 +221,120 @@ class QueryResult(Message):
         )
 
 
+@dataclass(frozen=True)
+class OprfRequest(Message):
+    """Client -> key service: a blinded input ``x = h(m) * s^e mod N``."""
+
+    request_id: int
+    blinded: int
+
+    TAG = _TAG_OPRF_REQUEST
+
+    def encode(self) -> bytes:
+        """Serialize to tagged, length-prefixed wire bytes."""
+        w = FieldWriter()
+        w.write_int(self.TAG)
+        w.write_int(self.request_id)
+        w.write_int(self.blinded)
+        return w.getvalue()
+
+    @classmethod
+    def decode_fields(cls, reader: FieldReader) -> "OprfRequest":
+        """Decode the message body from a field reader."""
+        request_id = reader.read_int()
+        blinded = reader.read_int()
+        reader.expect_end()
+        return cls(request_id=request_id, blinded=blinded)
+
+
+@dataclass(frozen=True)
+class OprfResponse(Message):
+    """Key service -> client: ``y = x^d mod N``."""
+
+    request_id: int
+    evaluated: int
+
+    TAG = _TAG_OPRF_RESPONSE
+
+    def encode(self) -> bytes:
+        """Serialize to tagged, length-prefixed wire bytes."""
+        w = FieldWriter()
+        w.write_int(self.TAG)
+        w.write_int(self.request_id)
+        w.write_int(self.evaluated)
+        return w.getvalue()
+
+    @classmethod
+    def decode_fields(cls, reader: FieldReader) -> "OprfResponse":
+        """Decode the message body from a field reader."""
+        request_id = reader.read_int()
+        evaluated = reader.read_int()
+        reader.expect_end()
+        return cls(request_id=request_id, evaluated=evaluated)
+
+
+@dataclass(frozen=True)
+class OprfKeyInfoRequest(Message):
+    """Client -> key service: fetch the public key parameters."""
+
+    request_id: int
+
+    TAG = _TAG_OPRF_KEYINFO_REQUEST
+
+    def encode(self) -> bytes:
+        """Serialize to tagged, length-prefixed wire bytes."""
+        w = FieldWriter()
+        w.write_int(self.TAG)
+        w.write_int(self.request_id)
+        return w.getvalue()
+
+    @classmethod
+    def decode_fields(cls, reader: FieldReader) -> "OprfKeyInfoRequest":
+        """Decode the message body from a field reader."""
+        request_id = reader.read_int()
+        reader.expect_end()
+        return cls(request_id=request_id)
+
+
+@dataclass(frozen=True)
+class OprfKeyInfo(Message):
+    """Key service -> client: the RSA public parameters ``(N, e)``."""
+
+    request_id: int
+    modulus: int
+    exponent: int
+
+    TAG = _TAG_OPRF_KEYINFO
+
+    def encode(self) -> bytes:
+        """Serialize to tagged, length-prefixed wire bytes."""
+        w = FieldWriter()
+        w.write_int(self.TAG)
+        w.write_int(self.request_id)
+        w.write_int(self.modulus)
+        w.write_int(self.exponent)
+        return w.getvalue()
+
+    @classmethod
+    def decode_fields(cls, reader: FieldReader) -> "OprfKeyInfo":
+        """Decode the message body from a field reader."""
+        request_id = reader.read_int()
+        modulus = reader.read_int()
+        exponent = reader.read_int()
+        reader.expect_end()
+        return cls(
+            request_id=request_id, modulus=modulus, exponent=exponent
+        )
+
+
 _DECODERS = {
     _TAG_UPLOAD: UploadMessage.decode_fields,
     _TAG_QUERY: QueryRequest.decode_fields,
     _TAG_RESULT: QueryResult.decode_fields,
+    _TAG_OPRF_REQUEST: OprfRequest.decode_fields,
+    _TAG_OPRF_RESPONSE: OprfResponse.decode_fields,
+    _TAG_OPRF_KEYINFO_REQUEST: OprfKeyInfoRequest.decode_fields,
+    _TAG_OPRF_KEYINFO: OprfKeyInfo.decode_fields,
 }
 
 

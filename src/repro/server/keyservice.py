@@ -21,8 +21,8 @@ from typing import Optional
 
 from repro.crypto.oprf import RsaOprfServer
 from repro.errors import ParameterError, ProtocolError
-from repro.net.messages import Message
-from repro.net.oprf_messages import (
+from repro.net.messages import (
+    Message,
     OprfKeyInfo,
     OprfKeyInfoRequest,
     OprfRequest,

@@ -24,8 +24,11 @@ loop, with no Python call per rank.  Mutations that only touch
 already-present values stay fully incremental, while mutations that change
 a distinct set mark the group dirty and the next query re-scores every
 member from the live columns (``server_rescore``) — still far cheaper than
-the from-scratch ``score_table`` rebuild (``server_sort``), which only runs
-on a cold group.
+the from-scratch ``rank_sum`` rebuild (``server_sort``), which only runs
+on a cold group.  kNN and MAX-distance then select over the settled
+``(score, uid)`` order with the pure functions of
+:mod:`repro.core.matching`, the same ones the library's ``knn_match`` and
+``max_distance_match`` run.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Dict, List, Tuple
 
-from repro.core.matching import position_window, score_table
+from repro.core.matching import position_window, radius_window, rank_sum
 from repro.core.scheme import EncryptedProfile
-from repro.errors import MatchingError, ParameterError
+from repro.errors import ParameterError
 from repro.server.storage import ProfileStore
 from repro.obs.instrument import count_op
 from repro.obs.metrics import M_MATCHER_GROUPS_INDEXED, metric_set
@@ -174,7 +177,7 @@ class ServerMatcher:
             chains = {uid: tuple(ep.chain) for uid, ep in group.items()}
             index = _GroupIndex(len(next(iter(chains.values()), ())))
             index.chains = chains
-            index.settle(score_table(chains))
+            index.settle(rank_sum(chains))
             for chain in chains.values():
                 index.fold(chain)
         self._groups[key_index] = index
@@ -183,40 +186,28 @@ class ServerMatcher:
 
     # -- queries --------------------------------------------------------------
 
-    def match(self, query_user: int, k: int) -> List[int]:
-        """The k nearest users to ``query_user`` within their key group.
-
-        Implements the paper's position-window selection: after sorting,
-        take the ``k`` entries closest to the querier's position (breaking
-        the window asymmetry toward smaller score distance).
-        """
-        if k < 1:
-            raise ParameterError("k must be >= 1")
-        if not self._store.contains(query_user):
-            raise MatchingError(f"unknown user {query_user}")
+    def _settled(self, query_user: int) -> Tuple[List[Tuple[int, int]], int]:
+        """EXTRA, SORT and FIND: the querier's group order and score."""
         payload = self._store.get(query_user)
         ordered, scores = self._group_index(payload.key_index).snapshot()
         count_op("server_search")
-        my_score = scores[query_user]
-        # FIND(v, C'): the side table gives the score, bisection the
-        # position; the window expansion itself is the shared pure function.
+        return ordered, scores[query_user]
+
+    def match(self, query_user: int, k: int) -> List[int]:
+        """The k nearest users to ``query_user`` within their key group
+        (:func:`~repro.core.matching.position_window`)."""
+        if k < 1:
+            raise ParameterError("k must be >= 1")
+        ordered, my_score = self._settled(query_user)
         return position_window(ordered, my_score, query_user, k)
 
     def match_within(self, query_user: int, max_distance: int) -> List[int]:
-        """MAX-distance matching: all group members within a score radius."""
+        """MAX-distance matching: all group members within a score radius
+        (:func:`~repro.core.matching.radius_window`)."""
         if max_distance < 0:
             raise ParameterError("max_distance must be >= 0")
-        payload = self._store.get(query_user)
-        ordered, scores = self._group_index(payload.key_index).snapshot()
-        my_score = scores[query_user]
-        count_op("server_search")
-        # Scores are ints and ordered holds (score, uid) ascending, so the
-        # radius is an index range: 1-tuples sort before any same-score pair.
-        lo = bisect_left(ordered, (my_score - max_distance,))
-        hi = bisect_left(ordered, (my_score + max_distance + 1,))
-        return [
-            uid for _, uid in ordered[lo:hi] if uid != query_user
-        ]
+        ordered, my_score = self._settled(query_user)
+        return radius_window(ordered, my_score, query_user, max_distance)
 
     def invalidate(self) -> None:
         """Drop all group indexes (tests use this to exercise the cold path)."""

@@ -16,7 +16,7 @@ import pathlib
 import time
 from typing import Optional, Union
 
-from repro.errors import ProtocolError
+from repro.errors import ParameterError, ProtocolError
 from repro.net.messages import (
     Message,
     QueryRequest,
@@ -44,6 +44,9 @@ _log = get_logger("server")
 class SMatchServer:
     """An honest-but-curious S-MATCH server.
 
+    ``query_k`` is the number of matches a kNN query returns (the paper
+    uses 5): the one place a deployment sets k.
+
     The match engine is a :class:`~repro.server.sharding.tier.ShardedTier`
     (``tier``): key-index groups placed across ``shards`` shards, each its
     own :class:`~repro.server.storage.ProfileStore` +
@@ -63,6 +66,8 @@ class SMatchServer:
         shard_mode: str = "inline",
         data_dir: Optional[Union[str, pathlib.Path]] = None,
     ) -> None:
+        if query_k < 1:
+            raise ParameterError("query_k must be >= 1")
         self.tier = ShardedTier(
             shards=shards, mode=shard_mode, data_dir=data_dir
         )

@@ -114,7 +114,6 @@ class MobileServiceSimulation:
             plaintext_bits=config.plaintext_bits,
             seed=config.seed,
             schema=self.population.schema,
-            query_k=config.query_k,
         )
         self.server = SMatchServer(query_k=config.query_k)
         self._keys: Dict[int, ProfileKey] = {}

@@ -3,14 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.matching import (
-    knn_match,
-    max_distance_match,
-    rank_sum,
-    score_table,
-    value_sum,
-)
+from repro.core.matching import knn_match, max_distance_match, rank_sum
+from repro.core.scheme import EncryptedProfile
+from repro.core.verification import AuthInfo
+from repro.crypto.modes import AeadCiphertext
 from repro.errors import MatchingError, ParameterError
+from repro.server.matcher import ServerMatcher
+from repro.server.storage import ProfileStore
 
 
 class TestRankSum:
@@ -52,20 +51,13 @@ class TestRankSum:
         assert rank_sum(chains) == rank_sum(mapped)
 
 
-class TestValueSum:
-    def test_paper_example(self):
-        """User A 12|8 -> 20, B 34|2 -> 36, C 50|48 -> 98; A matches B."""
-        chains = {"A": [12, 8], "B": [34, 2], "C": [50, 48]}
-        scores = value_sum(chains)
-        assert scores == {"A": 20, "B": 36, "C": 98}
-        assert knn_match(chains, "A", 1, method="value") == ["B"]
-
-    def test_dispatch(self):
-        chains = {1: [1], 2: [5]}
-        assert score_table(chains, "value") == value_sum(chains)
-        assert score_table(chains, "rank") == rank_sum(chains)
-        with pytest.raises(ParameterError):
-            score_table(chains, "nope")
+class TestPaperExample:
+    def test_worked_example_still_pairs_a_with_b(self):
+        """The paper sums raw values: A 12|8 -> 20, B 34|2 -> 36,
+        C 50|48 -> 98.  Dense ranks score A 1, B 1, C 4: A still matches B."""
+        chains = {1: [12, 8], 2: [34, 2], 3: [50, 48]}
+        assert rank_sum(chains) == {1: 1, 2: 1, 3: 4}
+        assert knn_match(chains, 1, 1) == [2]
 
 
 class TestKnn:
@@ -109,7 +101,55 @@ class TestMaxDistance:
         with pytest.raises(ParameterError):
             max_distance_match(self.CHAINS, 3, -1)
 
-    def test_sorted_by_distance(self):
-        chains = {1: [0], 2: [3], 3: [1], 4: [10]}
-        result = max_distance_match(chains, 1, 5, method="value")
-        assert result == [3, 2]
+    def test_ascending_score(self):
+        """The server's order: ascending (score, id), so a nearer member
+        may come later and id 2 precedes id 10 at one score."""
+        chains = {1: [20], 2: [0], 3: [30], 4: [10], 10: [0]}
+        assert max_distance_match(chains, 1, 2) == [2, 10, 4, 3]
+
+
+def _stored(chains):
+    """A one-group :class:`ProfileStore` holding ``chains``."""
+    store = ProfileStore()
+    sealed = AeadCiphertext(iv=b"\x01" * 16, body=b"\x02" * 96, tag=b"\x03" * 32)
+    for uid, chain in chains.items():
+        store.put(
+            EncryptedProfile(
+                user_id=uid,
+                key_index=b"\x07" * 32,
+                chain=tuple(chain),
+                auth=AuthInfo(user_id=uid, sealed=sealed),
+            )
+        )
+    return store
+
+
+class TestLibraryEqualsServer:
+    """The library's Match selects what the server's matcher selects,
+    element for element, over tie-heavy groups whose ids sort differently
+    as numbers and as strings."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_knn_and_max_distance(self, data):
+        width = data.draw(st.integers(min_value=1, max_value=4))
+        chains = data.draw(
+            st.dictionaries(
+                st.integers(min_value=1, max_value=30),
+                st.lists(
+                    st.integers(min_value=0, max_value=6),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=2,
+                max_size=12,
+            )
+        )
+        query = data.draw(st.sampled_from(sorted(chains)))
+        k = data.draw(st.integers(min_value=1, max_value=6))
+        radius = data.draw(st.integers(min_value=0, max_value=6))
+        matcher = ServerMatcher(_stored(chains))
+        assert knn_match(chains, query, k) == matcher.match(query, k)
+        assert max_distance_match(chains, query, radius) == (
+            matcher.match_within(query, radius)
+        )

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.scheme import EncryptedProfile, SMatchParams
 from repro.errors import ParameterError
+from repro.server.service import SMatchServer
 
 
 class TestParams:
@@ -15,11 +16,10 @@ class TestParams:
         assert params.ope_params.plaintext_bits == 64
         assert params.ope_params.expansion_bits == 0
 
-    def test_validation(self, small_schema):
+    def test_validation(self):
+        """k is set once, on the server, which refuses a k below 1."""
         with pytest.raises(ParameterError):
-            SMatchParams(schema=small_schema, query_k=0)
-        with pytest.raises(ParameterError):
-            SMatchParams(schema=small_schema, order_method="bogus")
+            SMatchServer(query_k=0)
 
 
 class TestEncryptedProfile:

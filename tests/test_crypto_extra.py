@@ -316,7 +316,7 @@ class TestPinnedMessages:
 
     def test_oprf_messages(self):
         from repro.crypto.fixtures import fixed_rsa_keypair
-        from repro.net.oprf_messages import (
+        from repro.net.messages import (
             OprfKeyInfo,
             OprfKeyInfoRequest,
             OprfRequest,

@@ -7,12 +7,13 @@ from repro.core.keygen import ProfileKeygen
 from repro.core.profile import Profile, ProfileSchema
 from repro.errors import ProtocolError
 from repro.net.channel import SecureChannel
-from repro.net.messages import QueryRequest, decode_message
-from repro.net.oprf_messages import (
+from repro.net.messages import (
     OprfKeyInfo,
     OprfKeyInfoRequest,
     OprfRequest,
     OprfResponse,
+    QueryRequest,
+    decode_message,
 )
 from repro.net.transport import InMemoryNetwork
 from repro.rs.fuzzy import FuzzyExtractor, FuzzyParams

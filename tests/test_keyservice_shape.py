@@ -22,7 +22,7 @@ import textwrap
 
 import pytest
 
-from repro.net import oprf_messages
+from repro.net import messages
 from repro.server import keyservice
 
 
@@ -83,15 +83,20 @@ class TestHandlerResponseShape:
 
 class TestEncoderUniformity:
     def test_all_oprf_messages_share_the_fieldwriter_routine(self):
-        tree = _parse(oprf_messages)
+        tree = _parse(messages)
         encoders = [
             (cls.name, item)
             for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef)
+            if isinstance(cls, ast.ClassDef) and cls.name.startswith("Oprf")
             for item in cls.body
             if isinstance(item, ast.FunctionDef) and item.name == "encode"
         ]
-        assert len(encoders) >= 4
+        assert sorted(name for name, _ in encoders) == [
+            "OprfKeyInfo",
+            "OprfKeyInfoRequest",
+            "OprfRequest",
+            "OprfResponse",
+        ]
         for cls_name, encode in encoders:
             calls = [_call_name(n) for n in ast.walk(encode) if isinstance(n, ast.Call)]
             assert "FieldWriter" in calls, f"{cls_name}.encode bypasses FieldWriter"
@@ -113,7 +118,7 @@ class TestRejectedRequest:
     def test_out_of_range_request_costs_budget(self):
         from repro.crypto.oprf import RsaOprfServer
         from repro.errors import ProtocolError
-        from repro.net.oprf_messages import OprfRequest
+        from repro.net.messages import OprfRequest
 
         service = keyservice.KeyGenService(
             oprf_server=RsaOprfServer(bits=512), max_requests_per_window=10

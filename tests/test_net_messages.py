@@ -1,12 +1,22 @@
 """Tests for protocol message encoding."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.verification import AuthInfo
 from repro.crypto.modes import AeadCiphertext
 from repro.errors import ProtocolError
+from repro.net import messages
 from repro.net.messages import (
+    OprfKeyInfo,
+    OprfKeyInfoRequest,
+    OprfRequest,
+    OprfResponse,
     QueryRequest,
     QueryResult,
     ResultEntry,
@@ -125,3 +135,32 @@ class TestDecodeErrors:
         msg = QueryRequest(query_id=1, timestamp=2, user_id=3)
         with pytest.raises(ProtocolError):
             decode_message(msg.encode()[:-2])
+
+
+class TestDecoderTable:
+    def test_fresh_interpreter_decodes_every_oprf_frame(self):
+        """``decode_message`` knows the key service's four tags once its own
+        module is imported, with nothing else of the package loaded first."""
+        frames = [
+            OprfKeyInfoRequest(request_id=1),
+            OprfKeyInfo(request_id=1, modulus=3233, exponent=17),
+            OprfRequest(request_id=1, blinded=5),
+            OprfResponse(request_id=1, evaluated=7),
+        ]
+        script = (
+            "import sys\n"
+            "from repro.net.messages import decode_message\n"
+            "for line in sys.stdin:\n"
+            "    print(repr(decode_message(bytes.fromhex(line))))\n"
+        )
+        src = pathlib.Path(messages.__file__).resolve().parents[2]
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            input="\n".join(m.encode().hex() for m in frames),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [repr(m) for m in frames]

@@ -98,7 +98,7 @@ class TestMatcherAgainstReference:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_window_distances_optimal(self, data):
-        from repro.core.matching import score_table
+        from repro.core.matching import rank_sum
 
         n = data.draw(st.integers(min_value=3, max_value=12))
         chains = {
@@ -110,9 +110,9 @@ class TestMatcherAgainstReference:
         }
         k = data.draw(st.integers(min_value=1, max_value=n - 1))
         query = 1
-        result = knn_match(chains, query, k, method="rank")
+        result = knn_match(chains, query, k)
         assert len(result) == min(k, n - 1)
-        scores = score_table(chains, "rank")
+        scores = rank_sum(chains)
         mine = scores[query]
         chosen = sorted(abs(scores[u] - mine) for u in result)
         others = sorted(

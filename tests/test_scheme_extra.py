@@ -1,4 +1,4 @@
-"""Additional scheme-level behaviours: order methods and stability."""
+"""Additional scheme-level behaviours: matching, Vf and upload stability."""
 
 import pytest
 
@@ -11,18 +11,13 @@ from repro.utils.rand import SystemRandomSource
 
 @pytest.fixture(scope="module")
 def value_method_world():
-    """A population matched with the paper's worked-example 'value' method."""
+    """An enrolled 24-user population."""
     rng = SystemRandomSource(seed=1100)
     pop = ClusteredPopulation(INFOCOM06, theta=8, rng=rng)
     users = pop.generate(24)
     scheme_rng = SystemRandomSource(seed=1101)
     scheme = SMatch(
-        SMatchParams(
-            schema=pop.schema,
-            theta=8,
-            plaintext_bits=64,
-            order_method="value",
-        ),
+        SMatchParams(schema=pop.schema, theta=8, plaintext_bits=64),
         oprf_server=RsaOprfServer(
             keypair=fixed_rsa_keypair(1024), rng=scheme_rng
         ),

@@ -25,6 +25,7 @@ from tools.type_ratchet import (
     measure,
     strict_patterns,
     suggest,
+    unlisted,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -154,6 +155,26 @@ class TestRatchetSemantics:
         baseline = {"repro.gamma": {"annotation_gaps": 0, "mypy_errors": 1}}
         assert check(report, baseline, []) == []
 
+    def test_module_missing_from_baseline_fails(self):
+        report = {
+            "repro.gamma": {"annotation_gaps": 0, "mypy_errors": None},
+            "repro.new": {"annotation_gaps": 0, "mypy_errors": None},
+        }
+        baseline = {"repro.gamma": {"annotation_gaps": 0, "mypy_errors": None}}
+        assert unlisted(report, baseline) == [
+            "repro.new: no baseline entry (add it with --update)"
+        ]
+
+    def test_entry_naming_no_module_fails(self):
+        report = {"repro.gamma": {"annotation_gaps": 0, "mypy_errors": None}}
+        baseline = {
+            "repro.gamma": {"annotation_gaps": 0, "mypy_errors": None},
+            "repro.gone": {"annotation_gaps": 0, "mypy_errors": None},
+        }
+        assert unlisted(report, baseline) == [
+            "repro.gone: baseline entry names no module"
+        ]
+
     def test_suggest_lists_clean_unpromoted_modules(self):
         report = {
             "repro.alpha": {"annotation_gaps": 0, "mypy_errors": None},
@@ -182,6 +203,22 @@ class TestCliOnScratchRepo:
             "def g(x):\n    return x\ndef h(y):\n    return y\n", encoding="utf-8"
         )
         assert main(["--check", "--no-mypy"]) == 1
+
+    def test_new_module_without_entry_fails(self, scratch_repo, capsys):
+        assert main(["--update", "--no-mypy"]) == 0
+        (scratch_repo / "src" / "repro" / "delta.py").write_text(
+            "def d(x: int) -> int:\n    return x\n", encoding="utf-8"
+        )
+        assert main(["--check", "--no-mypy"]) == 1
+        assert "repro.delta: no baseline entry" in capsys.readouterr().err
+
+    def test_deleted_module_entry_fails(self, scratch_repo, capsys):
+        assert main(["--update", "--no-mypy"]) == 0
+        (scratch_repo / "src" / "repro" / "gamma.py").unlink()
+        assert main(["--check", "--no-mypy"]) == 1
+        assert "repro.gamma: baseline entry names no module" in (
+            capsys.readouterr().err
+        )
 
     def test_json_artifact_shape(self, scratch_repo, capsys):
         out = scratch_repo / "report.json"

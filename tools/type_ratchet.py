@@ -9,7 +9,8 @@ strict checking.  This tool makes the baseline *per module* and one-way:
   ``tools/type_ratchet_baseline.json`` (committed);
 * ``--check`` recomputes the counts and fails when any module got worse
   than its baseline — improvements are fine and should be locked in with
-  ``--update``;
+  ``--update``.  It also fails on a module the baseline does not list and
+  on an entry that names no module, so no module goes unguarded;
 * modules matched by a strict override in ``pyproject.toml`` must stay at
   **zero**, baseline or not;
 * ``--suggest`` lists clean modules not yet promoted, so the strict set
@@ -250,6 +251,22 @@ def check(
     return failures
 
 
+def unlisted(
+    report: Dict[str, Dict[str, object]],
+    baseline: Dict[str, Dict[str, object]],
+) -> List[str]:
+    """Modules missing from the baseline, and entries naming no module."""
+    failures = [
+        f"{name}: no baseline entry (add it with --update)"
+        for name in sorted(set(report) - set(baseline))
+    ]
+    failures += [
+        f"{name}: baseline entry names no module"
+        for name in sorted(set(baseline) - set(report))
+    ]
+    return failures
+
+
 def suggest(
     report: Dict[str, Dict[str, object]], patterns: Sequence[str]
 ) -> List[str]:
@@ -335,14 +352,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"type-ratchet: baseline updated ({len(report)} modules)")
 
     if args.check:
-        failures = check(report, load_baseline(BASELINE_PATH), patterns)
+        baseline = load_baseline(BASELINE_PATH)
+        failures = check(report, baseline, patterns) + unlisted(report, baseline)
         for failure in failures:
             print(f"type-ratchet: {failure}", file=sys.stderr)
         total_gaps = sum(int(e["annotation_gaps"]) for e in report.values())  # type: ignore[arg-type]
         strict_count = sum(1 for name in report if is_strict(name, patterns))
         print(
             f"type-ratchet: {len(report)} modules, {strict_count} strict, "
-            f"{total_gaps} annotation gap(s), {len(failures)} regression(s)"
+            f"{total_gaps} annotation gap(s), {len(failures)} failure(s)"
         )
         return 1 if failures else 0
     return 0
