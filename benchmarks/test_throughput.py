@@ -7,8 +7,8 @@ client-side verification — plus the head-to-head pairs of the performance
 layer (docs/PERFORMANCE.md): ``enroll_population`` on the serial backend
 vs a warmed process pool, and churn-then-query with the incremental
 matcher vs a forced full resort.  The cold-query and churn numbers time
-a bare ``ProfileStore`` + ``ServerMatcher`` (Algorithm Match itself);
-the warm query goes through the server's request handler.
+a bare ``ProfileStore`` (Algorithm Match itself); the warm query goes
+through the server's request handler.
 
 The suite runs under an active :mod:`repro.obs` metrics registry and ends
 by writing ``benchmarks/results/BENCH_throughput.json`` — measured per-op
@@ -32,7 +32,6 @@ from repro.experiments.common import build_population, build_scheme
 from repro.net.messages import QueryRequest, UploadMessage
 from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.parallel import ProcessBackend
-from repro.server.matcher import ServerMatcher
 from repro.server.service import SMatchServer
 from repro.server.storage import ProfileStore
 
@@ -62,13 +61,12 @@ def world(metrics_registry):
 
 @pytest.fixture(scope="module")
 def engine(world):
-    """The world's uploads in a bare ``ProfileStore`` + ``ServerMatcher``."""
+    """The world's uploads in a bare ``ProfileStore``."""
     _, _, _, uploads, _, _ = world
     store = ProfileStore()
-    matcher = ServerMatcher(store)
     for payload in uploads.values():
         store.put(payload)
-    return store, matcher
+    return store
 
 
 def _timed_us(fn, *args, iterations=5):
@@ -120,12 +118,12 @@ def test_warm_query_throughput(benchmark, world):
 
 def test_cold_query_throughput(benchmark, world, engine):
     _, users, _, _, _, server = world
-    _, matcher = engine
+    store = engine
     uid = users[0].profile.user_id
 
     def cold_query():
-        matcher.invalidate()
-        return matcher.match(uid, server.query_k)
+        store.invalidate()
+        return store.match(uid, server.query_k)
 
     result = benchmark(cold_query)
     assert uid not in result
@@ -155,29 +153,29 @@ def test_upload_message_encode_throughput(benchmark, world):
 def test_incremental_matcher_beats_resort(benchmark, world, engine):
     """Churn + query via incremental maintenance beats a forced resort 2x."""
     _, _, _, uploads, _, server = world
-    store, matcher = engine
+    store = engine
     _, members = _biggest_group(store)
     if len(members) < 3:
         pytest.skip("no group big enough for churn benchmarking")
     ids = iter(members)
     query_uid, churn_uid = next(ids), next(ids)
     churn_payload = uploads[churn_uid]
-    matcher.match(query_uid, server.query_k)  # warm the group index
+    store.match(query_uid, server.query_k)  # warm the group index
 
     def churn_incremental():
         store.remove(churn_uid)
         store.put(churn_payload)
-        return matcher.match(query_uid, server.query_k)
+        return store.match(query_uid, server.query_k)
 
     def churn_resort():
         store.remove(churn_uid)
         store.put(churn_payload)
-        matcher.invalidate()
-        return matcher.match(query_uid, server.query_k)
+        store.invalidate()
+        return store.match(query_uid, server.query_k)
 
     incremental = _timed_us(churn_incremental, iterations=30)
     resort = _timed_us(churn_resort, iterations=30)
-    matcher.match(query_uid, server.query_k)  # leave the index warm
+    store.match(query_uid, server.query_k)  # leave the index warm
     benchmark.pedantic(churn_incremental, rounds=5)
     assert incremental["per_op_us"] * 2 <= resort["per_op_us"], (
         incremental,
@@ -188,14 +186,14 @@ def test_incremental_matcher_beats_resort(benchmark, world, engine):
 def test_emit_bench_artifact(world, engine, metrics_registry, results_dir):
     """Write BENCH_throughput.json: latencies, speedups, metrics snapshot."""
     pop, users, scheme, uploads, keys, server = world
-    store, matcher = engine
+    store = engine
     uid = users[0].profile.user_id
     request = QueryRequest(query_id=9, timestamp=0, user_id=uid)
     server.handle_query(request)  # warm the group index
 
     def cold_query():
-        matcher.invalidate()
-        matcher.match(uid, server.query_k)
+        store.invalidate()
+        store.match(uid, server.query_k)
 
     # -- batch enrollment: serial vs process backend, same seed ------------
     # The op name enroll_population_w1 predates the backend API and is kept
@@ -223,18 +221,18 @@ def test_emit_bench_artifact(world, engine, metrics_registry, results_dir):
     ids = iter(members)
     churn_query_uid, churn_uid = next(ids), next(ids)
     churn_payload = uploads[churn_uid]
-    matcher.match(churn_query_uid, server.query_k)
+    store.match(churn_query_uid, server.query_k)
 
     def churn_incremental():
         store.remove(churn_uid)
         store.put(churn_payload)
-        matcher.match(churn_query_uid, server.query_k)
+        store.match(churn_query_uid, server.query_k)
 
     def churn_resort():
         store.remove(churn_uid)
         store.put(churn_payload)
-        matcher.invalidate()
-        matcher.match(churn_query_uid, server.query_k)
+        store.invalidate()
+        store.match(churn_query_uid, server.query_k)
 
     churn_inc = _timed_us(churn_incremental, iterations=30)
     churn_res = _timed_us(churn_resort, iterations=30)

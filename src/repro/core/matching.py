@@ -7,7 +7,7 @@ under the same key within a group).  Definition 4 ranks users by
 
 where ``O()`` is the *order* of an attribute ciphertext among the group.
 This module is the one definition of Match that the server
-(:class:`repro.server.matcher.ServerMatcher`) and the library
+(:meth:`repro.server.storage.ProfileStore.match`) and the library
 (:func:`knn_match`, :func:`max_distance_match`, ``SMatch.match_in_group``)
 share:
 
@@ -22,7 +22,8 @@ share:
   :func:`position_window` takes the ``k`` neighbours around the querier's
   position, :func:`radius_window` every member within a score radius.
 
-The server runs the two selections over its incremental group index;
+The server runs the two selections over its incremental group index
+(:class:`repro.server.matcher.GroupIndex`);
 :func:`knn_match` and :func:`max_distance_match` run them over a group
 given as chains, so both return the same users in the same order.
 """
@@ -53,7 +54,7 @@ def rank_sum(chains: Mapping[int, Sequence[int]]) -> Dict[int, int]:
     indistinguishable, as intended.  Attributes carry equal weight, as in
     the paper's worked example.
     """
-    with span("match.score_table", method="rank", users=len(chains)):
+    with span("match.rank_sum", users=len(chains)):
         if not chains:
             return {}
         lengths = {len(c) for c in chains.values()}
@@ -145,7 +146,7 @@ def knn_match(
 ) -> List[int]:
     """The ``k`` users nearest the query user by score (excluding it).
 
-    What :meth:`ServerMatcher.match` returns for the same group.
+    What :meth:`ProfileStore.match` returns for the same group.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -158,7 +159,7 @@ def max_distance_match(
 ) -> List[int]:
     """All users whose score is within ``max_distance`` of the querier's.
 
-    What :meth:`ServerMatcher.match_within` returns for the same group.
+    What :meth:`ProfileStore.match_within` returns for the same group.
     """
     if max_distance < 0:
         raise ParameterError("max_distance must be >= 0")

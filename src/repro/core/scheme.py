@@ -277,7 +277,7 @@ class SMatch:
         k: int,
     ) -> List[int]:
         """``R <- Match(u, C)`` within one key group: the ``k`` users
-        :meth:`ServerMatcher.match <repro.server.matcher.ServerMatcher.match>`
+        :meth:`ProfileStore.match <repro.server.storage.ProfileStore.match>`
         returns for the same group, in the same order."""
         with span("scheme.match", group_size=len(group)):
             chains = {uid: ep.chain for uid, ep in group.items()}
@@ -290,7 +290,7 @@ class SMatch:
         max_distance: int,
     ) -> List[int]:
         """MAX-distance Match within one key group: what
-        ``ServerMatcher.match_within`` returns for the same group."""
+        ``ProfileStore.match_within`` returns for the same group."""
         chains = {uid: ep.chain for uid, ep in group.items()}
         return max_distance_match(chains, query_user, max_distance)
 

@@ -26,7 +26,6 @@ from repro.experiments.common import (
     build_scheme,
 )
 from repro.experiments.fig4cde import DATASETS, build_homopm
-from repro.server.matcher import ServerMatcher
 from repro.server.storage import ProfileStore
 
 __all__ = ["run", "server_costs_ms"]
@@ -57,14 +56,13 @@ def server_costs_ms(
     )
     uploads, _ = scheme.enroll_population(profiles)
     store = ProfileStore()
-    matcher = ServerMatcher(store)
     for payload in uploads.values():
         store.put(payload)
     querier = profiles[0].user_id
 
     def pm_once() -> None:
-        matcher.invalidate()  # cold path: EXTRA + SORT + FIND each query
-        matcher.match(querier, 5)
+        store.invalidate()  # cold path: EXTRA + SORT + FIND each query
+        store.match(querier, 5)
 
     start = time.perf_counter()
     for _ in range(repeats):

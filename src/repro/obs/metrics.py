@@ -78,7 +78,7 @@ M_SERVER_RESULTS = _metric(
 M_SERVER_HANDLER_LATENCY_US = _metric(
     "smatch_server_handler_latency_us", "upload/query handler latency"
 )
-# matcher (repro.server.matcher)
+# group indexes (repro.server.storage)
 M_MATCHER_GROUPS_INDEXED = _metric(
     "smatch_matcher_groups_indexed", "key groups with a live index"
 )

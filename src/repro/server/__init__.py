@@ -1,7 +1,6 @@
 """The untrusted server: storage, matching, sharding, service, adversaries."""
 
 from repro.server.storage import ProfileStore
-from repro.server.matcher import ServerMatcher
 from repro.server.service import SMatchServer
 from repro.server.sharding import PlacementMap, ShardedTier
 from repro.server.adversary import MaliciousBehavior, MaliciousServer
@@ -9,7 +8,6 @@ from repro.server.adversary import MaliciousBehavior, MaliciousServer
 __all__ = [
     "PlacementMap",
     "ProfileStore",
-    "ServerMatcher",
     "SMatchServer",
     "ShardedTier",
     "MaliciousBehavior",

@@ -49,14 +49,13 @@ class SMatchServer:
 
     The match engine is a :class:`~repro.server.sharding.tier.ShardedTier`
     (``tier``): key-index groups placed across ``shards`` shards, each its
-    own :class:`~repro.server.storage.ProfileStore` +
-    :class:`~repro.server.matcher.ServerMatcher`.  The default is one
+    own :class:`~repro.server.storage.ProfileStore`.  The default is one
     in-process shard; ``shard_mode="process"`` runs each shard in its own
     worker process, and ``data_dir`` adds per-shard WAL + snapshot
     durability, from which a server reopened on the same directory
     recovers.  Every configuration produces byte-identical
     :class:`QueryResult` encodings (``tests/test_sharding.py`` pins the
-    equivalence matrix against a bare store + matcher).
+    equivalence matrix against a bare ``ProfileStore``).
     """
 
     def __init__(

@@ -4,8 +4,7 @@ Profiles only ever interact within their ``h(K_p)`` key-index group at
 match time, so groups are a natural unit of placement: a versioned
 consistent hash ring (:mod:`repro.server.sharding.placement`) assigns each
 group to one of N shards, each shard runs its own
-:class:`~repro.server.storage.ProfileStore` +
-:class:`~repro.server.matcher.ServerMatcher` pair
+:class:`~repro.server.storage.ProfileStore`
 (:mod:`repro.server.sharding.state`) — inline, or in a dedicated worker
 process built on the :mod:`repro.parallel` machinery
 (:mod:`repro.server.sharding.worker`) — and the coordinator

@@ -1,10 +1,10 @@
-"""One shard's live state: store + matcher + WAL/snapshot durability.
+"""One shard's live state: a store + WAL/snapshot durability.
 
 A :class:`ShardState` is the unit that runs inside a shard worker process,
 and is itself the shard handle of an inline tier (the default
 ``SMatchServer`` engine): its own
-:class:`~repro.server.storage.ProfileStore` and
-:class:`~repro.server.matcher.ServerMatcher`, plus an optional
+:class:`~repro.server.storage.ProfileStore`, which stores the shard's
+uploads and answers its queries, plus an optional
 :class:`ShardDurability` wiring the write-ahead log and snapshots
 underneath every mutation.
 
@@ -62,7 +62,6 @@ from repro.obs.metrics import (
     M_SHARD_WAL_REPLAYED,
     metric_inc,
 )
-from repro.server.matcher import ServerMatcher
 from repro.server.sharding.snapshot import GroupTable, SnapshotStore
 from repro.server.sharding.wal import (
     OP_PUT,
@@ -179,7 +178,7 @@ class ShardDurability:
 
 
 class ShardState:
-    """One shard's store + matcher, with optional durability underneath."""
+    """One shard's store, with optional durability underneath."""
 
     def __init__(
         self,
@@ -188,7 +187,6 @@ class ShardState:
     ) -> None:
         self.shard_id = shard_id
         self.store = ProfileStore()
-        self.matcher = ServerMatcher(self.store)
         self._records_since_snapshot = 0
         self._durability: Optional[ShardDurability] = None
         if directory is not None:
@@ -254,7 +252,7 @@ class ShardState:
 
     def _query(self, user_id: int, k: int) -> Tuple[ResultEntry, ...]:
         try:
-            return self._entries(self.matcher.match(user_id, k))
+            return self._entries(self.store.match(user_id, k))
         except MatchingError:
             return ()  # unknown user or singleton group: empty result
 
@@ -262,9 +260,7 @@ class ShardState:
         self, user_id: int, max_distance: int
     ) -> Tuple[ResultEntry, ...]:
         try:
-            return self._entries(
-                self.matcher.match_within(user_id, max_distance)
-            )
+            return self._entries(self.store.match_within(user_id, max_distance))
         except MatchingError:
             return ()
 

@@ -1,4 +1,5 @@
-"""Encrypted-profile storage, indexed by the hashed profile key.
+"""Encrypted-profile storage, indexed by the hashed profile key, and
+the paper's Algorithm Match over it.
 
 The server "first filters the stored encrypted profiles based on h(K_up)"
 (paper, Profile Matching step): profiles live in groups keyed by the
@@ -10,31 +11,46 @@ Re-uploads replace the user's previous record (users "update [their]
 encrypted social profile on the untrusted server periodically"), including
 moving them between groups when their profile drifted to a different fuzzy
 key.
+
+``Match(v, C)``:
+
+1. ``C' <- EXTRA(h(K_vp), C)`` — extract the querier's key group,
+2. ``C' <- SORT(C')`` — order the group by the Definition-4 score,
+3. ``pos <- FIND(v, C')`` — locate the querier,
+4. return the ``k`` neighbours around ``pos``.
+
+SORT runs once per key group: the first query of a group builds its
+:class:`~repro.server.matcher.GroupIndex`, and every later put or remove
+in that group folds into the index instead of re-sorting.  kNN and
+MAX-distance then select over the settled ``(score, uid)`` order with the
+pure functions of :mod:`repro.core.matching`, the same ones the library's
+``knn_match`` and ``max_distance_match`` run.
 """
 
 from __future__ import annotations
 
-import weakref
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
+from repro.core.matching import position_window, radius_window
 from repro.core.scheme import EncryptedProfile
 from repro.errors import MatchingError, ParameterError
+from repro.obs.instrument import count_op
+from repro.obs.metrics import M_MATCHER_GROUPS_INDEXED, metric_set
+from repro.server.matcher import GroupIndex
 
 __all__ = ["ProfileStore"]
 
 
 class ProfileStore:
-    """Grouped storage of encrypted profiles.
+    """Grouped storage of encrypted profiles, answering Algorithm Match.
 
-    Mutations are published to registered listeners (weakly referenced, so
-    an abandoned listener never outlives its owner) — the hook the
-    incremental :class:`~repro.server.matcher.ServerMatcher` uses to fold
-    membership changes into its per-group sorted orders without re-sorting.
-    A listener provides ``profile_added(key_index, payload)`` and
-    ``profile_removed(key_index, user_id)``; events fire *after* the store
-    state is consistent, and a replacement upload fires remove-then-add
-    (even within one group, so chain changes are never missed).
+    The store keeps a :class:`~repro.server.matcher.GroupIndex` for each
+    key group queried since it was last emptied or :meth:`invalidate`
+    ran.  :meth:`put` and :meth:`remove` update the touched group's index
+    after the stored records change (a replacement as a remove then an
+    add, even within one group, so chain changes are never missed), and
+    an index is dropped the moment it holds no member.
     """
 
     def __init__(self) -> None:
@@ -43,31 +59,7 @@ class ProfileStore:
         self._profiles_view: Mapping[int, EncryptedProfile] = (
             MappingProxyType(self._profiles)
         )
-        self._listeners: list["weakref.ReferenceType"] = []
-
-    def add_listener(self, listener: object) -> None:
-        """Subscribe to profile_added / profile_removed events (weakly)."""
-        self._listeners.append(weakref.ref(listener))
-
-    def _drop_dead_listeners(self) -> None:
-        # a new list, so a notification loop over the old one runs on
-        self._listeners = [ref for ref in self._listeners if ref() is not None]
-
-    def _notify_removed(self, key_index: bytes, user_id: int) -> None:
-        for ref in self._listeners:
-            listener = ref()
-            if listener is None:
-                self._drop_dead_listeners()
-            else:
-                listener.profile_removed(key_index, user_id)
-
-    def _notify_added(self, payload: EncryptedProfile) -> None:
-        for ref in self._listeners:
-            listener = ref()
-            if listener is None:
-                self._drop_dead_listeners()
-            else:
-                listener.profile_added(payload.key_index, payload)
+        self._indexes: Dict[bytes, GroupIndex] = {}
 
     def __len__(self) -> int:
         return len(self._profiles)
@@ -103,8 +95,11 @@ class ProfileStore:
         self._groups.setdefault(payload.key_index, {})[uid] = payload
         self._profiles[uid] = payload
         if previous is not None:
-            self._notify_removed(previous, uid)
-        self._notify_added(payload)
+            self._unindex(previous, uid)
+        index = self._indexes.get(payload.key_index)
+        if index is not None:
+            count_op("server_index_update")
+            index.add(uid, payload.chain)
 
     def get(self, user_id: int) -> EncryptedProfile:
         """Fetch a stored record; raises when absent."""
@@ -123,7 +118,20 @@ class ProfileStore:
         del group[user_id]
         if not group:
             del self._groups[index]
-        self._notify_removed(index, user_id)
+        self._unindex(index, user_id)
+
+    def _unindex(self, key_index: bytes, user_id: int) -> None:
+        """Fold a member's departure into its group's index, if any."""
+        index = self._indexes.get(key_index)
+        if index is None:
+            return  # group not indexed yet: built lazily at first query
+        count_op("server_index_update")
+        index.remove(user_id)
+        if not len(index):
+            # an emptied group keeps no index: a sole member's re-upload
+            # may change the group's chain length
+            del self._indexes[key_index]
+            metric_set(M_MATCHER_GROUPS_INDEXED, len(self._indexes))
 
     def group_of(self, user_id: int) -> Dict[int, EncryptedProfile]:
         """The key group containing a user (the h(K_up) filter step)."""
@@ -163,3 +171,39 @@ class ProfileStore:
     def contains(self, user_id: int) -> bool:
         """True when the user has a stored record."""
         return user_id in self._profiles
+
+    # -- Algorithm Match --------------------------------------------------------
+
+    def _settled(self, query_user: int) -> Tuple[List[Tuple[int, int]], int]:
+        """EXTRA, SORT and FIND: the querier's group order and score."""
+        key_index = self.get(query_user).key_index
+        index = self._indexes.get(key_index)
+        if index is None:
+            index = GroupIndex(self._groups[key_index])
+            self._indexes[key_index] = index
+            metric_set(M_MATCHER_GROUPS_INDEXED, len(self._indexes))
+        ordered, scores = index.snapshot()
+        count_op("server_search")
+        return ordered, scores[query_user]
+
+    def match(self, query_user: int, k: int) -> List[int]:
+        """The k nearest users to ``query_user`` within their key group
+        (:func:`~repro.core.matching.position_window`)."""
+        if k < 1:
+            raise ParameterError("k must be >= 1")
+        ordered, my_score = self._settled(query_user)
+        return position_window(ordered, my_score, query_user, k)
+
+    def match_within(self, query_user: int, max_distance: int) -> List[int]:
+        """MAX-distance matching: all group members within a score radius
+        (:func:`~repro.core.matching.radius_window`)."""
+        if max_distance < 0:
+            raise ParameterError("max_distance must be >= 0")
+        ordered, my_score = self._settled(query_user)
+        return radius_window(ordered, my_score, query_user, max_distance)
+
+    def invalidate(self) -> None:
+        """Drop all group indexes, so the next query of each group runs
+        the cold SORT (tests and Fig. 5 time that path)."""
+        self._indexes.clear()
+        metric_set(M_MATCHER_GROUPS_INDEXED, 0)

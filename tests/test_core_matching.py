@@ -8,7 +8,6 @@ from repro.core.scheme import EncryptedProfile
 from repro.core.verification import AuthInfo
 from repro.crypto.modes import AeadCiphertext
 from repro.errors import MatchingError, ParameterError
-from repro.server.matcher import ServerMatcher
 from repro.server.storage import ProfileStore
 
 
@@ -125,7 +124,7 @@ def _stored(chains):
 
 
 class TestLibraryEqualsServer:
-    """The library's Match selects what the server's matcher selects,
+    """The library's Match selects what the server's store selects,
     element for element, over tie-heavy groups whose ids sort differently
     as numbers and as strings."""
 
@@ -148,8 +147,8 @@ class TestLibraryEqualsServer:
         query = data.draw(st.sampled_from(sorted(chains)))
         k = data.draw(st.integers(min_value=1, max_value=6))
         radius = data.draw(st.integers(min_value=0, max_value=6))
-        matcher = ServerMatcher(_stored(chains))
-        assert knn_match(chains, query, k) == matcher.match(query, k)
+        store = _stored(chains)
+        assert knn_match(chains, query, k) == store.match(query, k)
         assert max_distance_match(chains, query, radius) == (
-            matcher.match_within(query, radius)
+            store.match_within(query, radius)
         )

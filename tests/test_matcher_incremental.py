@@ -1,10 +1,10 @@
-"""The incrementally maintained matcher equals a from-scratch rebuild.
+"""The store's incrementally maintained group indexes equal a rebuild.
 
 Property tests for the performance layer's matcher (docs/PERFORMANCE.md):
 after any interleaving of uploads and removals, ``match``/``match_within``
-through the long-lived :class:`ServerMatcher` must agree with a matcher
-built fresh from the same store, and dead groups must not linger in the
-index.
+on the long-lived :class:`ProfileStore` must agree with a store rebuilt
+from the same records, whose indexes are built cold, and dead groups must
+not linger in the index.
 """
 
 import dataclasses
@@ -15,7 +15,6 @@ import pytest
 
 from repro.net.messages import QueryResult, ResultEntry
 from repro.obs.instrument import counting
-from repro.server.matcher import ServerMatcher
 from repro.server.storage import ProfileStore
 from repro.utils.rand import SystemRandomSource
 
@@ -23,10 +22,17 @@ from repro.utils.rand import SystemRandomSource
 def _loaded(enrolled):
     _, _, uploads, _ = enrolled
     store = ProfileStore()
-    matcher = ServerMatcher(store)
     for payload in uploads.values():
         store.put(payload)
-    return store, matcher, uploads
+    return store, uploads
+
+
+def _rebuilt(store):
+    """A second store holding ``store``'s records, with no index built."""
+    fresh = ProfileStore()
+    for payload in store.all_profiles().values():
+        fresh.put(payload)
+    return fresh
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +65,7 @@ def fresh_uploads(enrolled):
 
 class TestIncrementalEqualsRebuild:
     def test_interleaved_churn_equivalence(self, enrolled):
-        store, matcher, uploads = _loaded(enrolled)
+        store, uploads = _loaded(enrolled)
         rnd = random.Random(1009)
         all_uids = list(uploads)
         alive = set(all_uids)
@@ -75,14 +81,14 @@ class TestIncrementalEqualsRebuild:
                 alive.discard(uid)
             else:
                 uid = rnd.choice(sorted(alive))
-                fresh = ServerMatcher(store)
-                assert matcher.match(uid, 3) == fresh.match(uid, 3)
-                assert matcher.match_within(uid, 30) == fresh.match_within(
+                fresh = _rebuilt(store)
+                assert store.match(uid, 3) == fresh.match(uid, 3)
+                assert store.match_within(uid, 30) == fresh.match_within(
                     uid, 30
                 )
 
     def test_fresh_chain_churn_equivalence(self, enrolled, fresh_uploads):
-        store, matcher, uploads = _loaded(enrolled)
+        store, uploads = _loaded(enrolled)
         rnd = random.Random(4099)
         all_uids = list(uploads)
         alive = set(all_uids)
@@ -99,9 +105,9 @@ class TestIncrementalEqualsRebuild:
                     alive.discard(uid)
                 else:
                     uid = rnd.choice(sorted(alive))
-                    fresh = ServerMatcher(store)
-                    assert matcher.match(uid, 3) == fresh.match(uid, 3)
-                    assert matcher.match_within(
+                    fresh = _rebuilt(store)
+                    assert store.match(uid, 3) == fresh.match(uid, 3)
+                    assert store.match_within(
                         uid, 30
                     ) == fresh.match_within(uid, 30)
         # the traffic reached the incremental paths, not only cold rebuilds
@@ -109,18 +115,18 @@ class TestIncrementalEqualsRebuild:
         assert ops.get("server_rescore") > 0
 
     def test_remove_and_identical_reupload_is_a_no_op(self, enrolled):
-        store, matcher, uploads = _loaded(enrolled)
+        store, uploads = _loaded(enrolled)
         _, members = max(store.groups(), key=lambda p: len(p[1]))
         if len(members) < 2:
             pytest.skip("no multi-member group in this population")
         ids = iter(members)
         query_uid, churn_uid = next(ids), next(ids)
-        before = matcher.match(query_uid, 3)
+        before = store.match(query_uid, 3)
         for _ in range(3):
             payload = store.get(churn_uid)
             store.remove(churn_uid)
             store.put(payload)
-            assert matcher.match(query_uid, 3) == before
+            assert store.match(query_uid, 3) == before
 
 
 class TestPinnedTraffic:
@@ -138,7 +144,7 @@ class TestPinnedTraffic:
     )
 
     def test_churn_stream(self, enrolled, fresh_uploads):
-        store, matcher, uploads = _loaded(enrolled)
+        store, uploads = _loaded(enrolled)
         rnd = random.Random(6007)
         uids = sorted(uploads)
         digest = hashlib.sha256()
@@ -155,9 +161,9 @@ class TestPinnedTraffic:
                         store.put(rnd.choice(own))
                     continue
                 if rnd.random() < 0.2:
-                    matches = matcher.match_within(uid, 10)
+                    matches = store.match_within(uid, 10)
                 else:
-                    matches = matcher.match(uid, 3)
+                    matches = store.match(uid, 3)
                 result = QueryResult(
                     query_id=position,
                     timestamp=position,
@@ -182,63 +188,66 @@ class TestPinnedTraffic:
 
 class TestDeadGroupEviction:
     def test_emptied_group_leaves_the_index(self, enrolled):
-        store, matcher, uploads = _loaded(enrolled)
+        store, uploads = _loaded(enrolled)
         key_index, members = min(store.groups(), key=lambda p: len(p[1]))
         # force the group into the index, then drain it
-        matcher._group_index(key_index)
-        assert key_index in matcher._groups
+        store.match(next(iter(members)), 1)
+        assert key_index in store._indexes
         for member in list(members):
             store.remove(member)
-        assert key_index not in matcher._groups
+        assert key_index not in store._indexes
 
     def test_cold_groups_never_enter_the_index(self, enrolled):
-        store, matcher, uploads = _loaded(enrolled)
-        assert matcher._groups == {}
+        store, uploads = _loaded(enrolled)
+        assert store._indexes == {}
         uid = next(iter(uploads))
         store.remove(uid)
-        assert matcher._groups == {}
+        assert store._indexes == {}
+
+    def test_sole_member_lengthening_its_chain_rebuilds_the_index(
+        self, enrolled
+    ):
+        """A sole member may re-upload a longer chain; its emptied index
+        goes, so the group is scored over the new width."""
+        _, _, uploads, _ = enrolled
+        first, second = list(uploads.values())[:2]
+        key_index = b"\x5a" * 32
+        store = ProfileStore()
+        store.put(dataclasses.replace(first, key_index=key_index))
+        assert store.match(first.user_id, 3) == []  # indexes the group
+        # both longer chains share every value but the new last one, so
+        # only a score over the new width tells the members apart
+        store.put(
+            dataclasses.replace(
+                first, key_index=key_index, chain=first.chain + (1,)
+            )
+        )
+        store.put(
+            dataclasses.replace(
+                second, key_index=key_index, chain=first.chain + (2,)
+            )
+        )
+        fresh = _rebuilt(store)
+        for uid in (first.user_id, second.user_id):
+            assert store.match(uid, 3) == fresh.match(uid, 3)
+            for radius in (0, 1):
+                assert store.match_within(uid, radius) == (
+                    fresh.match_within(uid, radius)
+                )
 
 
 class TestListenerLifecycle:
-    def test_dead_matcher_listener_is_pruned(self, enrolled):
-        _, _, uploads, _ = enrolled
-        store = ProfileStore()
-        matcher = ServerMatcher(store)
-        assert len(store._listeners) == 1
-        del matcher
-        # the weakref is dead; the next notification prunes it silently
-        store.put(next(iter(uploads.values())))
-        assert store._listeners == []
-
-    def test_listener_after_a_dead_one_still_hears_events(self, enrolled):
-        _, _, uploads, _ = enrolled
-        store = ProfileStore()
-        doomed = ServerMatcher(store)
-        matcher = ServerMatcher(store)
-        for payload in uploads.values():
-            store.put(payload)
-        _, members = max(store.groups(), key=lambda p: len(p[1]))
-        query_uid, other_uid = sorted(members)[:2]
-        matcher.match(query_uid, 3)  # warm the index
-        del doomed
-        # this event prunes the dead ref and must still reach the matcher
-        store.remove(other_uid)
-        assert len(store._listeners) == 1
-        everyone = 1 << 30
-        assert matcher.match_within(query_uid, everyone) == ServerMatcher(
-            store
-        ).match_within(query_uid, everyone)
+    """A replacement upload within one group reaches the group's index."""
 
     def test_replacement_within_group_updates_index(self, enrolled):
-        store, matcher, uploads = _loaded(enrolled)
+        store, uploads = _loaded(enrolled)
         _, members = max(store.groups(), key=lambda p: len(p[1]))
         ids = iter(members)
         query_uid, other_uid = next(ids), next(ids)
-        matcher.match(query_uid, 3)  # warm the index
+        store.match(query_uid, 3)  # warm the index
         # re-upload (same uid, same group) must be folded in as
         # remove-then-add, keeping the index equal to a fresh rebuild
         store.put(uploads[other_uid])
-        fresh = ServerMatcher(store)
-        assert matcher.match(query_uid, 3) == fresh.match(
+        assert store.match(query_uid, 3) == _rebuilt(store).match(
             query_uid, 3
         )

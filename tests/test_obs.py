@@ -545,7 +545,7 @@ class TestEndToEndPipeline:
         "keygen.oprf",
         "scheme.encrypt",
         "ope.encrypt",
-        "match.score_table",
+        "match.rank_sum",
         "verification.vf",
     )
 
@@ -613,17 +613,21 @@ class TestPinnedTrace:
     SHA-256 over each record's ``(id, parent, name, attrs, ops, bytes)``
     from ``repro simulate --users 8 --steps 2``: a change to how spans count
     ops, fold them into ancestors or link to parents shows here, while a
-    wrong but self-consistent fold would pass every structural test.
+    wrong but self-consistent fold would pass every structural test.  The
+    artifacts must also pass CI's telemetry check, whose required spans
+    include the query path this seeded run takes.
     """
 
     SPANS = 280
-    DIGEST = "8ba99c6bb52f0d4d383e154cb409dd92ea39cffeba8ae48b3173792b1df5e812"
+    DIGEST = "e50cf05439106901b19da20cfd075b579d73d4b193a2a4ec385a779fbb6e457a"
 
     def test_simulation_trace(self, tmp_path, capsys):
         from repro.cli import main
+        from tools.check_obs_artifacts import main as check_artifacts
 
         argv = ["simulate", "--users", "8", "--steps", "2"]
         assert main(argv + ["--obs-dir", str(tmp_path)]) == 0
+        assert check_artifacts([str(tmp_path)]) == 0
         capsys.readouterr()
         records = load_trace_records(tmp_path)
         digest = hashlib.sha256()

@@ -7,7 +7,6 @@ from repro.core.matching import knn_match
 from repro.errors import ProtocolError, ReproError
 from repro.net.messages import decode_message
 from repro.rs.fuzzy import FuzzyExtractor, FuzzyParams
-from repro.server.matcher import ServerMatcher
 from repro.utils.rand import SystemRandomSource
 
 
@@ -93,7 +92,7 @@ class TestMessageFuzzing:
 
 
 class TestMatcherAgainstReference:
-    """ServerMatcher's windowed selection matches score-distance semantics."""
+    """Match's windowed selection matches score-distance semantics."""
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)

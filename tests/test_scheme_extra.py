@@ -1,4 +1,5 @@
-"""Additional scheme-level behaviours: matching, Vf and upload stability."""
+"""Scheme-level upload stability: re-enrollment keeps the key group and
+re-randomizes the chain and the authenticator."""
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.utils.rand import SystemRandomSource
 
 
 @pytest.fixture(scope="module")
-def value_method_world():
+def enrolled_world():
     """An enrolled 24-user population."""
     rng = SystemRandomSource(seed=1100)
     pop = ClusteredPopulation(INFOCOM06, theta=8, rng=rng)
@@ -27,45 +28,19 @@ def value_method_world():
     return pop, users, scheme, uploads, keys
 
 
-class TestValueOrderMethod:
-    def test_matching_works(self, value_method_world):
-        _, users, scheme, uploads, _ = value_method_world
-        groups = {}
-        for uid, payload in uploads.items():
-            groups.setdefault(payload.key_index, {})[uid] = payload
-        biggest = max(groups.values(), key=len)
-        if len(biggest) < 3:
-            pytest.skip("no big group")
-        uid = next(iter(biggest))
-        result = scheme.match_in_group(biggest, uid, k=2)
-        assert len(result) == 2
-        assert set(result) <= set(biggest) - {uid}
-
-    def test_verification_unaffected_by_order_method(self, value_method_world):
-        _, users, scheme, uploads, keys = value_method_world
-        groups = {}
-        for uid, payload in uploads.items():
-            groups.setdefault(payload.key_index, []).append(uid)
-        multi = [g for g in groups.values() if len(g) >= 2]
-        if not multi:
-            pytest.skip("no group of size >= 2")
-        a, b = multi[0][0], multi[0][1]
-        assert scheme.verify(uploads[b].auth, keys[a])
-
-
 class TestUploadStability:
-    def test_reenrollment_same_group(self, value_method_world):
+    def test_reenrollment_same_group(self, enrolled_world):
         """Re-enrolling an unchanged profile lands in the same key group
         (the chain ciphertexts differ — the one-to-N mapping is random —
         but the fuzzy key is deterministic)."""
-        _, users, scheme, uploads, _ = value_method_world
+        _, users, scheme, uploads, _ = enrolled_world
         profile = users[0].profile
         payload2, _ = scheme.enroll(profile)
         assert payload2.key_index == uploads[profile.user_id].key_index
         assert payload2.chain != uploads[profile.user_id].chain
 
-    def test_auth_rerandomized_per_enrollment(self, value_method_world):
-        _, users, scheme, uploads, _ = value_method_world
+    def test_auth_rerandomized_per_enrollment(self, enrolled_world):
+        _, users, scheme, uploads, _ = enrolled_world
         profile = users[1].profile
         payload2, _ = scheme.enroll(profile)
         assert (

@@ -1,4 +1,4 @@
-"""Tests for the untrusted server: storage, matcher, service, adversaries."""
+"""Tests for the untrusted server: storage, Match, service, adversaries."""
 
 import dataclasses
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import MatchingError, ParameterError, ProtocolError
 from repro.net.messages import QueryRequest, UploadMessage
 from repro.server.adversary import MaliciousBehavior, MaliciousServer
-from repro.server.matcher import ServerMatcher
 from repro.server.service import SMatchServer
 from repro.server.storage import ProfileStore
 from repro.utils.rand import SystemRandomSource
@@ -23,13 +22,12 @@ def loaded_server(enrolled):
 
 
 @pytest.fixture
-def loaded_matcher(enrolled):
+def loaded_store(enrolled):
     _, _, uploads, _ = enrolled
     store = ProfileStore()
-    matcher = ServerMatcher(store)
     for payload in uploads.values():
         store.put(payload)
-    return store, matcher, uploads
+    return store, uploads
 
 
 class TestStorage:
@@ -110,48 +108,48 @@ class TestStorage:
 
 
 class TestMatcher:
-    def test_match_returns_group_members(self, loaded_matcher):
-        store, matcher, _ = loaded_matcher
+    def test_match_returns_group_members(self, loaded_store):
+        store, _ = loaded_store
         # pick a user in the biggest group
         biggest = max((g for _, g in store.groups()), key=len)
         if len(biggest) < 3:
             pytest.skip("no group big enough")
         uid = next(iter(biggest))
-        result = matcher.match(uid, 2)
+        result = store.match(uid, 2)
         assert len(result) == 2
         assert set(result) <= set(biggest) - {uid}
 
-    def test_singleton_group_empty_result(self, loaded_matcher):
-        store, matcher, _ = loaded_matcher
+    def test_singleton_group_empty_result(self, loaded_store):
+        store, _ = loaded_store
         singles = [next(iter(g)) for _, g in store.groups() if len(g) == 1]
         if not singles:
             pytest.skip("no singleton groups")
-        assert matcher.match(singles[0], 5) == []
+        assert store.match(singles[0], 5) == []
 
-    def test_unknown_user_raises(self, loaded_matcher):
-        _, matcher, _ = loaded_matcher
+    def test_unknown_user_raises(self, loaded_store):
+        store, _ = loaded_store
         with pytest.raises(MatchingError):
-            matcher.match(987654, 3)
+            store.match(987654, 3)
 
-    def test_cache_consistency(self, loaded_matcher):
-        _, matcher, uploads = loaded_matcher
+    def test_cache_consistency(self, loaded_store):
+        store, uploads = loaded_store
         uid = next(iter(uploads))
-        first = matcher.match(uid, 3)
-        second = matcher.match(uid, 3)  # cached sort
-        matcher.invalidate()
-        third = matcher.match(uid, 3)  # cold sort
+        first = store.match(uid, 3)
+        second = store.match(uid, 3)  # cached sort
+        store.invalidate()
+        third = store.match(uid, 3)  # cold sort
         assert first == second == third
 
-    def test_match_within(self, loaded_matcher):
-        store, matcher, _ = loaded_matcher
+    def test_match_within(self, loaded_store):
+        store, _ = loaded_store
         biggest = max((g for _, g in store.groups()), key=len)
         if len(biggest) < 2:
             pytest.skip("no group big enough")
         uid = next(iter(biggest))
-        everyone = matcher.match_within(uid, 10**12)
+        everyone = store.match_within(uid, 10**12)
         assert set(everyone) == set(biggest) - {uid}
         with pytest.raises(ParameterError):
-            matcher.match_within(uid, -1)
+            store.match_within(uid, -1)
 
 
 class TestService:

@@ -4,9 +4,9 @@ Covers the four layers bottom-up — placement ring, WAL, snapshots,
 shard state — then the coordinator-level contracts: the equivalence matrix
 (shards=1 vs shards=N vs process-backed shards vs a durable reopen vs the
 default ``SMatchServer`` behind ``handle_message``, each checked for
-byte-identical ``QueryResult`` encodings against a bare ``ProfileStore`` +
-``ServerMatcher`` oracle) and kill-a-shard-mid-churn crash recovery
-against the same oracle.
+byte-identical ``QueryResult`` encodings against a bare ``ProfileStore``
+oracle) and kill-a-shard-mid-churn crash recovery against the same
+oracle.
 """
 
 import dataclasses
@@ -30,7 +30,6 @@ from repro.net.messages import (
     ResultEntry,
     UploadMessage,
 )
-from repro.server.matcher import ServerMatcher
 from repro.server.service import SMatchServer
 from repro.server.sharding import (
     PlacementMap,
@@ -633,14 +632,13 @@ class TestFailedSnapshot:
         state.close()
 
         uids = [p.user_id for p in payloads[:10]]
-        matcher = ServerMatcher(oracle)
         reopened = ShardState(0, directory=tmp_path)
         try:
             assert dict(reopened.store.all_profiles()) == dict(
                 oracle.all_profiles()
             )
             assert reopened.apply([("query", uid, 3) for uid in uids]) == [
-                _entries(oracle, matcher.match(uid, 3)) for uid in uids
+                _entries(oracle, oracle.match(uid, 3)) for uid in uids
             ]
         finally:
             reopened.close()
@@ -668,9 +666,8 @@ def _entries(store, uids):
 
 
 def _oracle_results(payloads, k=3):
-    """The churn workload on a bare ``ProfileStore`` + ``ServerMatcher``."""
+    """The churn workload on a bare ``ProfileStore``."""
     store = ProfileStore()
-    matcher = ServerMatcher(store)
     ops, remaining = _churn_workload(payloads)
     for op in ops:
         if op[0] == "put":
@@ -681,7 +678,7 @@ def _oracle_results(payloads, k=3):
         uid: QueryResult(
             query_id=uid,
             timestamp=3,
-            entries=_entries(store, matcher.match(uid, k)),
+            entries=_entries(store, store.match(uid, k)),
         ).encode()
         for uid in remaining
     }
@@ -775,13 +772,12 @@ class TestBatchRouting:
 
     @staticmethod
     def _agree(tier, store, uids):
-        matcher = ServerMatcher(store)
         exported = tier.export_store()
         assert len(tier) == len(exported) == len(store)
         assert dict(exported.all_profiles()) == dict(store.all_profiles())
         for uid in uids:
             assert tier.query(uid, k=3) == _entries(
-                store, matcher.match(uid, 3)
+                store, store.match(uid, 3)
             )
 
     @pytest.mark.parametrize("durable", [False, True], ids=["memory", "disk"])
@@ -1046,7 +1042,6 @@ class TestTierLifecycle:
 
     def test_max_distance_queries_route_too(self, payloads):
         store = ProfileStore()
-        matcher = ServerMatcher(store)
         for payload in payloads:
             store.put(payload)
         with ShardedTier(shards=3, mode="inline") as tier:
@@ -1054,5 +1049,5 @@ class TestTierLifecycle:
             for payload in payloads[:8]:
                 uid = payload.user_id
                 assert tier.query(uid, max_distance=4) == _entries(
-                    store, matcher.match_within(uid, 4)
+                    store, store.match_within(uid, 4)
                 )

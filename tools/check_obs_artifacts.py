@@ -43,8 +43,9 @@ if str(_REPO_ROOT / "src") not in sys.path:
 import repro.obs.metrics as registry_module  # noqa: E402
 
 # Every phase the Section-III pipeline must traverse in one simulation
-# round.  Query-dependent spans (server.handle_query, match.score_table)
-# are deliberately absent: queries are probabilistic in the simulation.
+# round.  The query spans are required too: the smoke run is seeded
+# (``repro simulate --users 8 --steps 2`` draws from seed 1), so the same
+# queries run, SORT a group and verify their results on every run.
 REQUIRED_SPANS = (
     "simulate",
     "sim.run",
@@ -58,6 +59,11 @@ REQUIRED_SPANS = (
     "ope.encrypt",
     "verification.auth",
     "server.handle_upload",
+    "server.handle_query",
+    "server.sort",
+    "match.rank_sum",
+    "scheme.verify_matches",
+    "verification.vf",
 )
 
 _SPAN_INT_FIELDS = ("start_us", "duration_us")
