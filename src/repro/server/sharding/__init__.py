@@ -13,6 +13,7 @@ with zero cross-shard traffic on the hot path.
 
 Durability is per shard: an append-only CRC'd write-ahead log
 (:mod:`repro.server.sharding.wal`) plus full snapshots that truncate it
+once it has grown to the newest snapshot's size
 (:mod:`repro.server.sharding.snapshot`); crash recovery loads the newest
 snapshot and replays the WAL tail.
 """

@@ -23,7 +23,9 @@ The invariants (docs/PERFORMANCE.md §4):
 
 Every file is digest-protected and written atomically
 (:func:`write_atomic`), so a crash mid-snapshot leaves the previous
-snapshot intact.
+snapshot intact.  A crash after the new snapshot is in place but before
+the files it supersedes are deleted leaves those behind; the next
+:meth:`SnapshotStore.load_latest` deletes them.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.crypto.kdf import sha256
 from repro.errors import PersistenceError
 from repro.net.messages import UploadMessage, decode_message
 from repro.obs.metrics import M_SHARD_SNAPSHOTS, metric_inc
+from repro.obs.trace import span
 from repro.utils.ct import constant_time_eq
 from repro.utils.serial import FieldReader, FieldWriter
 
@@ -67,11 +70,26 @@ def write_atomic(path: Union[str, pathlib.Path], data: bytes) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, final)
-    dir_fd = os.open(final.parent, os.O_RDONLY)
+    _fsync_directory(final.parent)
+
+
+def _fsync_directory(directory: pathlib.Path) -> None:
+    """Make the directory's entries (a rename, a new file) durable."""
+    dir_fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def _superseded(directory: pathlib.Path, seq: int) -> List[pathlib.Path]:
+    """Every snapshot and WAL segment in ``directory`` older than ``seq``."""
+    older = []
+    for entry in directory.iterdir():
+        match = _SNAP_RE.match(entry.name) or _WAL_RE.match(entry.name)
+        if match and int(match.group(1)) < seq:
+            older.append(entry)
+    return older
 
 
 def _encode_snapshot(seq: int, groups: GroupTable) -> bytes:
@@ -142,12 +160,23 @@ def load_snapshot(path: Union[str, pathlib.Path]) -> Tuple[GroupTable, int]:
 
 def write_snapshot(
     directory: Union[str, pathlib.Path], seq: int, groups: GroupTable
-) -> pathlib.Path:
-    """Atomically write ``snap-<seq>.bin`` into ``directory``."""
-    final = pathlib.Path(directory) / f"snap-{seq:08d}.bin"
-    write_atomic(final, _encode_snapshot(seq, groups))
-    metric_inc(M_SHARD_SNAPSHOTS)
-    return final
+) -> int:
+    """Atomically write ``snap-<seq>.bin`` into ``directory``, then delete
+    every older snapshot and WAL segment there: the new snapshot holds all
+    they recorded.  Returns the snapshot's length in bytes.
+
+    Traced as ``server.sharding.snapshot_encode`` and
+    ``server.sharding.snapshot_write`` (the atomic write and the deletes).
+    """
+    folder = pathlib.Path(directory)
+    with span("server.sharding.snapshot_encode"):
+        data = _encode_snapshot(seq, groups)
+    with span("server.sharding.snapshot_write"):
+        write_atomic(folder / f"snap-{seq:08d}.bin", data)
+        metric_inc(M_SHARD_SNAPSHOTS)
+        for entry in _superseded(folder, seq):
+            entry.unlink()
+    return len(data)
 
 
 class SnapshotStore:
@@ -156,7 +185,8 @@ class SnapshotStore:
     Owns sequencing and retention: :meth:`latest_seq` names the live WAL
     segment, :meth:`write` installs the next snapshot and deletes the
     files it supersedes, and :meth:`load_latest` reads the newest
-    snapshot back for recovery.
+    snapshot back for recovery and deletes whatever it supersedes that a
+    crash left behind.
     """
 
     def __init__(self, directory: Union[str, pathlib.Path]) -> None:
@@ -181,30 +211,42 @@ class SnapshotStore:
         seqs = self._sequence_numbers()
         return seqs[-1] if seqs else 0
 
+    def snapshot_path(self, seq: int) -> pathlib.Path:
+        """The snapshot file of sequence ``seq``."""
+        return self._dir / f"snap-{seq:08d}.bin"
+
     def wal_path(self, seq: int) -> pathlib.Path:
         """The WAL segment holding ops accepted after snapshot ``seq``."""
         return self._dir / f"wal-{seq:08d}.log"
 
-    def write(self, seq: int, groups: GroupTable) -> pathlib.Path:
+    def write(self, seq: int, groups: GroupTable) -> int:
         """Write snapshot ``seq``, then delete every older snapshot and
-        WAL segment: the new snapshot holds all they recorded."""
-        path = write_snapshot(self._dir, seq, groups)
-        for entry in self._dir.iterdir():
-            match = _SNAP_RE.match(entry.name) or _WAL_RE.match(entry.name)
-            if match and int(match.group(1)) < seq:
-                entry.unlink()
-        return path
+        WAL segment (:func:`write_snapshot`); returns its length."""
+        return write_snapshot(self._dir, seq, groups)
 
     def load_latest(self) -> Tuple[GroupTable, int]:
         """``(groups, seq)`` of the newest snapshot (``({}, 0)`` when none
-        exist)."""
+        exist).
+
+        Once that snapshot has loaded and its digest has checked out,
+        every older snapshot and WAL segment is deleted: a crash between
+        a snapshot's ``os.replace`` and its own deletes leaves them
+        behind.  The directory is fsynced first, so the newest snapshot's
+        rename is durable before the files it supersedes go.  A failed
+        load deletes nothing.
+        """
         seq = self.latest_seq()
         if seq == 0:
             return {}, 0
-        path = self._dir / f"snap-{seq:08d}.bin"
+        path = self.snapshot_path(seq)
         groups, stored_seq = load_snapshot(path)
         if stored_seq != seq:
             raise PersistenceError(
                 f"{path.name}: file holds snapshot {stored_seq}"
             )
+        superseded = _superseded(self._dir, seq)
+        if superseded:
+            _fsync_directory(self._dir)
+            for entry in superseded:
+                entry.unlink()
         return groups, seq

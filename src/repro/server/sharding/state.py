@@ -43,6 +43,15 @@ with it), so the coordinator's retry-once-on-crash policy plus tolerant
 replay gives exactly the convergence the equivalence tests pin.  A batch
 that *raises* instead is undone in memory as well as in the WAL buffer, so
 the live store always equals what a reopen would recover.
+
+Snapshots follow the size rule of log compaction (Ongaro & Ousterhout,
+USENIX ATC 2014, §7): after a batch that commits a record, a shard
+snapshots once its live WAL segment holds at least as many bytes as its
+newest snapshot, and at least :data:`DEFAULT_SNAPSHOT_EVERY` records have
+committed since that snapshot.  Whatever the shard's size, the snapshot
+bytes written per upload then stay near the upload's own WAL bytes, the
+directory near twice the live bytes, and a reopen replays less than one
+snapshot's worth of records.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ from repro.obs.metrics import (
     M_SHARD_WAL_REPLAYED,
     metric_inc,
 )
+from repro.obs.trace import span
 from repro.server.sharding.snapshot import GroupTable, SnapshotStore
 from repro.server.sharding.wal import (
     OP_PUT,
@@ -83,8 +93,9 @@ ShardOp = Tuple[object, ...]
 #: (``None`` when the user was absent).
 _Undo = Tuple[int, Optional[EncryptedProfile]]
 
-#: Snapshot cadence: a shard snapshots once this many WAL records have
-#: accumulated since its last snapshot.
+#: The fewest committed records between automatic snapshots.  A shard
+#: whose snapshot is smaller than this many records' worth of WAL
+#: snapshots every this many records.
 DEFAULT_SNAPSHOT_EVERY = 256
 
 #: Always ``1``: every snapshot is full.  Kept only because
@@ -105,6 +116,8 @@ class ShardDurability:
     def __init__(self, directory: Union[str, pathlib.Path]) -> None:
         self._snapshots = SnapshotStore(directory)
         self._seq = 0
+        #: the newest snapshot's length; 0 when none or a snapshot failed
+        self._snapshot_bytes = 0
         self._wal: Optional[ShardWal] = None
 
     @property
@@ -120,8 +133,22 @@ class ShardDurability:
         suffix the caller replays on top of the newest snapshot.
         """
         groups, self._seq = self._snapshots.load_latest()
-        self._wal = ShardWal(self._snapshots.wal_path(self._seq))
-        return groups, self._wal.recovered
+        if self._seq:
+            path = self._snapshots.snapshot_path(self._seq)
+            self._snapshot_bytes = path.stat().st_size
+        wal = ShardWal(self._snapshots.wal_path(self._seq))
+        self._wal = wal
+        # hand the tail over: the live segment would otherwise hold up to a
+        # snapshot's worth of replayed records until the next snapshot
+        tail, wal.recovered = wal.recovered, ()
+        return groups, tail
+
+    @property
+    def outgrew_snapshot(self) -> bool:
+        """Whether the live segment holds at least as many bytes as the
+        newest snapshot.  Always true before the first snapshot and after
+        a failed one."""
+        return self._live_wal().committed_bytes >= self._snapshot_bytes
 
     def _live_wal(self) -> ShardWal:
         if self._wal is None:
@@ -151,24 +178,36 @@ class ShardDurability:
         In order: close the live segment (committing anything buffered),
         write the snapshot, delete the older snapshot and segments, open
         the next segment.  A crash at any point recovers from the newest
-        snapshot on disk plus the segment named after it.
+        snapshot on disk plus the segment named after it.  On success the
+        new snapshot's length, taken from its encoding, is what the live
+        segment must reach before :attr:`outgrew_snapshot` holds again.
 
         A failed snapshot write or delete raises :class:`PersistenceError`
         and still leaves a live segment open: the one named after the
         newest snapshot on disk.  That is the old segment, which holds
         every commit, unless the new snapshot was already in place.  A
         failed close is a failed commit (see :meth:`ShardWal.commit`).
+        Either way the recorded snapshot length is 0, so the shard stays
+        due and the next snapshot also clears what this one left behind.
+
+        Traced as ``server.sharding.snapshot`` (``seq``, and ``bytes`` once
+        written) around ``server.sharding.snapshot_encode`` and
+        ``server.sharding.snapshot_write``.
         """
         new_seq = self._seq + 1
-        self._live_wal().close()
-        try:
-            self._snapshots.write(new_seq, dict(store.groups()))
-        except OSError as exc:
-            raise PersistenceError(f"snapshot {new_seq} failed") from exc
-        finally:
-            # log on after whichever snapshot a reopen would load
-            self._seq = self._snapshots.latest_seq()
-            self._wal = ShardWal(self._snapshots.wal_path(self._seq))
+        self._snapshot_bytes = 0
+        with span("server.sharding.snapshot", seq=new_seq) as current:
+            self._live_wal().close()
+            try:
+                size = self._snapshots.write(new_seq, dict(store.groups()))
+            except OSError as exc:
+                raise PersistenceError(f"snapshot {new_seq} failed") from exc
+            finally:
+                # log on after whichever snapshot a reopen would load
+                self._seq = self._snapshots.latest_seq()
+                self._wal = ShardWal(self._snapshots.wal_path(self._seq))
+            current.set_attr("bytes", size)
+        self._snapshot_bytes = size
 
     def close(self) -> None:
         """Commit and close the live WAL segment (idempotent)."""
@@ -195,21 +234,25 @@ class ShardState:
             self._recover(durability)
 
     def _recover(self, durability: ShardDurability) -> None:
-        groups, tail = durability.recover()
-        for members in groups.values():
-            for payload in members.values():
-                self.store.put(payload)
-        for raw in tail:
-            op, value = decode_op(raw)
-            if op == OP_PUT:
-                self.store.put(cast(EncryptedProfile, value))
-            else:
-                user_id = cast(int, value)
-                # tolerant: a redelivered remove of an absent user is a no-op
-                if self.store.contains(user_id):
-                    self.store.remove(user_id)
-        # replayed records count toward the snapshot cadence so a shard
-        # that crashes right before every snapshot still converges to one
+        with span("server.sharding.recover") as current:
+            groups, tail = durability.recover()
+            current.set_attr("records", len(tail))
+            for members in groups.values():
+                for payload in members.values():
+                    self.store.put(payload)
+            for raw in tail:
+                op, value = decode_op(raw)
+                if op == OP_PUT:
+                    self.store.put(cast(EncryptedProfile, value))
+                else:
+                    user_id = cast(int, value)
+                    # tolerant: a redelivered remove of an absent user is
+                    # a no-op
+                    if self.store.contains(user_id):
+                        self.store.remove(user_id)
+        # replayed records count toward the snapshot floor, and the
+        # recovered segment's bytes toward the size rule, so a shard that
+        # crashes right before every snapshot still converges to one
         self._records_since_snapshot = len(tail)
         if groups or tail:
             metric_inc(M_SHARD_WAL_REPLAYED, len(tail))
@@ -275,10 +318,15 @@ class ShardState:
         before the error propagates, so neither the store nor the log
         holds anything from a batch the coordinator saw fail.  A mid-batch
         ``("snapshot",)`` commits the mutations before it first, so they
-        stay applied even when the snapshot itself fails.  The automatic
-        snapshot is tried only after a batch whose commit wrote a record; a
-        failed one is logged, not raised, and the next such batch tries it
-        again, so reads never re-encode the shard.
+        stay applied even when the snapshot itself fails.
+
+        The automatic snapshot is tried only after a batch whose commit
+        wrote a record, and only once the shard has committed at least
+        :data:`DEFAULT_SNAPSHOT_EVERY` records since its newest snapshot
+        and its live segment holds at least as many bytes as that
+        snapshot (:attr:`ShardDurability.outgrew_snapshot`).  A failed one
+        is logged, not raised, and leaves the shard due, so the next such
+        batch tries it again; reads never re-encode the shard.
         """
         results: List[object] = []
         undo: List[_Undo] = []
@@ -347,7 +395,12 @@ class ShardState:
             if self._durability is not None:
                 self._durability.rollback()
             raise
-        if committed and self._records_since_snapshot >= DEFAULT_SNAPSHOT_EVERY:
+        if (
+            self._durability is not None
+            and committed
+            and self._records_since_snapshot >= DEFAULT_SNAPSHOT_EVERY
+            and self._durability.outgrew_snapshot
+        ):
             try:
                 self.snapshot_now()
             except PersistenceError:

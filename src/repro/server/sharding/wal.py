@@ -43,6 +43,7 @@ from repro.obs.metrics import (
     M_SHARD_WAL_RECORDS,
     metric_inc,
 )
+from repro.obs.trace import span
 from repro.utils.serial import FieldReader, FieldWriter
 
 __all__ = [
@@ -194,6 +195,11 @@ class ShardWal:
         """The log file this segment appends to."""
         return self._path
 
+    @property
+    def committed_bytes(self) -> int:
+        """The segment's length at its last commit point."""
+        return self._committed
+
     def append_record(self, payload: bytes) -> None:
         """Buffer one op record; durable only after :meth:`commit`."""
         if self._file is None:
@@ -216,6 +222,9 @@ class ShardWal:
         a reopen replays no part of this commit.  Appends are then refused
         until the shard is reopened: after a failed write or fsync, what
         the disk holds is known only by reading it back.
+
+        Traced as ``server.sharding.wal_commit`` (``records``, ``bytes``);
+        a commit with nothing buffered opens no span.
         """
         if self._file is None:
             raise ParameterError("WAL segment is closed")
@@ -225,20 +234,21 @@ class ShardWal:
         data = b"".join(self._buffer)
         self._buffer.clear()
         fd = self._file.fileno()
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view) :]
-            os.fsync(fd)
-        except BaseException as exc:
-            self._failed = True
-            os.ftruncate(fd, self._committed)
-            if not isinstance(exc, OSError):
-                raise
-            raise PersistenceError(
-                f"{self._path.name}: commit failed; cut back to the last "
-                f"commit point at {self._committed} bytes"
-            ) from exc
+        with span("server.sharding.wal_commit", records=count, bytes=len(data)):
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view) :]
+                os.fsync(fd)
+            except BaseException as exc:
+                self._failed = True
+                os.ftruncate(fd, self._committed)
+                if not isinstance(exc, OSError):
+                    raise
+                raise PersistenceError(
+                    f"{self._path.name}: commit failed; cut back to the "
+                    f"last commit point at {self._committed} bytes"
+                ) from exc
         self._committed += len(data)
         metric_inc(M_SHARD_WAL_RECORDS, count)
         metric_inc(M_SHARD_WAL_BYTES, len(data))

@@ -552,6 +552,34 @@ def _traced_shard_round(mode, uploads):
     return results, names, counters, touched
 
 
+def _traced_durable_round(mode, uploads, data_dir):
+    """A traced two-shard durable tier: one batch big enough to snapshot
+    each shard, a close, a reopen and per-user queries; returns (results,
+    counts of the ``server.sharding.*`` span names)."""
+    from collections import Counter
+
+    from repro.obs.trace import tracing
+    from repro.server.sharding import ShardedTier
+    from repro.server.sharding.state import DEFAULT_SNAPSHOT_EVERY
+
+    # every group holds five uploads: each group alone passes the floor
+    repeats = -(-DEFAULT_SNAPSHOT_EVERY // 5)
+    with tracing("test.durable") as tracer:
+        with ShardedTier(shards=2, mode=mode, data_dir=data_dir) as tier:
+            tier.put_batch(uploads * repeats)
+        with ShardedTier(shards=2, mode=mode, data_dir=data_dir) as tier:
+            results = {
+                payload.user_id: tier.query(payload.user_id, k=3)
+                for payload in uploads
+            }
+    names = Counter(
+        record["name"]
+        for record in tracer.span_records()
+        if record["name"].startswith("server.sharding.")
+    )
+    return results, names
+
+
 class TestShardTierTelemetryEquivalence:
     """Process-mode shards account for every span inline shards record.
 
@@ -587,3 +615,25 @@ class TestShardTierTelemetryEquivalence:
         assert {
             name: process[2].get(name) for name in shard_counters
         } == shard_counters
+
+    def test_process_shard_durable_spans_match_inline(
+        self, grouped_uploads, tmp_path
+    ):
+        inline = _traced_durable_round(
+            "inline", grouped_uploads, tmp_path / "inline"
+        )
+        process = _traced_durable_round(
+            "process", grouped_uploads, tmp_path / "process"
+        )
+        assert process == inline
+        results, names = inline
+        assert all(results.values())
+        # both shards committed once and snapshotted once, and both opens
+        # recovered both shards
+        assert names == {
+            "server.sharding.wal_commit": 2,
+            "server.sharding.snapshot": 2,
+            "server.sharding.snapshot_encode": 2,
+            "server.sharding.snapshot_write": 2,
+            "server.sharding.recover": 4,
+        }

@@ -33,6 +33,7 @@ from repro.net.messages import (
 from repro.server.service import SMatchServer
 from repro.server.sharding import (
     PlacementMap,
+    ShardDurability,
     ShardState,
     ShardWal,
     ShardedTier,
@@ -279,7 +280,8 @@ class TestSnapshots:
         assert store.load_latest() == (groups, 2)
 
     def test_digest_corruption_is_a_typed_error(self, payloads, tmp_path):
-        path = write_snapshot(tmp_path, 1, _group_table(payloads[:3]))
+        write_snapshot(tmp_path, 1, _group_table(payloads[:3]))
+        path = SnapshotStore(tmp_path).snapshot_path(1)
         data = bytearray(path.read_bytes())
         data[-1] ^= 0x01
         path.write_bytes(bytes(data))
@@ -287,10 +289,73 @@ class TestSnapshots:
             load_snapshot(path)
 
     def test_renamed_snapshot_is_a_typed_error(self, payloads, tmp_path):
-        path = write_snapshot(tmp_path, 1, _group_table(payloads[:2]))
+        write_snapshot(tmp_path, 1, _group_table(payloads[:2]))
+        path = SnapshotStore(tmp_path).snapshot_path(1)
         path.rename(tmp_path / "snap-00000002.bin")
         with pytest.raises(PersistenceError):
             SnapshotStore(tmp_path).load_latest()
+
+    @staticmethod
+    def _left_behind(payloads, tmp_path):
+        """Snapshot 2 in place beside the snapshot and segment it
+        supersedes: a crash between its rename and its deletes."""
+        store = SnapshotStore(tmp_path)
+        store.write(1, _group_table(payloads[:2]))
+        with ShardWal(store.wal_path(1)) as wal:
+            wal.append_record(encode_put(payloads[2]))
+        older = {
+            path: path.read_bytes()
+            for path in (store.snapshot_path(1), store.wal_path(1))
+        }
+        groups = _group_table(payloads[:3])
+        store.write(2, groups)
+        for path, data in older.items():
+            path.write_bytes(data)
+        return store, groups
+
+    def test_load_latest_deletes_what_the_newest_supersedes(
+        self, payloads, tmp_path, monkeypatch
+    ):
+        store, groups = self._left_behind(payloads, tmp_path)
+        events = []
+        real_fsync, real_unlink = os.fsync, pathlib.Path.unlink
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def unlink(path, *args, **kwargs):
+            events.append(("unlink", path.name))
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(pathlib.Path, "unlink", unlink)
+        assert store.load_latest() == (groups, 2)
+        # the directory first, so snapshot 2's rename is durable
+        assert events[0] == ("fsync", os.stat(tmp_path).st_ino)
+        assert sorted(events[1:]) == [
+            ("unlink", "snap-00000001.bin"),
+            ("unlink", "wal-00000001.log"),
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["snap-00000002.bin"]
+        # nothing older left: a second load neither fsyncs nor deletes
+        events.clear()
+        assert store.load_latest() == (groups, 2)
+        assert events == []
+
+    def test_failed_load_deletes_nothing(self, payloads, tmp_path):
+        store, _ = self._left_behind(payloads, tmp_path)
+        newest = store.snapshot_path(2)
+        data = bytearray(newest.read_bytes())
+        data[-1] ^= 0x01
+        newest.write_bytes(bytes(data))
+        with pytest.raises(PersistenceError):
+            store.load_latest()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "snap-00000001.bin",
+            "snap-00000002.bin",
+            "wal-00000001.log",
+        ]
 
 
 # -- shard state recovery ------------------------------------------------------
@@ -383,6 +448,9 @@ class TestShardStateRecovery:
         reopened = ShardState(0, directory=tmp_path)
         try:
             assert dict(reopened.store.all_profiles()) == held
+            # the reopen deleted what snapshot 2 supersedes
+            assert len(list(tmp_path.glob("snap-*.bin"))) == 1
+            assert len(list(tmp_path.glob("wal-*.log"))) == 1
             reopened.snapshot_now()
         finally:
             reopened.close()
@@ -518,6 +586,27 @@ def _renamed(payload, user_id):
     )
 
 
+def _cohort(payloads, size):
+    """``size`` distinct users, each a renamed copy of a real upload."""
+    return [
+        _renamed(payloads[i % len(payloads)], 1000 + i) for i in range(size)
+    ]
+
+
+def _reupload_batches(cohort, batch):
+    """Endless drifted re-uploads of the cohort, ``batch`` at a time."""
+    for bump in itertools.count(1):
+        drifted = [_drifted(p, bump) for p in cohort]
+        for start in range(0, len(drifted), batch):
+            yield drifted[start : start + batch]
+
+
+def _wal_bytes(puts):
+    """The WAL bytes a commit of these puts writes: per record, its
+    ``[u32 length][u32 crc32]`` frame header and the put record."""
+    return sum(8 + len(encode_put(p)) for p in puts)
+
+
 def _fail_once(patch, target, name, nth=1):
     """Make the ``nth`` call of ``target.name`` from now raise ENOSPC, once."""
     real = getattr(target, name)
@@ -540,6 +629,20 @@ _SNAPSHOT_FAULTS = {
     "replace": (os, "replace", 1),
     "dir-fsync": (os, "fsync", 3),
 }
+
+
+#: The same faults on a snapshot the size rule triggers, plus a failed
+#: delete of the files it supersedes.
+_SIZE_SNAPSHOT_FAULTS = {
+    **_SNAPSHOT_FAULTS,
+    "unlink": (pathlib.Path, "unlink", 1),
+}
+
+#: Profiles on the shard the trigger tests load: its snapshot holds about
+#: twice the WAL bytes of DEFAULT_SNAPSHOT_EVERY records.
+_SHARD_SIZE = 600
+#: Re-uploads per batch after the load.
+_BATCH = 50
 
 
 class TestFailedSnapshot:
@@ -640,6 +743,161 @@ class TestFailedSnapshot:
             assert reopened.apply([("query", uid, 3) for uid in uids]) == [
                 _entries(oracle, oracle.match(uid, 3)) for uid in uids
             ]
+        finally:
+            reopened.close()
+
+
+    @pytest.mark.parametrize("fault", sorted(_SIZE_SNAPSHOT_FAULTS))
+    def test_failed_size_triggered_snapshot_is_retried(
+        self, payloads, tmp_path, monkeypatch, caplog, fault
+    ):
+        cohort = _cohort(payloads, _SHARD_SIZE)
+        uids = [p.user_id for p in cohort]
+        oracle = self._oracle(cohort)
+        shard_dir = tmp_path / "shard-000"
+        store = SnapshotStore(shard_dir)
+        tier = ShardedTier(shards=1, data_dir=tmp_path)
+        tier.put_batch(cohort)
+        snap_bytes = store.snapshot_path(1).stat().st_size
+        batches = _reupload_batches(cohort, _BATCH)
+        segment = 0
+        for batch in batches:
+            if segment + _wal_bytes(batch) >= snap_bytes:
+                break  # this batch takes the segment to the snapshot's size
+            tier.put_batch(batch)
+            for p in batch:
+                oracle.put(p)
+            segment += _wal_bytes(batch)
+        assert store.latest_seq() == 1
+        attempts = []
+        real_snapshot = ShardDurability.snapshot
+
+        def counting(durability, shard_store):
+            attempts.append(durability)
+            return real_snapshot(durability, shard_store)
+
+        monkeypatch.setattr(ShardDurability, "snapshot", counting)
+        with monkeypatch.context() as patch:
+            _fail_once(patch, *_SIZE_SNAPSHOT_FAULTS[fault])
+            with caplog.at_level("WARNING", logger="smatch"):
+                tier.put_batch(batch)
+        assert "event=shard_snapshot_failed" in caplog.text
+        assert len(attempts) == 1
+        for p in batch:
+            oracle.put(p)
+        # committed and routed; these reads do not retry the snapshot
+        TestBatchRouting._agree(tier, oracle, uids)
+        assert len(attempts) == 1
+        follow_up = _drifted(cohort[0], 99)
+        tier.put_batch([follow_up])
+        oracle.put(follow_up)
+        assert len(attempts) == 2
+        assert len(list(shard_dir.glob("snap-*.bin"))) == 1
+        assert len(list(shard_dir.glob("wal-*.log"))) == 1
+        tier.close()
+
+        with ShardedTier(shards=1, data_dir=tmp_path) as reopened:
+            TestBatchRouting._agree(reopened, oracle, uids)
+
+
+class TestSnapshotTrigger:
+    """A shard snapshots once its live WAL segment holds as many bytes as
+    its newest snapshot, and at least DEFAULT_SNAPSHOT_EVERY records have
+    committed since that snapshot (the floor, pinned by
+    ``TestShardStateRecovery::test_snapshot_cadence_is_automatic``)."""
+
+    def test_snapshot_waits_for_the_segment_to_reach_the_snapshot(
+        self, payloads, tmp_path
+    ):
+        cohort = _cohort(payloads, _SHARD_SIZE)
+        store = SnapshotStore(tmp_path)
+        state = ShardState(0, directory=tmp_path)
+        try:
+            # no snapshot yet, so the floor alone takes snapshot 1
+            state.apply([("put", p) for p in cohort])
+            assert store.latest_seq() == 1
+            snap_bytes = store.snapshot_path(1).stat().st_size
+            segment = records = 0
+            for batch in _reupload_batches(cohort, _BATCH):
+                state.apply([("put", p) for p in batch])
+                segment += _wal_bytes(batch)
+                records += len(batch)
+                if segment >= snap_bytes:
+                    break
+                assert store.latest_seq() == 1
+                assert store.wal_path(1).stat().st_size == segment
+            # well past the floor before the segment reached the snapshot
+            assert records - _BATCH > DEFAULT_SNAPSHOT_EVERY
+            assert store.latest_seq() == 2
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "snap-00000002.bin",
+                "wal-00000002.log",
+            ]
+            assert store.wal_path(2).stat().st_size == 0
+        finally:
+            state.close()
+
+    def test_disk_and_snapshot_count_stay_bounded(self, payloads, tmp_path):
+        cohort = _cohort(payloads, _SHARD_SIZE)
+        store = SnapshotStore(tmp_path)
+        state = ShardState(0, directory=tmp_path)
+        try:
+            state.apply([("put", p) for p in cohort])
+            written = _wal_bytes(cohort)
+            sizes = {}  # snapshot seq -> its length
+            uploads = 0
+            for batch in _reupload_batches(cohort, _BATCH):
+                if uploads >= 5 * _SHARD_SIZE:
+                    break
+                state.apply([("put", p) for p in batch])
+                uploads += len(batch)
+                batch_bytes = _wal_bytes(batch)
+                written += batch_bytes
+                seq = store.latest_seq()
+                newest = sizes.setdefault(
+                    seq, store.snapshot_path(seq).stat().st_size
+                )
+                on_disk = sum(p.stat().st_size for p in tmp_path.iterdir())
+                assert on_disk <= 2 * newest + batch_bytes
+            taken = store.latest_seq()
+            assert taken >= 4  # the stream crossed several snapshots
+            assert taken <= written // min(sizes.values()) + 1
+        finally:
+            state.close()
+
+    def test_recovered_segment_counts_toward_the_next_snapshot(
+        self, payloads, tmp_path
+    ):
+        cohort = _cohort(payloads, _SHARD_SIZE)
+        uids = [p.user_id for p in cohort]
+        oracle = TestFailedSnapshot._oracle(cohort)
+        store = SnapshotStore(tmp_path / "shard-000")
+        tier = ShardedTier(shards=1, data_dir=tmp_path)
+        tier.put_batch(cohort)
+        snap_bytes = store.snapshot_path(1).stat().st_size
+        batches = _reupload_batches(cohort, _BATCH)
+        segment = records = 0
+        while records <= DEFAULT_SNAPSHOT_EVERY:
+            batch = next(batches)
+            tier.put_batch(batch)
+            for p in batch:
+                oracle.put(p)
+            segment += _wal_bytes(batch)
+            records += len(batch)
+        # past the floor, short of the snapshot: abandoned without close
+        assert segment < snap_bytes
+        assert store.latest_seq() == 1
+
+        reopened = ShardedTier(shards=1, data_dir=tmp_path)
+        try:
+            TestBatchRouting._agree(reopened, oracle, uids)
+            for batch in batches:
+                reopened.put_batch(batch)
+                segment += _wal_bytes(batch)
+                if segment >= snap_bytes:
+                    break
+                assert store.latest_seq() == 1
+            assert store.latest_seq() == 2
         finally:
             reopened.close()
 
