@@ -19,8 +19,7 @@ snapshot and replays the WAL tail.
 """
 
 from repro.server.sharding.placement import PlacementMap
-from repro.server.sharding.snapshot import SnapshotStore
-from repro.server.sharding.state import ShardDurability, ShardState
+from repro.server.sharding.state import ShardState
 from repro.server.sharding.tier import ShardedTier
 from repro.server.sharding.wal import ShardWal, WalReplay
 from repro.server.sharding.worker import (
@@ -32,12 +31,10 @@ from repro.server.sharding.worker import (
 __all__ = [
     "PlacementMap",
     "ProcessShard",
-    "ShardDurability",
     "ShardSpec",
     "ShardState",
     "ShardWal",
     "ShardedTier",
-    "SnapshotStore",
     "WalReplay",
     "shard_ops_chunk",
 ]

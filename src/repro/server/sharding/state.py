@@ -1,12 +1,15 @@
-"""One shard's live state: a store + WAL/snapshot durability.
+"""One shard: its store, and the WAL and snapshots that make it durable.
 
 A :class:`ShardState` is the unit that runs inside a shard worker process,
 and is itself the shard handle of an inline tier (the default
-``SMatchServer`` engine): its own
-:class:`~repro.server.storage.ProfileStore`, which stores the shard's
-uploads and answers its queries, plus an optional
-:class:`ShardDurability` wiring the write-ahead log and snapshots
-underneath every mutation.
+``SMatchServer`` engine).  Its own
+:class:`~repro.server.storage.ProfileStore` stores the shard's uploads and
+answers its queries.  Given a directory, the shard is durable: it owns the
+directory, the live :class:`~repro.server.sharding.wal.ShardWal` segment
+there, and the sequence number and length of its newest snapshot
+(:mod:`repro.server.sharding.snapshot` names and writes the files).  It
+recovers itself when built, logs every mutation before applying it, and
+snapshots itself.
 
 The batch protocol (:meth:`ShardState.apply`) is a list of plain
 tuples — the picklable shape the coordinator ships across the process
@@ -72,7 +75,14 @@ from repro.obs.metrics import (
     metric_inc,
 )
 from repro.obs.trace import span
-from repro.server.sharding.snapshot import GroupTable, SnapshotStore
+from repro.server.sharding.snapshot import (
+    latest_seq,
+    load_latest,
+    make_directory,
+    snapshot_path,
+    wal_path,
+    write_snapshot,
+)
 from repro.server.sharding.wal import (
     OP_PUT,
     ShardWal,
@@ -82,7 +92,7 @@ from repro.server.sharding.wal import (
 )
 from repro.server.storage import ProfileStore
 
-__all__ = ["ShardDurability", "ShardState"]
+__all__ = ["ShardState"]
 
 _log = get_logger("server.sharding")
 
@@ -103,121 +113,15 @@ DEFAULT_SNAPSHOT_EVERY = 256
 DEFAULT_FULL_EVERY = 1
 
 
-class ShardDurability:
-    """The WAL + snapshot pair of one shard directory.
+class ShardState:
+    """One shard's store, durable when it is given a directory.
 
     Single-writer: exactly one live :class:`ShardState` may own a shard
-    directory at a time (the tier guarantees this — one worker per shard).
-    :meth:`recover` is the only entry point that opens the log, so the
+    directory at a time (the tier guarantees this — one handle per shard).
+    Building one on a directory is the only way its log opens, so the
     snapshot load and the torn-tail truncation always happen together, in
     the right order.
     """
-
-    def __init__(self, directory: Union[str, pathlib.Path]) -> None:
-        self._snapshots = SnapshotStore(directory)
-        self._seq = 0
-        #: the newest snapshot's length; 0 when none or a snapshot failed
-        self._snapshot_bytes = 0
-        self._wal: Optional[ShardWal] = None
-
-    @property
-    def directory(self) -> pathlib.Path:
-        """The shard directory (snapshots + live WAL segment)."""
-        return self._snapshots.directory
-
-    def recover(self) -> Tuple[GroupTable, Tuple[bytes, ...]]:
-        """``(snapshot groups, WAL tail records)`` and open the live log.
-
-        The tail is what :class:`ShardWal` read when it opened the
-        segment, before it cut any torn tail away: exactly the committed
-        suffix the caller replays on top of the newest snapshot.
-        """
-        groups, self._seq = self._snapshots.load_latest()
-        if self._seq:
-            path = self._snapshots.snapshot_path(self._seq)
-            self._snapshot_bytes = path.stat().st_size
-        wal = ShardWal(self._snapshots.wal_path(self._seq))
-        self._wal = wal
-        # hand the tail over: the live segment would otherwise hold up to a
-        # snapshot's worth of replayed records until the next snapshot
-        tail, wal.recovered = wal.recovered, ()
-        return groups, tail
-
-    @property
-    def outgrew_snapshot(self) -> bool:
-        """Whether the live segment holds at least as many bytes as the
-        newest snapshot.  Always true before the first snapshot and after
-        a failed one."""
-        return self._live_wal().committed_bytes >= self._snapshot_bytes
-
-    def _live_wal(self) -> ShardWal:
-        if self._wal is None:
-            raise ParameterError("durability not recovered (or closed)")
-        return self._wal
-
-    def log_put(self, payload: EncryptedProfile) -> None:
-        """Buffer a put record (durable at the next :meth:`commit`)."""
-        self._live_wal().append_record(encode_put(payload))
-
-    def log_remove(self, user_id: int) -> None:
-        """Buffer a remove record (durable at the next :meth:`commit`)."""
-        self._live_wal().append_record(encode_remove(user_id))
-
-    def commit(self) -> int:
-        """Make all buffered records durable; returns the record count."""
-        return self._live_wal().commit()
-
-    def rollback(self) -> None:
-        """Drop buffered, uncommitted records after a failed batch."""
-        if self._wal is not None:
-            self._wal.rollback()
-
-    def snapshot(self, store: ProfileStore) -> None:
-        """Snapshot every group and rotate the WAL.
-
-        In order: close the live segment (committing anything buffered),
-        write the snapshot, delete the older snapshot and segments, open
-        the next segment.  A crash at any point recovers from the newest
-        snapshot on disk plus the segment named after it.  On success the
-        new snapshot's length, taken from its encoding, is what the live
-        segment must reach before :attr:`outgrew_snapshot` holds again.
-
-        A failed snapshot write or delete raises :class:`PersistenceError`
-        and still leaves a live segment open: the one named after the
-        newest snapshot on disk.  That is the old segment, which holds
-        every commit, unless the new snapshot was already in place.  A
-        failed close is a failed commit (see :meth:`ShardWal.commit`).
-        Either way the recorded snapshot length is 0, so the shard stays
-        due and the next snapshot also clears what this one left behind.
-
-        Traced as ``server.sharding.snapshot`` (``seq``, and ``bytes`` once
-        written) around ``server.sharding.snapshot_encode`` and
-        ``server.sharding.snapshot_write``.
-        """
-        new_seq = self._seq + 1
-        self._snapshot_bytes = 0
-        with span("server.sharding.snapshot", seq=new_seq) as current:
-            self._live_wal().close()
-            try:
-                size = self._snapshots.write(new_seq, dict(store.groups()))
-            except OSError as exc:
-                raise PersistenceError(f"snapshot {new_seq} failed") from exc
-            finally:
-                # log on after whichever snapshot a reopen would load
-                self._seq = self._snapshots.latest_seq()
-                self._wal = ShardWal(self._snapshots.wal_path(self._seq))
-            current.set_attr("bytes", size)
-        self._snapshot_bytes = size
-
-    def close(self) -> None:
-        """Commit and close the live WAL segment (idempotent)."""
-        if self._wal is not None:
-            self._wal.close()
-            self._wal = None
-
-
-class ShardState:
-    """One shard's store, with optional durability underneath."""
 
     def __init__(
         self,
@@ -227,34 +131,59 @@ class ShardState:
         self.shard_id = shard_id
         self.store = ProfileStore()
         self._records_since_snapshot = 0
-        self._durability: Optional[ShardDurability] = None
+        #: the shard directory and its live WAL segment; None in memory
+        self._dir: Optional[pathlib.Path] = None
+        self._wal: Optional[ShardWal] = None
+        #: the newest snapshot's sequence number; 0 when none exists
+        self._seq = 0
+        #: the newest snapshot's length; 0 when none or a snapshot failed
+        self._snapshot_bytes = 0
         if directory is not None:
-            durability = ShardDurability(directory)
-            self._durability = durability
-            self._recover(durability)
+            self._dir = pathlib.Path(directory)
+            make_directory(self._dir)
+            self._recover(self._dir)
 
-    def _recover(self, durability: ShardDurability) -> None:
+    def _recover(self, directory: pathlib.Path) -> None:
+        """Load the newest snapshot, open the live segment named after it,
+        and replay the committed records that segment held.
+
+        The tail is what :class:`ShardWal` read when it opened the
+        segment, before it cut any torn tail away: exactly the committed
+        suffix to replay on top of the snapshot.  A replay that raises
+        closes the segment again.
+        """
         with span("server.sharding.recover") as current:
-            groups, tail = durability.recover()
+            uploads, self._seq = load_latest(directory)
+            if self._seq:
+                path = snapshot_path(directory, self._seq)
+                self._snapshot_bytes = path.stat().st_size
+            wal = self._wal = ShardWal(wal_path(directory, self._seq))
+            # hand the tail over: the live segment would otherwise hold up
+            # to a snapshot's worth of replayed records until the next
+            # snapshot
+            tail, wal.recovered = wal.recovered, ()
             current.set_attr("records", len(tail))
-            for members in groups.values():
-                for payload in members.values():
+            try:
+                for payload in uploads:
                     self.store.put(payload)
-            for raw in tail:
-                op, value = decode_op(raw)
-                if op == OP_PUT:
-                    self.store.put(cast(EncryptedProfile, value))
-                else:
-                    user_id = cast(int, value)
-                    # tolerant: a redelivered remove of an absent user is
-                    # a no-op
-                    if self.store.contains(user_id):
-                        self.store.remove(user_id)
+                for raw in tail:
+                    op, value = decode_op(raw)
+                    if op == OP_PUT:
+                        self.store.put(cast(EncryptedProfile, value))
+                    else:
+                        user_id = cast(int, value)
+                        # tolerant: a redelivered remove of an absent user
+                        # is a no-op
+                        if self.store.contains(user_id):
+                            self.store.remove(user_id)
+            except BaseException:
+                wal.close()
+                raise
         # replayed records count toward the snapshot floor, and the
         # recovered segment's bytes toward the size rule, so a shard that
         # crashes right before every snapshot still converges to one
         self._records_since_snapshot = len(tail)
-        if groups or tail:
+        if uploads or tail:
             metric_inc(M_SHARD_WAL_REPLAYED, len(tail))
             metric_inc(M_SHARD_RECOVERIES)
 
@@ -262,8 +191,8 @@ class ShardState:
 
     def _put(self, payload: EncryptedProfile, undo: List[_Undo]) -> None:
         previous = self.store.all_profiles().get(payload.user_id)
-        if self._durability is not None:
-            self._durability.log_put(payload)
+        if self._wal is not None:
+            self._wal.append_record(encode_put(payload))
         self.store.put(payload)
         undo.append((payload.user_id, previous))
 
@@ -271,8 +200,8 @@ class ShardState:
         previous = self.store.all_profiles().get(user_id)
         if previous is None:
             return  # tolerant: replay/redelivery idempotence
-        if self._durability is not None:
-            self._durability.log_remove(user_id)
+        if self._wal is not None:
+            self._wal.append_record(encode_remove(user_id))
         self.store.remove(user_id)
         undo.append((user_id, previous))
 
@@ -324,9 +253,9 @@ class ShardState:
         wrote a record, and only once the shard has committed at least
         :data:`DEFAULT_SNAPSHOT_EVERY` records since its newest snapshot
         and its live segment holds at least as many bytes as that
-        snapshot (:attr:`ShardDurability.outgrew_snapshot`).  A failed one
-        is logged, not raised, and leaves the shard due, so the next such
-        batch tries it again; reads never re-encode the shard.
+        snapshot.  A failed one is logged, not raised, and leaves the shard
+        due, so the next such batch tries it again; reads never re-encode
+        the shard.
         """
         results: List[object] = []
         undo: List[_Undo] = []
@@ -357,9 +286,8 @@ class ShardState:
                 elif kind == "manifest":
                     results.append(
                         tuple(
-                            (uid, key_index)
-                            for key_index, members in self.store.groups()
-                            for uid in sorted(members)
+                            (uid, payload.key_index)
+                            for uid, payload in self.store.all_profiles().items()
                         )
                     )
                 elif kind == "export":
@@ -376,33 +304,31 @@ class ShardState:
                 elif kind == "sizes":
                     results.append(tuple(self.store.group_sizes()))
                 elif kind == "snapshot":
-                    if self._durability is not None:
-                        self._records_since_snapshot += (
-                            self._durability.commit()
-                        )
+                    if self._wal is not None:
+                        self._records_since_snapshot += self._wal.commit()
                         undo.clear()  # durable now, whatever the snapshot does
-                    self.snapshot_now()
+                    self._snapshot()
                     results.append(None)
                 elif kind == "crash":
                     os._exit(21)  # recovery-drill hook: die mid-batch
                 else:
                     raise ParameterError(f"unknown shard op {kind!r}")
-            if self._durability is not None:
-                committed = self._durability.commit()
+            if self._wal is not None:
+                committed = self._wal.commit()
                 self._records_since_snapshot += committed
         except BaseException:
             self._undo(undo)
-            if self._durability is not None:
-                self._durability.rollback()
+            if self._wal is not None:
+                self._wal.rollback()
             raise
         if (
-            self._durability is not None
+            self._wal is not None
             and committed
             and self._records_since_snapshot >= DEFAULT_SNAPSHOT_EVERY
-            and self._durability.outgrew_snapshot
+            and self._wal.committed_bytes >= self._snapshot_bytes
         ):
             try:
-                self.snapshot_now()
+                self._snapshot()
             except PersistenceError:
                 # the batch is committed; the next writing batch tries again
                 _log.warning(
@@ -416,14 +342,51 @@ class ShardState:
             metric_inc(M_SHARD_QUERIES, queries)
         return results
 
-    def snapshot_now(self) -> None:
-        """Snapshot immediately (no-op without durability)."""
-        if self._durability is None:
+    def _snapshot(self) -> None:
+        """Snapshot every stored upload and rotate the WAL (no-op in
+        memory).
+
+        In order: close the live segment (committing anything buffered),
+        write the snapshot, delete the older snapshot and segments, open
+        the next segment.  A crash at any point recovers from the newest
+        snapshot on disk plus the segment named after it.  On success the
+        new snapshot's length, taken from its encoding, is what the live
+        segment must reach before the size rule holds again.
+
+        A failed snapshot write or delete raises :class:`PersistenceError`
+        and still leaves a live segment open: the one named after the
+        newest snapshot on disk.  That is the old segment, which holds
+        every commit, unless the new snapshot was already in place.  A
+        failed close is a failed commit (see :meth:`ShardWal.commit`).
+        Either way the recorded snapshot length is 0, so the shard stays
+        due and the next snapshot also clears what this one left behind.
+
+        Traced as ``server.sharding.snapshot`` (``seq``, and ``bytes`` once
+        written) around ``server.sharding.snapshot_encode`` and
+        ``server.sharding.snapshot_write``.
+        """
+        directory, wal = self._dir, self._wal
+        if directory is None or wal is None:
             return
-        self._durability.snapshot(self.store)
+        new_seq = self._seq + 1
+        self._snapshot_bytes = 0
+        with span("server.sharding.snapshot", seq=new_seq) as current:
+            wal.close()
+            try:
+                size = write_snapshot(
+                    directory, new_seq, self.store.all_profiles()
+                )
+            except OSError as exc:
+                raise PersistenceError(f"snapshot {new_seq} failed") from exc
+            finally:
+                # log on after whichever snapshot a reopen would load
+                self._seq = latest_seq(directory)
+                self._wal = ShardWal(wal_path(directory, self._seq))
+            current.set_attr("bytes", size)
+        self._snapshot_bytes = size
         self._records_since_snapshot = 0
 
     def close(self) -> None:
-        """Flush and close the durability layer (idempotent)."""
-        if self._durability is not None:
-            self._durability.close()
+        """Commit and close the live WAL segment (idempotent)."""
+        if self._wal is not None:
+            self._wal.close()

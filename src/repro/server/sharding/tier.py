@@ -12,9 +12,12 @@ touches several shards applies each shard's op list in turn.
 Hot-path guarantees:
 
 * **zero cross-shard traffic**: an upload or query touches exactly the
-  shard owning its key group (an upload that *moves* a user between
-  groups additionally sends one remove to the old shard — the only
-  two-shard op, and the two halves commute);
+  shard owning its key group (an upload that *moves* a user to a group on
+  another shard additionally sends one remove to the old shard — the only
+  two-shard op).  The two halves do not commute.  A lone move's remove
+  applies first, so when the new shard then refuses the put (a chain
+  whose length differs from the new group's), the user's previous record
+  is already gone, where a bare ``ProfileStore`` keeps it;
 * **explicit placement**: the map is written atomically next to the
   shard directories and validated at open — a tier can never silently
   come up with a different group → shard assignment than the one its
@@ -39,7 +42,7 @@ from repro.errors import (
 from repro.net.messages import ResultEntry
 from repro.obs.trace import span
 from repro.server.sharding.placement import PlacementMap
-from repro.server.sharding.snapshot import write_atomic
+from repro.server.sharding.snapshot import make_directory, write_atomic
 from repro.server.sharding.state import ShardOp, ShardState
 from repro.server.sharding.worker import ProcessShard, ShardSpec
 from repro.server.storage import ProfileStore
@@ -72,20 +75,24 @@ class ShardedTier:
             pathlib.Path(data_dir) if data_dir is not None else None
         )
         self._placement = self._open_placement(shards)
-        self._shards: List[ShardHandle] = [
-            self._make_shard(shard_id)
-            for shard_id in range(self._placement.shards)
-        ]
+        self._shards: List[ShardHandle] = []
         self._user_key_index: Dict[int, bytes] = {}
-        if self._data_dir is not None:
-            self._reload_routing()
+        try:
+            for shard_id in range(self._placement.shards):
+                self._shards.append(self._make_shard(shard_id))
+            if self._data_dir is not None:
+                self._reload_routing()
+        except BaseException:
+            # a shard that fails to open leaves the ones before it open
+            self.close()
+            raise
 
     # -- construction ----------------------------------------------------------
 
     def _open_placement(self, shards: int) -> PlacementMap:
         if self._data_dir is None:
             return PlacementMap.build(shards)
-        self._data_dir.mkdir(parents=True, exist_ok=True)
+        make_directory(self._data_dir)
         path = self._data_dir / "placement.bin"
         if path.exists():
             try:
@@ -137,13 +144,14 @@ class ShardedTier:
         """Route a batch of uploads, one op list per touched shard.
 
         A re-upload whose fuzzy key drifted to a group on another shard
-        turns into remove-on-old + put-on-new; per-shard op order follows
-        batch order, which is all the cross-shard commutativity argument
-        in the module docs needs.  The shards' lists run one after another,
-        in the order the batch first touched each shard, and each shard's
+        turns into remove-on-old + put-on-new, and per-shard op order
+        follows batch order.  The shards' lists run one after another, in
+        the order the batch first touched each shard, and each shard's
         routing is folded in as soon as its list has applied: when a later
         shard refuses its part, the routing table still names every user
-        the earlier shards now hold.
+        the earlier shards now hold.  The two halves of a move are not
+        atomic: a remove that applied before its put was refused stays
+        applied (see the module docs).
         """
         ops_by_shard: Dict[int, List[ShardOp]] = {}
         # per shard, each touched user's group there once its ops have run
@@ -206,10 +214,11 @@ class ShardedTier:
     def query(
         self,
         user_id: int,
-        k: int = 5,
+        k: int,
         max_distance: Optional[int] = None,
     ) -> Tuple[ResultEntry, ...]:
-        """Match one user on their shard; unknown users (and singleton
+        """Match one user on their shard: kNN with ``k``, or MAX-distance
+        when ``max_distance`` is given; unknown users (and singleton
         groups) get an empty tuple."""
         key_index = self._user_key_index.get(user_id)
         if key_index is None:

@@ -44,6 +44,7 @@ from repro.obs.metrics import (
     metric_inc,
 )
 from repro.obs.trace import span
+from repro.server.sharding.snapshot import fsync_directory
 from repro.utils.serial import FieldReader, FieldWriter
 
 __all__ = [
@@ -170,10 +171,12 @@ class ShardWal:
     segment once: :attr:`recovered` keeps every committed record found,
     for the shard to replay, and a torn tail from a previous crash is
     truncated away before the first new append, so a recovered log never
-    interleaves old half-frames with new records.  The file is
-    unbuffered: whatever a commit wrote is in the file when the commit
-    returns or raises, so a cut-back leaves no buffered bytes behind for a
-    later flush to write past it.
+    interleaves old half-frames with new records.  Creating a segment
+    fsyncs its directory: a commit fsyncs only the file, and a new file's
+    directory entry survives a crash only once its directory is fsynced
+    (fsync(2)).  The file is unbuffered: whatever a commit
+    wrote is in the file when the commit returns or raises, so a cut-back
+    leaves no buffered bytes behind for a later flush to write past it.
     """
 
     def __init__(self, path: Union[str, pathlib.Path]) -> None:
@@ -182,8 +185,17 @@ class ShardWal:
         replayed = replay_wal(self._path)
         #: the committed records the segment held when it was opened
         self.recovered = replayed.records
-        mode = "r+b" if self._path.exists() else "w+b"
+        created = not self._path.exists()
+        mode = "w+b" if created else "r+b"
         self._file: Optional[BinaryIO] = open(self._path, mode, buffering=0)
+        if created:
+            try:
+                fsync_directory(self._path.parent)
+            except OSError as exc:
+                self._file.close()
+                raise PersistenceError(
+                    f"{self._path.name}: directory fsync failed"
+                ) from exc
         if replayed.torn_tail:
             self._file.truncate(replayed.valid_bytes)
         #: the file length at the last commit point

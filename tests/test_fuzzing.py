@@ -5,8 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.modes import AeadCiphertext, EtMCipher
 from repro.errors import ProtocolError, ReproError
-from repro.server.sharding import PlacementMap, ShardWal, SnapshotStore
-from repro.server.sharding.snapshot import load_snapshot, write_snapshot
+from repro.server.sharding import PlacementMap, ShardWal
+from repro.server.sharding.snapshot import (
+    load_snapshot,
+    snapshot_path,
+    write_snapshot,
+)
 from repro.server.sharding.wal import decode_op, encode_put, replay_wal
 from repro.utils.serial import FieldReader, FieldWriter
 
@@ -49,8 +53,8 @@ def valid_encodings(enrolled, fuzz_dir):
     wal_path = fuzz_dir / "valid.log"
     with ShardWal(wal_path) as wal:
         wal.append_record(encode_put(payload))
-    write_snapshot(fuzz_dir, 1, {payload.key_index: {payload.user_id: payload}})
-    snap_path = SnapshotStore(fuzz_dir).snapshot_path(1)
+    write_snapshot(fuzz_dir, 1, {payload.user_id: payload})
+    snap_path = snapshot_path(fuzz_dir, 1)
     return {
         "op": encode_put(payload),
         "wal": wal_path.read_bytes(),

@@ -104,7 +104,7 @@ class TestCorruption:
         with pytest.raises(PersistenceError):
             SMatchServer(data_dir=durable_dir)
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_wrong_version(self, durable_dir, version):
         # the format version follows the magic field; rewrite it
         path = _snapshot_file(durable_dir)

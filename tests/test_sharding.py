@@ -11,9 +11,11 @@ oracle.
 
 import dataclasses
 import errno
+import gc
 import itertools
 import os
 import pathlib
+import warnings
 
 import pytest
 
@@ -33,14 +35,19 @@ from repro.net.messages import (
 from repro.server.service import SMatchServer
 from repro.server.sharding import (
     PlacementMap,
-    ShardDurability,
     ShardState,
     ShardWal,
     ShardedTier,
-    SnapshotStore,
 )
 from repro.server.sharding import snapshot as snapshot_module
-from repro.server.sharding.snapshot import load_snapshot, write_snapshot
+from repro.server.sharding.snapshot import (
+    latest_seq,
+    load_latest,
+    load_snapshot,
+    snapshot_path,
+    wal_path,
+    write_snapshot,
+)
 from repro.server.sharding.state import DEFAULT_SNAPSHOT_EVERY
 from repro.server.sharding.wal import (
     OP_PUT,
@@ -261,27 +268,36 @@ class TestWal:
 # -- snapshots -----------------------------------------------------------------
 
 
-def _group_table(payloads):
-    groups = {}
-    for payload in payloads:
-        groups.setdefault(payload.key_index, {})[payload.user_id] = payload
-    return groups
+def _by_user(payloads):
+    return {payload.user_id: payload for payload in payloads}
 
 
 class TestSnapshots:
     def test_full_snapshot_compacts_the_chain(self, payloads, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.write(1, _group_table(payloads[:2]))
-        with ShardWal(store.wal_path(1)) as wal:
+        write_snapshot(tmp_path, 1, _by_user(payloads[:2]))
+        with ShardWal(wal_path(tmp_path, 1)) as wal:
             wal.append_record(encode_put(payloads[2]))
-        groups = _group_table(payloads[:4])
-        store.write(2, groups)
+        write_snapshot(tmp_path, 2, _by_user(payloads[:4]))
         assert [p.name for p in tmp_path.iterdir()] == ["snap-00000002.bin"]
-        assert store.load_latest() == (groups, 2)
+        assert load_latest(tmp_path) == (tuple(payloads[:4]), 2)
+
+    def test_equal_stores_write_equal_bytes(self, payloads, tmp_path):
+        # uploads go in ascending user id, whatever order the store holds
+        forward, backward = tmp_path / "forward", tmp_path / "backward"
+        forward.mkdir()
+        backward.mkdir()
+        write_snapshot(forward, 1, _by_user(payloads))
+        write_snapshot(backward, 1, _by_user(reversed(payloads)))
+        data = snapshot_path(forward, 1).read_bytes()
+        assert snapshot_path(backward, 1).read_bytes() == data
+        assert load_snapshot(snapshot_path(backward, 1)) == (
+            tuple(payloads),
+            1,
+        )
 
     def test_digest_corruption_is_a_typed_error(self, payloads, tmp_path):
-        write_snapshot(tmp_path, 1, _group_table(payloads[:3]))
-        path = SnapshotStore(tmp_path).snapshot_path(1)
+        write_snapshot(tmp_path, 1, _by_user(payloads[:3]))
+        path = snapshot_path(tmp_path, 1)
         data = bytearray(path.read_bytes())
         data[-1] ^= 0x01
         path.write_bytes(bytes(data))
@@ -289,34 +305,32 @@ class TestSnapshots:
             load_snapshot(path)
 
     def test_renamed_snapshot_is_a_typed_error(self, payloads, tmp_path):
-        write_snapshot(tmp_path, 1, _group_table(payloads[:2]))
-        path = SnapshotStore(tmp_path).snapshot_path(1)
+        write_snapshot(tmp_path, 1, _by_user(payloads[:2]))
+        path = snapshot_path(tmp_path, 1)
         path.rename(tmp_path / "snap-00000002.bin")
         with pytest.raises(PersistenceError):
-            SnapshotStore(tmp_path).load_latest()
+            load_latest(tmp_path)
 
     @staticmethod
     def _left_behind(payloads, tmp_path):
         """Snapshot 2 in place beside the snapshot and segment it
         supersedes: a crash between its rename and its deletes."""
-        store = SnapshotStore(tmp_path)
-        store.write(1, _group_table(payloads[:2]))
-        with ShardWal(store.wal_path(1)) as wal:
+        write_snapshot(tmp_path, 1, _by_user(payloads[:2]))
+        with ShardWal(wal_path(tmp_path, 1)) as wal:
             wal.append_record(encode_put(payloads[2]))
         older = {
             path: path.read_bytes()
-            for path in (store.snapshot_path(1), store.wal_path(1))
+            for path in (snapshot_path(tmp_path, 1), wal_path(tmp_path, 1))
         }
-        groups = _group_table(payloads[:3])
-        store.write(2, groups)
+        write_snapshot(tmp_path, 2, _by_user(payloads[:3]))
         for path, data in older.items():
             path.write_bytes(data)
-        return store, groups
+        return tuple(payloads[:3])
 
     def test_load_latest_deletes_what_the_newest_supersedes(
         self, payloads, tmp_path, monkeypatch
     ):
-        store, groups = self._left_behind(payloads, tmp_path)
+        uploads = self._left_behind(payloads, tmp_path)
         events = []
         real_fsync, real_unlink = os.fsync, pathlib.Path.unlink
 
@@ -330,7 +344,7 @@ class TestSnapshots:
 
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(pathlib.Path, "unlink", unlink)
-        assert store.load_latest() == (groups, 2)
+        assert load_latest(tmp_path) == (uploads, 2)
         # the directory first, so snapshot 2's rename is durable
         assert events[0] == ("fsync", os.stat(tmp_path).st_ino)
         assert sorted(events[1:]) == [
@@ -340,17 +354,17 @@ class TestSnapshots:
         assert [p.name for p in tmp_path.iterdir()] == ["snap-00000002.bin"]
         # nothing older left: a second load neither fsyncs nor deletes
         events.clear()
-        assert store.load_latest() == (groups, 2)
+        assert load_latest(tmp_path) == (uploads, 2)
         assert events == []
 
     def test_failed_load_deletes_nothing(self, payloads, tmp_path):
-        store, _ = self._left_behind(payloads, tmp_path)
-        newest = store.snapshot_path(2)
+        self._left_behind(payloads, tmp_path)
+        newest = snapshot_path(tmp_path, 2)
         data = bytearray(newest.read_bytes())
         data[-1] ^= 0x01
         newest.write_bytes(bytes(data))
         with pytest.raises(PersistenceError):
-            store.load_latest()
+            load_latest(tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "snap-00000001.bin",
             "snap-00000002.bin",
@@ -365,7 +379,7 @@ class TestShardStateRecovery:
     def test_snapshot_plus_tail_replay(self, payloads, tmp_path):
         state = ShardState(0, directory=tmp_path)
         state.apply([("put", p) for p in payloads[:6]])
-        state.snapshot_now()
+        state.apply([("snapshot",)])
         # post-snapshot churn lives only in the WAL tail
         state.apply(
             [
@@ -399,7 +413,7 @@ class TestShardStateRecovery:
         state = ShardState(0, directory=tmp_path)
         repeats = DEFAULT_SNAPSHOT_EVERY // 8
         state.apply([("put", p) for p in payloads[:8]] * repeats)
-        assert SnapshotStore(tmp_path).latest_seq() == 1
+        assert latest_seq(tmp_path) == 1
         state.close()
 
     def test_group_move_survives_snapshot_and_reopen(
@@ -408,10 +422,10 @@ class TestShardStateRecovery:
         a, b = payloads[0], payloads[1]
         state = ShardState(0, directory=tmp_path)
         state.apply([("put", a), ("put", b)])
-        state.snapshot_now()
+        state.apply([("snapshot",)])
         # a's fuzzy key drifts into b's group, emptying a's old group
         state.apply([("put", _moved(a, b.key_index))])
-        state.snapshot_now()
+        state.apply([("snapshot",)])
         state.close()
         recovered = ShardState(0, directory=tmp_path)
         assert recovered.store.get(a.user_id).key_index == b.key_index
@@ -424,7 +438,7 @@ class TestShardStateRecovery:
     ):
         state = ShardState(0, directory=tmp_path)
         state.apply([("put", p) for p in payloads[:6]])
-        state.snapshot_now()
+        state.apply([("snapshot",)])
         state.apply(
             [("put", p) for p in payloads[6:10]]
             + [("remove", payloads[0].user_id)]
@@ -437,7 +451,7 @@ class TestShardStateRecovery:
 
         monkeypatch.setattr(pathlib.Path, "unlink", unlink_fails_once)
         with pytest.raises(PersistenceError) as info:
-            state.snapshot_now()
+            state.apply([("snapshot",)])
         assert isinstance(info.value.__cause__, OSError)
         # snapshot 2 is in place and snapshot 1 is not yet deleted; the
         # shard is abandoned here, without close
@@ -451,7 +465,7 @@ class TestShardStateRecovery:
             # the reopen deleted what snapshot 2 supersedes
             assert len(list(tmp_path.glob("snap-*.bin"))) == 1
             assert len(list(tmp_path.glob("wal-*.log"))) == 1
-            reopened.snapshot_now()
+            reopened.apply([("snapshot",)])
         finally:
             reopened.close()
         assert len(list(tmp_path.glob("snap-*.bin"))) == 1
@@ -477,6 +491,51 @@ class TestShardStateRecovery:
             "shard-000/wal-00000000.log",
             "shard-001/wal-00000000.log",
         ]
+
+
+def _fsyncs_after(patch, path):
+    """Record the inode of every ``os.fsync`` from now on, once ``path``
+    exists."""
+    inodes = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if path.exists():
+            inodes.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    patch.setattr(os, "fsync", fsync)
+    return inodes
+
+
+class TestNewEntriesAreDurable:
+    """A new directory or WAL segment's entry is fsynced into its parent
+    directory before the first commit into it returns."""
+
+    def test_fresh_tier(self, payloads, tmp_path, monkeypatch):
+        data_dir = tmp_path / "data"
+        shard_dir = data_dir / "shard-000"
+        segment = wal_path(shard_dir, 0)
+        since = {
+            path: _fsyncs_after(monkeypatch, path)
+            for path in (data_dir, shard_dir, segment)
+        }
+        with ShardedTier(shards=1, data_dir=data_dir) as tier:
+            tier.put(payloads[0])  # the shard's first commit
+            commit = os.stat(segment).st_ino
+        for path, inodes in since.items():
+            assert os.stat(path.parent).st_ino in inodes[: inodes.index(commit)]
+
+    def test_segment_a_snapshot_opens(self, payloads, tmp_path, monkeypatch):
+        state = ShardState(0, directory=tmp_path)
+        state.apply([("put", payloads[0])])
+        segment = wal_path(tmp_path, 1)
+        inodes = _fsyncs_after(monkeypatch, segment)
+        state.apply([("snapshot",)])
+        state.apply([("put", payloads[1])])  # the segment's first commit
+        state.close()
+        commit = os.stat(segment).st_ino
+        assert os.stat(tmp_path).st_ino in inodes[: inodes.index(commit)]
 
 
 class TestFailedBatch:
@@ -755,10 +814,9 @@ class TestFailedSnapshot:
         uids = [p.user_id for p in cohort]
         oracle = self._oracle(cohort)
         shard_dir = tmp_path / "shard-000"
-        store = SnapshotStore(shard_dir)
         tier = ShardedTier(shards=1, data_dir=tmp_path)
         tier.put_batch(cohort)
-        snap_bytes = store.snapshot_path(1).stat().st_size
+        snap_bytes = snapshot_path(shard_dir, 1).stat().st_size
         batches = _reupload_batches(cohort, _BATCH)
         segment = 0
         for batch in batches:
@@ -768,15 +826,15 @@ class TestFailedSnapshot:
             for p in batch:
                 oracle.put(p)
             segment += _wal_bytes(batch)
-        assert store.latest_seq() == 1
+        assert latest_seq(shard_dir) == 1
         attempts = []
-        real_snapshot = ShardDurability.snapshot
+        real_snapshot = ShardState._snapshot
 
-        def counting(durability, shard_store):
-            attempts.append(durability)
-            return real_snapshot(durability, shard_store)
+        def counting(state):
+            attempts.append(state)
+            return real_snapshot(state)
 
-        monkeypatch.setattr(ShardDurability, "snapshot", counting)
+        monkeypatch.setattr(ShardState, "_snapshot", counting)
         with monkeypatch.context() as patch:
             _fail_once(patch, *_SIZE_SNAPSHOT_FAULTS[fault])
             with caplog.at_level("WARNING", logger="smatch"):
@@ -810,13 +868,12 @@ class TestSnapshotTrigger:
         self, payloads, tmp_path
     ):
         cohort = _cohort(payloads, _SHARD_SIZE)
-        store = SnapshotStore(tmp_path)
         state = ShardState(0, directory=tmp_path)
         try:
             # no snapshot yet, so the floor alone takes snapshot 1
             state.apply([("put", p) for p in cohort])
-            assert store.latest_seq() == 1
-            snap_bytes = store.snapshot_path(1).stat().st_size
+            assert latest_seq(tmp_path) == 1
+            snap_bytes = snapshot_path(tmp_path, 1).stat().st_size
             segment = records = 0
             for batch in _reupload_batches(cohort, _BATCH):
                 state.apply([("put", p) for p in batch])
@@ -824,22 +881,21 @@ class TestSnapshotTrigger:
                 records += len(batch)
                 if segment >= snap_bytes:
                     break
-                assert store.latest_seq() == 1
-                assert store.wal_path(1).stat().st_size == segment
+                assert latest_seq(tmp_path) == 1
+                assert wal_path(tmp_path, 1).stat().st_size == segment
             # well past the floor before the segment reached the snapshot
             assert records - _BATCH > DEFAULT_SNAPSHOT_EVERY
-            assert store.latest_seq() == 2
+            assert latest_seq(tmp_path) == 2
             assert sorted(p.name for p in tmp_path.iterdir()) == [
                 "snap-00000002.bin",
                 "wal-00000002.log",
             ]
-            assert store.wal_path(2).stat().st_size == 0
+            assert wal_path(tmp_path, 2).stat().st_size == 0
         finally:
             state.close()
 
     def test_disk_and_snapshot_count_stay_bounded(self, payloads, tmp_path):
         cohort = _cohort(payloads, _SHARD_SIZE)
-        store = SnapshotStore(tmp_path)
         state = ShardState(0, directory=tmp_path)
         try:
             state.apply([("put", p) for p in cohort])
@@ -853,13 +909,13 @@ class TestSnapshotTrigger:
                 uploads += len(batch)
                 batch_bytes = _wal_bytes(batch)
                 written += batch_bytes
-                seq = store.latest_seq()
+                seq = latest_seq(tmp_path)
                 newest = sizes.setdefault(
-                    seq, store.snapshot_path(seq).stat().st_size
+                    seq, snapshot_path(tmp_path, seq).stat().st_size
                 )
                 on_disk = sum(p.stat().st_size for p in tmp_path.iterdir())
                 assert on_disk <= 2 * newest + batch_bytes
-            taken = store.latest_seq()
+            taken = latest_seq(tmp_path)
             assert taken >= 4  # the stream crossed several snapshots
             assert taken <= written // min(sizes.values()) + 1
         finally:
@@ -871,10 +927,10 @@ class TestSnapshotTrigger:
         cohort = _cohort(payloads, _SHARD_SIZE)
         uids = [p.user_id for p in cohort]
         oracle = TestFailedSnapshot._oracle(cohort)
-        store = SnapshotStore(tmp_path / "shard-000")
+        shard_dir = tmp_path / "shard-000"
         tier = ShardedTier(shards=1, data_dir=tmp_path)
         tier.put_batch(cohort)
-        snap_bytes = store.snapshot_path(1).stat().st_size
+        snap_bytes = snapshot_path(shard_dir, 1).stat().st_size
         batches = _reupload_batches(cohort, _BATCH)
         segment = records = 0
         while records <= DEFAULT_SNAPSHOT_EVERY:
@@ -886,7 +942,7 @@ class TestSnapshotTrigger:
             records += len(batch)
         # past the floor, short of the snapshot: abandoned without close
         assert segment < snap_bytes
-        assert store.latest_seq() == 1
+        assert latest_seq(shard_dir) == 1
 
         reopened = ShardedTier(shards=1, data_dir=tmp_path)
         try:
@@ -896,8 +952,8 @@ class TestSnapshotTrigger:
                 segment += _wal_bytes(batch)
                 if segment >= snap_bytes:
                     break
-                assert store.latest_seq() == 1
-            assert store.latest_seq() == 2
+                assert latest_seq(shard_dir) == 1
+            assert latest_seq(shard_dir) == 2
         finally:
             reopened.close()
 
@@ -1022,6 +1078,52 @@ class TestEquivalenceMatrix:
     def test_default_server_behind_handle_message(self, payloads, oracle):
         with SMatchServer(query_k=3) as server:
             assert _server_results(server, payloads) == oracle
+
+
+class TestCrossShardMove:
+    """A re-upload that moves a user to a group on another shard and is
+    refused there leaves the tier as a bare ``ProfileStore`` leaves it."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the old shard applies the remove before the new shard "
+        "refuses the put, so the user's previous record is lost",
+    )
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "disk"])
+    def test_refused_move_keeps_the_previous_record(
+        self, payloads, tmp_path, durable
+    ):
+        tier = ShardedTier(shards=2, data_dir=tmp_path if durable else None)
+        tier.put_batch(payloads)
+        group_sizes = {}
+        for p in payloads:
+            group_sizes[p.key_index] = group_sizes.get(p.key_index, 0) + 1
+        mover = next(p for p in payloads if group_sizes[p.key_index] > 1)
+        home = tier.placement.shard_of(mover.key_index)
+        away = next(
+            p.key_index
+            for p in payloads
+            if tier.placement.shard_of(p.key_index) != home
+        )
+        # a chain one element longer than the away group's: refused there
+        refused = _widened(_moved(mover, away))
+        store = ProfileStore()
+        for p in payloads:
+            store.put(p)
+        with pytest.raises(ParameterError):
+            store.put(refused)
+        uids = [p.user_id for p in payloads]
+        try:
+            with pytest.raises(ParameterError):
+                tier.put_batch([refused])
+            TestBatchRouting._agree(tier, store, uids)
+            if durable:
+                tier.close()
+                tier = ShardedTier(shards=2, data_dir=tmp_path)
+                TestBatchRouting._agree(tier, store, uids)
+        finally:
+            tier.close()
 
 
 class TestBatchRouting:
@@ -1263,6 +1365,41 @@ class TestTierLifecycle:
             assert ("fsync", tmp_file) in events[bounds[n] + 1 : at]
             assert ("fsync", directory) in events[at + 1 : bounds[n + 2]]
 
+    @pytest.mark.parametrize("damage", ["snapshot", "wal-record"])
+    def test_failed_open_closes_the_shards_it_opened(
+        self, payloads, tmp_path, monkeypatch, damage
+    ):
+        with ShardedTier(shards=2, data_dir=tmp_path) as tier:
+            tier.put_batch(payloads)
+            for shard in tier._shards:
+                shard.apply([("snapshot",)])
+        shard_dir = tmp_path / "shard-001"
+        if damage == "snapshot":
+            path = snapshot_path(shard_dir, 1)
+            data = bytearray(path.read_bytes())
+            data[-1] ^= 0x01
+            path.write_bytes(bytes(data))
+        else:
+            # a whole frame whose record names no op: shard 1 fails while
+            # replaying its open segment
+            with ShardWal(wal_path(shard_dir, 1)) as wal:
+                wal.append_record(b"\x00\x00\x00\x01\x63")
+        closed = []
+        real_close = ShardState.close
+
+        def counting_close(state):
+            closed.append(state.shard_id)
+            real_close(state)
+
+        monkeypatch.setattr(ShardState, "close", counting_close)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PersistenceError):
+                ShardedTier(shards=2, data_dir=tmp_path)
+            gc.collect()
+        assert closed == [0]
+        assert not [w for w in caught if w.category is ResourceWarning]
+
     def test_rebalance_down_drains_dropped_shards(self, payloads):
         tier = ShardedTier(shards=3, mode="inline")
         tier.put_batch(payloads)
@@ -1306,6 +1443,6 @@ class TestTierLifecycle:
             tier.put_batch(payloads)
             for payload in payloads[:8]:
                 uid = payload.user_id
-                assert tier.query(uid, max_distance=4) == _entries(
+                assert tier.query(uid, k=3, max_distance=4) == _entries(
                     store, store.match_within(uid, 4)
                 )

@@ -224,7 +224,7 @@ class LintConfig:
     #: ``pickle.dumps``/``dump``, task-envelope constructors, pool
     #: ``submit``, shared-memory segments, and the shard durability
     #: sinks — ``append_record`` frames a value into a shard's on-disk
-    #: WAL and ``write_snapshot`` persists whole group tables, both of
+    #: WAL and ``write_snapshot`` persists every stored upload, both of
     #: which outlive the process and are replayed into restarted shard
     #: workers, so tainted material must never reach them unencrypted.
     boundary_sink_calls: Tuple[str, ...] = (
