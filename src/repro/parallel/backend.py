@@ -43,7 +43,10 @@ tagged with the worker identity; when a metrics registry is enabled,
 workers also run a local :class:`~repro.obs.metrics.MetricsRegistry` whose
 mergeable snapshot is folded into the parent registry (counters add,
 gauges max), so ``smatch_parallel_*`` and any counter bumped inside a task
-agree across the serial and process backends.
+agree across the serial and process backends.  :func:`map_span` is the
+submitting side and :func:`capture_chunk` the worker side; the process
+shards of :mod:`repro.server.sharding.worker`, which send each batch down
+their own pipe instead of through an executor, use the same two.
 """
 
 from __future__ import annotations
@@ -52,11 +55,14 @@ import os
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -86,7 +92,10 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "TaskEnvelope",
+    "absorb",
     "balanced_chunk_size",
+    "capture_chunk",
+    "map_span",
     "partition_chunks",
     "resolve_backend",
 ]
@@ -141,9 +150,21 @@ def balanced_chunk_size(num_items: int, workers: int) -> int:
     return max(1, (num_items + workers - 1) // workers)
 
 
-def _note_batch(num_chunks: int, num_tasks: int) -> None:
-    metric_inc(M_PARALLEL_CHUNKS, num_chunks)
-    metric_inc(M_PARALLEL_TASKS, num_tasks)
+@contextmanager
+def map_span(
+    backend: str, label: str, chunks: int, tasks: int
+) -> Iterator[Tuple[bool, bool]]:
+    """The submitting side of one batch: its ``parallel.map`` span.
+
+    Counts the batch's chunks and tasks, and yields whether its workers
+    capture telemetry, as ``(spans, metrics)``: spans exactly when this
+    thread traces, metrics exactly when a registry is enabled here.
+    Pass each worker result through :func:`absorb` inside the span.
+    """
+    with span("parallel.map", backend=backend, label=label, chunks=chunks):
+        metric_inc(M_PARALLEL_CHUNKS, chunks)
+        metric_inc(M_PARALLEL_TASKS, tasks)
+        yield current_tracer() is not None, active_metrics() is not None
 
 
 # -- worker-side telemetry capture ---------------------------------------------
@@ -184,6 +205,64 @@ class _WorkerTelemetry:
         return self.result
 
 
+def capture_chunk(
+    task: Callable[[], Any],
+    label: str,
+    index: int,
+    capture_spans: bool,
+    capture_metrics: bool,
+) -> Any:
+    """Worker side of one chunk: run ``task()``, capturing its telemetry.
+
+    With neither capture on, the bare result comes back.  Otherwise the
+    chunk runs under a worker-local tracer (root ``parallel.chunk``) and/or
+    metrics registry — a worker process has no tracer of its own and a
+    private registry — and the result comes back as a
+    :class:`_WorkerTelemetry` for :func:`absorb`.  Exceptions from
+    ``task`` propagate unchanged; the registry swap is always restored.
+    """
+    if not (capture_spans or capture_metrics):
+        return task()
+    # a fork-started worker inherits the submitting thread's tracer; it is
+    # an orphan copy here — clear it so the worker trace opens
+    clear_inherited_tracer()
+    prior_registry = active_metrics()
+    local_registry: Optional[MetricsRegistry] = None
+    if capture_metrics:
+        local_registry = enable_metrics(MetricsRegistry())
+    try:
+        if capture_spans:
+            with tracing("parallel.chunk", label=label, chunk=index) as tracer:
+                result = task()
+            spans: Optional[List[Dict[str, Any]]] = tracer.span_records()
+        else:
+            result = task()
+            spans = None
+    finally:
+        if capture_metrics:
+            if prior_registry is None:
+                disable_metrics()
+            else:
+                enable_metrics(prior_registry)
+    return _WorkerTelemetry(
+        result=result,
+        spans=spans,
+        metrics=(
+            local_registry.to_mergeable() if local_registry is not None else None
+        ),
+        worker=f"pid-{os.getpid()}",
+    )
+
+
+def absorb(payload: Any) -> Any:
+    """Submitting side of one chunk: its result, with the telemetry its
+    worker captured spliced into this thread's trace and merged into the
+    enabled registry (call it inside the batch's :func:`map_span`)."""
+    if isinstance(payload, _WorkerTelemetry):
+        return payload.absorb()
+    return payload
+
+
 @runtime_checkable
 class ExecutionBackend(Protocol):
     """The execution-backend protocol all backends implement."""
@@ -213,13 +292,9 @@ class SerialBackend:
     ) -> List[Any]:
         """Apply the envelope to each chunk sequentially."""
         chunks = list(chunks)
-        with span(
-            "parallel.map",
-            backend=self.name,
-            label=envelope.label,
-            chunks=len(chunks),
+        with map_span(
+            self.name, envelope.label, len(chunks), sum(len(c) for c in chunks)
         ):
-            _note_batch(len(chunks), sum(len(c) for c in chunks))
             return [envelope.fn(envelope.context, chunk) for chunk in chunks]
 
     def close(self) -> None:
@@ -254,45 +329,13 @@ def _run_chunk(
     capture_spans: bool,
     capture_metrics: bool,
 ) -> Any:
-    """Worker-side trampoline: apply the task to the warm-started context.
-
-    With neither capture on, the bare result comes back.  Otherwise the
-    chunk runs under a worker-local tracer (root ``parallel.chunk``) and/or
-    metrics registry — a worker process has no tracer of its own and a
-    private registry — and the result comes back as a
-    :class:`_WorkerTelemetry`.  Exceptions from ``fn`` propagate
-    unchanged; the registry swap is always restored.
-    """
-    if not (capture_spans or capture_metrics):
-        return fn(_WORKER_CONTEXT, chunk)
-    # a fork-started worker inherits the submitting thread's tracer; it is
-    # an orphan copy here — clear it so the worker trace opens
-    clear_inherited_tracer()
-    prior_registry = active_metrics()
-    local_registry: Optional[MetricsRegistry] = None
-    if capture_metrics:
-        local_registry = enable_metrics(MetricsRegistry())
-    try:
-        if capture_spans:
-            with tracing("parallel.chunk", label=label, chunk=index) as tracer:
-                result = fn(_WORKER_CONTEXT, chunk)
-            spans: Optional[List[Dict[str, Any]]] = tracer.span_records()
-        else:
-            result = fn(_WORKER_CONTEXT, chunk)
-            spans = None
-    finally:
-        if capture_metrics:
-            if prior_registry is None:
-                disable_metrics()
-            else:
-                enable_metrics(prior_registry)
-    return _WorkerTelemetry(
-        result=result,
-        spans=spans,
-        metrics=(
-            local_registry.to_mergeable() if local_registry is not None else None
-        ),
-        worker=f"pid-{os.getpid()}",
+    """Pool trampoline: apply the task to the warm-started context."""
+    return capture_chunk(
+        partial(fn, _WORKER_CONTEXT, chunk),
+        label,
+        index,
+        capture_spans,
+        capture_metrics,
     )
 
 
@@ -333,23 +376,21 @@ class ProcessBackend:
     ) -> List[Any]:
         """Apply the envelope across the pool; results in submission order."""
         chunks = list(chunks)
-        with span(
-            "parallel.map",
-            backend=self.name,
-            label=envelope.label,
-            chunks=len(chunks),
-        ):
-            _note_batch(len(chunks), sum(len(c) for c in chunks))
-            return self._collect(envelope, chunks)
+        with map_span(
+            self.name, envelope.label, len(chunks), sum(len(c) for c in chunks)
+        ) as (capture_spans, capture_metrics):
+            return self._collect(
+                envelope, chunks, capture_spans, capture_metrics
+            )
 
     def _collect(
-        self, envelope: TaskEnvelope, chunks: List[Sequence[Any]]
+        self,
+        envelope: TaskEnvelope,
+        chunks: List[Sequence[Any]],
+        capture_spans: bool,
+        capture_metrics: bool,
     ) -> List[Any]:
         pool = self._pool_for(envelope)
-        # workers record spans exactly when the submitting thread traces,
-        # and run a local registry exactly when one is enabled here
-        capture_spans = current_tracer() is not None
-        capture_metrics = active_metrics() is not None
         futures: List["Future[Any]"] = []
         results: List[Any] = [None] * len(chunks)
         try:
@@ -366,10 +407,7 @@ class ProcessBackend:
                     )
                 )
             for index, future in enumerate(futures):
-                payload = future.result()
-                if isinstance(payload, _WorkerTelemetry):
-                    payload = payload.absorb()
-                results[index] = payload
+                results[index] = absorb(future.result())
         except BrokenProcessPool as exc:
             # the pool is unusable — a worker died before its result came
             # back, or before a later chunk could even be submitted: drop it

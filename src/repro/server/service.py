@@ -56,6 +56,10 @@ class SMatchServer:
     recovers.  Every configuration produces byte-identical
     :class:`QueryResult` encodings (``tests/test_sharding.py`` pins the
     equivalence matrix against a bare ``ProfileStore``).
+
+    Shard workers start under ``spawn``, which imports the program's main
+    module afresh in each one: a program that opens process shards must
+    guard its entry point with ``if __name__ == "__main__":``.
     """
 
     def __init__(

@@ -6,8 +6,8 @@ consistent hash ring (:mod:`repro.server.sharding.placement`) assigns each
 group to one of N shards, each shard runs its own
 :class:`~repro.server.storage.ProfileStore`
 (:mod:`repro.server.sharding.state`) — inline, or in a dedicated worker
-process built on the :mod:`repro.parallel` machinery
-(:mod:`repro.server.sharding.worker`) — and the coordinator
+process reached over its own pipe (:mod:`repro.server.sharding.worker`)
+— and the coordinator
 (:mod:`repro.server.sharding.tier`) routes uploads/queries by group key
 with zero cross-shard traffic on the hot path.
 
@@ -22,11 +22,7 @@ from repro.server.sharding.placement import PlacementMap
 from repro.server.sharding.state import ShardState
 from repro.server.sharding.tier import ShardedTier
 from repro.server.sharding.wal import ShardWal, WalReplay
-from repro.server.sharding.worker import (
-    ProcessShard,
-    ShardSpec,
-    shard_ops_chunk,
-)
+from repro.server.sharding.worker import ProcessShard, ShardSpec
 
 __all__ = [
     "PlacementMap",
@@ -36,5 +32,4 @@ __all__ = [
     "ShardWal",
     "ShardedTier",
     "WalReplay",
-    "shard_ops_chunk",
 ]

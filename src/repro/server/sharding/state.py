@@ -26,8 +26,9 @@ boundary:
 ``("query_within", user_id, max_distance)``
     MAX-distance match, same result shape;
 ``("manifest",)``
-    ``((user_id, key_index), ...)`` — the routing table the coordinator
-    rebuilds from after reopening a durable tier;
+    ``((key_index, (user_id, ...)), ...)``, one entry per key group — the
+    routing table the coordinator rebuilds from after reopening a durable
+    tier;
 ``("export",)`` / ``("export_group", key_index)``
     stored profiles (all, or one group) — the rebalance/import-export path;
 ``("sizes",)``
@@ -286,8 +287,8 @@ class ShardState:
                 elif kind == "manifest":
                     results.append(
                         tuple(
-                            (uid, payload.key_index)
-                            for uid, payload in self.store.all_profiles().items()
+                            (key_index, tuple(group))
+                            for key_index, group in self.store.groups()
                         )
                     )
                 elif kind == "export":

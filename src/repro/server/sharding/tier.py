@@ -1,8 +1,9 @@
 """The shard coordinator: routing, rebalance, import/export.
 
 A :class:`ShardedTier` owns N shard handles (inline
-:class:`~repro.server.sharding.state.ShardState` objects, or process-backed
-:class:`~repro.server.sharding.worker.ProcessShard` workers), a versioned
+:class:`~repro.server.sharding.state.ShardState` objects, or
+:class:`~repro.server.sharding.worker.ProcessShard` handles, each one
+worker process behind one pipe), a versioned
 :class:`~repro.server.sharding.placement.PlacementMap`, and the routing
 side table ``user_id -> key_index`` (queries carry only ``ID_v``, so the
 coordinator must remember which group — and therefore which shard — each
@@ -128,11 +129,16 @@ class ShardedTier:
         return spec.build_state()
 
     def _reload_routing(self) -> None:
-        """Rebuild ``user -> key_index`` from the shards' recovered state."""
+        """Rebuild ``user -> key_index`` from the shards' recovered state.
+
+        Each shard's manifest names a group's key index once, so every
+        user of a group routes to that one key object.
+        """
         self._user_key_index.clear()
         for shard in self._shards:
             manifest = shard.apply([("manifest",)])[0]
-            self._user_key_index.update(manifest)  # type: ignore[call-overload]
+            for key_index, user_ids in manifest:  # type: ignore[attr-defined]
+                self._user_key_index.update(dict.fromkeys(user_ids, key_index))
 
     # -- mutations -------------------------------------------------------------
 

@@ -143,10 +143,17 @@ class ProfileStore:
             raise ParameterError("key index must be 32 bytes")
         return dict(self._groups.get(key_index, {}))
 
-    def groups(self) -> Iterator[Tuple[bytes, Dict[int, EncryptedProfile]]]:
-        """Iterate (key index, group contents) pairs."""
+    def groups(
+        self,
+    ) -> Iterator[Tuple[bytes, Mapping[int, EncryptedProfile]]]:
+        """Iterate (key index, group contents) pairs.
+
+        Contract: each group is a **read-only live view**, as
+        :meth:`all_profiles` is — callers that mutate the store while
+        holding one must ``dict()`` it themselves.
+        """
         for index, group in self._groups.items():
-            yield index, dict(group)
+            yield index, MappingProxyType(group)
 
     def group_sizes(self) -> Tuple[int, ...]:
         """Sizes of all key groups (the m of the PR-KK bound m/N).

@@ -116,7 +116,8 @@ class TestIncrementalEqualsRebuild:
 
     def test_remove_and_identical_reupload_is_a_no_op(self, enrolled):
         store, uploads = _loaded(enrolled)
-        _, members = max(store.groups(), key=lambda p: len(p[1]))
+        _, group = max(store.groups(), key=lambda p: len(p[1]))
+        members = dict(group)  # the view would follow the churn below
         if len(members) < 2:
             pytest.skip("no multi-member group in this population")
         ids = iter(members)
@@ -189,11 +190,12 @@ class TestPinnedTraffic:
 class TestDeadGroupEviction:
     def test_emptied_group_leaves_the_index(self, enrolled):
         store, uploads = _loaded(enrolled)
-        key_index, members = min(store.groups(), key=lambda p: len(p[1]))
+        key_index, group = min(store.groups(), key=lambda p: len(p[1]))
+        members = dict(group)  # the view would empty as the group drains
         # force the group into the index, then drain it
         store.match(next(iter(members)), 1)
         assert key_index in store._indexes
-        for member in list(members):
+        for member in members:
             store.remove(member)
         assert key_index not in store._indexes
 
@@ -241,8 +243,8 @@ class TestListenerLifecycle:
 
     def test_replacement_within_group_updates_index(self, enrolled):
         store, uploads = _loaded(enrolled)
-        _, members = max(store.groups(), key=lambda p: len(p[1]))
-        ids = iter(members)
+        _, group = max(store.groups(), key=lambda p: len(p[1]))
+        ids = iter(dict(group))  # the view would follow the re-upload
         query_uid, other_uid = next(ids), next(ids)
         store.match(query_uid, 3)  # warm the index
         # re-upload (same uid, same group) must be folded in as

@@ -348,6 +348,16 @@ class TestStoreViews:
         store.put(store.get(next(iter(view))))  # replace keeps the count
         assert len(view) == count - 1
 
+    def test_groups_are_read_only_live_views(self, store):
+        key_index, group = max(store.groups(), key=lambda p: len(p[1]))
+        uid = next(iter(group))
+        with pytest.raises(TypeError):
+            group[uid] = group[uid]  # type: ignore[index]
+        count = len(group)
+        store.remove(uid)
+        assert len(group) == count - 1 and uid not in group
+        assert dict(group) == store.group_by_index(key_index)
+
     def test_all_profiles_matches_gets(self, store):
         for uid, payload in store.all_profiles().items():
             assert store.get(uid) == payload

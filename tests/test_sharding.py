@@ -9,12 +9,15 @@ oracle) and kill-a-shard-mid-churn crash recovery against the same
 oracle.
 """
 
+import collections
 import dataclasses
 import errno
 import gc
 import itertools
+import multiprocessing
 import os
 import pathlib
+import threading
 import warnings
 
 import pytest
@@ -32,6 +35,7 @@ from repro.net.messages import (
     ResultEntry,
     UploadMessage,
 )
+from repro.obs.metrics import MetricsRegistry, disable_metrics, enable_metrics
 from repro.server.service import SMatchServer
 from repro.server.sharding import (
     PlacementMap,
@@ -1013,8 +1017,15 @@ def _apply_churn(tier, ops):
 
 
 def _tier_results(tier, payloads, k=3):
-    ops, remaining = _churn_workload(payloads)
+    ops, _ = _churn_workload(payloads)
     _apply_churn(tier, ops)
+    return _query_results(tier, payloads, k)
+
+
+def _query_results(tier, payloads, k=3):
+    """The churn workload's queries, against a tier that already holds
+    its mutations (a reopen, say)."""
+    _, remaining = _churn_workload(payloads)
     return {
         uid: QueryResult(
             query_id=uid, timestamp=3, entries=tier.query(uid, k=k)
@@ -1297,6 +1308,127 @@ class TestCrashRecovery:
                 tier._shards[0].apply([("crash",)])
             sizes = tier.shard_sizes()
             assert sum(sizes[0]) == 10
+
+
+class TestProcessShardTransport:
+    """A process shard is one worker process behind one pipe: it starts no
+    thread in the coordinator, leaves no worker running after ``close``,
+    never lets a cut round trip's reply answer the next batch, and hands
+    an op's exception back with the worker still up."""
+
+    def test_no_thread_in_the_coordinator(self, payloads):
+        before = set(threading.enumerate())
+        with ShardedTier(shards=2, mode="process") as tier:
+            tier.put_batch(payloads)
+            for payload in payloads[:5]:
+                tier.query(payload.user_id, k=3)
+            assert [t for t in threading.enumerate() if t not in before] == []
+            assert threading.active_count() <= len(before)
+
+    def test_close_leaves_no_worker_running(self, payloads, tmp_path):
+        oracle = _oracle_results(payloads)
+        before = set(multiprocessing.active_children())
+        tier = ShardedTier(shards=2, mode="process", data_dir=tmp_path)
+        try:
+            assert _tier_results(tier, payloads) == oracle
+        finally:
+            tier.close()
+        assert [
+            child
+            for child in multiprocessing.active_children()
+            if child not in before
+        ] == []
+        tier.close()  # idempotent
+        with ShardedTier(shards=2, mode="process", data_dir=tmp_path) as tier:
+            assert _query_results(tier, payloads) == oracle
+
+    def test_interrupted_round_trip_does_not_answer_the_next(
+        self, payloads, tmp_path
+    ):
+        oracle = _oracle_results(payloads)
+        with ShardedTier(shards=1, mode="process", data_dir=tmp_path) as tier:
+            _tier_results(tier, payloads)
+            shard = tier._shards[0]
+            conn = shard._conn
+
+            class CutOnce:
+                # the batch goes out, then the first wait for a reply is cut
+                send, close = conn.send, conn.close
+                cut = True
+
+                def recv(self):
+                    if self.cut:
+                        self.cut = False
+                        raise KeyboardInterrupt
+                    return conn.recv()
+
+            shard._conn = CutOnce()
+            with pytest.raises(KeyboardInterrupt):
+                shard.apply([("sizes",)])
+            assert _query_results(tier, payloads) == oracle
+
+    @pytest.mark.parametrize("failure", ["unknown-op", "chain-length"])
+    def test_raised_op_comes_back_and_the_worker_stays(
+        self, payloads, tmp_path, failure
+    ):
+        uids = [p.user_id for p in payloads]
+        if failure == "unknown-op":
+            batch = [("put", _drifted(payloads[0])), ("no-such-op",)]
+        else:
+            sizes = collections.Counter(p.key_index for p in payloads)
+            mate = next(p for p in payloads if sizes[p.key_index] > 1)
+            batch = [("put", _drifted(payloads[0])), ("put", _widened(mate))]
+        reference = ShardState(0)
+        reference.apply([("put", p) for p in payloads])
+        with pytest.raises(ParameterError) as inline:
+            reference.apply(batch)
+        registry = enable_metrics(MetricsRegistry())
+        try:
+            with ShardedTier(
+                shards=1, mode="process", data_dir=tmp_path
+            ) as tier:
+                tier.put_batch(payloads)
+                answers = [tier.query(uid, k=3) for uid in uids]
+                pid = tier._shards[0]._process.pid
+                with pytest.raises(ParameterError) as raised:
+                    tier._shards[0].apply(batch)
+                assert type(raised.value) is type(inline.value)
+                assert str(raised.value) == str(inline.value)
+                assert "state.py" in str(raised.value.__cause__)
+                assert tier._shards[0]._process.pid == pid
+                assert [tier.query(uid, k=3) for uid in uids] == answers
+            counters = registry.snapshot()["counters"]
+        finally:
+            disable_metrics()
+        assert counters.get("smatch_parallel_worker_restarts_total", 0) == 0
+
+
+class TestManifest:
+    """The routing manifest ships one key object per group."""
+
+    def test_manifest_names_each_key_index_once(self, payloads):
+        state = ShardState(0)
+        state.apply([("put", p) for p in payloads])
+        manifest = state.apply([("manifest",)])[0]
+        keys = [key_index for key_index, _ in manifest]
+        assert len(keys) == len(set(keys)) == state.store.num_groups
+        assert sorted(uid for _, uids in manifest for uid in uids) == sorted(
+            p.user_id for p in payloads
+        )
+        for key_index, uids in manifest:
+            for uid in uids:
+                assert state.store.get(uid).key_index == key_index
+
+    def test_process_reopen_routes_through_one_key_per_group(
+        self, payloads, tmp_path
+    ):
+        oracle = _oracle_results(payloads)
+        with ShardedTier(shards=2, mode="process", data_dir=tmp_path) as tier:
+            assert _tier_results(tier, payloads) == oracle
+        with ShardedTier(shards=2, mode="process", data_dir=tmp_path) as tier:
+            routes = tier._user_key_index.values()
+            assert len({id(k) for k in routes}) == len(set(routes))
+            assert _query_results(tier, payloads) == oracle
 
 
 # -- tier lifecycle ------------------------------------------------------------

@@ -342,6 +342,38 @@ class TestSml014ForkHazards:
         )
         assert codes(found) == ["SML014"]
 
+    def test_lock_in_process_args_flagged(self):
+        found = check(
+            """
+    import threading
+
+    def start(ctx, serve):
+        lock = threading.Lock()
+        return ctx.Process(target=serve, args=(lock,))
+    """
+        )
+        assert codes(found) == ["SML014"]
+        assert "'args'" in found[0].message
+
+    def test_shard_worker_args_clean(self):
+        # a process shard hands its worker a spec and its end of the pipe
+        assert (
+            check(
+                """
+    def start(self, ctx, serve):
+        conn, child_conn = ctx.Pipe()
+        process = ctx.Process(
+            target=serve, args=(self.spec, child_conn), daemon=True
+        )
+        process.start()
+        child_conn.close()
+        return process, conn
+    """,
+                "src/repro/server/sharding/widget.py",
+            )
+            == []
+        )
+
     def test_plain_initargs_clean(self):
         assert (
             check(

@@ -20,8 +20,9 @@ SML007–SML010 family:
   lock held, plus ``global`` rebinding inside parallel task units.
   Import-time mutation (single-threaded by the import lock) is exempt.
 * **SML014 — fork/deadlock hazards.**  Locks, ``threading.local`` or
-  tracers captured into process-pool ``initargs`` or task-envelope
-  contexts (fork-inherited lock state is the canonical pool deadlock),
+  tracers captured into process-pool ``initargs``, a process's ``args``
+  or task-envelope contexts (fork-inherited lock state is the canonical
+  pool deadlock),
   and blocking calls (``submit``, ``acquire``, ``result``, ...) issued
   while a lock is held.
 * **SML015 — resource lifecycle.**  A CFG path check that every resource

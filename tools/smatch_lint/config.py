@@ -239,8 +239,10 @@ class LintConfig:
 
     #: Keyword arguments that ship their value into worker processes even
     #: though the surrounding call is not itself a sink (``Pool(...,
-    #: initargs=(ctx,))`` pickles the tuple into every worker).
-    boundary_kwargs: Tuple[str, ...] = ("initargs",)
+    #: initargs=(ctx,))`` pickles the tuple into every worker, and
+    #: ``Process(target=..., args=(...))`` into its one worker — a process
+    #: shard's ``(spec, connection)``).
+    boundary_kwargs: Tuple[str, ...] = ("initargs", "args")
 
     # -- SML011: parallel determinism ----------------------------------------------
 
@@ -300,9 +302,9 @@ class LintConfig:
     lock_ctor_names: Tuple[str, ...] = ("Lock", "RLock")
 
     #: Constructors whose instances must never be captured into process-pool
-    #: ``initargs`` or task contexts (SML014): fork-inherited lock state is
-    #: the canonical pool deadlock, and thread-locals and tracers are
-    #: orphaned copies in the child.
+    #: ``initargs``, a process's ``args`` or task contexts (SML014):
+    #: fork-inherited lock state is the canonical pool deadlock, and
+    #: thread-locals and tracers are orphaned copies in the child.
     unforkable_ctor_names: Tuple[str, ...] = (
         "Lock",
         "RLock",
@@ -363,8 +365,8 @@ class LintConfig:
 
     #: SML015 — resource constructors paired with the method that releases
     #: them: an open ``ShardWal`` holds an fd and uncommitted frames, a
-    #: ``ShardState`` owns one, a ``ProcessShard`` pins a warm
-    #: single-worker pool, and a ``ShardedTier`` owns its shards.
+    #: ``ShardState`` owns one, a ``ProcessShard`` owns a worker process
+    #: and its pipe, and a ``ShardedTier`` owns its shards.
     resource_release_methods: Tuple[Tuple[str, str], ...] = (
         ("ShardWal", "close"),
         ("ShardState", "close"),
